@@ -34,6 +34,9 @@ from .group_engine import (
 
 EXACT_ORTHOGONALITY_FULL_LIMIT = 40
 EXACT_ORTHOGONALITY_SAMPLES = 60
+# Krylov start vectors drawn before a class matrix counts as not
+# diagonalizable mod p (as many as minimal_polynomial takes by default).
+KRYLOV_STARTS = 8
 
 
 class TableConsistencyError(AssertionError):
@@ -130,21 +133,57 @@ def _primitive_root(p: int) -> int:
 # -- class-sum matrices --------------------------------------------------
 
 
-def _class_matrix(G: FiniteGroup, data: ClassData, i: int) -> np.ndarray:
+def _class_matrix(G: FiniteGroup, data: ClassData, L: np.ndarray, i: int) -> np.ndarray:
     """M_i with (M_i)[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}; every
-    joint eigenvector u satisfies M_i u = omega_i u."""
+    joint eigenvector u satisfies M_i u = omega_i u.
+
+    L[k] is the left translation y -> rep_k y (as element indices).
+    x y = rep_k puts y = x^-1 rep_k, conjugate to rep_k x^-1, so column k
+    counts the classes of rep_k w over w in the inverse class of C_i."""
     r = data.count
-    M = np.zeros((r, r), dtype=np.int64)
-    class_i = G.conjugacy_classes[i][1]
-    for x in class_i:
-        xi = G.inv(x)
-        for k, z in enumerate(data.reps):
-            j = data.class_of[G.mul(xi, z)]
-            M[j, k] += 1
-    return M
+    cls = G.class_index
+    members = np.flatnonzero(cls == data.inverse_class[i])
+    hits = cls[L[:, members]] + r * np.arange(r)[:, None]
+    return np.bincount(hits.ravel(), minlength=r * r).reshape(r, r).T
 
 
-def _split_eigenspaces(G: FiniteGroup, data: ClassData, p: int) -> list[np.ndarray]:
+def _power_classes(G: FiniteGroup, L: np.ndarray, e: int) -> np.ndarray:
+    """(r, e) array: the class of rep_k^l at [k, l], for the left
+    translations L of the class representatives."""
+    cls = G.class_index
+    rows = np.arange(len(L))
+    x = np.full(len(L), G.compiled.identity, dtype=np.intp)
+    out = np.empty((len(L), e), dtype=np.int64)
+    for l in range(e):
+        out[:, l] = cls[x]
+        x = L[rows, x]
+    return out
+
+
+def _eigenspaces(R: np.ndarray, p: int) -> list[np.ndarray]:
+    """Kernel bases of R - lam over GF(p), by ascending eigenvalue lam, for
+    R diagonalizable mod p; raises TableConsistencyError otherwise.
+
+    The eigenvalues are the roots of the minimal polynomial, the lcm of the
+    Krylov polynomials of KRYLOV_STARTS start vectors.  One start usually
+    finds them all, so further starts are drawn only while the eigenspaces
+    found fall short of the dimension."""
+    eye = np.eye(R.shape[0], dtype=np.int64)
+    kernels = {}
+    found = 0
+    for starts in range(1, KRYLOV_STARTS + 1):
+        for lam in lin.poly_roots(lin.minimal_polynomial(R, p, starts), p):
+            if lam not in kernels:
+                kernels[lam] = lin.nullspace((R - lam * eye) % p, p)
+                found += kernels[lam].shape[1]
+        if found == len(eye):
+            return [kernels[lam] for lam in sorted(kernels)]
+    raise TableConsistencyError("class matrix not diagonalizable mod p")
+
+
+def _split_eigenspaces(
+    G: FiniteGroup, data: ClassData, L: np.ndarray, p: int
+) -> list[np.ndarray]:
     """1-dimensional joint eigenspaces of the class-sum matrices mod p,
     splitting with matrices in increasing class-size order."""
     r = data.count
@@ -153,7 +192,7 @@ def _split_eigenspaces(G: FiniteGroup, data: ClassData, p: int) -> list[np.ndarr
     for i in order:
         if all(B.shape[1] == 1 for B in spaces):
             break
-        M = _class_matrix(G, data, i) % p
+        M = _class_matrix(G, data, L, i) % p
         nxt = []
         for B in spaces:
             d = B.shape[1]
@@ -161,15 +200,8 @@ def _split_eigenspaces(G: FiniteGroup, data: ClassData, p: int) -> list[np.ndarr
                 nxt.append(B)
                 continue
             R = lin.solve(B, lin.matmul(M, B, p), p)
-            roots = lin.poly_roots(lin.minimal_polynomial(R, p), p)
-            split_dim = 0
-            for lam in roots:
-                ker = lin.nullspace((R - lam * np.eye(d, dtype=np.int64)) % p, p)
-                if ker.shape[1]:
-                    nxt.append(lin.matmul(B, ker, p))
-                    split_dim += ker.shape[1]
-            if split_dim != d:
-                raise TableConsistencyError("class matrix not diagonalizable mod p")
+            for ker in _eigenspaces(R, p):
+                nxt.append(lin.matmul(B, ker, p))
         spaces = nxt
     if not all(B.shape[1] == 1 for B in spaces):
         raise TableConsistencyError("joint eigenspaces did not separate")
@@ -190,19 +222,21 @@ def _zeta_power_table(e: int, p: int, z: int) -> np.ndarray:
 
 
 def dixon_table(G: FiniteGroup) -> CharacterTable:
+    # G keeps (classes, rows, degrees), not the table: a table points back
+    # at its group, and that cycle would outlive the last outside reference.
     cached = getattr(G, "_dixon_table", None)
     if cached is not None:
-        return cached
+        return CharacterTable(G, *cached)
     data = class_data(G)
     r = data.count
     n = G.order
     if n == 1:
-        table = CharacterTable(G, data, ((Cyclo.one(),),), (1,))
-        G._dixon_table = table
-        return table
+        G._dixon_table = (data, ((Cyclo.one(),),), (1,))
+        return CharacterTable(G, *G._dixon_table)
     e = G.exponent
     p = dixon_prime(n, e)
-    vectors = _split_eigenspaces(G, data, p)
+    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    vectors = _split_eigenspaces(G, data, L, p)
     if len(vectors) != r:
         raise TableConsistencyError("eigenvector count differs from class count")
 
@@ -231,26 +265,26 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != n:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
 
-    # power map: class of rep_k^l for l = 0..e-1
-    power_class = np.zeros((r, e), dtype=np.int64)
-    for k, rep in enumerate(data.reps):
-        x = G.identity
-        for l in range(e):
-            power_class[k, l] = data.class_of[x]
-            x = G.mul(x, rep)
+    power_class = _power_classes(G, L, e)
 
     z = pow(_primitive_root(p), (p - 1) // e, p)
     Z = _zeta_power_table(e, p, z)
     e_inv = pow(e, -1, p)
 
     rows = []
+    values = {}  # multiplicity vector -> Cyclo, shared across the table
     for theta in theta_rows:
         V = theta[power_class]  # (r, e): theta at rep_k^l
         mult = lin.matmul(V, Z, p) * e_inv % p  # (r, e) multiplicities
         if np.any(mult >= p // 2):
             raise TableConsistencyError("multiplicity lift out of range")
-        row = tuple(Cyclo.from_poly(e, [int(c) for c in mk]) for mk in mult)
-        rows.append(row)
+        row = []
+        for mk in map(tuple, mult.tolist()):
+            value = values.get(mk)
+            if value is None:
+                value = values[mk] = Cyclo.from_poly(e, mk)
+            row.append(value)
+        rows.append(tuple(row))
 
     order_key = sorted(
         range(r),
@@ -266,7 +300,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
     table = CharacterTable(G, data, rows, degrees)
     _verify_orthogonality(table, theta_sorted, p)
-    G._dixon_table = table
+    G._dixon_table = (data, rows, degrees)
     return table
 
 

@@ -1,10 +1,20 @@
 """Generic finite groups with exact structural queries.
 
-Groups live at desk scale (order <= 8192) and are backed by an element
-list plus multiplication/inverse callables; permutation-presented and
-semidirect-product groups compose elements on the fly.  All structural
-queries (center, derived subgroup, Fitting subgroup, Sylow subgroups,
-conjugacy classes, quotients) are exact, memoized, and deterministic.
+Groups live at desk scale (order <= 8192).  A group is an element list
+plus multiplication/inverse callables on its (hashable, opaque)
+elements; permutation-presented and semidirect-product groups compose
+elements on the fly.  All structural queries (center, derived subgroup,
+Fitting subgroup, Sylow subgroups, conjugacy classes, quotients) are
+exact, memoized, and deterministic.
+
+The character-table path runs on a compiled view instead
+(`FiniteGroup.compiled`): element i is `elements[i]`, and the view holds
+the inverse map, the right-regular permutation of each generator and a
+breadth-first tree of the Cayley graph, all as integer index arrays.  It
+is built once with |G| * |generators| calls to `mul`; conjugacy classes,
+the exponent and the left translations that class matrices and power
+maps read are computed from it by vectorized gathers, never by `mul`.
+
 Groups are immutable after construction; memoized maps are precomputed
 on first use and safe to read concurrently.
 """
@@ -18,11 +28,17 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm
 
+import numpy as np
+
 from .abelian_core import AbelianGroup, AbElement, AbHom
 from .cyclotomic import prime_factors
 
 MAX_GROUP_ORDER = 8192
 FULL_CHECK_LIMIT = 512
+# Left translations are computed this many entries at a time when only
+# element orders are wanted, so a group with many classes never holds all
+# r x |G| of them at once.
+TRANSLATION_CHUNK = 1 << 22
 
 
 class GroupDomainError(ValueError):
@@ -36,9 +52,13 @@ class GroupSizeError(GroupDomainError):
 class FiniteGroup:
     """A finite group on an explicit element list.
 
-    `mul` and `inv` are callables on the (hashable, opaque) elements.
+    `mul` and `inv` are callables on the (hashable, opaque) elements;
+    `generators` must generate the group (all elements when omitted).
     Construction verifies the Latin-square property fully for orders up
-    to 512 and probabilistically above.
+    to 512 and probabilistically above.  `compiled` is the integer-indexed
+    view (see CompiledGroup) that conjugacy classes, the exponent and the
+    character table run on; it is built on first use and holds no
+    reference back to the group.
     """
 
     def __init__(self, elements, mul, inv, identity, generators=None, name="", check=True):
@@ -122,7 +142,19 @@ class FiniteGroup:
 
     @cached_property
     def exponent(self) -> int:
-        return reduce(lcm, (self.element_order(g) for g in self.elements), 1)
+        """lcm of the element orders.  Element order is a class function,
+        so one representative per class suffices; for an abelian group the
+        generators do."""
+        view = self.compiled
+        if self.is_abelian:
+            reps = [self.index[g] for g in self.generators]
+        else:
+            reps = [self.index[rep] for rep, _ in self.conjugacy_classes]
+        step = max(1, TRANSLATION_CHUNK // self.order)
+        orders = []
+        for lo in range(0, len(reps), step):
+            orders.extend(view.orders(view.left_translations(reps[lo:lo + step])))
+        return reduce(lcm, orders, 1)
 
     def primes(self) -> list[int]:
         return prime_factors(self.order)
@@ -169,33 +201,45 @@ class FiniteGroup:
     # -- structural queries ----------------------------------------------
 
     @cached_property
+    def compiled(self) -> "CompiledGroup":
+        return CompiledGroup(self)
+
+    @cached_property
+    def class_index(self) -> np.ndarray:
+        """Class number of each element (by position in `elements`), in
+        the order of `conjugacy_data`: class size first, then the index of
+        the class's first element."""
+        view = self.compiled
+        # x -> s^-1 x s for each generator s, as index arrays
+        conj = [Rs[view.inv[Rs[view.inv]]] for Rs in view.R]
+        label = np.arange(self.order)
+        while True:
+            before = label
+            for c in conj:
+                label = np.minimum(label, label[c])
+                label[c] = np.minimum(label[c], label)
+            label = label[label]
+            if np.array_equal(label, before):
+                break
+        # label is now the least element index of each orbit
+        firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        rank = np.empty(len(firsts), dtype=np.intp)
+        rank[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
+        return rank[which]
+
+    @cached_property
     def conjugacy_data(self):
         """(classes, class_of): classes as (representative, frozenset) in a
-        deterministic order; class_of maps element -> class index."""
-        seen = {}
+        deterministic order; class_of maps element -> class index.  The
+        representative is the class's first element."""
+        cls = self.class_index
+        members = np.argsort(cls, kind="stable")
+        ends = np.cumsum(np.bincount(cls))[:-1]
         classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                a = frontier.pop()
-                for h in self.generators:
-                    b = self.conj(a, h)
-                    if b not in orbit:
-                        orbit.add(b)
-                        frontier.append(b)
-            classes.append((g, frozenset(orbit)))
-            for a in orbit:
-                seen[a] = len(classes) - 1
-        order = sorted(
-            range(len(classes)),
-            key=lambda i: (len(classes[i][1]), self.index[classes[i][0]]),
-        )
-        relabel = {old: new for new, old in enumerate(order)}
-        classes = [classes[i] for i in order]
-        class_of = {g: relabel[i] for g, i in seen.items()}
+        for block in np.split(members, ends):
+            elems = [self.elements[i] for i in block]
+            classes.append((elems[0], frozenset(elems)))
+        class_of = dict(zip(self.elements, cls.tolist()))
         return classes, class_of
 
     @property
@@ -416,6 +460,90 @@ class FiniteGroup:
     def __repr__(self):
         label = self.name or "FiniteGroup"
         return f"<{label} of order {self.order}>"
+
+
+class CompiledGroup:
+    """Integer-indexed view of a FiniteGroup; element i is `G.elements[i]`.
+
+    - `inv[i]`: the index of the inverse of element i.
+    - `R[s]`: the right-regular permutation of generator s,
+      `R[s][i]` = index of `elements[i] * gens[s]`, built with `G.mul`.
+    - `parent`, `gen`: a breadth-first tree of the Cayley graph rooted at
+      the identity, `elements[i] = elements[parent[i]] * gens[gen[i]]`;
+      `levels` lists the non-root nodes level by level.
+
+    `gens` are G's generators, or an irredundant subset of them when the
+    list is longer than any irredundant one (a subgroup handed all of its
+    members as generators), so R stays far smaller than a Cayley table.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        n = G.order
+        index = G.index
+        gens = list(G.generators)
+        if len(gens) > n.bit_length():
+            chosen, span = [], {G.identity}
+            for g in gens:
+                if g not in span:
+                    chosen.append(g)
+                    span = G.closure(chosen)
+            gens = chosen
+        self.order = n
+        self.dtype = np.int16 if n < 2**15 else np.int32
+        self.identity = index[G.identity]
+        self.R = np.array(
+            [[index[G.mul(g, s)] for g in G.elements] for s in gens], dtype=np.intp
+        ).reshape(len(gens), n)
+        self.parent = np.full(n, -1, dtype=np.intp)
+        self.gen = np.full(n, -1, dtype=np.intp)
+        self.parent[self.identity] = self.identity
+        self.levels = []
+        frontier = np.array([self.identity], dtype=np.intp)
+        while frontier.size:
+            grown = []
+            for s, Rs in enumerate(self.R):
+                image = Rs[frontier]
+                fresh = self.parent[image] < 0
+                self.parent[image[fresh]] = frontier[fresh]
+                self.gen[image[fresh]] = s
+                grown.append(image[fresh])
+            frontier = np.concatenate([frontier[:0], *grown])
+            if frontier.size:
+                self.levels.append(frontier)
+        if np.any(self.parent < 0):
+            raise GroupDomainError("the generators do not generate the group")
+        # (x s)^-1 = s^-1 x^-1: left translations by the inverse generators
+        # carry the inverse down the tree from the root
+        gen_inv = self.left_translations([index[G.inv(s)] for s in gens])
+        self.inv = np.empty(n, dtype=np.intp)
+        self.inv[self.identity] = self.identity
+        for nodes in self.levels:
+            self.inv[nodes] = gen_inv[self.gen[nodes], self.inv[self.parent[nodes]]]
+
+    def left_translations(self, targets) -> np.ndarray:
+        """L with L[k, y] = index of elements[targets[k]] * elements[y].
+
+        Filled along the tree, level by level: if y = x * s then
+        t * y = (t * x) * s, one gather per level for all targets."""
+        L = np.empty((len(targets), self.order), dtype=self.dtype)
+        L[:, self.identity] = targets
+        for nodes in self.levels:
+            L[:, nodes] = self.R[self.gen[nodes], L[:, self.parent[nodes]]]
+        return L
+
+    def orders(self, L: np.ndarray) -> list[int]:
+        """Element orders of the targets of the left translations L."""
+        rows = np.arange(len(L))
+        x = L[:, self.identity].astype(np.intp)
+        out = np.ones(len(L), dtype=np.intp)
+        k = 1
+        while True:
+            pending = x != self.identity
+            if not pending.any():
+                return out.tolist()
+            k += 1
+            x = np.where(pending, L[rows, x], self.identity)
+            out[pending] = k
 
 
 class SubgroupHandle:
@@ -833,11 +961,42 @@ def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict
     return action
 
 
-def build_semidirect(spec: SemidirectSpec, name="") -> FiniteGroup:
+class SemidirectGroup(FiniteGroup):
+    """A x| H as built by build_semidirect, with its `semidirect_spec`.
+
+    The factor subgroups `A_handle` and `H_handle` are made on each access
+    rather than stored: a stored handle points back at its group, and
+    that cycle would keep a finished group alive until the cycle
+    collector runs.
+    """
+
+    semidirect_spec: SemidirectSpec
+
+    @property
+    def A_handle(self) -> SubgroupHandle:
+        A, h1 = self.semidirect_spec.A, self.semidirect_spec.H.identity
+        return SubgroupHandle(
+            self,
+            frozenset((a.coords, h1) for a in A.elements()),
+            tuple((g.coords, h1) for g in A.generators()),
+        )
+
+    @property
+    def H_handle(self) -> SubgroupHandle:
+        A, H = self.semidirect_spec.A, self.semidirect_spec.H
+        zero = A.zero().coords
+        return SubgroupHandle(
+            self,
+            frozenset((zero, h) for h in H.elements),
+            tuple((zero, h) for h in H.generators),
+        )
+
+
+def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     """A x| H with (a1, h1)(a2, h2) = (a1 + action(h1)(a2), h1 h2).
 
     Conjugation of a in A by h comes out as a^h = action(h^-1)(a).
-    Attaches .semidirect_spec, .A_handle and .H_handle.
+    The result carries `semidirect_spec` (see SemidirectGroup).
     """
     spec.validate()
     A, H, action = spec.A, spec.H, spec.action
@@ -862,16 +1021,8 @@ def build_semidirect(spec: SemidirectSpec, name="") -> FiniteGroup:
     ident = (A.zero().coords, H.identity)
     gens = [(g.coords, H.identity) for g in A.generators()]
     gens += [(A.zero().coords, h) for h in H.generators]
-    G = FiniteGroup(elements, mul, inv, ident, generators=gens, name=name)
+    G = SemidirectGroup(elements, mul, inv, ident, generators=gens, name=name)
     G.semidirect_spec = spec
-    a_elems = frozenset((a.coords, H.identity) for a in A.elements())
-    G.A_handle = SubgroupHandle(
-        G, a_elems, tuple((g.coords, H.identity) for g in A.generators())
-    )
-    h_elems = frozenset((A.zero().coords, h) for h in H.elements)
-    G.H_handle = SubgroupHandle(
-        G, h_elems, tuple((A.zero().coords, h) for h in H.generators)
-    )
     return G
 
 

@@ -4,10 +4,13 @@ fast path for abelian normal subgroups."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from vanishlab.abelian_core import DualCharacter, all_characters
 from vanishlab.character_lab import (
+    TableConsistencyError,
+    _eigenspaces,
     class_data,
     coset_transversal,
     dixon_table,
@@ -185,3 +188,19 @@ def test_fast_path_rejects_bad_inputs():
             vanish_on_abelian_normal(G, H)
     with pytest.raises(GroupDomainError):
         vanish_on_abelian_normal(G, G.full_subgroup())
+
+
+def test_eigenspaces_draw_more_starts_when_the_first_falls_short():
+    # the first Krylov start e_0 sees only the eigenvalue 1; the space is
+    # filled once a further start finds 2
+    R = np.diag([1, 2, 2]).astype(np.int64)
+    kernels = _eigenspaces(R, 7)
+    assert [k.shape[1] for k in kernels] == [1, 2]
+    assert np.array_equal(kernels[0][:, 0], [1, 0, 0])
+    for lam, ker in zip((1, 2), kernels):
+        assert np.array_equal(R @ ker % 7, lam * ker % 7)
+
+
+def test_eigenspaces_reject_a_jordan_block():
+    with pytest.raises(TableConsistencyError):
+        _eigenspaces(np.array([[1, 1], [0, 1]], dtype=np.int64), 7)
