@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo, prime_factors, root_of_unity
+from .cyclotomic import Cyclo, p_valuation, prime_factors, root_of_unity
 
 MAX_ENUMERATION = 2**16
 
@@ -38,7 +38,8 @@ class AbelianGroup:
 
     @property
     def rank(self) -> int:
-        return len(self.canonical().factor_orders)
+        """Number of written factors, the size of a coordinate vector."""
+        return len(self.factor_orders)
 
     @property
     def order(self) -> int:
@@ -71,9 +72,6 @@ class AbelianGroup:
     def elements(self):
         for coords in itertools.product(*(range(d) for d in self.factor_orders)):
             yield AbElement(self, coords)
-
-    def canonical(self) -> "AbelianGroup":
-        return canonical_decomposition(self)
 
     def primes(self) -> list[int]:
         return prime_factors(self.order) if self.factor_orders else []
@@ -124,9 +122,6 @@ class AbElement:
     def __rmul__(self, k: int) -> "AbElement":
         return self.group.element(k * a for a in self.coords)
 
-    def scaled(self, k: int) -> "AbElement":
-        return k * self
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -148,16 +143,35 @@ class AbElement:
 def canonical_decomposition(A: AbelianGroup) -> AbelianGroup:
     """Primary decomposition sorted by (prime, descending exponent); a
     normal form under isomorphism."""
-    parts = []
-    for d in A.factor_orders:
-        for p in prime_factors(d):
-            q = 1
-            while d % p == 0:
-                q *= p
-                d //= p
-            parts.append((p, q))
+    parts = [
+        (p, p ** p_valuation(d, p))
+        for d in A.factor_orders
+        for p in prime_factors(d)
+    ]
     parts.sort(key=lambda pq: (pq[0], -pq[1]))
     return AbelianGroup(tuple(q for _, q in parts))
+
+
+def abelian_type(orders: list[int]) -> tuple[int, ...]:
+    """Cyclic factor orders, by prime and then descending, of the finite
+    abelian group whose element orders are `orders` (one per element).
+
+    |Omega_i| = #elements of order dividing p^i; the p-logs of the
+    successive quotients form the conjugate of the type partition."""
+    n = len(orders)
+    parts = []
+    for p in prime_factors(n):
+        logs = []
+        prev = 1
+        q = p
+        while prev < p ** p_valuation(n, p):
+            cur = sum(1 for o in orders if q % o == 0)
+            logs.append(p_valuation(cur // prev, p))
+            prev = cur
+            q *= p
+        r = logs[0] if logs else 0
+        parts.extend(p ** sum(1 for m in logs if m > j) for j in range(r))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -389,43 +403,7 @@ class AbSubgroup:
     def isomorphism_type(self) -> AbelianGroup:
         """Abstract type from the element-order census (unique for finite
         abelian groups)."""
-        n = self.order
-        parts = []
-        for p in prime_factors(n):
-            # |Omega_i| = #elements of order dividing p^i; the p-logs of the
-            # successive quotients form the conjugate of the type partition
-            logs = []
-            prev = 1
-            q = p
-            while prev < self._p_part_order(p):
-                cur = sum(1 for a in self.elements() if q % a.order() == 0)
-                logs.append(self._ilog(cur // prev, p))
-                prev = cur
-                q *= p
-            r = logs[0] if logs else 0
-            factors = []
-            for j in range(r):
-                e = sum(1 for m in logs if m > j)
-                factors.append(p**e)
-            parts.extend(sorted(factors, reverse=True))
-        return AbelianGroup(tuple(parts))
-
-    def _p_part_order(self, p: int) -> int:
-        n = self.order
-        out = 1
-        while n % p == 0:
-            out *= p
-            n //= p
-        return out
-
-    @staticmethod
-    def _ilog(n: int, p: int) -> int:
-        out = 0
-        while n > 1:
-            assert n % p == 0
-            n //= p
-            out += 1
-        return out
+        return AbelianGroup(abelian_type([a.order() for a in self.elements()]))
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
         members = [
@@ -505,12 +483,7 @@ def omega(A: AbelianGroup, i: int) -> AbSubgroup:
     p = primes[0]
     gens = []
     for j, d in enumerate(A.factor_orders):
-        e = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            e += 1
-        k = min(i, e)
+        k = min(i, p_valuation(d, p))
         gens.append((d // p**k) * A.generator(j))
     return AbSubgroup(A, tuple(gens))
 

@@ -4,8 +4,12 @@ The oracle path builds the full character table by the class-algebra
 eigenvector method: simultaneous eigenvectors of the class-sum matrices
 over GF(p) for a prime p = 1 (mod exp G), p > 2*sqrt|G|, then exact
 recovery of cyclotomic character values through multiplicity extraction.
-The fast path evaluates induced linear characters on an abelian normal
-subgroup.  Zero tests are exact everywhere; no floating point.
+The values are held as one integer array of power-basis coefficient
+vectors in Z[zeta_e], e = exp G, on which both orthogonality relations
+are verified exactly for every pair.  The fast path evaluates induced
+linear characters on an abelian normal subgroup.  Zero tests are exact
+everywhere; float64 serves only as an exact integer accumulator in the
+orthogonality sums, under a checked bound of 2^53.
 
 All outputs are immutable and calls are reentrant: per-group work shares
 no mutable state, so corpus sweeps may run one group per worker.
@@ -13,7 +17,6 @@ no mutable state, so corpus sweeps may run one group per worker.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +35,6 @@ from .group_engine import (
     abelian_model,
 )
 
-EXACT_ORTHOGONALITY_FULL_LIMIT = 40
-EXACT_ORTHOGONALITY_SAMPLES = 60
 # Krylov start vectors drawn before a class matrix counts as not
 # diagonalizable mod p (as many as minimal_polynomial takes by default).
 KRYLOV_STARTS = 8
@@ -101,21 +102,12 @@ def class_data(G: FiniteGroup) -> ClassData:
 # -- prime selection -----------------------------------------------------
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
-
-
 def dixon_prime(group_order: int, exponent: int) -> int:
     """Smallest p = 1 (mod exponent) with p > 2*sqrt(group_order)."""
     bound = 2 * isqrt(group_order) + 1
     p = exponent + 1
     while True:
-        if p > bound and _is_prime(p):
+        if p > bound and prime_factors(p) == [p]:
             return p
         p += exponent
         if p > 10**7:
@@ -221,6 +213,20 @@ def _zeta_power_table(e: int, p: int, z: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _reduction_matrix(L: int) -> np.ndarray:
+    """Row j = coefficients of x^j mod Phi_L: an exponent-count vector
+    times this matrix is its power-basis coefficient vector in Z[zeta_L]."""
+    phi = euler_phi(L)
+    tail = np.array(cyclotomic_polynomial(L)[:phi], dtype=np.int64)  # x^phi = -tail
+    out = np.zeros((L, phi), dtype=np.int64)
+    out[0, 0] = 1
+    for j in range(1, L):
+        out[j, 1:] = out[j - 1, :-1]
+        out[j] -= out[j - 1, -1] * tail
+    return out
+
+
 def dixon_table(G: FiniteGroup) -> CharacterTable:
     # G keeps (classes, rows, degrees), not the table: a table points back
     # at its group, and that cycle would outlive the last outside reference.
@@ -270,84 +276,84 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     z = pow(_primitive_root(p), (p - 1) // e, p)
     Z = _zeta_power_table(e, p, z)
     e_inv = pow(e, -1, p)
+    reduction = _reduction_matrix(e)
 
-    rows = []
-    values = {}  # multiplicity vector -> Cyclo, shared across the table
+    # Each value is a power-basis coefficient vector in Z[zeta_e]; a table
+    # has few distinct ones, so rows hold ids into value_id.
+    id_rows = []
+    value_id = {}
     for theta in theta_rows:
         V = theta[power_class]  # (r, e): theta at rep_k^l
         mult = lin.matmul(V, Z, p) * e_inv % p  # (r, e) multiplicities
         if np.any(mult >= p // 2):
             raise TableConsistencyError("multiplicity lift out of range")
-        row = []
-        for mk in map(tuple, mult.tolist()):
-            value = values.get(mk)
-            if value is None:
-                value = values[mk] = Cyclo.from_poly(e, mk)
-            row.append(value)
-        rows.append(tuple(row))
+        coeffs = map(tuple, (mult @ reduction).tolist())
+        id_rows.append([value_id.setdefault(c, len(value_id)) for c in coeffs])
+    cyclos = [Cyclo(e, c) if any(c) else Cyclo.zero() for c in value_id]
 
+    keys = [(v.order, v.coeffs) for v in cyclos]
     order_key = sorted(
-        range(r),
-        key=lambda i: (degrees[i], tuple((v.order, v.coeffs) for v in rows[i])),
+        range(r), key=lambda i: (degrees[i], [keys[t] for t in id_rows[i]])
     )
-    rows = tuple(rows[i] for i in order_key)
     degrees = tuple(degrees[i] for i in order_key)
-    theta_sorted = np.stack([theta_rows[i] for i in order_key])
+    rows = tuple(tuple(cyclos[t] for t in id_rows[i]) for i in order_key)
 
     for i, row in enumerate(rows):
         if row[0] != Cyclo.from_int(degrees[i]):
             raise TableConsistencyError("identity column disagrees with degree")
 
-    table = CharacterTable(G, data, rows, degrees)
-    _verify_orthogonality(table, theta_sorted, p)
+    values = np.array(list(value_id), dtype=np.int64)
+    ids = np.array(id_rows)[order_key]
+    _verify_orthogonality(data, n, e, values, ids, np.stack(theta_rows)[order_key], p)
     G._dixon_table = (data, rows, degrees)
-    return table
+    return CharacterTable(G, data, rows, degrees)
 
 
-def _verify_orthogonality(table: CharacterTable, theta: np.ndarray, p: int):
-    """Both orthogonality relations mod p in full, and exactly over the
-    cyclotomic integers (in full for small tables, sampled above)."""
-    data = table.classes
-    r = data.count
-    n = table.group.order
+def _verify_orthogonality(data, n, e, values, ids, theta, p):
+    """Both orthogonality relations for every pair: mod p on the table
+    theta, and exactly in Z[zeta_e] on the power-basis coefficient vectors
+    values[ids[i, k]] of chi_i(rep_k).
+
+    The exact sums are float64 products of blocks of r // phi(e) rows
+    (pairs x > y are the conjugates of pairs x < y), exact below the
+    checked bound 2^53.  Their terms zeta^a conj(zeta^b) are collected by
+    the exponent a - b mod e, then reduced to the power basis in int64."""
+    r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
-    conj_cols = list(data.inverse_class)
-
-    gram = lin.matmul(theta * sizes % p, theta[:, conj_cols].T, p)
-    if np.any(gram != (n % p) * np.eye(r, dtype=np.int64)):
+    conj = theta[:, list(data.inverse_class)]
+    gram = lin.matmul(theta * sizes % p, conj.T, p)
+    if np.any(gram != n % p * np.eye(r, dtype=np.int64)):
         raise TableConsistencyError("first orthogonality fails mod p")
-    col = lin.matmul(theta.T, theta[:, conj_cols], p)
-    for k in range(r):
-        expect = n // int(sizes[k]) % p
-        if int(col[k, k]) != expect or np.any(col[k, : k] != 0):
-            raise TableConsistencyError("column orthogonality fails mod p")
+    if np.any(lin.matmul(theta.T, conj, p) != np.diag(n // sizes % p)):
+        raise TableConsistencyError("column orthogonality fails mod p")
 
-    if r <= EXACT_ORTHOGONALITY_FULL_LIMIT:
-        row_pairs = list(itertools.combinations_with_replacement(range(r), 2))
-        col_pairs = row_pairs
-    else:
-        rng = np.random.default_rng(0xD1EC)
-        row_pairs = [(i, i) for i in range(0, r, max(1, r // 10))]
-        row_pairs += [
-            tuple(sorted(rng.integers(0, r, 2).tolist()))
-            for _ in range(EXACT_ORTHOGONALITY_SAMPLES)
-        ]
-        col_pairs = row_pairs
-
-    for i, j in row_pairs:
-        acc = Cyclo.zero()
-        for k in range(r):
-            acc = acc + Cyclo.from_int(int(sizes[k])) * table.rows[i][k] * table.rows[j][k].conj()
-        expect = Cyclo.from_int(n if i == j else 0)
-        if acc != expect:
-            raise TableConsistencyError("first orthogonality fails exactly")
-    for k, l in col_pairs:
-        acc = Cyclo.zero()
-        for i in range(r):
-            acc = acc + table.rows[i][k] * table.rows[i][l].conj()
-        expect = Cyclo.from_int(n // int(sizes[k]) if k == l else 0)
-        if acc != expect:
-            raise TableConsistencyError("column orthogonality fails exactly")
+    reduction = _reduction_matrix(e)
+    peak = int(np.abs(values).max())
+    if n * peak * peak * phi * phi * int(np.abs(reduction).max()) >= 2**53:
+        raise TableConsistencyError("exact orthogonality sums reach 2^53")
+    a = np.arange(phi)
+    exponent = np.subtract.outer(a, a).ravel() % e  # of zeta^a conj(zeta^b)
+    floats = values.astype(np.float64)
+    step = max(1, r // phi)
+    relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
+        ("first", ids, sizes, np.full(r, n)),
+        ("column", ids.T, np.ones(r, dtype=np.int64), n // sizes),
+    )
+    for name, v, w, d in relations:
+        for x in range(0, r, step):
+            left = floats[v[x : x + step]] * w[:, None]  # (x, m, a)
+            for y in range(x, r, step):
+                sums = np.tensordot(left, floats[v[y : y + step]], (1, 1))
+                bx, by = sums.shape[0], sums.shape[2]
+                sums = sums.transpose(0, 2, 1, 3).reshape(bx * by, phi * phi)
+                slots = np.arange(bx * by)[:, None] * e + exponent
+                powers = np.bincount(slots.ravel(), sums.ravel(), bx * by * e)
+                got = np.rint(powers).astype(np.int64).reshape(bx, by, e) @ reduction
+                if x == y:
+                    k = np.arange(bx)
+                    got[k, k, 0] -= d[x : x + bx]
+                if np.any(got):
+                    raise TableConsistencyError(f"{name} orthogonality fails exactly")
 
 
 # -- vanishing reports ---------------------------------------------------
@@ -408,19 +414,6 @@ def induced_linear_value(
         conj = G.conj(g, t)
         total = total + alpha(model.element(conj))
     return total
-
-
-@lru_cache(maxsize=64)
-def _reduction_matrix(L: int) -> np.ndarray:
-    """Row j = coefficients of x^j mod Phi_L, for exact vectorized zero
-    tests of exponent-count vectors."""
-    phi = euler_phi(L)
-    out = np.zeros((L, phi), dtype=np.int64)
-    for j in range(L):
-        coeffs = [0] * (j + 1)
-        coeffs[j] = 1
-        out[j] = Cyclo.from_poly(L, coeffs).coeffs
-    return out
 
 
 def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:

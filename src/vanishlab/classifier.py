@@ -25,6 +25,7 @@ from .abelian_core import (
     generated_submodule,
 )
 from .character_lab import proportion
+from .cyclotomic import p_valuation, prime_factors
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -71,17 +72,11 @@ class Verdict:
 # -- small structural helpers --------------------------------------------
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def primary_part(A: SubgroupHandle, p: int) -> SubgroupHandle:
     """O_p of an abelian (or nilpotent) subgroup: its p-elements."""
     G = A.parent
     members = frozenset(
-        a for a in A.elements if _is_p_power(G.element_order(a), p)
+        a for a in A.elements if set(prime_factors(G.element_order(a))) <= {p}
     )
     return SubgroupHandle(
         G, members, tuple(sorted(members, key=G.index.__getitem__))
@@ -457,12 +452,7 @@ def _is_cyclic(G: FiniteGroup) -> bool:
 def hall_23(G: FiniteGroup) -> SubgroupHandle | None:
     """A Hall {2,3}-subgroup, as <S_2, S_3^g> for a suitable g (the corpus
     is solvable at this point, so one exists)."""
-    target = 1
-    n = G.order
-    for p in (2, 3):
-        while n % p == 0:
-            target *= p
-            n //= p
+    target = 2 ** p_valuation(G.order, 2) * 3 ** p_valuation(G.order, 3)
     S2 = G.sylow(2)
     S3 = G.sylow(3)
     if S2.order * S3.order == target:

@@ -308,11 +308,7 @@ def _corpus_row(provenance: str) -> tuple[str, bool]:
     elif entry.expected_case == "AtOrAbove" and verdict.below:
         problems.append("builder-expectation-case")
     # p-group law: N(G) = Z(G)
-    order = G.order
-    smallest = min(G.primes()) if G.order > 1 else 1
-    while order > 1 and order % smallest == 0:
-        order //= smallest
-    if G.order > 1 and order == 1:
+    if len(G.primes()) == 1:
         if report.nonvanishing != G.center.elements:
             problems.append("pgroup-law")
     ok = not problems

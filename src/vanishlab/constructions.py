@@ -18,6 +18,7 @@ from .abelian_core import (
     AbSubgroup,
     generated_submodule,
 )
+from .cyclotomic import prime_factors
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -275,11 +276,7 @@ def _build_pgroup(shape: str) -> tuple[FiniteGroup, int]:
         raise BuilderError(f"unknown p-group shape {shape!r}")
     make, index = _PGROUP_SHAPES[shape]
     G = make()
-    o = G.order
-    p = min(G.primes())
-    while o % p == 0:
-        o //= p
-    if o != 1:
+    if len(G.primes()) != 1:
         raise BuilderError("p-group builder produced a mixed-order group")
     if G.order != G.center.order * index:
         raise BuilderError("p-group builder: unexpected center index")
@@ -309,15 +306,12 @@ def _build_b1(shape: str) -> FiniteGroup:
     z_of_q = frozenset(
         g for g in Q.elements if all(G.mul(g, h) == G.mul(h, g) for h in Q.elements)
     )
-    two_part = frozenset(g for g in Z.elements if _is_2_element(G, g))
+    two_part = frozenset(
+        g for g in Z.elements if set(prime_factors(G.element_order(g))) <= {2}
+    )
     if two_part != z_of_q:
         raise BuilderError("B1 output: O_2(Z(G)) differs from Z(Q)")
     return G
-
-
-def _is_2_element(G: FiniteGroup, g) -> bool:
-    o = G.element_order(g)
-    return o & (o - 1) == 0
 
 
 def _c4_semi_c4() -> FiniteGroup:

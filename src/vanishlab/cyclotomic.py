@@ -48,6 +48,15 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def p_valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 # -- dense integer polynomial helpers (constant term first) --------------
 
 
@@ -158,13 +167,6 @@ class Cyclo:
 
     def is_one(self) -> bool:
         return self == Cyclo.one()
-
-    def as_int(self) -> int:
-        """The value if it is a rational integer, else raise."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0] if self.coeffs else 0
-        lifted = self  # a nontrivial basis expression can still be rational
-        raise ValueError(f"{lifted!r} is not a rational integer")
 
     def lift(self, m: int) -> "Cyclo":
         """Rewrite in Z[zeta_m]; requires order | m."""

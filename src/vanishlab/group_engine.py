@@ -26,12 +26,12 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from .abelian_core import AbelianGroup, AbElement, AbHom
-from .cyclotomic import prime_factors
+from .abelian_core import AbelianGroup, AbElement, AbHom, abelian_type
+from .cyclotomic import p_valuation, prime_factors
 
 MAX_GROUP_ORDER = 8192
 FULL_CHECK_LIMIT = 512
@@ -298,18 +298,14 @@ class FiniteGroup:
 
     def sylow(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup by normalizer percolation (deterministic)."""
-        target = 1
-        n = self.order
-        while n % p == 0:
-            target *= p
-            n //= p
+        target = p ** p_valuation(self.order, p)
         if target == 1:
             return self.trivial_subgroup()
         seed = next(
             g for g in self.elements if self.element_order(g) % p == 0
         )
         o = self.element_order(seed)
-        seed = self.power(seed, o // (p ** self._valuation(o, p)))
+        seed = self.power(seed, o // p ** p_valuation(o, p))
         current = self.subgroup([seed])
         while current.order < target:
             norm = self.normalizer(current)
@@ -318,31 +314,17 @@ class FiniteGroup:
                 if g in current.elements:
                     continue
                 o = self.element_order(g)
-                pe = self.power(g, o // (p ** self._valuation(o, p)))
+                pe = self.power(g, o // p ** p_valuation(o, p))
                 if pe in current.elements or pe == self.identity:
                     continue
                 cand = self.subgroup(list(current.generators) + [pe])
-                if target % cand.order == 0 and self._is_p_order(cand.order, p):
+                if target % cand.order == 0:
                     grown = cand
                     break
             if grown is None:
                 raise AssertionError("Sylow percolation stalled")
             current = grown
         return current
-
-    @staticmethod
-    def _valuation(n: int, p: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    @staticmethod
-    def _is_p_order(n: int, p: int) -> bool:
-        while n % p == 0:
-            n //= p
-        return n == 1
 
     def p_core(self, p: int) -> "SubgroupHandle":
         """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
@@ -621,27 +603,7 @@ class SubgroupHandle:
         if not self.is_abelian():
             raise GroupDomainError("abelian invariants of a nonabelian subgroup")
         G = self.parent
-        orders = [G.element_order(g) for g in self.elements]
-        n = len(orders)
-        parts = []
-        for p in prime_factors(n):
-            p_part = 1
-            m = n
-            while m % p == 0:
-                p_part *= p
-                m //= p
-            logs = []
-            prev = 1
-            q = p
-            while prev < p_part:
-                cur = sum(1 for o in orders if q % o == 0)
-                logs.append(FiniteGroup._valuation(cur // prev, p))
-                prev = cur
-                q *= p
-            r = logs[0] if logs else 0
-            factors = [p ** sum(1 for m_ in logs if m_ > j) for j in range(r)]
-            parts.extend(sorted(factors, reverse=True))
-        return tuple(parts)
+        return abelian_type([G.element_order(g) for g in self.elements])
 
     def __repr__(self):
         return f"<subgroup of order {self.order} in {self.parent!r}>"

@@ -15,17 +15,19 @@ Two headers are supported::
 
 `matrix` rows are separated by `/`; entry j of row i is the i-th coordinate
 of the image of generator j... rows are the images of the abelian generators
-in coordinates.  Parse failures carry a 1-based line and column.
+in coordinates.  Parse failures carry a 1-based line and column; a valid
+file whose group exceeds the size cap raises GroupSizeError instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian_core import AbelianGroup, parse_abelian_literal, AbelianDomainError
+from .abelian_core import AbelianDomainError, parse_abelian_literal
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
+    GroupSizeError,
     SemidirectSpec,
     action_from_generator_matrices,
     build_semidirect,
@@ -134,7 +136,9 @@ def _parse_semidirect(lines: list[_Line]) -> FiniteGroup:
         action = action_from_generator_matrices(A, H, images)
         return build_semidirect(SemidirectSpec(A, H, action),
                                 name=f"{literal}:{h_name}")
-    except GroupDomainError as exc:
+    except GroupSizeError:
+        raise
+    except (GroupDomainError, AbelianDomainError) as exc:
         raise GroupFileError(str(exc), lines[3].number if len(lines) > 3
                              else lines[-1].number) from None
 
@@ -156,6 +160,8 @@ def _parse_perm(lines: list[_Line]) -> FiniteGroup:
         gens.append(_keyword(line, "gen"))
     try:
         return from_permutations(degree, gens, name=f"perm{degree}")
+    except GroupSizeError:
+        raise
     except GroupDomainError as exc:
         raise GroupFileError(str(exc), lines[2].number) from None
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vanishlab import character_lab
 from vanishlab.abelian_core import DualCharacter, all_characters
 from vanishlab.character_lab import (
     TableConsistencyError,
@@ -204,3 +205,58 @@ def test_eigenspaces_draw_more_starts_when_the_first_falls_short():
 def test_eigenspaces_reject_a_jordan_block():
     with pytest.raises(TableConsistencyError):
         _eigenspaces(np.array([[1, 1], [0, 1]], dtype=np.int64), 7)
+
+
+def d8_s3_s3():
+    return from_permutations(
+        10,
+        ["(1 2 3 4)", "(1 3)", "(5 6 7)", "(5 6)", "(8 9 10)", "(8 9)"],
+        name="D8xS3xS3",
+    )
+
+
+def verification_args(monkeypatch, G):
+    """The arguments dixon_table(G) hands to _verify_orthogonality."""
+    calls = []
+    monkeypatch.setattr(
+        character_lab, "_verify_orthogonality", lambda *args: calls.append(args)
+    )
+    dixon_table(G)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_exact_orthogonality_catches_one_corrupted_value(monkeypatch):
+    # theta (the table mod p) stays intact, so only the exact relations can
+    # see the change; every row and every column of the 45-class table
+    # carries the corrupted entry once.  A negated value keeps every
+    # diagonal sum |chi_i|^2 and |chi(g_k)|^2, so only off-diagonal pairs
+    # catch it.
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, d8_s3_s3())
+    assert (n, data.count) == (288, 45)
+    character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
+    r, phi = ids.shape[0], values.shape[1]
+    bump = np.eye(phi, dtype=np.int64)
+    tried = 0
+    for i in range(r):
+        k = (7 * i + 3) % r
+        value = values[ids[i, k]]
+        for bad in (value + bump[i % phi], -value):
+            if np.array_equal(bad, value):
+                continue
+            bad_ids = ids.copy()
+            bad_ids[i, k] = len(values)
+            with pytest.raises(TableConsistencyError, match="fails exactly"):
+                character_lab._verify_orthogonality(
+                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                )
+            tried += 1
+    assert tried > r
+
+
+def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    with pytest.raises(TableConsistencyError, match="2\\^53"):
+        character_lab._verify_orthogonality(
+            data, n, e, values * 2**26, ids, theta, p
+        )

@@ -1,12 +1,21 @@
 """CLI contract: exit codes, report format, determinism, and the group-file
 round trip."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family
-from vanishlab.group_engine import alternating_7
-from vanishlab.groupfile import GroupFileError, emit_group, parse_group
+from vanishlab.group_engine import GroupSizeError, alternating_7
+from vanishlab.groupfile import (
+    BUILTIN_COMPLEMENTS,
+    GroupFileError,
+    emit_group,
+    parse_group,
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +77,70 @@ def test_parse_diagnostics_carry_positions(text, line):
     assert "line" in str(info.value) and "column" in str(info.value)
 
 
+@st.composite
+def semidirect_texts(draw):
+    # mostly well-shaped: one square matrix per complement generator, sized
+    # by the written factors other than C1
+    orders = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+    h_name = draw(st.sampled_from(BUILTIN_COMPLEMENTS))
+    lines = ["semidirect", "abelian " + "x".join(f"C{d}" for d in orders),
+             f"complement {h_name}"]
+    rank = sum(d > 1 for d in orders)
+    gens = 2 if h_name in ("V4", "S3") else 1
+    for _ in range(draw(st.sampled_from([gens, gens, gens, gens - 1, gens + 1]))):
+        size = draw(st.sampled_from([rank, rank, rank, rank + 1]))
+        rows = [" ".join(str(draw(st.integers(-3, 3))) for _ in range(size))
+                for _ in range(size)]
+        lines.append("matrix " + " / ".join(rows))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def perm_texts(draw):
+    degree = draw(st.integers(1, 8))
+    point = st.integers(1, degree + 1)
+    lines = ["perm", f"degree {degree}"]
+    for _ in range(draw(st.integers(1, 3))):
+        cycles = draw(st.lists(st.lists(point, min_size=1, max_size=4), max_size=3))
+        lines.append("gen " + ("".join(
+            "(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(semidirect_texts(), perm_texts()))
+def test_parse_group_builds_or_reports(text):
+    # a size-capped group is reported as such (exit 3), anything else that
+    # does not build is a parse error (exit 2); no other exception escapes
+    try:
+        parse_group(text)
+    except (GroupFileError, GroupSizeError):
+        pass
+
+
+BOUNDARY_FILES = [
+    # matrices are indexed by the written factors: C6 takes 1x1 matrices
+    ("semidirect\nabelian C6\ncomplement C2\nmatrix -1\n", EXIT_OK),
+    ("semidirect\nabelian C6\ncomplement C2\nmatrix 5 0 / 0 1\n", EXIT_PARSE),
+    # not a homomorphism of C2 x C4
+    ("semidirect\nabelian C2xC4\ncomplement C2\nmatrix 0 1 / 1 0\n", EXIT_PARSE),
+    ("semidirect\nabelian C128xC128\ncomplement C1\nmatrix 1 0 / 0 1\n",
+     EXIT_CAP),
+    ("perm\ndegree 8\ngen (1 2 3 4 5 6 7 8)\ngen (1 2)\n", EXIT_CAP),
+]
+
+
+@pytest.mark.parametrize("text,expected", BOUNDARY_FILES,
+                         ids=["C6:C2", "C6-2x2", "C2xC4-swap", "C128xC128", "S8"])
+def test_oracle_exit_code_at_the_input_boundary(tmp_path, capsys, text, expected):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    code, out = run(capsys, "oracle", str(path))
+    assert code == expected
+    if expected == EXIT_OK:
+        assert "order=12" in out and "P=1/2" in out
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -95,6 +168,31 @@ def test_ptable_emit_table_prints_exact_values(tmp_path, capsys):
     code, out = run(capsys, "ptable", str(path), "--emit-table")
     assert code == EXIT_OK
     assert "chi=4" in out and "degrees=1,1,1,1,2" in out
+
+
+# sha256 of the whole `ptable --emit-table` report; the exact values, their
+# rendering and the row order must not drift
+GOLDEN_TABLES = [
+    ("perm\ndegree 8\ngen (1 2 3 4)(5 8 7 6)\ngen (1 5 3 7)(2 6 4 8)\n",
+     "776be37153c352c499a72d9a902be497f09c190b1e401d4bbfaedfa3276fddb7"),
+    ("perm\ndegree 4\ngen (1 2 3 4)\ngen (1 2)\n",
+     "2268ffd1ec626e1488c630e59e830090e945176817d389ac8ad8767a9225a0b6"),
+    ("perm\ndegree 10\ngen (1 2 3 4)\ngen (1 3)\ngen (5 6 7)\ngen (5 6)\n"
+     "gen (8 9 10)\ngen (8 9)\n",
+     "56d5b8267331cf9ca10a1d18c54fe4c796444d3dac1e6fda877236ba9f6eecf3"),
+    ("semidirect\nabelian C7\ncomplement C3\nmatrix 2\n",
+     "a35416bb61e3030e78d5ceb06568bf2105908d46bb8dbdf785b6a177b3b00a53"),
+]
+
+
+@pytest.mark.parametrize("text,digest", GOLDEN_TABLES,
+                         ids=["Q8", "S4", "D8xS3xS3", "C7:C3"])
+def test_ptable_emit_table_is_golden(tmp_path, capsys, text, digest):
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    code, out = run(capsys, "ptable", str(path), "--emit-table")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cross_check_agrees(tmp_path, capsys):
