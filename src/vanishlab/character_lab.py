@@ -93,7 +93,7 @@ def class_data(G: FiniteGroup) -> ClassData:
     classes, class_of = G.conjugacy_data
     reps = tuple(rep for rep, _ in classes)
     sizes = tuple(len(c) for _, c in classes)
-    inverse_class = tuple(class_of[G.inv(rep)] for rep in reps)
+    inverse_class = tuple(G.class_index[G.compiled.inv[G.indices(reps)]].tolist())
     data = ClassData(reps, sizes, class_of, inverse_class)
     G._class_data = data
     return data
@@ -382,14 +382,13 @@ def proportion(G: FiniteGroup) -> VanishReport:
 
 
 def coset_transversal(G: FiniteGroup, A: SubgroupHandle) -> list:
-    seen = set()
-    reps = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        seen |= {G.mul(g, a) for a in A.elements}
-    return reps
+    """The first element of each left coset gA."""
+    return [G.elements[i] for i in _coset_firsts(A).tolist()]
+
+
+def _coset_firsts(A: SubgroupHandle) -> np.ndarray:
+    labels = A.view.coset_labels(A.basis)
+    return np.flatnonzero(labels == np.arange(len(labels)))
 
 
 def induced_linear_value(
@@ -403,23 +402,22 @@ def induced_linear_value(
     The value does not depend on the transversal choice because a lies in
     the abelian normal subgroup the characters live on.
     """
-    G = model.subgroup.parent
+    view = model.subgroup.view
     if alpha.group != model.shape or a.group != model.shape:
         raise GroupDomainError("character and element must live on the model")
     if transversal is None:
-        transversal = coset_transversal(G, model.subgroup)
-    g = model.group_element(a)
+        transversal = [view.elements[i] for i in _coset_firsts(model.subgroup).tolist()]
+    g = view.index[model.group_element(a)]
     total = Cyclo.zero()
     for t in transversal:
-        conj = G.conj(g, t)
-        total = total + alpha(model.element(conj))
+        total = total + alpha(model.element(view.elements[view.conj(g, view.index[t])]))
     return total
 
 
 def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
     """{a in A : some linear character of A induces to zero at a}, which
     is V(G) intersected with A."""
-    if A.parent is not G:
+    if A.view is not G.compiled:
         raise GroupDomainError("subgroup of a different group")
     if not A.is_abelian():
         raise GroupDomainError("fast path requires an abelian subgroup")
@@ -430,9 +428,9 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
     L = max(shape.exponent, 1)
     if L == 1:
         return frozenset()
-    transversal = coset_transversal(G, A)
-    nT = len(transversal)
-
+    coords_of = np.zeros((G.order, shape.rank), dtype=np.int64)
+    for g, c in model.to_coords.items():
+        coords_of[G.index[g]] = c
     # weight matrix: column per character, exponent of its value at a
     # coordinate vector via a dot product mod L
     weights = np.array(
@@ -442,21 +440,15 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
         ],
         dtype=np.int64,
     ).T  # (rank, #characters)
+    characters = np.arange(weights.shape[1])
     reduction = _reduction_matrix(L)
 
     out = set()
-    for g in A.elements:
-        coords = np.array(
-            [model.to_coords[G.conj(g, t)] for t in transversal], dtype=np.int64
-        )  # (nT, rank)
-        if coords.size == 0:
-            exps = np.zeros((nT, weights.shape[1]), dtype=np.int64)
-        else:
-            exps = coords @ weights % L  # (nT, #characters)
-        counts = np.zeros((weights.shape[1], L), dtype=np.int64)
-        for t in range(nT):
-            np.add.at(counts, (np.arange(weights.shape[1]), exps[t]), 1)
-        reduced = counts @ reduction  # exact: entries stay tiny
-        if np.any(np.all(reduced == 0, axis=1)):
-            out.add(g)
+    conjugates = G.compiled.conjugates(A.idx)[:, _coset_firsts(A)]  # a^t
+    for g, row in zip(A.idx.tolist(), conjugates):
+        exps = coords_of[row] @ weights % L  # (transversal, #characters)
+        counts = np.zeros((len(characters), L), dtype=np.int64)
+        np.add.at(counts, (characters, exps), 1)
+        if np.any(np.all(counts @ reduction == 0, axis=1)):  # exact: tiny entries
+            out.add(G.elements[g])
     return frozenset(out)

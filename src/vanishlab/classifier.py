@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .abelian_core import (
     AbelianGroup,
     AbElement,
@@ -25,7 +27,7 @@ from .abelian_core import (
     generated_submodule,
 )
 from .character_lab import proportion
-from .cyclotomic import p_valuation, prime_factors
+from .cyclotomic import p_valuation
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -74,34 +76,21 @@ class Verdict:
 
 def primary_part(A: SubgroupHandle, p: int) -> SubgroupHandle:
     """O_p of an abelian (or nilpotent) subgroup: its p-elements."""
-    G = A.parent
-    members = frozenset(
-        a for a in A.elements if set(prime_factors(G.element_order(a))) <= {p}
-    )
-    return SubgroupHandle(
-        G, members, tuple(sorted(members, key=G.index.__getitem__))
-    )
+    rest = A.view.orders[A.idx]
+    while (divisible := rest % p == 0).any():
+        rest = np.where(divisible, rest // p, rest)
+    return A.view.handle(A.idx[rest == 1])
 
 
 def commutator_subgroup(G: FiniteGroup, X: SubgroupHandle, Y: SubgroupHandle) -> SubgroupHandle:
-    gens = {
-        G.commutator(a, y)
-        for a in X.elements
-        for y in (Y.generators or Y.elements)
-    }
-    gens.discard(G.identity)
-    return G.subgroup(sorted(gens, key=G.index.__getitem__))
+    view = G.compiled
+    gens = {c for y in Y.spanning.tolist() for c in view.commutators(y)[X.idx].tolist()}
+    gens.discard(view.identity)
+    return view.subgroup(sorted(gens))
 
 
 def subgroup_center(Q: SubgroupHandle) -> SubgroupHandle:
-    G = Q.parent
-    gens = Q.generators or tuple(Q.elements)
-    members = frozenset(
-        q for q in Q.elements if all(G.mul(q, g) == G.mul(g, q) for g in gens)
-    )
-    return SubgroupHandle(
-        G, members, tuple(sorted(members, key=G.index.__getitem__))
-    )
+    return Q.view.handle(Q.idx[Q.view.centralizer_mask(Q.spanning)[Q.idx]])
 
 
 def _direct_factors(W: AbelianGroup, B: AbSubgroup, C: AbSubgroup) -> bool:
@@ -268,17 +257,12 @@ def _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0) -> bool:
 
 
 def _as_subgroup_handle(G: FiniteGroup, members: frozenset) -> SubgroupHandle | None:
-    if G.identity not in members:
+    """The handle of `members` when they form a subgroup (contain the
+    identity and span nothing more)."""
+    idx = np.array(sorted(G.indices(members)), dtype=np.intp)
+    if G.identity not in members or G.compiled.span(idx)[0].sum() != len(idx):
         return None
-    for a in members:
-        if G.inv(a) not in members:
-            return None
-        for b in members:
-            if G.mul(a, b) not in members:
-                return None
-    return SubgroupHandle(
-        G, members, tuple(sorted(members, key=G.index.__getitem__))
-    )
+    return G.compiled.handle(idx)
 
 
 def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
@@ -335,17 +319,13 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     W = commutator_subgroup(G, O2A, P)
     if W.order == 1:
         return None
-    x_elem = next(
-        (
-            g
-            for g in P.elements
-            if g not in O3A.elements and G.element_order(g) % 3 == 0
-        ),
-        None,
-    )
-    y_elem = next((g for g in Q.elements if g not in A.elements), None)
-    if x_elem is None or y_elem is None:
+    # the first element of P outside O_3(A) of order divisible by 3, and
+    # the first element of Q outside A
+    xs = P.idx[~O3A.mask[P.idx] & (G.compiled.orders[P.idx] % 3 == 0)]
+    ys = Q.idx[~A.mask[Q.idx]]
+    if not len(xs) or not len(ys):
         return None
+    x_elem, y_elem = G.elements[xs[0]], G.elements[ys[0]]
     # the action of x on W factors through P/O_3(A) = C_3, so no powering
     # is needed to normalize its order
     try:
@@ -446,7 +426,7 @@ class AGroupCase:
 
 
 def _is_cyclic(G: FiniteGroup) -> bool:
-    return any(G.element_order(g) == G.order for g in G.elements)
+    return bool((G.compiled.orders == G.order).any())
 
 
 def hall_23(G: FiniteGroup) -> SubgroupHandle | None:
@@ -455,16 +435,10 @@ def hall_23(G: FiniteGroup) -> SubgroupHandle | None:
     target = 2 ** p_valuation(G.order, 2) * 3 ** p_valuation(G.order, 3)
     S2 = G.sylow(2)
     S3 = G.sylow(3)
-    if S2.order * S3.order == target:
-        gens = tuple(S2.generators) + tuple(S3.generators)
-        H = G.subgroup(gens)
-        if H.order == target:
-            return H
-    for g in G.elements:
-        gens = tuple(S2.generators) + tuple(
-            G.conj(s, g) for s in S3.generators
-        )
-        H = G.subgroup(gens)
+    view = G.compiled
+    conjugates = view.conjugates(S3.gens)  # S3's generators conjugated by each g
+    for g in [view.identity, *range(G.order)]:
+        H = view.subgroup([*S2.gens.tolist(), *conjugates[:, g].tolist()])
         if H.order == target:
             return H
     return None
@@ -498,27 +472,19 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
         H = hall_23(G)
         if H is None:
             raise GroupDomainError("no Hall {2,3}-subgroup found")
-        K = frozenset(
-            k
-            for k in F.elements
-            if G.element_order(k) % 2 and G.element_order(k) % 3
-        )
-        K = SubgroupHandle(
-            G, K, tuple(sorted(K, key=G.index.__getitem__))
-        )
-        Hg = H.as_group()
-        Hg.name = "Hall{2,3}"
+        orders = G.compiled.orders[F.idx]
+        K = G.compiled.handle(F.idx[(orders % 2 != 0) & (orders % 3 != 0)])
+        Hg = H.as_group("Hall{2,3}")
         FH = Hg.fitting
         n = Hg.order // FH.order
         FH_in_G = SubgroupHandle(
-            G, FH.elements, tuple(FH.generators)
+            G.compiled, sorted(G.indices(FH.elements)), G.indices(FH.generators)
         )
         if n in (2, 3):
             q = 6 // n
             if not _quasi_frobenius_with_cyclic_quotient(Hg, n):
                 raise GroupDomainError("Hall subgroup fails its case-3 shape")
-            T = K.join(FH_in_G).as_group()
-            T.name = "T"
+            T = K.join(FH_in_G).as_group("T")
             FT = T.fitting
             if T.order != q * FT.order or not is_quasi_frobenius(T).holds:
                 raise GroupDomainError("T = K F(H) fails its case-3 shape")
@@ -528,8 +494,7 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
             if hq.is_abelian:
                 return AGroupCase("4.1", m, {"K": K, "H": H})
             P = Hg.sylow(3)
-            T = FH.join(P).as_group()
-            T.name = "T"
+            T = FH.join(P).as_group("T")
             FT = T.fitting
             if (
                 T.order == 3 * FT.order

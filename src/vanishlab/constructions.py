@@ -18,7 +18,7 @@ from .abelian_core import (
     AbSubgroup,
     generated_submodule,
 )
-from .cyclotomic import prime_factors
+from .classifier import primary_part, subgroup_center
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -61,7 +61,7 @@ def _semidirect(A: AbelianGroup, h_name: str, matrices, name: str) -> FiniteGrou
 def _conj_on_A(G: FiniteGroup, h) -> AbHom:
     # conjugation by (0, h) acts on the abelian factor as action(h^-1)
     spec = G.semidirect_spec
-    return spec.action[spec.H.inv(h)]
+    return spec.action[spec.H.compiled.law_inv(h)]
 
 
 def _block_diagonal(blocks: list[tuple[tuple[int, ...], list[list[int]]]]):
@@ -173,8 +173,9 @@ def _verify_module_shapes(G: FiniteGroup, n: int, k: int):
     """b4.2 shape check: each block has C ~ (C_{2^n})^2 and D = [C,y] ~ (C_4)^2."""
     A = G.semidirect_spec.A
     H = G.semidirect_spec.H
-    x = _conj_on_A(G, H.mul(H.generators[0], H.generators[0]))
-    y = _conj_on_A(G, H.mul(H.generators[0], H.mul(H.generators[0], H.generators[0])))
+    g = H.generators[0]
+    x = _conj_on_A(G, H.compiled.law_mul(g, g))
+    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
     for block in range(k):
         a0 = A.generator(4 * block)
         C = AbSubgroup(A, (a0, x(a0)))
@@ -302,14 +303,7 @@ def _build_b1(shape: str) -> FiniteGroup:
     Z = G.center
     if G.order != 4 * Z.order:
         raise BuilderError("B1 output center does not have index 4")
-    Qc = Q.as_group()
-    z_of_q = frozenset(
-        g for g in Q.elements if all(G.mul(g, h) == G.mul(h, g) for h in Q.elements)
-    )
-    two_part = frozenset(
-        g for g in Z.elements if set(prime_factors(G.element_order(g))) <= {2}
-    )
-    if two_part != z_of_q:
+    if primary_part(Z, 2) != subgroup_center(Q):
         raise BuilderError("B1 output: O_2(Z(G)) differs from Z(Q)")
     return G
 
@@ -401,8 +395,8 @@ def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
     A = G.semidirect_spec.A
     H = G.semidirect_spec.H
     g = H.generators[0]
-    x = _conj_on_A(G, H.mul(g, g))
-    y = _conj_on_A(G, H.mul(g, H.mul(g, g)))
+    x = _conj_on_A(G, H.compiled.law_mul(g, g))
+    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
     width = 2 if n is None else 4
     for a in A.elements():
         # the relation is asserted blockwise on the B-part only
@@ -422,7 +416,7 @@ def _build_inversion_negative() -> FiniteGroup:
     G = _semidirect(A, "C6", [neg_rot], "C8^2:C6-inv")
     H = G.semidirect_spec.H
     g = H.generators[0]
-    y = _conj_on_A(G, H.mul(g, H.mul(g, g)))
+    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
     for a in A.elements():
         if y(a) != -a:
             raise BuilderError("inversion builder: y does not invert A")

@@ -126,6 +126,32 @@ def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> tuple[int, ...]:
     return tuple(rem[:d])
 
 
+def _at_conductor(n: int, coeffs) -> tuple[int, tuple[int, ...]]:
+    """(f, coefficients in Z[zeta_f]) of sum coeffs[i] zeta_n^i, f the least
+    divisor of n with the value in Z[zeta_f], descending one prime p at a
+    time to m = n / p.  If p | m, the zeta_n^(j p) = zeta_m^j are basis
+    vectors.  Otherwise zeta_n^i = zeta_m^(a i) zeta_p^(b i) writes the
+    value as sum_j A_j zeta_p^j with A_j in Z[zeta_m]; as the zeta_p^j sum
+    to 0, it lies in Z[zeta_m] when A_1 = ... = A_(p-1), as A_0 - A_(p-1)."""
+    coeffs, pending = tuple(coeffs), prime_factors(n)
+    while pending:
+        p = pending.pop()
+        m = n // p
+        if m % p == 0:
+            down = None if any(coeffs[i] for i in range(len(coeffs)) if i % p) else coeffs[::p]
+        else:
+            a, b = pow(p, -1, m), pow(m, -1, p)
+            parts = [[0] * m for _ in range(p)]
+            for i, c in enumerate(coeffs):
+                parts[b * i % p][a * i % m] += c
+            parts = [_reduce_mod_cyclotomic(part, m) for part in parts]
+            same = all(part == parts[-1] for part in parts[1:])
+            down = tuple(x - y for x, y in zip(parts[0], parts[-1])) if same else None
+        if down is not None:
+            coeffs, n, pending = down, m, prime_factors(m)
+    return n, coeffs
+
+
 class Cyclo:
     """An exact cyclotomic integer, canonically reduced."""
 
@@ -254,12 +280,11 @@ class Cyclo:
         return ca == cb
 
     def __hash__(self):
-        # hash via a canonical lift-free signature: strip trailing zeros
-        c = list(self.coeffs)
-        _trim(c)
-        if all(x == 0 for x in c[1:]) and c:
-            return hash(c[0])  # rational integers hash alike at any order
-        return hash((self.order, tuple(c)))
+        # the value in Z[zeta_f], f its conductor, is the same for every
+        # lift; rational integers hash like ints
+        f, c = _at_conductor(self.order, self.coeffs)
+        c = _trim(list(c))
+        return hash(c[0] if c else 0) if f == 1 else hash((f, tuple(c)))
 
     # -- misc ------------------------------------------------------------
 

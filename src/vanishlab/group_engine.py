@@ -3,17 +3,14 @@
 Groups live at desk scale (order <= 8192).  A group is an element list
 plus multiplication/inverse callables on its (hashable, opaque)
 elements; permutation-presented and semidirect-product groups compose
-elements on the fly.  All structural queries (center, derived subgroup,
-Fitting subgroup, Sylow subgroups, conjugacy classes, quotients) are
-exact, memoized, and deterministic.
-
-The character-table path runs on a compiled view instead
-(`FiniteGroup.compiled`): element i is `elements[i]`, and the view holds
-the inverse map, the right-regular permutation of each generator and a
-breadth-first tree of the Cayley graph, all as integer index arrays.  It
-is built once with |G| * |generators| calls to `mul`; conjugacy classes,
-the exponent and the left translations that class matrices and power
-maps read are computed from it by vectorized gathers, never by `mul`.
+elements on the fly.  Construction compiles the group into integer index
+arrays (`FiniteGroup.compiled`) with |G| * |generators| calls to `mul`,
+verifies on them that the law is a group law, completely and at every
+order, and never evaluates `mul` or `inv` again: every structural query
+(conjugacy classes, element orders, center, centralizers, normalizers,
+derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
+is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
+sorted index arrays that refer to the compiled view, never to the group.
 
 Groups are immutable after construction; memoized maps are precomputed
 on first use and safe to read concurrently.
@@ -22,10 +19,10 @@ on first use and safe to read concurrently.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import lcm
 
 import numpy as np
@@ -34,10 +31,8 @@ from .abelian_core import AbelianGroup, AbElement, AbHom, abelian_type
 from .cyclotomic import p_valuation, prime_factors
 
 MAX_GROUP_ORDER = 8192
-FULL_CHECK_LIMIT = 512
-# Left translations are computed this many entries at a time when only
-# element orders are wanted, so a group with many classes never holds all
-# r x |G| of them at once.
+# Maps of many targets are filled this many entries at a time, so a query
+# over many elements never holds all of them at once.
 TRANSLATION_CHUNK = 1 << 22
 
 
@@ -49,19 +44,23 @@ class GroupSizeError(GroupDomainError):
     """The requested group exceeds the desk-scale cap."""
 
 
+def _split(labels: np.ndarray) -> list[np.ndarray]:
+    """Indices grouped by label, labels ascending, each group ascending."""
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+
+
 class FiniteGroup:
     """A finite group on an explicit element list.
 
     `mul` and `inv` are callables on the (hashable, opaque) elements;
     `generators` must generate the group (all elements when omitted).
-    Construction verifies the Latin-square property fully for orders up
-    to 512 and probabilistically above.  `compiled` is the integer-indexed
-    view (see CompiledGroup) that conjugacy classes, the exponent and the
-    character table run on; it is built on first use and holds no
-    reference back to the group.
+    Construction builds `compiled` (see CompiledGroup) with |G| calls to
+    `mul` per generator and verifies the group axioms on it, completely
+    and at every order.  `mul` and `inv` are evaluated only to compile;
+    every query below runs on `compiled`.
     """
 
-    def __init__(self, elements, mul, inv, identity, generators=None, name="", check=True):
+    def __init__(self, elements, mul, inv, identity, generators=None, name=""):
         self.elements = list(elements)
         if len(self.elements) > MAX_GROUP_ORDER:
             raise GroupSizeError(
@@ -70,41 +69,19 @@ class FiniteGroup:
         self.index = {g: i for i, g in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise GroupDomainError("duplicate elements")
+        if identity not in self.index:
+            raise GroupDomainError("identity not among the elements")
         self.mul = mul
         self.inv = inv
         self.identity = identity
         self.generators = list(generators) if generators is not None else list(self.elements)
-        self.name = name
-        if identity not in self.index:
-            raise GroupDomainError("identity not among the elements")
-        if check:
-            self._check_axioms()
+        self.compiled = CompiledGroup(
+            self.elements, self.index, identity, self.generators, mul, inv, name
+        )
 
-    # -- construction checks ---------------------------------------------
-
-    def _check_axioms(self):
-        n = self.order
-        if n <= FULL_CHECK_LIMIT:
-            for g in self.elements:
-                row = {self.mul(g, h) for h in self.elements}
-                if len(row) != n or any(x not in self.index for x in row):
-                    raise GroupDomainError("multiplication is not a Latin square")
-                if self.mul(g, self.inv(g)) != self.identity:
-                    raise GroupDomainError("inverse map inconsistent")
-            for g in self.elements:
-                if self.mul(self.identity, g) != g or self.mul(g, self.identity) != g:
-                    raise GroupDomainError("identity inconsistent")
-        else:
-            rng = random.Random(0xC0FFEE)
-            for _ in range(256):
-                g, h, k = (rng.choice(self.elements) for _ in range(3))
-                gh = self.mul(g, h)
-                if gh not in self.index:
-                    raise GroupDomainError("multiplication left the element set")
-                if self.mul(gh, k) != self.mul(g, self.mul(h, k)):
-                    raise GroupDomainError("multiplication is not associative")
-                if self.mul(g, self.inv(g)) != self.identity:
-                    raise GroupDomainError("inverse map inconsistent")
+    @property
+    def name(self) -> str:
+        return self.compiled.name
 
     # -- elementwise helpers ---------------------------------------------
 
@@ -112,49 +89,20 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def indices(self, elems) -> list[int]:
+        return [self.index[g] for g in elems]
+
     def conj(self, g, h):
         """g^h = h^-1 g h (conjugation as a right action)."""
-        return self.mul(self.mul(self.inv(h), g), h)
-
-    def commutator(self, g, h):
-        """[g, h] = g^-1 h^-1 g h."""
-        return self.mul(self.inv(self.mul(h, g)), self.mul(g, h))
-
-    def power(self, g, k: int):
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        out = self.identity
-        base = g
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        return self.elements[self.compiled.conj(self.index[g], self.index[h])]
 
     def element_order(self, g) -> int:
-        k = 1
-        x = g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
+        return int(self.compiled.orders[self.index[g]])
 
     @cached_property
     def exponent(self) -> int:
-        """lcm of the element orders.  Element order is a class function,
-        so one representative per class suffices; for an abelian group the
-        generators do."""
-        view = self.compiled
-        if self.is_abelian:
-            reps = [self.index[g] for g in self.generators]
-        else:
-            reps = [self.index[rep] for rep, _ in self.conjugacy_classes]
-        step = max(1, TRANSLATION_CHUNK // self.order)
-        orders = []
-        for lo in range(0, len(reps), step):
-            orders.extend(view.orders(view.left_translations(reps[lo:lo + step])))
-        return reduce(lcm, orders, 1)
+        """lcm of the element orders."""
+        return reduce(lcm, set(self.compiled.orders.tolist()), 1)
 
     def primes(self) -> list[int]:
         return prime_factors(self.order)
@@ -162,85 +110,41 @@ class FiniteGroup:
     # -- subgroup machinery ----------------------------------------------
 
     def closure(self, gens) -> frozenset:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = self.mul(a, g)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(seen)
+        return self.subgroup(gens).elements
 
     def subgroup(self, gens) -> "SubgroupHandle":
-        return SubgroupHandle(self, self.closure(gens), tuple(gens))
+        return self.compiled.subgroup(self.indices(gens))
 
     def trivial_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, frozenset([self.identity]), ())
+        return self.compiled.subgroup([])
 
     def full_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, frozenset(self.elements), tuple(self.generators))
+        view = self.compiled
+        gens = self.indices(self.generators)
+        return SubgroupHandle(view, np.arange(self.order), gens, view.gens)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
-        gens = list(seeds)
-        pending = list(gens)
-        gen_set = set(gens)
-        while pending:
-            s = pending.pop()
-            for g in self.generators:
-                c = self.conj(s, g)
-                if c not in gen_set:
-                    gen_set.add(c)
-                    pending.append(c)
-        return self.subgroup(sorted(gen_set, key=self.index.__getitem__))
+        return self.compiled.normal_closure(self.indices(seeds))
 
     # -- structural queries ----------------------------------------------
 
-    @cached_property
-    def compiled(self) -> "CompiledGroup":
-        return CompiledGroup(self)
-
-    @cached_property
+    @property
     def class_index(self) -> np.ndarray:
         """Class number of each element (by position in `elements`), in
         the order of `conjugacy_data`: class size first, then the index of
         the class's first element."""
-        view = self.compiled
-        # x -> s^-1 x s for each generator s, as index arrays
-        conj = [Rs[view.inv[Rs[view.inv]]] for Rs in view.R]
-        label = np.arange(self.order)
-        while True:
-            before = label
-            for c in conj:
-                label = np.minimum(label, label[c])
-                label[c] = np.minimum(label[c], label)
-            label = label[label]
-            if np.array_equal(label, before):
-                break
-        # label is now the least element index of each orbit
-        firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
-        rank = np.empty(len(firsts), dtype=np.intp)
-        rank[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
-        return rank[which]
+        return self.compiled.class_index
 
     @cached_property
     def conjugacy_data(self):
         """(classes, class_of): classes as (representative, frozenset) in a
         deterministic order; class_of maps element -> class index.  The
         representative is the class's first element."""
-        cls = self.class_index
-        members = np.argsort(cls, kind="stable")
-        ends = np.cumsum(np.bincount(cls))[:-1]
         classes = []
-        for block in np.split(members, ends):
-            elems = [self.elements[i] for i in block]
+        for block in _split(self.class_index):
+            elems = [self.elements[i] for i in block.tolist()]
             classes.append((elems[0], frozenset(elems)))
-        class_of = dict(zip(self.elements, cls.tolist()))
-        return classes, class_of
+        return classes, dict(zip(self.elements, self.class_index.tolist()))
 
     @property
     def conjugacy_classes(self):
@@ -248,111 +152,73 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> "SubgroupHandle":
-        members = frozenset(
-            g for g in self.elements
-            if all(self.mul(g, h) == self.mul(h, g) for h in self.generators)
-        )
-        return SubgroupHandle(self, members, tuple(sorted(members, key=self.index.__getitem__)))
+        view = self.compiled
+        return view.handle(np.flatnonzero((view.C == np.arange(self.order)).all(axis=0)))
 
     def centralizer(self, g) -> "SubgroupHandle":
-        members = frozenset(
-            h for h in self.elements if self.mul(g, h) == self.mul(h, g)
-        )
-        return SubgroupHandle(self, members, tuple(sorted(members, key=self.index.__getitem__)))
+        return self.centralizer_of_set([g])
 
     def centralizer_of_set(self, elems) -> "SubgroupHandle":
-        elems = list(elems)
-        members = frozenset(
-            h for h in self.elements
-            if all(self.mul(g, h) == self.mul(h, g) for g in elems)
-        )
-        return SubgroupHandle(self, members, tuple(sorted(members, key=self.index.__getitem__)))
+        view = self.compiled
+        return view.handle(np.flatnonzero(view.centralizer_mask(self.indices(elems))))
 
     def normalizer(self, H: "SubgroupHandle") -> "SubgroupHandle":
-        hgens = H.generators or tuple(H.elements)
-        members = frozenset(
-            g for g in self.elements
-            if all(self.conj(h, g) in H.elements for h in hgens)
-            and all(self.conj(h, self.inv(g)) in H.elements for h in hgens)
-        )
-        return SubgroupHandle(self, members, tuple(sorted(members, key=self.index.__getitem__)))
+        """The elements conjugating every generator of H into H."""
+        view = self.compiled
+        inside = np.ones(self.order, dtype=bool)
+        for block in view.blocks(H.basis):
+            inside &= H.mask[view.conjugates(block)].all(axis=0)
+        return view.handle(np.flatnonzero(inside))
+
+    def _commutators_with(self, ys) -> "SubgroupHandle":
+        """The normal closure of the [s, y], s a generator and y in ys."""
+        view = self.compiled
+        seeds = {c for y in ys for c in view.commutators(y)[view.gens].tolist()}
+        seeds.discard(view.identity)
+        return view.normal_closure(sorted(seeds))
 
     @cached_property
     def derived_subgroup(self) -> "SubgroupHandle":
-        seeds = {
-            self.commutator(g, h)
-            for g, h in itertools.product(self.generators, repeat=2)
-        }
-        seeds.discard(self.identity)
-        if not seeds:
-            return self.trivial_subgroup()
-        return self.normal_closure(sorted(seeds, key=self.index.__getitem__))
+        return self._commutators_with(self.compiled.gens)
 
     @cached_property
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(
-            self.mul(g, h) == self.mul(h, g)
-            for g, h in itertools.combinations(gens, 2)
-        )
+        view = self.compiled
+        return bool((view.C[:, view.gens] == view.gens).all())
 
     def sylow(self, p: int) -> "SubgroupHandle":
-        """A Sylow p-subgroup by normalizer percolation (deterministic)."""
+        """A Sylow p-subgroup by normalizer percolation (deterministic):
+        start from the p-part of the first element of order divisible by p,
+        and grow by the p-part of the first normalizing element outside."""
         target = p ** p_valuation(self.order, p)
         if target == 1:
             return self.trivial_subgroup()
-        seed = next(
-            g for g in self.elements if self.element_order(g) % p == 0
-        )
-        o = self.element_order(seed)
-        seed = self.power(seed, o // p ** p_valuation(o, p))
-        current = self.subgroup([seed])
+        view = self.compiled
+        p_orders = view.orders % p == 0
+        current = view.subgroup([view.p_part(int(np.argmax(p_orders)), p)])
         while current.order < target:
-            norm = self.normalizer(current)
-            grown = None
-            for g in sorted(norm.elements, key=self.index.__getitem__):
-                if g in current.elements:
-                    continue
-                o = self.element_order(g)
-                pe = self.power(g, o // p ** p_valuation(o, p))
-                if pe in current.elements or pe == self.identity:
-                    continue
-                cand = self.subgroup(list(current.generators) + [pe])
-                if target % cand.order == 0:
-                    grown = cand
+            norm = self.normalizer(current).idx
+            for g in norm[p_orders[norm] & ~current.mask[norm]].tolist():
+                pe = view.p_part(g, p)
+                if not current.mask[pe]:
+                    current = view.subgroup([*current.gens.tolist(), pe])
                     break
-            if grown is None:
+            else:
                 raise AssertionError("Sylow percolation stalled")
-            current = grown
         return current
 
     def p_core(self, p: int) -> "SubgroupHandle":
-        """O_p(G): the intersection of all conjugates of a Sylow p-subgroup."""
+        """O_p(G): the intersection of all conjugates of a Sylow p-subgroup,
+        that is the classes that lie inside it."""
         S = self.sylow(p)
-        if S.order == 1:
-            return self.trivial_subgroup()
-        core = set(S.elements)
-        seen = {S.elements}
-        frontier = [S.elements]
-        while frontier and len(core) > 1:
-            cur = frontier.pop()
-            for g in self.generators:
-                conj = frozenset(self.conj(s, g) for s in cur)
-                if conj not in seen:
-                    seen.add(conj)
-                    frontier.append(conj)
-                    core &= conj
-        members = frozenset(core)
-        return SubgroupHandle(self, members, tuple(sorted(members, key=self.index.__getitem__)))
+        cls = self.class_index
+        inside = np.bincount(cls[S.idx], minlength=cls.max() + 1) == np.bincount(cls)
+        return self.compiled.handle(S.idx[inside[cls[S.idx]]])
 
     @cached_property
     def fitting(self) -> "SubgroupHandle":
-        gens = []
-        for p in self.primes():
-            gens.extend(self.p_core(p).generators)
-        if not gens:
-            return self.trivial_subgroup()
-        return self.subgroup(gens)
+        gens = [g for p in self.primes() for g in self.p_core(p).gens.tolist()]
+        return self.compiled.subgroup(gens)
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -364,17 +230,7 @@ class FiniteGroup:
         c = 0
         current = self.full_subgroup()
         while current.order > 1:
-            seeds = {
-                self.commutator(g, h)
-                for g in self.generators
-                for h in current.generators
-            }
-            seeds.discard(self.identity)
-            nxt = (
-                self.normal_closure(sorted(seeds, key=self.index.__getitem__))
-                if seeds
-                else self.trivial_subgroup()
-            )
+            nxt = self._commutators_with(current.basis)
             if nxt.order >= current.order:
                 raise AssertionError("lower central series stalled")
             current = nxt
@@ -382,37 +238,31 @@ class FiniteGroup:
         return c
 
     def quotient(self, N: "SubgroupHandle") -> "FiniteGroup":
-        """G/N with cosets as frozensets; also attaches .projection."""
-        if N.parent is not self:
+        """G/N with cosets as frozensets, ordered by their first element;
+        also attaches .projection."""
+        view = self.compiled
+        if N.view is not view:
             raise GroupDomainError("subgroup of a different group")
         if not N.is_normal():
             raise GroupDomainError("quotient by a non-normal subgroup")
-        coset_of = {}
-        cosets = []
-        for g in self.elements:
-            if g in coset_of:
-                continue
-            cs = frozenset(self.mul(g, n) for n in N.elements)
-            cosets.append(cs)
-            for x in cs:
-                coset_of[x] = cs
+        firsts, coset = np.unique(view.coset_labels(N.basis), return_inverse=True)
+        cosets = [frozenset(self.elements[i] for i in b.tolist()) for b in _split(coset)]
+        number = {c: k for k, c in enumerate(cosets)}
+        firsts = firsts.tolist()
 
         def qmul(c1, c2):
-            return coset_of[self.mul(next(iter(c1)), next(iter(c2)))]
+            return cosets[coset[view.product(firsts[number[c1]], firsts[number[c2]])]]
 
         def qinv(c):
-            return coset_of[self.inv(next(iter(c)))]
+            return cosets[coset[view.inv[firsts[number[c]]]]]
 
+        projection = dict(zip(self.elements, (cosets[k] for k in coset.tolist())))
         q = FiniteGroup(
-            cosets,
-            qmul,
-            qinv,
-            coset_of[self.identity],
-            generators=[coset_of[g] for g in self.generators],
+            cosets, qmul, qinv, projection[self.identity],
+            generators=[projection[g] for g in self.generators],
             name=f"{self.name}/N" if self.name else "quotient",
-            check=False,
         )
-        q.projection = coset_of
+        q.projection = projection
         return q
 
     def normal_subgroups(self) -> list["SubgroupHandle"]:
@@ -420,70 +270,108 @@ class FiniteGroup:
         (order <= 500 only)."""
         if self.order > 500:
             raise GroupSizeError("normal-subgroup enumeration capped at order 500")
-        classes = [c for _, c in self.conjugacy_classes]
-        found = {frozenset([self.identity])}
-        frontier = [frozenset([self.identity])]
+        view = self.compiled
+        trivial = view.subgroup([])
+        found = {trivial.idx.tobytes(): trivial}
+        frontier = [trivial]
         while frontier:
             base = frontier.pop()
-            for cls in classes:
-                if cls <= base:
-                    continue
-                grown = self.closure(base | cls)
-                if grown not in found:
-                    found.add(grown)
-                    frontier.append(grown)
-        out = [
-            SubgroupHandle(self, m, tuple(sorted(m, key=self.index.__getitem__)))
-            for m in found
-        ]
-        out.sort(key=lambda h: (h.order, sorted(self.index[g] for g in h.elements)))
-        return out
+            for members in _split(self.class_index):
+                if not base.mask[members].all():
+                    grown = view.subgroup([*base.basis.tolist(), *members.tolist()])
+                    if found.setdefault(grown.idx.tobytes(), grown) is grown:
+                        frontier.append(grown)
+        return sorted(
+            (view.handle(H.idx) for H in found.values()),
+            key=lambda h: (h.order, h.idx.tolist()),
+        )
 
     def __repr__(self):
-        label = self.name or "FiniteGroup"
-        return f"<{label} of order {self.order}>"
+        return repr(self.compiled)
 
 
 class CompiledGroup:
-    """Integer-indexed view of a FiniteGroup; element i is `G.elements[i]`.
+    """The law of a FiniteGroup as integer index arrays; element i is
+    `elements[i]`.
 
-    - `inv[i]`: the index of the inverse of element i.
     - `R[s]`: the right-regular permutation of generator s,
-      `R[s][i]` = index of `elements[i] * gens[s]`, built with `G.mul`.
+      `R[s][i]` = index of `elements[i] * elements[gens[s]]`, from `mul`.
     - `parent`, `gen`: a breadth-first tree of the Cayley graph rooted at
-      the identity, `elements[i] = elements[parent[i]] * gens[gen[i]]`;
+      the identity, `elements[i] = elements[parent[i]] * elements[gens[gen[i]]]`;
       `levels` lists the non-root nodes level by level.
+    - `inv[i]`: the index of the inverse of element i.
 
-    `gens` are G's generators, or an irredundant subset of them when the
-    list is longer than any irredundant one (a subgroup handed all of its
-    members as generators), so R stays far smaller than a Cayley table.
+    `gens` index the generators; a list longer than any irredundant one
+    (a subgroup handed all its members) keeps only those outside the span
+    of the ones before them, so R stays far smaller than a Cayley table.
+
+    Construction verifies: (1) each R[s] is a permutation; (2) the tree
+    reaches every element; (3) e s = s and inv(s) s = e for each generator
+    s; (4) the left translations by the generators commute with every
+    R[s]; (5) they act transitively.  By (4) and (5) the group generated by
+    the R[s] acts semiregularly, by (2) transitively, so it is regular of
+    order |G|: the law computed here is a group law, and it agrees with
+    `mul` on every (element, generator) pair.
+
+    Other maps are filled along the tree: if y = x s, the image of y is
+    maps[s] applied to the image of x, one gather per level.  Left
+    translations fill with R, conjugations with C[s]: x -> s^-1 x s.
     """
 
-    def __init__(self, G: FiniteGroup):
-        n = G.order
-        index = G.index
-        gens = list(G.generators)
-        if len(gens) > n.bit_length():
-            chosen, span = [], {G.identity}
-            for g in gens:
-                if g not in span:
-                    chosen.append(g)
-                    span = G.closure(chosen)
-            gens = chosen
-        self.order = n
+    def __init__(self, elements, index, identity, generators, mul, inv, name=""):
+        n = len(elements)
+        self.elements, self.index, self.name, self.order = elements, index, name, n
         self.dtype = np.int16 if n < 2**15 else np.int32
-        self.identity = index[G.identity]
-        self.R = np.array(
-            [[index[G.mul(g, s)] for g in G.elements] for s in gens], dtype=np.intp
-        ).reshape(len(gens), n)
-        self.parent = np.full(n, -1, dtype=np.intp)
-        self.gen = np.full(n, -1, dtype=np.intp)
+        self.identity = e = index[identity]
+        if any(g not in index for g in generators):
+            raise GroupDomainError("generator not among the elements")
+        prune = len(generators) > n.bit_length()
+        self.gens, rows = [], []
+        spanned = np.arange(n) == e
+        for j in (index[g] for g in generators):
+            if prune and spanned[j]:
+                continue
+            Rs = np.array([index.get(mul(x, elements[j]), -1) for x in elements], dtype=np.intp)
+            if Rs.min() < 0:
+                raise GroupDomainError("multiplication left the element set")
+            if np.bincount(Rs, minlength=n).max() > 1:
+                raise GroupDomainError("multiplication is not a Latin square")
+            self.gens.append(j)
+            rows.append(Rs)
+            if prune:
+                spanned = self._grow_tree(rows)
+        self.R = np.array(rows, dtype=self.dtype).reshape(len(rows), n)
+        if not self._grow_tree(self.R).all():
+            raise GroupDomainError("the generators do not generate the group")
+        steps = np.arange(len(self.gens))
+        if not np.array_equal(self.R[steps, e], self.gens):
+            raise GroupDomainError("identity inconsistent")
+        inv_gens = [index.get(inv(elements[j]), -1) for j in self.gens]
+        if min(inv_gens, default=0) < 0 or np.any(self.R[steps, inv_gens] != e):
+            raise GroupDomainError("inverse map inconsistent")
+        lam = self.left_translations(self.gens)
+        if any(not np.array_equal(L[Rs], Rs[L]) for L in lam for Rs in self.R) or \
+                not self._reach(lam, [e]).all():
+            raise GroupDomainError("multiplication is not associative")
+        # (x s)^-1 = s^-1 x^-1: left translations by the inverse generators
+        # carry the inverse down the tree from the root
+        gen_inv = self.left_translations(inv_gens)
+        self.inv = np.empty(n, dtype=np.intp)
+        self.inv[e] = e
+        for nodes in self.levels:
+            self.inv[nodes] = gen_inv[self.gen[nodes], self.inv[self.parent[nodes]]]
+
+    def _grow_tree(self, R) -> np.ndarray:
+        """Breadth-first tree of the Cayley graph of the rows R; returns
+        the mask of the elements it reaches."""
+        self.parent = np.full(self.order, -1, dtype=np.intp)
+        self.gen = np.full(self.order, -1, dtype=np.intp)
         self.parent[self.identity] = self.identity
         self.levels = []
         frontier = np.array([self.identity], dtype=np.intp)
         while frontier.size:
             grown = []
-            for s, Rs in enumerate(self.R):
+            for s, Rs in enumerate(R):
                 image = Rs[frontier]
                 fresh = self.parent[image] < 0
                 self.parent[image[fresh]] = frontier[fresh]
@@ -492,121 +380,277 @@ class CompiledGroup:
             frontier = np.concatenate([frontier[:0], *grown])
             if frontier.size:
                 self.levels.append(frontier)
-        if np.any(self.parent < 0):
-            raise GroupDomainError("the generators do not generate the group")
-        # (x s)^-1 = s^-1 x^-1: left translations by the inverse generators
-        # carry the inverse down the tree from the root
-        gen_inv = self.left_translations([index[G.inv(s)] for s in gens])
-        self.inv = np.empty(n, dtype=np.intp)
-        self.inv[self.identity] = self.identity
+        return self.parent >= 0
+
+    def __repr__(self):
+        return f"<{self.name or 'FiniteGroup'} of order {self.order}>"
+
+    # -- maps of many elements ---------------------------------------------
+
+    def _fill(self, targets, maps) -> np.ndarray:
+        out = np.empty((len(targets), self.order), dtype=self.dtype)
+        out[:, self.identity] = targets
         for nodes in self.levels:
-            self.inv[nodes] = gen_inv[self.gen[nodes], self.inv[self.parent[nodes]]]
+            out[:, nodes] = maps[self.gen[nodes], out[:, self.parent[nodes]]]
+        return out
 
     def left_translations(self, targets) -> np.ndarray:
-        """L with L[k, y] = index of elements[targets[k]] * elements[y].
+        """L with L[k, y] = index of elements[targets[k]] * elements[y]."""
+        return self._fill(targets, self.R)
 
-        Filled along the tree, level by level: if y = x * s then
-        t * y = (t * x) * s, one gather per level for all targets."""
-        L = np.empty((len(targets), self.order), dtype=self.dtype)
-        L[:, self.identity] = targets
-        for nodes in self.levels:
-            L[:, nodes] = self.R[self.gen[nodes], L[:, self.parent[nodes]]]
-        return L
+    @cached_property
+    def C(self) -> np.ndarray:
+        """C[s]: x -> s^-1 x s for generator s, as R[s] o inv o R[s] o inv."""
+        C = [Rs[self.inv[Rs[self.inv]]] for Rs in self.R]
+        return np.array(C, dtype=self.dtype).reshape(self.R.shape)
 
-    def orders(self, L: np.ndarray) -> list[int]:
-        """Element orders of the targets of the left translations L."""
-        rows = np.arange(len(L))
-        x = L[:, self.identity].astype(np.intp)
-        out = np.ones(len(L), dtype=np.intp)
-        k = 1
+    def conjugates(self, targets) -> np.ndarray:
+        """K with K[k, y] = index of elements[targets[k]]^elements[y]."""
+        return self._fill(targets, self.C)
+
+    def right_translation(self, j: int) -> np.ndarray:
+        """x -> index of elements[x] * elements[j], for every x."""
+        out = np.arange(self.order)
+        for s in self.word(j):
+            out = self.R[s][out]
+        return out
+
+    def commutators(self, j: int) -> np.ndarray:
+        """[x, j] = x^-1 j^-1 x j = (j^-1)^x j, for every x."""
+        return self.right_translation(j)[self.conjugates([self.inv[j]])[0]]
+
+    def blocks(self, targets):
+        """`targets` in slices small enough to fill at once."""
+        targets = np.asarray(targets, dtype=np.intp)
+        step = max(1, TRANSLATION_CHUNK // self.order)
+        for lo in range(0, len(targets), step):
+            yield targets[lo:lo + step]
+
+    def _reach(self, maps, start) -> np.ndarray:
+        """Mask of the points reachable from `start` under the rows of maps."""
+        seen = np.zeros(self.order, dtype=bool)
+        seen[start] = True
+        frontier = np.flatnonzero(seen)
+        while frontier.size:
+            image = np.zeros(self.order, dtype=bool)
+            image[maps[:, frontier]] = True
+            frontier = np.flatnonzero(image & ~seen)
+            seen |= image
+        return seen
+
+    def _orbit_minima(self, maps) -> np.ndarray:
+        """The least index in the orbit of each element under the
+        permutations `maps`."""
+        label = np.arange(self.order)
         while True:
-            pending = x != self.identity
-            if not pending.any():
-                return out.tolist()
-            k += 1
-            x = np.where(pending, L[rows, x], self.identity)
-            out[pending] = k
+            before = label
+            for c in maps:
+                label = np.minimum(label, label[c])
+                label[c] = np.minimum(label[c], label)
+            label = label[label]
+            if np.array_equal(label, before):
+                return label
+
+    # -- single elements, along their tree paths ---------------------------
+
+    @cached_property
+    def _tree_lists(self):
+        return self.parent.tolist(), self.gen.tolist(), self.R.tolist()
+
+    def word(self, j: int) -> list[int]:
+        """Generator steps from the identity to element j along the tree."""
+        parent, gen, _ = self._tree_lists
+        out = []
+        while j != self.identity:
+            out.append(gen[j])
+            j = parent[j]
+        return out[::-1]
+
+    def product(self, i: int, j: int) -> int:
+        """Index of elements[i] * elements[j]."""
+        R = self._tree_lists[2]
+        i = int(i)
+        for s in self.word(j):
+            i = R[s][i]
+        return i
+
+    def conj(self, i: int, j: int) -> int:
+        """Index of elements[i]^elements[j] = j^-1 i j."""
+        return self.product(self.product(self.inv[j], i), j)
+
+    def power(self, i: int, k: int) -> int:
+        out = self.identity
+        while k:
+            if k & 1:
+                out = self.product(out, i)
+            i = self.product(i, i)
+            k >>= 1
+        return out
+
+    def p_part(self, i: int, p: int) -> int:
+        """i^(o / p^v), o the order of i and p^v the p-part of o."""
+        o = int(self.orders[i])
+        return self.power(i, o // p ** p_valuation(o, p))
+
+    def law_mul(self, a, b):
+        """The compiled law on elements, for groups built from this one."""
+        return self.elements[self.product(self.index[a], self.index[b])]
+
+    def law_inv(self, a):
+        return self.elements[self.inv[self.index[a]]]
+
+    # -- classes, orders, cosets -------------------------------------------
+
+    @cached_property
+    def class_index(self) -> np.ndarray:
+        """Class number of each element: the orbits of the conjugations by
+        the generators, ranked by size, then by the least member."""
+        label = self._orbit_minima(self.C)
+        firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        rank = np.empty(len(firsts), dtype=np.intp)
+        rank[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
+        return rank[which]
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """Order of every element; a class function, so it is read off the
+        left translations by one element per class."""
+        cls = self.class_index
+        out = []
+        for block in self.blocks(np.unique(cls, return_index=True)[1]):
+            L = self.left_translations(block)
+            x = L[:, self.identity].astype(np.intp)
+            order = np.ones(len(L), dtype=np.intp)
+            while (pending := x != self.identity).any():
+                x = np.where(pending, L[np.arange(len(L)), x], self.identity)
+                order += pending
+            out.append(order)
+        return np.concatenate(out)[cls]
+
+    def coset_labels(self, gens) -> np.ndarray:
+        """The least index of each left coset x<gens>."""
+        return self._orbit_minima([self.right_translation(g) for g in gens])
+
+    # -- subgroups ---------------------------------------------------------
+
+    def handle(self, members) -> "SubgroupHandle":
+        """The subgroup given by its sorted members, generated by all of them."""
+        return SubgroupHandle(self, members, members)
+
+    def span(self, gens):
+        """(mask of <gens>, the gens outside the span of those before them,
+        which generate it too)."""
+        mask = np.arange(self.order) == self.identity
+        basis = []
+        for g in map(int, gens):
+            if not mask[g]:
+                basis.append(g)
+                mask = self._reach(self.left_translations(basis), mask)
+        return mask, basis
+
+    def subgroup(self, gens) -> "SubgroupHandle":
+        mask, basis = self.span(gens)
+        return SubgroupHandle(self, np.flatnonzero(mask), gens, basis)
+
+    def normal_closure(self, seeds) -> "SubgroupHandle":
+        """<seeds^G>, generated by the conjugates of the seeds (by index)."""
+        return self.subgroup(np.flatnonzero(self._reach(self.C, list(seeds))))
+
+    def centralizer_mask(self, targets) -> np.ndarray:
+        """Mask of the elements that commute with every target."""
+        out = np.ones(self.order, dtype=bool)
+        for block in self.blocks(targets):
+            out &= (self.conjugates(block) == block[:, None]).all(axis=0)
+        return out
 
 
 class SubgroupHandle:
-    """A subgroup given by its element set inside a parent group."""
+    """A subgroup of a compiled group: `idx`, the sorted indices of its
+    members, and `mask`, their indicator.
 
-    def __init__(self, parent: FiniteGroup, elements: frozenset, generators=()):
-        self.parent = parent
-        self.elements = frozenset(elements)
-        self.generators = tuple(generators)
-        if parent.identity not in self.elements:
+    `gens` index the elements it was generated from (all members when it
+    was given by its members, none for the trivial subgroup); `basis` is
+    an irredundant part of them.  A handle refers to the compiled view,
+    never to the group object.
+    """
+
+    def __init__(self, view: CompiledGroup, members, generators=(), basis=None):
+        self.view = view
+        self.idx = np.asarray(members, dtype=np.intp)
+        self.gens = np.asarray(generators, dtype=np.intp)
+        self.mask = np.zeros(view.order, dtype=bool)
+        self.mask[self.idx] = True
+        if basis is not None:
+            self.basis = np.asarray(basis, dtype=np.intp)
+        if not self.mask[view.identity]:
             raise GroupDomainError("subgroup must contain the identity")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.idx)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self.view.elements[i] for i in self.idx.tolist())
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(self.view.elements[i] for i in self.gens.tolist())
+
+    @property
+    def spanning(self) -> np.ndarray:
+        """The generators, or the members when there are none."""
+        return self.gens if len(self.gens) else self.idx
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.asarray(self.view.span(self.spanning)[1], dtype=np.intp)
 
     def __contains__(self, g) -> bool:
-        return g in self.elements
+        i = self.view.index.get(g)
+        return i is not None and bool(self.mask[i])
 
     def __eq__(self, other):
         return (
             isinstance(other, SubgroupHandle)
-            and self.parent is other.parent
-            and self.elements == other.elements
+            and self.view is other.view
+            and np.array_equal(self.idx, other.idx)
         )
 
     def __hash__(self):
-        return hash(self.elements)
-
-    def __le__(self, other: "SubgroupHandle") -> bool:
-        return self.parent is other.parent and self.elements <= other.elements
+        return hash(self.idx.tobytes())
 
     def is_normal(self) -> bool:
-        G = self.parent
-        gens = self.generators or tuple(self.elements)
-        return all(
-            G.conj(h, g) in self.elements
-            for h in gens
-            for g in G.generators
-        )
+        """Closed under conjugation by the group's generators."""
+        return bool(self.mask[self.view.C[:, self.spanning]].all())
 
     def is_abelian(self) -> bool:
-        G = self.parent
-        gens = self.generators or tuple(self.elements)
-        return all(
-            G.mul(a, b) == G.mul(b, a)
-            for a, b in itertools.combinations(gens, 2)
-        )
+        basis = self.basis
+        return bool((self.view.conjugates(basis)[:, basis] == basis[:, None]).all())
 
-    def as_group(self) -> FiniteGroup:
-        G = self.parent
-        elems = sorted(self.elements, key=G.index.__getitem__)
-        gens = list(self.generators) or elems
+    def as_group(self, name: str = "") -> FiniteGroup:
+        view = self.view
+        elems = [view.elements[i] for i in self.idx.tolist()]
         return FiniteGroup(
-            elems, G.mul, G.inv, G.identity, generators=gens, check=False
+            elems, view.law_mul, view.law_inv, view.elements[view.identity],
+            generators=list(self.generators) or elems, name=name,
         )
 
     def join(self, other: "SubgroupHandle") -> "SubgroupHandle":
-        return self.parent.subgroup(
-            tuple(self.generators or self.elements)
-            + tuple(other.generators or other.elements)
-        )
+        return self.view.subgroup([*self.spanning.tolist(), *other.spanning.tolist()])
 
     def intersection(self, other: "SubgroupHandle") -> "SubgroupHandle":
-        members = self.elements & other.elements
-        return SubgroupHandle(
-            self.parent,
-            members,
-            tuple(sorted(members, key=self.parent.index.__getitem__)),
-        )
+        return self.view.handle(self.idx[other.mask[self.idx]])
 
     def abelian_invariants(self) -> tuple[int, ...]:
         """Cyclic factor orders (primary decomposition, deterministic order)
         of an abelian subgroup, from the element-order census."""
         if not self.is_abelian():
             raise GroupDomainError("abelian invariants of a nonabelian subgroup")
-        G = self.parent
-        return abelian_type([G.element_order(g) for g in self.elements])
+        return abelian_type(self.view.orders[self.idx].tolist())
 
     def __repr__(self):
-        return f"<subgroup of order {self.order} in {self.parent!r}>"
+        return f"<subgroup of order {self.order} in {self.view!r}>"
 
 
 # -- abelian model extraction --------------------------------------------
@@ -631,10 +675,10 @@ class AbelianModel:
 
     def conjugation_hom(self, x) -> AbHom:
         """The automorphism a -> a^x of the model, for x normalizing it."""
-        G = self.subgroup.parent
+        view = self.subgroup.view
         images = []
         for b in self.basis:
-            c = G.conj(b, x)
+            c = view.elements[view.conj(view.index[b], view.index[x])]
             if c not in self.to_coords:
                 raise GroupDomainError("element does not normalize the subgroup")
             images.append(self.shape.element(self.to_coords[c]))
@@ -643,49 +687,39 @@ class AbelianModel:
 
 def abelian_model(H: SubgroupHandle) -> AbelianModel:
     """Basis for an abelian subgroup: greedily take elements of maximal
-    order in the quotient by the span so far."""
-    G = H.parent
+    order in the quotient by the span so far, the first by index."""
     if not H.is_abelian():
         raise GroupDomainError("abelian model of a nonabelian subgroup")
-    basis = []
-    orders = []
-    span = {G.identity}
-    elems = sorted(H.elements, key=G.index.__getitem__)
-    while len(span) < H.order:
-        best, best_o = None, 0
-        for g in elems:
-            if g in span:
-                continue
-            # order of the image of g in H/span
-            k, x = 1, g
-            while x not in span:
-                x = G.mul(x, g)
-                k += 1
-            if k > best_o:
-                best, best_o = g, k
-        basis.append(best)
-        orders.append(best_o)
-        new_span = set()
-        for s in span:
-            x = s
-            for _ in range(best_o):
-                new_span.add(x)
-                x = G.mul(x, best)
-        span = new_span
-    shape = AbelianGroup(tuple(orders)) if orders else AbelianGroup(())
-    to_coords = {}
-    from_coords = {}
-    for coords in itertools.product(*(range(d) for d in shape.factor_orders)):
-        g = G.identity
-        for c, b in zip(coords, basis):
-            g = G.mul(g, G.power(b, c))
-        if g in to_coords:
-            raise AssertionError("basis extraction produced a non-basis")
-        to_coords[g] = coords
-        from_coords[coords] = g
-    if len(to_coords) != H.order:
-        raise AssertionError("basis does not span the subgroup")
-    return AbelianModel(H, shape, tuple(basis), to_coords, from_coords)
+    view = H.view
+    local = np.full(view.order, -1, dtype=view.dtype)
+    local[H.idx] = np.arange(H.order)
+    # T[a, b]: local index of h_a h_b; powers[a, k]: local index of h_a^k
+    T = np.concatenate([local[view.left_translations(b)[:, H.idx]] for b in view.blocks(H.idx)])
+    one = local[view.identity]
+    powers = np.empty((H.order, int(view.orders[H.idx].max()) + 1), dtype=np.intp)
+    powers[:, 0] = one
+    for k in range(1, powers.shape[1]):
+        powers[:, k] = T[np.arange(H.order), powers[:, k - 1]]
+    basis, orders = [], []
+    span = np.arange(H.order) == one
+    while not span.all():
+        # order of each element's image in H/span (0 inside the span)
+        k = np.where(span, 0, span[powers[:, 1:]].argmax(axis=1) + 1)
+        basis.append(int(np.argmax(k)))
+        orders.append(int(k[basis[-1]]))
+        span[T[np.ix_(np.flatnonzero(span), powers[basis[-1], :orders[-1]])].ravel()] = True
+    cells = np.array([one], dtype=np.intp)
+    for b, d in zip(basis, orders):
+        cells = T[np.ix_(cells, powers[b, :d])].ravel()
+    if len(set(cells.tolist())) != H.order:
+        raise AssertionError("basis extraction produced a non-basis")
+    coords = list(itertools.product(*(range(d) for d in orders)))
+    elems = [view.elements[i] for i in H.idx[cells].tolist()]
+    return AbelianModel(
+        H, AbelianGroup(tuple(orders)),
+        tuple(view.elements[i] for i in H.idx[basis].tolist()),
+        dict(zip(elems, coords)), dict(zip(coords, elems)),
+    )
 
 
 # -- Frobenius structure -------------------------------------------------
@@ -693,19 +727,17 @@ def abelian_model(H: SubgroupHandle) -> AbelianModel:
 
 def is_frobenius_with_kernel(G: FiniteGroup, N: SubgroupHandle) -> bool:
     """Kernel criterion: C_G(n) <= N for every nontrivial n in N."""
-    if N.parent is not G:
+    view = G.compiled
+    if N.view is not view:
         raise GroupDomainError("subgroup of a different group")
     if not N.is_normal():
         raise GroupDomainError("Frobenius kernel must be normal")
     if N.order == 1 or N.order == G.order:
         return False
-    for n in N.elements:
-        if n == G.identity:
-            continue
-        for h in G.elements:
-            if h not in N.elements and G.mul(n, h) == G.mul(h, n):
-                return False
-    return True
+    return not any(
+        ((view.conjugates(block) == block[:, None]) & ~N.mask).any()
+        for block in view.blocks(N.idx[N.idx != view.identity])
+    )
 
 
 @dataclass(frozen=True)
@@ -721,10 +753,9 @@ def is_quasi_frobenius(G: FiniteGroup) -> QuasiFrobeniusReport:
     if Z.order == G.order:
         return QuasiFrobeniusReport(False, "central quotient is trivial")
     Q = G.quotient(Z)
-    fbar_seed = {Q.projection[g] for g in G.fitting.join(Z).elements}
-    Fbar = SubgroupHandle(
-        Q, frozenset(fbar_seed), tuple(sorted(fbar_seed, key=Q.index.__getitem__))
-    )
+    Fbar = Q.compiled.handle(sorted(
+        {Q.index[Q.projection[G.elements[i]]] for i in G.fitting.join(Z).idx.tolist()}
+    ))
     if Fbar.order == Q.order:
         return QuasiFrobeniusReport(False, "Fitting quotient is everything")
     if Fbar.order == 1:
@@ -754,6 +785,7 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     leftover = _CYCLE_RE.sub("", body).strip()
     if leftover:
         raise GroupDomainError(f"bad cycle notation {text!r}")
+    used = set()
     for m in _CYCLE_RE.finditer(body):
         pts = [tok for tok in re.split(r"[,\s]+", m.group(1).strip()) if tok]
         try:
@@ -764,6 +796,10 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
             raise GroupDomainError(f"cycle entry out of range in {text!r}")
         if len(set(cyc)) != len(cyc):
             raise GroupDomainError(f"repeated point in cycle {text!r}")
+        if used.intersection(cyc):
+            point = min(used.intersection(cyc)) + 1
+            raise GroupDomainError(f"point {point} lies in two cycles of {text!r}")
+        used.update(cyc)
         for i, c in enumerate(cyc):
             perm[c] = cyc[(i + 1) % len(cyc)]
     return tuple(perm)
@@ -810,22 +846,17 @@ def from_permutations(degree: int, generators, name="") -> FiniteGroup:
             raise GroupDomainError(f"{g!r} is not a permutation of degree {degree}")
     seen = {ident}
     order_list = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = perm_mul(a, g)
-                if b not in seen:
-                    if len(seen) >= MAX_GROUP_ORDER:
-                        raise GroupSizeError("generated group exceeds the size cap")
-                    seen.add(b)
-                    order_list.append(b)
-                    nxt.append(b)
-        frontier = nxt
+    for a in order_list:  # grows as it goes: breadth-first order
+        for g in gens:
+            b = perm_mul(a, g)
+            if b not in seen:
+                if len(seen) >= MAX_GROUP_ORDER:
+                    raise GroupSizeError("generated group exceeds the size cap")
+                seen.add(b)
+                order_list.append(b)
     return FiniteGroup(
         order_list, perm_mul, perm_inv, ident,
-        generators=gens, name=name, check=False,
+        generators=gens, name=name,
     )
 
 
@@ -895,7 +926,7 @@ class SemidirectSpec:
         if not self.action[H.identity].is_identity():
             raise GroupDomainError("action of the identity is not the identity")
         for h1, h2 in itertools.product(H.elements, repeat=2):
-            if self.action[H.mul(h1, h2)] != self.action[h1].compose(self.action[h2]):
+            if self.action[H.compiled.law_mul(h1, h2)] != self.action[h1].compose(self.action[h2]):
                 raise GroupDomainError("action is not a homomorphism")
 
 
@@ -908,50 +939,33 @@ def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict
         if not gen_maps[h].is_automorphism():
             raise GroupDomainError("generator image is not an automorphism")
     action = {H.identity: AbHom.identity(A)}
-    frontier = [H.identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g, fg in gen_maps.items():
-                hg = H.mul(h, g)
-                if hg not in action:
-                    action[hg] = action[h].compose(fg)
-                    nxt.append(hg)
-        frontier = nxt
+    reached = [H.identity]
+    for h in reached:  # grows as it goes: breadth-first order
+        for g, fg in gen_maps.items():
+            hg = H.compiled.law_mul(h, g)
+            if hg not in action:
+                action[hg] = action[h].compose(fg)
+                reached.append(hg)
     if len(action) != H.order:
         raise GroupDomainError("generator images do not cover H")
     return action
 
 
 class SemidirectGroup(FiniteGroup):
-    """A x| H as built by build_semidirect, with its `semidirect_spec`.
-
-    The factor subgroups `A_handle` and `H_handle` are made on each access
-    rather than stored: a stored handle points back at its group, and
-    that cycle would keep a finished group alive until the cycle
-    collector runs.
-    """
+    """A x| H as built by build_semidirect, with its `semidirect_spec` and
+    the factor subgroups `A_handle` and `H_handle`."""
 
     semidirect_spec: SemidirectSpec
 
-    @property
+    @cached_property
     def A_handle(self) -> SubgroupHandle:
         A, h1 = self.semidirect_spec.A, self.semidirect_spec.H.identity
-        return SubgroupHandle(
-            self,
-            frozenset((a.coords, h1) for a in A.elements()),
-            tuple((g.coords, h1) for g in A.generators()),
-        )
+        return self.subgroup([(g.coords, h1) for g in A.generators()])
 
-    @property
+    @cached_property
     def H_handle(self) -> SubgroupHandle:
-        A, H = self.semidirect_spec.A, self.semidirect_spec.H
-        zero = A.zero().coords
-        return SubgroupHandle(
-            self,
-            frozenset((zero, h) for h in H.elements),
-            tuple((zero, h) for h in H.generators),
-        )
+        zero, H = self.semidirect_spec.A.zero().coords, self.semidirect_spec.H
+        return self.subgroup([(zero, h) for h in H.generators])
 
 
 def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
@@ -967,18 +981,28 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     elements = [
         (a.coords, h) for h in H.elements for a in A.elements()
     ]
+    orders = A.factor_orders
+    # columns[h][j]: coordinate j of the images of A's generators under action(h)
+    columns = {
+        h: [tuple(img.coords[j] for img in f.images) for j in range(A.rank)]
+        for h, f in action.items()
+    }
+    hmul = {(h1, h2): H.compiled.law_mul(h1, h2) for h1 in H.elements for h2 in H.elements}
+    hinv = {h: H.compiled.law_inv(h) for h in H.elements}
+
+    @lru_cache(maxsize=None)  # at most |A| * |H| entries
+    def act(h, a):
+        """Coordinates of action(h)(a), before reduction."""
+        return tuple(sum(map(operator.mul, a, col)) for col in columns[h])
 
     def mul(x, y):
         (a1, h1), (a2, h2) = x, y
-        moved = action[h1](A.element(a2))
-        return (tuple((p + q) % d for p, q, d in zip(a1, moved.coords, A.factor_orders)),
-                H.mul(h1, h2))
+        return tuple(map(operator.mod, map(operator.add, a1, act(h1, a2)), orders)), hmul[h1, h2]
 
     def inv(x):
         a, h = x
-        hinv = H.inv(h)
-        b = action[hinv](A.element(a))
-        return (tuple((-c) % d for c, d in zip(b.coords, A.factor_orders)), hinv)
+        h = hinv[h]
+        return tuple(map(operator.mod, map(operator.neg, act(h, a)), orders)), h
 
     ident = (A.zero().coords, H.identity)
     gens = [(g.coords, H.identity) for g in A.generators()]
@@ -994,14 +1018,14 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name="") -> FiniteGroup:
     elems = [(g, h) for g in G.elements for h in H.elements]
 
     def mul(x, y):
-        return (G.mul(x[0], y[0]), H.mul(x[1], y[1]))
+        return (G.compiled.law_mul(x[0], y[0]), H.compiled.law_mul(x[1], y[1]))
 
     def inv(x):
-        return (G.inv(x[0]), H.inv(x[1]))
+        return (G.compiled.law_inv(x[0]), H.compiled.law_inv(x[1]))
 
     gens = [(g, H.identity) for g in G.generators]
     gens += [(G.identity, h) for h in H.generators]
     return FiniteGroup(
         elems, mul, inv, (G.identity, H.identity), generators=gens,
-        name=name or f"{G.name}x{H.name}", check=False,
+        name=name or f"{G.name}x{H.name}",
     )

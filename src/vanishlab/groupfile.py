@@ -205,9 +205,8 @@ def emit_group(G: FiniteGroup) -> str:
             "regular representation would exceed degree 64"
         )
     # regular representation on the element list
-    index = {g: i for i, g in enumerate(G.elements)}
     out = ["perm", f"degree {G.order}"]
     for g in G.generators:
-        perm = tuple(index[G.mul(h, g)] for h in G.elements)
-        out.append("gen " + cycles_of(perm))
+        perm = G.compiled.right_translation(G.index[g])
+        out.append("gen " + cycles_of(tuple(perm.tolist())))
     return "\n".join(out) + "\n"

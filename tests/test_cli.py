@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
-from vanishlab.constructions import build_case_family
+from vanishlab.constructions import build_case_family, catalog_entries
 from vanishlab.group_engine import GroupSizeError, alternating_7
 from vanishlab.groupfile import (
     BUILTIN_COMPLEMENTS,
@@ -193,6 +193,70 @@ def test_ptable_emit_table_is_golden(tmp_path, capsys, text, digest):
     code, out = run(capsys, "ptable", str(path), "--emit-table")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 prefixes of the `classify --cross-check` and `oracle --elements`
+# reports of every catalog group up to order 1000, read back from its
+# emitted group file: verdicts, witnesses and element lists must not drift
+GOLDEN_REPORTS = {
+    "family:A m=2 variant=c3": ("fbc48505332c444c", "1ff4d32ea388cb41"),
+    "family:A m=2 variant=c3xc3": ("75344cd91da79034", "8a9becf0d8ccd21c"),
+    "family:A m=2 variant=c5": ("17976caa032fe254", "20367d1e45e83243"),
+    "family:A m=2 variant=c9": ("c461efabc2f2ba05", "f8516989a9d73888"),
+    "family:A m=3 variant=c13": ("50060ed5ec5a26cf", "485e5f8c0a4a8030"),
+    "family:A m=3 variant=c7": ("4a43f3f9f5d50221", "c4463c14ca3a332d"),
+    "family:A m=3 variant=v4": ("060d34ea24c33e01", "1c7bea99d1156e4f"),
+    "family:A m=4 variant=c13": ("977e3e1c014d747e", "b4fdc7c9faf86c66"),
+    "family:A m=4 variant=c3xc3": ("461ddf8fb55d060c", "4402294914d56205"),
+    "family:A m=4 variant=c5": ("667a4fbafed05cd6", "54b732b38a8b2172"),
+    "family:A m=4 variant=s3xs3": ("92826348c92630f1", "b3338fd76b801f4a"),
+    "family:A m=5 variant=c11": ("f9fa7d72fb035d1a", "b0964133c78e02d6"),
+    "family:A m=5 variant=c2^4": ("934fca0c54364382", "923133867d15e254"),
+    "family:A m=5 variant=c3^4": ("ddb4c4c26fa3119a", "092d2a4e92bed5cf"),
+    "family:A m=6 variant=c13": ("d02b3648d92d91b2", "1be28294c151d960"),
+    "family:A m=6 variant=c7": ("b5869651bf157434", "5fd497d4f086918d"),
+    "family:A m=6 variant=c7^2:s3": ("1ae56bd1598d5bf4", "73fdcf65417cf7a7"),
+    "family:A m=6 variant=s3xa4": ("a3aa6f69cc406a89", "62c9b9ffa2688bf2"),
+    "family:B1 shape=d8": ("720c8d602db9d2ce", "b814035762c8e785"),
+    "family:B1 shape=q8": ("720c8d602db9d2ce", "b814035762c8e785"),
+    "family:B1 shape=m16": ("75aa4cecb4c0b00e", "06384c66a34abc82"),
+    "family:B1 shape=c4:c4": ("75aa4cecb4c0b00e", "590b4fd041c6b120"),
+    "family:B1 shape=d8xc3": ("bf58c8bdd0e2def4", "490d081c90ac120d"),
+    "family:B2 variant=s4": ("99679e9d1625545f", "1f496e3acfe8f3bc"),
+    "family:B2 variant=c4": ("f0b0bc3f5725091f", "e069a5ee2949a158"),
+    "family:B4_1 k=1 c_part=0": ("7ecd57675cba0914", "2f53d462d4f987b8"),
+    "family:PGROUP shape=c4xc2": ("8812c36f234575cb", "2430474a30e3c01d"),
+    "family:PGROUP shape=d16": ("2b06cc80b310825d", "2a9d8b619feb8cbc"),
+    "family:PGROUP shape=d8": ("720c8d602db9d2ce", "b814035762c8e785"),
+    "family:PGROUP shape=heis3": ("1af832a1c7fc3152", "11d5350e83bd6f9d"),
+    "family:PGROUP shape=m16": ("75aa4cecb4c0b00e", "06384c66a34abc82"),
+    "family:PGROUP shape=q16": ("2b06cc80b310825d", "2a9d8b619feb8cbc"),
+    "family:PGROUP shape=q8": ("720c8d602db9d2ce", "b814035762c8e785"),
+    "family:PGROUP shape=sd16": ("2b06cc80b310825d", "2a9d8b619feb8cbc"),
+    "family:INVERSION_NEGATIVE": ("de58ac6c934d881e", "1db2e3ad65c8c963"),
+}
+
+
+def test_catalog_reports_are_golden(tmp_path, capsys):
+    entries = catalog_entries(max_order=1000)
+    assert [e.provenance for e in entries] == list(GOLDEN_REPORTS)
+    path = tmp_path / "g.grp"
+    for entry in entries:
+        path.write_text(emit_group(entry.group))
+        digests = []
+        for argv in (["classify", "--cross-check"], ["oracle", "--elements"]):
+            code, out = run(capsys, *argv, str(path))
+            assert code == EXIT_OK
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        assert tuple(digests) == GOLDEN_REPORTS[entry.provenance], entry.provenance
+
+
+def test_cycles_sharing_a_point_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    path.write_text("perm\ndegree 3\ngen (1 2)(1 3)\n")
+    code = main(["oracle", str(path)])
+    assert code == EXIT_PARSE
+    assert "(1 2)(1 3)" in capsys.readouterr().err
 
 
 def test_cross_check_agrees(tmp_path, capsys):

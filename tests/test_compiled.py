@@ -1,8 +1,10 @@
 """The compiled (integer-indexed) group view against plain `mul`.
 
-Conjugacy classes, class matrices, power maps and the exponent come from
-index arrays; here each is rebuilt the slow way, element by element
-through `G.mul`, and must agree exactly."""
+Conjugacy classes, class matrices, power maps, the exponent and every
+structure query come from index arrays; here each is rebuilt the slow way,
+element by element through `G.mul`, and must agree exactly.  Construction
+must reject any law that is not a group law, and the queries must never
+call `mul` again."""
 
 import gc
 import weakref
@@ -19,9 +21,13 @@ from vanishlab.character_lab import (
     dixon_table,
     proportion,
 )
+from vanishlab.classifier import classify_theorem_a
 from vanishlab.constructions import build_case_family
+from vanishlab.cyclotomic import p_valuation
 from vanishlab.groupfile import parse_group
 from vanishlab.group_engine import (
+    FiniteGroup,
+    GroupDomainError,
     alternating_7,
     cyclic_group,
     direct_product,
@@ -154,7 +160,9 @@ def test_table_mul_calls_stay_linear_in_the_order(make):
 
     G.mul = counting
     dixon_table(G)
-    assert 0 < calls <= G.order * (len(G.generators) + 2)
+    # construction made the |G| * |generators| products the table reads
+    assert G.compiled.R.shape == (len(G.generators), G.order)
+    assert calls == 0
 
 
 def test_finished_group_is_freed_without_the_cycle_collector():
@@ -169,6 +177,214 @@ def test_finished_group_is_freed_without_the_cycle_collector():
         assert dixon_table(G).rows is table.rows  # served from the cache
         assert G.A_handle.order * G.H_handle.order == G.order
         del table
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- structure queries against plain `mul` --------------------------------
+
+
+def reference_closure(G, gens):
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = G.mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def reference_conj(G, g, h):
+    return G.mul(G.mul(G.inv(h), g), h)
+
+
+def reference_order(G, g):
+    k, x = 1, g
+    while x != G.identity:
+        k, x = k + 1, G.mul(x, g)
+    return k
+
+
+def reference_normalizer(G, members, gens):
+    return frozenset(
+        g for g in G.elements if all(reference_conj(G, h, g) in members for h in gens)
+    )
+
+
+def reference_sylow(G, p):
+    """Normalizer percolation: the p-part of the first element (by index)
+    of order divisible by p, grown by the p-part of the first normalizing
+    element outside the subgroup so far."""
+
+    def p_part(g):
+        o = reference_order(G, g)
+        x = G.identity
+        for _ in range(o // p ** p_valuation(o, p)):
+            x = G.mul(x, g)
+        return x
+
+    target = p ** p_valuation(G.order, p)
+    gens = [p_part(g) for g in G.elements if reference_order(G, g) % p == 0][:1]
+    current = reference_closure(G, gens)
+    while len(current) < target:
+        norm = reference_normalizer(G, current, gens)
+        gens.append(next(
+            p_part(g) for g in G.elements
+            if g in norm and g not in current and p_part(g) not in current
+        ))
+        current = reference_closure(G, gens)
+    return current
+
+
+def reference_core(G, S):
+    """The intersection of the conjugates of S, reached through the generators."""
+    core, seen, frontier = set(S), {S}, [S]
+    while frontier:
+        cur = frontier.pop()
+        for g in G.generators:
+            conj = frozenset(reference_conj(G, s, g) for s in cur)
+            if conj not in seen:
+                seen.add(conj)
+                frontier.append(conj)
+                core &= conj
+    return frozenset(core)
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_structure_queries_match_mul(name):
+    G = GROUPS[name]()
+    assert G.center.elements == frozenset(
+        z for z in G.elements
+        if all(G.mul(z, g) == G.mul(g, z) for g in G.generators)
+    )
+    for rep, _ in G.conjugacy_classes:
+        assert G.centralizer(rep).elements == frozenset(
+            h for h in G.elements if G.mul(rep, h) == G.mul(h, rep)
+        )
+    cores = []
+    for p in G.primes():
+        S = G.sylow(p)
+        assert S.elements == reference_sylow(G, p)
+        assert G.normalizer(S).elements == reference_normalizer(G, S.elements, S.elements)
+        assert G.p_core(p).elements == reference_core(G, S.elements)
+        cores.extend(G.p_core(p).elements)
+    assert G.fitting.elements == reference_closure(G, cores)
+    assert G.derived_subgroup.elements == reference_closure(G, {
+        G.mul(G.mul(G.inv(g), G.inv(s)), G.mul(g, s))
+        for g in G.elements for s in G.generators
+    })
+
+    N = G.fitting
+    Q = G.quotient(N)
+    cosets = []
+    for g in G.elements:
+        if all(g not in c for c in cosets):
+            cosets.append(frozenset(G.mul(g, n) for n in N.elements))
+    assert Q.elements == cosets
+    pi = Q.projection
+    for g in G.elements:
+        for h in G.elements[:: max(1, G.order // 24)]:
+            assert Q.mul(pi[g], pi[h]) == pi[G.mul(g, h)]
+            assert Q.inv(pi[h]) == pi[G.inv(h)]
+
+
+@pytest.mark.parametrize("make", [
+    s4,
+    lambda: build_case_family("B4_1").group,
+    lambda: build_case_family("B2", variant="c4").group,
+    lambda: build_case_family("A", m=6, variant="s3xa4").group,
+    lambda: build_case_family("PGROUP", shape="q16").group,
+])
+def test_queries_run_on_the_compiled_law_only(make):
+    G = make()
+    calls = 0
+    mul, inv = G.mul, G.inv
+
+    def counted(f):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            return f(*args)
+        return call
+
+    G.mul, G.inv = counted(mul), counted(inv)
+    classify_theorem_a(G)
+    proportion(G)
+    dixon_table(G)
+    G.center
+    G.sylow(2)
+    G.quotient(G.fitting)
+    if G.order <= 500:
+        G.normal_subgroups()
+    assert calls == 0
+
+
+# -- the group law check at construction -----------------------------------
+
+
+def test_construction_rejects_a_loop_of_order_5():
+    # a Latin square with identity 0 and x x = 0: a loop, not a group
+    T = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupDomainError):
+        FiniteGroup(range(5), lambda a, b: T[a][b], lambda a: a, 0, generators=[1, 2])
+
+
+def test_construction_rejects_m5_with_two_products_swapped():
+    M5 = build_case_family("M5").group
+    s = M5.generators[0]
+    x1, x2 = M5.elements[1], M5.elements[2]
+    swapped = {x1: M5.mul(x2, s), x2: M5.mul(x1, s)}
+
+    def mul(x, y):
+        return swapped[x] if y == s and x in swapped else M5.mul(x, y)
+
+    with pytest.raises(GroupDomainError, match="associative"):
+        FiniteGroup(M5.elements, mul, M5.inv, M5.identity, generators=M5.generators)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("B2", {"variant": "s4"}),
+    ("B2", {"variant": "c4"}),
+    ("A", {"m": 5, "variant": "c2^4"}),
+])
+def test_semidirect_law_matches_the_module_action(tag, params):
+    G = build_case_family(tag, **params).group
+    spec = G.semidirect_spec
+    A, H = spec.A, spec.H
+    for a1, h1 in G.elements:
+        for a2, h2 in G.elements:
+            moved = spec.action[h1](A.element(a2))
+            expected = ((A.element(a1) + moved).coords, H.mul(h1, h2))
+            assert G.mul((a1, h1), (a2, h2)) == expected
+        inverse = spec.action[H.inv(h1)](-A.element(a1))
+        assert G.inv((a1, h1)) == (inverse.coords, H.inv(h1))
+
+
+# -- no reference cycles ------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_case_family("B4_1").group,
+    lambda: build_case_family("A", m=4, variant="c5").group,
+])
+def test_group_with_cached_structure_is_freed_without_the_cycle_collector(make):
+    gc.collect()
+    gc.disable()
+    try:
+        G = make()
+        verdict = classify_theorem_a(G)
+        assert proportion(G).proportion == verdict.predicted_p
+        assert G.fitting.order * G.center.order > 1
+        assert "fitting" in vars(G) and "center" in vars(G)
+        del verdict
         ref = weakref.ref(G)
         del G
         assert ref() is None

@@ -116,6 +116,20 @@ def test_eighth_root_squares_to_quarter_root():
     assert z8 * z8 == root_of_unity(4, 1)
 
 
+def test_equal_values_of_different_orders_hash_alike():
+    a, b = Cyclo.from_poly(8, [0, 0, 1]), root_of_unity(4, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(Cyclo.from_poly(12, [2])) == hash(2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_cyclo, st.integers(1, 6))
+def test_hash_is_invariant_under_lifting(v, k):
+    w = v.lift(k * v.order)
+    assert w == v and hash(w) == hash(v)
+
+
 def test_sum_of_primitive_eighth_roots_vanishes():
     total = Cyclo.zero()
     for k in (1, 3, 5, 7):
