@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo, p_valuation, prime_factors, root_of_unity
@@ -230,6 +230,12 @@ class AbHom:
         return self == AbHom.identity(self.source)
 
     def is_automorphism(self) -> bool:
+        return self._bijective_endomorphism
+
+    @cached_property
+    def _bijective_endomorphism(self) -> bool:
+        # one pass over the source, kept on the instance: the map is frozen,
+        # and == and hash read only the fields
         if self.source != self.target:
             return False
         seen = {self(a).coords for a in self.source.elements()}

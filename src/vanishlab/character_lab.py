@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg_modp as lin
 from .abelian_core import AbElement, DualCharacter, all_characters
-from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, prime_factors
+from .cyclotomic import Cyclo, power_table, prime_factors
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -215,15 +215,15 @@ def _zeta_power_table(e: int, p: int, z: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _reduction_matrix(L: int) -> np.ndarray:
-    """Row j = coefficients of x^j mod Phi_L: an exponent-count vector
-    times this matrix is its power-basis coefficient vector in Z[zeta_L]."""
-    phi = euler_phi(L)
-    tail = np.array(cyclotomic_polynomial(L)[:phi], dtype=np.int64)  # x^phi = -tail
+    """Dense int64 view of `power_table(L)`: row j = coefficients of x^j mod
+    Phi_L, so an exponent-count vector times this matrix is its power-basis
+    coefficient vector in Z[zeta_L]."""
+    phi, rows = power_table(L)
+    j, k, c = np.array(
+        [(j, k, c) for j, row in enumerate(rows) for k, c in row], dtype=np.int64
+    ).T
     out = np.zeros((L, phi), dtype=np.int64)
-    out[0, 0] = 1
-    for j in range(1, L):
-        out[j, 1:] = out[j - 1, :-1]
-        out[j] -= out[j - 1, -1] * tail
+    out[j, k] = c
     return out
 
 

@@ -4,6 +4,12 @@ An element of Z[zeta_n] is stored as an integer vector in the power basis
 1, x, ..., x^(phi(n)-1) modulo the n-th cyclotomic polynomial, so equality
 and zero-testing are structural.  Binary operations between elements of
 different orders lift both to the lcm lazily.
+
+Every reduction to the power basis goes through one memoised table per
+order n (`power_table`): row i holds x^i mod Phi_n, so a polynomial in
+zeta_n reduces as sum_i c_i * row[i mod n] with no division.  Values are
+immutable, which lets `root_of_unity` memoise its results and hand the same
+`Cyclo` to every caller.
 """
 
 from __future__ import annotations
@@ -111,19 +117,31 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def _reduce_mod_cyclotomic(coeffs: list[int], n: int) -> tuple[int, ...]:
-    """Reduce a polynomial in zeta_n (exponents already arbitrary) to the
-    power basis of length phi(n)."""
-    # fold exponents mod n first: zeta_n^n = 1
-    folded = [0] * n
+@lru_cache(maxsize=64)
+def power_table(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(n), rows): row i lists the nonzero (j, c) of x^i mod Phi_n for
+    0 <= i < n, built by x^(i+1) = x * x^i with x^phi = -(Phi_n - x^phi)."""
+    tail = cyclotomic_polynomial(n)[:-1]
+    row = [1] + [0] * (len(tail) - 1)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * t for r, t in zip(row, tail)]
+    return len(tail), tuple(rows)
+
+
+def _reduce_mod_cyclotomic(coeffs, n: int) -> tuple[int, ...]:
+    """Power-basis coefficients of sum_i coeffs[i] zeta_n^i, any exponents."""
+    phi, rows = power_table(n)
+    out = [0] * phi
     for i, c in enumerate(coeffs):
         if c:
-            folded[i % n] += c
-    phi = cyclotomic_polynomial(n)
-    _, rem = _poly_divmod(folded, list(phi))
-    d = euler_phi(n)
-    rem = rem + [0] * (d - len(rem))
-    return tuple(rem[:d])
+            for j, r in rows[i % n]:
+                out[j] += c * r
+    return tuple(out)
 
 
 def _at_conductor(n: int, coeffs) -> tuple[int, tuple[int, ...]]:
@@ -153,7 +171,11 @@ def _at_conductor(n: int, coeffs) -> tuple[int, tuple[int, ...]]:
 
 
 class Cyclo:
-    """An exact cyclotomic integer, canonically reduced."""
+    """An exact cyclotomic integer, canonically reduced.
+
+    A Cyclo is never changed after construction: every operation returns a
+    new value.  Memoised values (`root_of_unity`) are shared between callers
+    and rely on this."""
 
     __slots__ = ("order", "coeffs")
 
@@ -181,7 +203,7 @@ class Cyclo:
         """Element sum_i coeffs[i] * zeta_order^i, reduced."""
         if order < 1:
             raise ValueError("order must be positive")
-        red = _reduce_mod_cyclotomic(list(coeffs), order)
+        red = _reduce_mod_cyclotomic(coeffs, order)
         if not any(red):
             return Cyclo.zero()
         return Cyclo(order, red)
@@ -326,8 +348,11 @@ class Cyclo:
         return "".join(parts)
 
 
+@lru_cache(maxsize=1024)
 def root_of_unity(n: int, k: int) -> Cyclo:
-    """zeta_n^k, stored at its exact multiplicative order n/gcd(n, k)."""
+    """zeta_n^k, stored at its exact multiplicative order n/gcd(n, k).
+
+    Memoised: equal arguments return the same shared, immutable value."""
     if n < 1:
         raise ValueError("root_of_unity requires n >= 1")
     k %= n

@@ -250,6 +250,25 @@ def test_generated_submodule_under_rotation():
     assert M.is_invariant_under(x)
 
 
+def test_generated_submodule_rejects_a_non_automorphism_after_a_memoised_one():
+    A = AbelianGroup.of(2, 2)
+    swap = AbHom.from_matrix(A, [(0, 1), (1, 0)])
+    collapse = AbHom.from_matrix(A, [(1, 1), (1, 1)])
+    a = A.element((1, 0))
+    assert generated_submodule(a, [swap]).order == 4
+    for _ in range(2):  # the verdict on collapse is memoised after the first
+        with pytest.raises(AbelianDomainError):
+            generated_submodule(a, [collapse])
+        with pytest.raises(AbelianDomainError):
+            generated_submodule(a, [swap, collapse])
+    assert swap.is_automorphism() and not collapse.is_automorphism()
+    # the memo takes no part in equality or hashing
+    fresh = AbHom.from_matrix(A, [(1, 1), (1, 1)])
+    assert fresh == collapse and hash(fresh) == hash(collapse)
+    with pytest.raises(AbelianDomainError):
+        generated_submodule(a, [fresh])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(SMALL_GROUPS),

@@ -3,7 +3,7 @@ provenance strings replay to the same group."""
 
 import pytest
 
-from vanishlab.abelian_core import AbelianGroup
+from vanishlab.abelian_core import AbelianGroup, AbHom
 from vanishlab.constructions import (
     BuilderError,
     build_case_family,
@@ -90,6 +90,24 @@ def test_m5_hypotheses():
     f = A.conjugation_hom(h)
     fixed = [a for a in A.shape.elements() if f(a) == a]
     assert len(fixed) == 1
+
+
+def test_m5_build_checks_each_automorphism_once(monkeypatch):
+    # one pass over A (|A| = 1296) per distinct acting map: the complement
+    # generator's matrix and its action; the rest are orbit steps and the
+    # central-element test.  Re-checking the map in every generated_submodule
+    # call made 125,218 calls.
+    calls = 0
+    call = AbHom.__call__
+
+    def counted(self, a):
+        nonlocal calls
+        calls += 1
+        return call(self, a)
+
+    monkeypatch.setattr(AbHom, "__call__", counted)
+    build_case_family("M5")
+    assert calls <= 3 * 1296
 
 
 def test_inversion_variant_shape():

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from vanishlab.abelian_core import AbelianGroup, AbHom
 from vanishlab.classifier import (
     THRESHOLD,
     CaseLabel,
+    SettingError,
+    check_s3_case,
     classify_a_group,
     classify_theorem_a,
     verifying_b_cases,
@@ -24,6 +27,18 @@ from vanishlab.group_engine import (
 
 def test_threshold_value():
     assert THRESHOLD == Fraction(1067, 1260)
+
+
+def test_s3_setting_rejects_a_non_automorphism_after_a_memoised_one():
+    W = AbelianGroup.of(2, 2)
+    x = AbHom.from_matrix(W, [(0, 1), (1, 1)])  # order 3, fixed-point-free
+    y = AbHom.from_matrix(W, [(0, 1), (1, 0)])
+    collapse = AbHom.from_matrix(W, [(1, 1), (1, 1)])
+    assert check_s3_case(W, x, y)  # W = C x C^x, C = <(1, 1)>; x, y memoised
+    for _ in range(2):
+        for bad in ((collapse, y), (x, collapse)):
+            with pytest.raises(SettingError, match="automorphisms"):
+                check_s3_case(W, *bad)
 
 
 VERDICTS = [

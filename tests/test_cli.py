@@ -323,6 +323,26 @@ def test_verify_lemma_duality_seed_recorded(capsys):
     assert "seed=17" in out
 
 
+# sha256 of the whole `verify-lemma` report, recorded before the cyclotomic
+# reduction went through the per-order power table
+LEMMA_REPORT_DIGESTS = [
+    (("sixsum", "--max-n", "4"),
+     "02ed6b68516ec20b028c6ea970e575996e2cc79acd1089f5b3adb8719ced333e"),
+    (("vs", "--max-terms", "8"),
+     "ada345c0aeec0e63e20e9eb5787eefce650797f9a146052d134af61c136e308d"),
+    (("duality", "--trials", "1000", "--seed", "1"),
+     "b476f17a77d852271c9f255678128825281bee089aab4d9c53ad420b4a57660b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LEMMA_REPORT_DIGESTS,
+                         ids=[argv[0] for argv, _ in LEMMA_REPORT_DIGESTS])
+def test_lemma_reports_are_golden(capsys, argv, digest):
+    code, out = run(capsys, "verify-lemma", *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_campaign_degenerate_small_run(capsys):
     code, out = run(capsys, "campaign", "--caps", "100", "--count", "4")
     assert code == EXIT_OK

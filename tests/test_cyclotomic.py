@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanishlab.character_lab import _reduction_matrix
 from vanishlab.cyclotomic import (
     Cyclo,
     LemmaViolationError,
     SixSumVerdict,
+    _reduce_mod_cyclotomic,
     cyclotomic_polynomial,
     enumerate_six_sums,
     euler_phi,
@@ -60,6 +62,60 @@ def test_product_of_cyclotomics_is_x_n_minus_1():
                 out[i + j] += a * b
         prod = out
     assert prod == [-1] + [0] * 11 + [1]
+
+
+# -- reduction through the power table -----------------------------------
+
+
+def reduce_by_long_division(coeffs, n):
+    """Remainder of sum coeffs[i] x^i on division by Phi_n, length phi(n)."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    terms = [(i, b) for i, b in enumerate(phi) if b]
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if c:
+            for i, b in terms:
+                rem[top - d + i] -= c * b
+    return tuple(rem[:d] + [0] * (d - len(rem)))
+
+
+@st.composite
+def order_and_vector(draw):
+    n = draw(st.integers(1, 420) | st.sampled_from([512, 630, 840, 930, 1024]))
+    length = draw(st.integers(0, 3 * n))
+    if length <= 64:
+        return n, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
+    entries = draw(st.dictionaries(st.integers(0, length - 1), st.integers(-9, 9),
+                                   max_size=24))
+    coeffs = [0] * length
+    for i, c in entries.items():
+        coeffs[i] = c
+    return n, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_and_vector())
+def test_power_table_reduction_matches_long_division(case):
+    n, coeffs = case
+    assert _reduce_mod_cyclotomic(coeffs, n) == reduce_by_long_division(coeffs, n)
+
+
+def test_power_table_reduces_every_power():
+    # x^i for 0 <= i < n is row i of the table; x^(i + n) wraps around to it
+    for n in list(range(1, 421)) + [512, 630, 840, 930, 1024]:
+        for i in list(range(n)) + [n, n + 1, 2 * n + n // 2, 3 * n - 1]:
+            x_i = [0] * i + [1]
+            assert _reduce_mod_cyclotomic(x_i, n) == reduce_by_long_division(x_i, n), (n, i)
+
+
+@pytest.mark.parametrize("L", [1, 2, 12, 30, 84, 105, 930])
+def test_reduction_matrix_rows_are_powers_of_zeta(L):
+    M = _reduction_matrix(L)
+    assert M.shape == (L, euler_phi(L))
+    for j in range(L):
+        assert tuple(M[j].tolist()) == Cyclo.from_poly(L, [0] * j + [1]).coeffs
 
 
 # -- ring axioms ----------------------------------------------------------
@@ -128,6 +184,19 @@ def test_equal_values_of_different_orders_hash_alike():
 def test_hash_is_invariant_under_lifting(v, k):
     w = v.lift(k * v.order)
     assert w == v and hash(w) == hash(v)
+
+
+def test_shared_roots_are_not_changed_by_arithmetic():
+    roots = [root_of_unity(8, 3), root_of_unity(12, 5), root_of_unity(3, 1),
+             root_of_unity(1, 0)]
+    before = [(r.order, r.coeffs) for r in roots]
+    for a in roots:
+        -a, a * 3, 2 + a, 5 - a, a ** 3, a.conj(), a.lift(24 * a.order), hash(a)
+    for a, b in itertools.product(roots, repeat=2):
+        a + b, a - b, a * b, a == b, a == 1
+    assert [(r.order, r.coeffs) for r in roots] == before
+    assert root_of_unity(8, 3) == roots[0] and root_of_unity(8, 11) == roots[0]
+    assert root_of_unity(12, 5) == roots[1] and root_of_unity(12, -7) == roots[1]
 
 
 def test_sum_of_primitive_eighth_roots_vanishes():
