@@ -1,7 +1,10 @@
 """Dense linear algebra over GF(p) on numpy int64 arrays.
 
-p is assumed small enough that p**2 * n fits in int64, which holds for
-every prime this package selects (p < 10**5, matrices below 10**3).
+Entries are kept reduced below p, so a product of two entries is below p**2
+and `matmul` sums at most 2**62 // p**2 of them before reducing again; every
+step therefore stays inside int64 for p**2 <= 2**62 (p <= 2**31), which holds
+for every prime this package selects (`dixon_prime` searches below 10**7).
+`poly_roots` scans all of GF(p): it costs p * deg Horner steps.
 """
 
 from __future__ import annotations
@@ -94,28 +97,29 @@ def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
             v[0] = 1
         else:
             v = rng.integers(0, p, size=n, dtype=np.int64)
-        mp = _krylov_min_poly(M, v, p)
-        poly = _poly_lcm(poly, mp, p)
+        poly = _poly_lcm(poly, krylov(M, v, n, p)[1], p)
         if len(poly) == n + 1:
             break
     return poly
 
 
-def _krylov_min_poly(M: np.ndarray, v: np.ndarray, p: int) -> list[int]:
-    n = M.shape[0]
+def krylov(M: np.ndarray, v: np.ndarray, length: int, p: int):
+    """(K, f): the Krylov matrix K = [v, Mv, ..., M^length v] (as columns)
+    and the minimal polynomial f of v under M (ascending, monic), for
+    `length` at least the degree of f."""
     vecs = [v % p]
-    for _ in range(n):
+    for _ in range(length):
         vecs.append(matmul(M, vecs[-1], p))
     K = np.stack(vecs, axis=1)
     A, pivots = rref(K, p)
-    free = [c for c in range(K.shape[1]) if c not in pivots]
-    fc = free[0]  # the first dependent Krylov vector: minimal-degree relation
+    # the first dependent Krylov vector gives the minimal-degree relation
+    fc = next(c for c in range(K.shape[1]) if c not in pivots)
     coeffs = [0] * (fc + 1)
     coeffs[fc] = 1
     for r, pc in enumerate(pivots):
         if pc < fc:
             coeffs[pc] = int((-A[r, fc]) % p)
-    return coeffs
+    return K, coeffs
 
 
 def _poly_mul_modp(a: list[int], b: list[int], p: int) -> list[int]:
@@ -170,9 +174,25 @@ def _poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def poly_roots(poly: list[int], p: int) -> list[int]:
-    """All roots in GF(p) by direct scan (vectorized Horner)."""
-    xs = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(poly):
-        vals = (vals * xs + c) % p
-    return [int(x) for x in np.nonzero(vals == 0)[0]]
+    """All roots in GF(p) by direct scan: in-place Horner over chunks of
+    2**15 points (256 KiB per int64 array), so the scan stays in cache and
+    its memory does not grow with p."""
+    # a value below p stays below p**(j + 1) for j more Horner steps, so it
+    # is reduced once every `every` steps with p**(every + 1) <= 2**62
+    every = 1
+    while p ** (every + 2) <= 2**62:
+        every += 1
+    roots = []
+    vals = np.empty(min(p, 2**15), dtype=np.int64)
+    for start in range(0, p, len(vals)):
+        xs = np.arange(start, min(start + len(vals), p), dtype=np.int64)
+        acc = vals[: len(xs)]
+        acc[:] = 0
+        for step, c in enumerate(reversed(poly), 1):
+            acc *= xs
+            acc += c
+            if step % every == 0:
+                acc %= p
+        acc %= p
+        roots.extend((start + np.flatnonzero(acc == 0)).tolist())
+    return roots

@@ -349,19 +349,27 @@ class AbSubgroup:
         self.closure = self._close()
 
     def _close(self) -> frozenset:
+        """The subgroup, by coset extension: each generator g outside the
+        closure so far adds the cosets H + g, H + 2g, ... until k g falls
+        back into H; a generator already inside adds nothing."""
         if self.parent.order > MAX_ENUMERATION:
             raise AbelianDomainError("parent group beyond enumeration cap")
-        seen = {self.parent.zero().coords}
-        frontier = [self.parent.zero()]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = a + g
-                    if b.coords not in seen:
-                        seen.add(b.coords)
-                        nxt.append(b)
-            frontier = nxt
+        orders = self.parent.factor_orders
+        members = [self.parent.zero().coords]  # H, zero first
+        seen = set(members)
+        for g in self.generators:
+            if g.coords in seen:
+                continue
+            coset = members
+            while True:
+                coset = [
+                    tuple((a + b) % d for a, b, d in zip(c, g.coords, orders))
+                    for c in coset
+                ]
+                if coset[0] in seen:  # coset[0] = k g
+                    break
+                seen.update(coset)
+                members.extend(coset)
         return frozenset(seen)
 
     @staticmethod

@@ -1,9 +1,13 @@
 """Vanishing sets and proportions, two ways.
 
 The oracle path builds the full character table by the class-algebra
-eigenvector method: simultaneous eigenvectors of the class-sum matrices
-over GF(p) for a prime p = 1 (mod exp G), p > 2*sqrt|G|, then exact
-recovery of cyclotomic character values through multiplicity extraction.
+eigenvector method (Dixon, with Schneider's splitting): simultaneous
+eigenvectors of the class-sum matrices over GF(p), read off the Krylov
+basis of one random combination of all of them, for the smallest prime
+p = 1 (mod exp G) above max(2*sqrt|G|, 4r^2), r the number of classes (the
+4r^2 term capped by the prime search bound 10^7), then exact recovery of
+cyclotomic character values through multiplicity extraction, one transform
+per element order.
 The values are held as one integer array of power-basis coefficient
 vectors in Z[zeta_e], e = exp G, on which both orthogonality relations
 are verified exactly for every pair.  The fast path evaluates induced
@@ -34,11 +38,6 @@ from .group_engine import (
     AbelianModel,
     abelian_model,
 )
-
-# Krylov start vectors drawn before a class matrix counts as not
-# diagonalizable mod p (as many as minimal_polynomial takes by default).
-KRYLOV_STARTS = 8
-
 
 class TableConsistencyError(AssertionError):
     """A produced table failed an internal exactness check."""
@@ -102,16 +101,31 @@ def class_data(G: FiniteGroup) -> ClassData:
 # -- prime selection -----------------------------------------------------
 
 
-def dixon_prime(group_order: int, exponent: int) -> int:
-    """Smallest p = 1 (mod exponent) with p > 2*sqrt(group_order)."""
-    bound = 2 * isqrt(group_order) + 1
-    p = exponent + 1
+def dixon_prime(group_order: int, exponent: int, classes: int) -> int:
+    """Smallest prime p = 1 (mod exponent) above max(2*sqrt(group_order),
+    4*classes^2).  Above 2*sqrt|G| distinct characters differ mod p; above
+    4r^2 a random combination of the r class matrices separates all r of
+    them with probability above 7/8.  The 4r^2 term is capped by the search
+    bound 10^7: when no such prime lies below it, p is the smallest one
+    above 2*sqrt|G| alone, and the splitting rounds absorb the collisions."""
+    floor = 2 * isqrt(group_order) + 1
+    p = _first_prime(max(floor, 4 * classes * classes), exponent)
+    if p is None:
+        p = _first_prime(floor, exponent)
+    if p is None:
+        raise OracleConfigurationError("no admissible prime below 10^7")
+    return p
+
+
+def _first_prime(bound: int, exponent: int) -> int | None:
+    """Smallest prime p = 1 (mod exponent) with bound < p <= 10^7, or None."""
+    p = bound - (bound - 1) % exponent  # the largest 1 (mod exponent) <= bound
     while True:
-        if p > bound and prime_factors(p) == [p]:
-            return p
         p += exponent
         if p > 10**7:
-            raise OracleConfigurationError("no admissible prime below 10^7")
+            return None
+        if prime_factors(p) == [p]:
+            return p
 
 
 def _primitive_root(p: int) -> int:
@@ -152,62 +166,71 @@ def _power_classes(G: FiniteGroup, L: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _eigenspaces(R: np.ndarray, p: int) -> list[np.ndarray]:
-    """Kernel bases of R - lam over GF(p), by ascending eigenvalue lam, for
-    R diagonalizable mod p; raises TableConsistencyError otherwise.
-
-    The eigenvalues are the roots of the minimal polynomial, the lcm of the
-    Krylov polynomials of KRYLOV_STARTS start vectors.  One start usually
-    finds them all, so further starts are drawn only while the eigenspaces
-    found fall short of the dimension."""
-    eye = np.eye(R.shape[0], dtype=np.int64)
-    kernels = {}
-    found = 0
-    for starts in range(1, KRYLOV_STARTS + 1):
-        for lam in lin.poly_roots(lin.minimal_polynomial(R, p, starts), p):
-            if lam not in kernels:
-                kernels[lam] = lin.nullspace((R - lam * eye) % p, p)
-                found += kernels[lam].shape[1]
-        if found == len(eye):
-            return [kernels[lam] for lam in sorted(kernels)]
-    raise TableConsistencyError("class matrix not diagonalizable mod p")
-
-
 def _split_eigenspaces(
     G: FiniteGroup, data: ClassData, L: np.ndarray, p: int
 ) -> list[np.ndarray]:
-    """1-dimensional joint eigenspaces of the class-sum matrices mod p,
-    splitting with matrices in increasing class-size order."""
+    """The r joint eigenvectors of the class-sum matrices mod p, by
+    Schneider's one-combination variant of Dixon's method.
+
+    The joint eigenvectors are the central characters omega_chi, and the
+    identity class vector e_1 is their sum with the coefficients
+    chi(1)^2 / |G|, none of them 0 mod p.  So each piece below is the sum of
+    the eigenvectors of one block of characters; the first piece is e_1.
+    Each round draws one seeded random combination M of all class
+    matrices and replaces every piece w by its parts K (f / (x - lam)) in
+    the eigenspaces of M, for the Krylov basis K of w under M, the Krylov
+    polynomial f of w and each root lam of f in GF(p).  A block splits
+    unless M takes one value on all its characters, so r pieces are r
+    eigenvectors; above p = 4r^2 one round splits all r characters with
+    probability above 7/8, and r rounds bound the loop."""
     r = data.count
-    spaces = [np.eye(r, dtype=np.int64)]
-    order = sorted(range(1, r), key=lambda i: (data.sizes[i], i))
-    for i in order:
-        if all(B.shape[1] == 1 for B in spaces):
+    rng = np.random.default_rng(0x5EED)
+    pieces = [np.eye(r, dtype=np.int64)[0]]
+    for _ in range(r):
+        if len(pieces) >= r:
             break
-        M = _class_matrix(G, data, L, i) % p
-        nxt = []
-        for B in spaces:
-            d = B.shape[1]
-            if d == 1:
-                nxt.append(B)
+        # sum_i (M_i)[j, k] = |C_j|, so the sum stays below p n before "% p"
+        M = np.zeros((r, r), dtype=np.int64)
+        for i, c in enumerate(rng.integers(0, p, size=r - 1).tolist(), start=1):
+            M += c * _class_matrix(G, data, L, i)
+        M %= p
+        split = []
+        for w in pieces:
+            K, f = lin.krylov(M, w, r - len(pieces) + 1, p)
+            if len(f) == 2:  # w is an eigenvector of M
+                split.append(w)
                 continue
-            R = lin.solve(B, lin.matmul(M, B, p), p)
-            for ker in _eigenspaces(R, p):
-                nxt.append(lin.matmul(B, ker, p))
-        spaces = nxt
-    if not all(B.shape[1] == 1 for B in spaces):
+            roots = lin.poly_roots(f, p)
+            if len(roots) != len(f) - 1:
+                raise TableConsistencyError("class matrix not diagonalizable mod p")
+            split.extend(lin.matmul(K[:, : len(roots)], _quotients(f, roots, p), p).T)
+        pieces = split
+    if len(pieces) != r:
         raise TableConsistencyError("joint eigenspaces did not separate")
-    return [B[:, 0] for B in spaces]
+    return pieces
+
+
+def _quotients(f: list[int], roots: list[int], p: int) -> np.ndarray:
+    """Column j: the ascending coefficients of f / (x - roots[j]) mod p, for
+    monic f, by synthetic division."""
+    lam = np.array(roots, dtype=np.int64)
+    d = len(f) - 1
+    Q = np.empty((d, len(roots)), dtype=np.int64)
+    Q[d - 1] = 1
+    for k in range(d - 1, 0, -1):
+        Q[k - 1] = (f[k] + lam * Q[k]) % p
+    return Q
 
 
 @lru_cache(maxsize=32)
-def _zeta_power_table(e: int, p: int, z: int) -> np.ndarray:
-    """Z[l, j] = z^(-j l) mod p; multiplicities come from V @ Z."""
+def _zeta_power_table(o: int, p: int, z: int) -> np.ndarray:
+    """W[l, j] = z^(-j l) / o mod p for z of order o: a length-o vector of
+    values theta(g^l) times W holds the multiplicities of z^j in chi(g)."""
     zinv = pow(z, -1, p)
-    out = np.zeros((e, e), dtype=np.int64)
-    powers = np.array([pow(zinv, j, p) for j in range(e)], dtype=np.int64)
-    cur = np.ones(e, dtype=np.int64)
-    for l in range(e):
+    out = np.zeros((o, o), dtype=np.int64)
+    powers = np.array([pow(zinv, j, p) for j in range(o)], dtype=np.int64)
+    cur = np.full(o, pow(o, -1, p), dtype=np.int64)
+    for l in range(o):
         out[l] = cur
         cur = (cur * powers) % p
     return out
@@ -240,7 +263,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         G._dixon_table = (data, ((Cyclo.one(),),), (1,))
         return CharacterTable(G, *G._dixon_table)
     e = G.exponent
-    p = dixon_prime(n, e)
+    p = dixon_prime(n, e, r)
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
     vectors = _split_eigenspaces(G, data, L, p)
     if len(vectors) != r:
@@ -272,23 +295,33 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
 
     power_class = _power_classes(G, L, e)
+    at_identity = power_class[:, 1:] == power_class[:, :1]
+    orders = np.where(at_identity.any(axis=1), at_identity.argmax(axis=1) + 1, e)
 
+    # theta(rep_k^l) has period o = o(rep_k) in l, so the classes of one
+    # element order o share one o x o transform, and its multiplicities of
+    # zeta_o^j = zeta_e^(j e/o) lift to Z[zeta_e] through every (e/o)-th row
+    # of the reduction matrix.
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    Z = _zeta_power_table(e, p, z)
-    e_inv = pow(e, -1, p)
     reduction = _reduction_matrix(e)
+    by_order = []
+    for o in sorted(set(orders.tolist())):
+        K = np.flatnonzero(orders == o)
+        W = _zeta_power_table(o, p, pow(z, e // o, p))
+        by_order.append((K, power_class[K, :o], W, reduction[:: e // o]))
 
     # Each value is a power-basis coefficient vector in Z[zeta_e]; a table
     # has few distinct ones, so rows hold ids into value_id.
-    id_rows = []
+    ids = np.empty((r, r), dtype=np.int64)
     value_id = {}
-    for theta in theta_rows:
-        V = theta[power_class]  # (r, e): theta at rep_k^l
-        mult = lin.matmul(V, Z, p) * e_inv % p  # (r, e) multiplicities
-        if np.any(mult >= p // 2):
-            raise TableConsistencyError("multiplicity lift out of range")
-        coeffs = map(tuple, (mult @ reduction).tolist())
-        id_rows.append([value_id.setdefault(c, len(value_id)) for c in coeffs])
+    for theta, id_row in zip(theta_rows, ids):
+        for K, powers, W, lift in by_order:
+            mult = lin.matmul(theta[powers], W, p)  # (|K|, o) multiplicities
+            if np.any(mult >= p // 2):
+                raise TableConsistencyError("multiplicity lift out of range")
+            coeffs = map(tuple, (mult @ lift).tolist())
+            id_row[K] = [value_id.setdefault(c, len(value_id)) for c in coeffs]
+    id_rows = ids.tolist()
     cyclos = [Cyclo(e, c) if any(c) else Cyclo.zero() for c in value_id]
 
     keys = [(v.order, v.coeffs) for v in cyclos]
@@ -303,7 +336,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
             raise TableConsistencyError("identity column disagrees with degree")
 
     values = np.array(list(value_id), dtype=np.int64)
-    ids = np.array(id_rows)[order_key]
+    ids = ids[order_key]
     _verify_orthogonality(data, n, e, values, ids, np.stack(theta_rows)[order_key], p)
     G._dixon_table = (data, rows, degrees)
     return CharacterTable(G, data, rows, degrees)
@@ -314,10 +347,11 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     theta, and exactly in Z[zeta_e] on the power-basis coefficient vectors
     values[ids[i, k]] of chi_i(rep_k).
 
-    The exact sums are float64 products of blocks of r // phi(e) rows
-    (pairs x > y are the conjugates of pairs x < y), exact below the
-    checked bound 2^53.  Their terms zeta^a conj(zeta^b) are collected by
-    the exponent a - b mod e, then reduced to the power basis in int64."""
+    The exact sums are float64 products of blocks of r // phi(e) rows, or,
+    when phi(e) > r, of one row against all later rows (pairs x > y are the
+    conjugates of pairs x < y), exact below the checked bound 2^53.  Their
+    terms zeta^a conj(zeta^b) are collected by the exponent a - b mod e,
+    then reduced to the power basis in int64."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
     conj = theta[:, list(data.inverse_class)]
@@ -334,7 +368,8 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     a = np.arange(phi)
     exponent = np.subtract.outer(a, a).ravel() % e  # of zeta^a conj(zeta^b)
     floats = values.astype(np.float64)
-    step = max(1, r // phi)
+    step = max(1, r // phi)  # rows per left block
+    width = step if phi <= r else r  # rows per right block
     relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
         ("first", ids, sizes, np.full(r, n)),
         ("column", ids.T, np.ones(r, dtype=np.int64), n // sizes),
@@ -342,8 +377,8 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     for name, v, w, d in relations:
         for x in range(0, r, step):
             left = floats[v[x : x + step]] * w[:, None]  # (x, m, a)
-            for y in range(x, r, step):
-                sums = np.tensordot(left, floats[v[y : y + step]], (1, 1))
+            for y in range(x, r, width):
+                sums = np.tensordot(left, floats[v[y : y + width]], (1, 1))
                 bx, by = sums.shape[0], sums.shape[2]
                 sums = sums.transpose(0, 2, 1, 3).reshape(bx * by, phi * phi)
                 slots = np.arange(bx * by)[:, None] * e + exponent

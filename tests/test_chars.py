@@ -1,19 +1,23 @@
 """Character tables: the exact class-algebra oracle and the induced-character
 fast path for abelian normal subgroups."""
 
+import hashlib
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from vanishlab import _linalg_modp as lin
 from vanishlab import character_lab
 from vanishlab.abelian_core import DualCharacter, all_characters
 from vanishlab.character_lab import (
+    OracleConfigurationError,
     TableConsistencyError,
-    _eigenspaces,
     class_data,
     coset_transversal,
+    dixon_prime,
     dixon_table,
     induced_linear_value,
     proportion,
@@ -191,20 +195,13 @@ def test_fast_path_rejects_bad_inputs():
         vanish_on_abelian_normal(G, G.full_subgroup())
 
 
-def test_eigenspaces_draw_more_starts_when_the_first_falls_short():
-    # the first Krylov start e_0 sees only the eigenvalue 1; the space is
-    # filled once a further start finds 2
-    R = np.diag([1, 2, 2]).astype(np.int64)
-    kernels = _eigenspaces(R, 7)
-    assert [k.shape[1] for k in kernels] == [1, 2]
-    assert np.array_equal(kernels[0][:, 0], [1, 0, 0])
-    for lam, ker in zip((1, 2), kernels):
-        assert np.array_equal(R @ ker % 7, lam * ker % 7)
-
-
-def test_eigenspaces_reject_a_jordan_block():
-    with pytest.raises(TableConsistencyError):
-        _eigenspaces(np.array([[1, 1], [0, 1]], dtype=np.int64), 7)
+def test_splitting_rejects_a_jordan_block(monkeypatch):
+    # every class combination is then a multiple of one Jordan block: its
+    # Krylov polynomial (x - c)^2 has one root, not two
+    jordan = np.array([[1, 0], [1, 1]], dtype=np.int64)
+    monkeypatch.setattr(character_lab, "_class_matrix", lambda *args: jordan)
+    with pytest.raises(TableConsistencyError, match="not diagonalizable"):
+        dixon_table(cyclic_group(2))
 
 
 def d8_s3_s3():
@@ -254,9 +251,123 @@ def test_exact_orthogonality_catches_one_corrupted_value(monkeypatch):
     assert tried > r
 
 
+def test_exact_orthogonality_with_phi_above_r_catches_every_corrupted_value(
+    monkeypatch,
+):
+    # C7:C3 has 5 classes and phi(21) = 12 > 5, so each product takes one
+    # row against all later rows; corrupt each entry in turn
+    G = from_permutations(7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"], name="C7:C3")
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, G)
+    r, phi = ids.shape[0], values.shape[1]
+    assert (n, r, phi) == (21, 5, 12)
+    bump = np.eye(phi, dtype=np.int64)
+    for i, k in itertools.product(range(r), repeat=2):
+        value = values[ids[i, k]]
+        for bad in (value + bump[(i + k) % phi], -value):
+            if np.array_equal(bad, value):
+                continue
+            bad_ids = ids.copy()
+            bad_ids[i, k] = len(values)
+            with pytest.raises(TableConsistencyError, match="fails exactly"):
+                character_lab._verify_orthogonality(
+                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                )
+
+
 def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):
     data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
     with pytest.raises(TableConsistencyError, match="2\\^53"):
         character_lab._verify_orthogonality(
             data, n, e, values * 2**26, ids, theta, p
         )
+
+
+# -- the Dixon prime and the splitting rounds ------------------------------
+
+
+def old_dixon_prime(group_order, exponent):
+    """The rule before the 4r^2 term: smallest p = 1 (mod exponent) above
+    2*sqrt(group_order), searched below 10^7."""
+    p = exponent + 1
+    while p <= 10**7:
+        if p > 2 * isqrt(group_order) + 1 and all(p % q for q in range(2, isqrt(p) + 1)):
+            return p
+        p += exponent
+    return None
+
+
+def test_dixon_prime_follows_the_class_count():
+    assert dixon_prime(6480, 30, 264) == 278881  # M5
+    p = dixon_prime(288, 12, 45)  # D8xS3xS3, 37 under the old rule
+    assert p % 12 == 1 and 4 * 45**2 < p < 4 * 45**2 + 12 * 40
+    assert old_dixon_prime(288, 12) == 37
+    assert old_dixon_prime(10**7, 10**7) is None
+    with pytest.raises(OracleConfigurationError):
+        dixon_prime(10**7, 10**7, 2)
+
+
+@pytest.mark.parametrize("classes", [2, 1581, 8192])
+def test_dixon_prime_raises_only_where_the_old_rule_did(classes):
+    # 4 * 1581^2 lies just below the search bound 10^7 and 4 * 8192^2 far
+    # above it, so the capped term is exercised at every exponent
+    for exponent in range(1, 8193):
+        order = 8192 if classes < 8192 else exponent * (8192 // exponent)
+        old = old_dixon_prime(order, exponent)
+        if old is None:
+            with pytest.raises(OracleConfigurationError):
+                dixon_prime(order, exponent, classes)
+            continue
+        p = dixon_prime(order, exponent, classes)
+        assert (p - 1) % exponent == 0 and p > 2 * isqrt(order) + 1
+        assert p > 4 * classes**2 or p == old
+
+
+def test_m5_table_splits_in_one_round_without_a_nullspace(monkeypatch):
+    # one combination of the 263 nontrivial class matrices separates all 264
+    # characters at p = 278881, and every eigenvector is read off its Krylov
+    # basis
+    calls, built = [], []
+    nullspace, class_matrix = lin.nullspace, character_lab._class_matrix
+    monkeypatch.setattr(lin, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
+    monkeypatch.setattr(
+        character_lab, "_class_matrix", lambda *a: built.append(a) or class_matrix(*a)
+    )
+    table = dixon_table(build_case_family("M5").group)
+    assert table.classes.count == 264
+    assert calls == [] and len(built) == 263
+
+
+def test_poly_roots_scan_crosses_chunk_boundaries():
+    for p in (7, 65537, 278881):
+        roots = sorted({0, 1, 2**15 - 1, 2**15, 2**16 + 3, p - 1} & set(range(p)))
+        poly = [1]
+        for lam in roots:  # poly *= (x - lam)
+            poly = [
+                (a - lam * b) % p for a, b in zip([0] + poly, poly + [0])
+            ]
+        assert lin.poly_roots(poly, p) == roots
+
+
+def agl_1_31():
+    """AGL(1,31) on the points 1..31 (residue i is point i+1): x -> x+1 and
+    x -> 3x, 3 a primitive root mod 31.  Order 930, 31 classes, exponent 930."""
+    shift = "(" + " ".join(str(i) for i in range(1, 32)) + ")"
+    orbit = [pow(3, k, 31) + 1 for k in range(30)]
+    scale = "(" + " ".join(str(i) for i in orbit) + ")"
+    return from_permutations(31, [shift, scale], name="AGL(1,31)")
+
+
+def test_agl_1_31_table_is_golden():
+    # sha256 of the `--emit-table` rows: the values must not drift.  With 31
+    # classes, exponent 930 and phi(930) = 240 > 31, value recovery runs one
+    # transform per element order and verification one row against the rest
+    G = agl_1_31()
+    table = dixon_table(G)
+    assert (G.order, table.classes.count, G.exponent) == (930, 31, 930)
+    text = "".join(
+        f"chi={i} " + " | ".join(v.render() for v in row) + "\n"
+        for i, row in enumerate(table.rows)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9c5b9c7e4138d660779faec4972741eb48a2229346ba0ca352872343199c358c"
+    )

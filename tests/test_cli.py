@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanishlab import character_lab
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family, catalog_entries
 from vanishlab.group_engine import GroupSizeError, alternating_7
@@ -193,6 +194,26 @@ def test_ptable_emit_table_is_golden(tmp_path, capsys, text, digest):
     code, out = run(capsys, "ptable", str(path), "--emit-table")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_forced_collisions_still_give_the_golden_table(tmp_path, capsys, monkeypatch):
+    # at its old prime 37 the 45 characters of D8xS3xS3 cannot take 45
+    # distinct eigenvalues under any one combination, so the blocks that
+    # collide are split by further rounds, each a fresh combination of the
+    # 44 nontrivial class matrices
+    text, digest = GOLDEN_TABLES[2]
+    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
+    built = []
+    class_matrix = character_lab._class_matrix
+    monkeypatch.setattr(
+        character_lab, "_class_matrix", lambda *a: built.append(a) or class_matrix(*a)
+    )
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    code, out = run(capsys, "ptable", str(path), "--emit-table")
+    assert code == EXIT_OK and "classes=45" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(built) >= 2 * 44
 
 
 # sha256 prefixes of the `classify --cross-check` and `oracle --elements`
