@@ -76,9 +76,6 @@ class AbelianGroup:
     def primes(self) -> list[int]:
         return prime_factors(self.order) if self.factor_orders else []
 
-    def is_p_group(self) -> bool:
-        return len(self.primes()) <= 1
-
     def literal(self) -> str:
         if not self.factor_orders:
             return "C1"
@@ -94,9 +91,12 @@ def parse_abelian_literal(text: str) -> AbelianGroup:
     orders = []
     for part in parts:
         part = part.strip()
-        if not part.startswith("c") or not part[1:].isdigit():
+        if not part.startswith("c") or not part[1:].isdecimal():
             raise AbelianDomainError(f"bad abelian literal component {part!r}")
-        d = int(part[1:])
+        try:
+            d = int(part[1:])
+        except ValueError:  # more digits than int() converts
+            raise AbelianDomainError(f"abelian factor {part!r} is too large") from None
         if d == 1:
             continue
         orders.append(d)

@@ -69,6 +69,9 @@ def _load_group(path: str, cap: int):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         return None, EXIT_PARSE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None, EXIT_PARSE
     except GroupFileError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_PARSE

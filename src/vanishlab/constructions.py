@@ -564,12 +564,10 @@ def _random_perm_entry(rng: random.Random, index: int, max_order: int) -> Corpus
         if any(c == "()" for c in cyc):
             continue
         try:
-            G = from_permutations(degree, cyc, name=f"perm{index}")
-        except GroupDomainError:
+            G = from_permutations(degree, cyc, name=f"perm{index}", max_order=max_order)
+        except GroupDomainError:  # over the cap: draw again
             continue
-        if G.order <= max_order:
-            prov = f"perm degree={degree} gens={';'.join(cyc)}"
-            return CorpusEntry(G, prov)
+        return CorpusEntry(G, f"perm degree={degree} gens={';'.join(cyc)}")
 
 
 def random_corpus(seed: int, count: int, max_order: int = 2000) -> list[CorpusEntry]:

@@ -409,15 +409,21 @@ class LemmaViolationError(AssertionError):
 
 
 def _two_power_exponent(v: Cyclo, big: int) -> int:
-    """Exponent k with v = zeta_big^k, for big a power of two."""
+    """Exponent k with v = zeta_big^k, for big a power of two.
+
+    v is read at its own order m, a power of two dividing big: as
+    Phi_m = x^(m/2) + 1, the value +-zeta_m^i (i < m/2) is the single
+    coefficient +-1 at i, and zeta_m^i = zeta_big^(i big/m)."""
     if big & (big - 1) or big < 1:
         raise ValueError("ambient order must be a power of two")
-    w = v.lift(big) if big > 1 else v
-    nz = [(i, c) for i, c in enumerate(w.coeffs) if c]
+    if big % v.order:
+        raise ValueError(f"cannot lift order {v.order} to {big}")
+    nz = [(i, c) for i, c in enumerate(v.coeffs) if c]
     if len(nz) != 1 or nz[0][1] not in (1, -1):
         raise ValueError(f"{v!r} is not in U_{big}")
     i, c = nz[0]
-    return i if c == 1 else (i + big // 2) % big
+    k = i * (big // v.order)
+    return k if c == 1 else (k + big // 2) % big
 
 
 def six_sum_classifier(n: int, eps, eta) -> SixSumResult:

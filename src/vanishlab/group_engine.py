@@ -2,11 +2,13 @@
 
 Groups live at desk scale (order <= 8192).  A group is an element list
 plus multiplication/inverse callables on its (hashable, opaque)
-elements; permutation-presented and semidirect-product groups compose
-elements on the fly.  Construction compiles the group into integer index
-arrays (`FiniteGroup.compiled`) with |G| * |generators| calls to `mul`,
-verifies on them that the law is a group law, completely and at every
-order, and never evaluates `mul` or `inv` again: every structural query
+elements.  Construction compiles the group into integer index arrays
+(`FiniteGroup.compiled`) around the right-multiplication rows of its
+generators, verifies on them that the law is a group law, completely and
+at every order, and never evaluates `mul` or `inv` again.  Permutation
+groups hand in the rows their breadth-first enumeration found
+(`from_permutations`); every other group gets them from |G| *
+|generators| calls to `mul`.  Every structural query
 (conjugacy classes, element orders, center, centralizers, normalizers,
 derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
 is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
@@ -54,13 +56,16 @@ class FiniteGroup:
 
     `mul` and `inv` are callables on the (hashable, opaque) elements;
     `generators` must generate the group (all elements when omitted).
-    Construction builds `compiled` (see CompiledGroup) with |G| calls to
-    `mul` per generator and verifies the group axioms on it, completely
-    and at every order.  `mul` and `inv` are evaluated only to compile;
-    every query below runs on `compiled`.
+    `right`, when given, holds one row per generator: `right[t][i]` is the
+    index of `elements[i] * generators[t]`.  Construction builds
+    `compiled` (see CompiledGroup) from those rows, or from |G| calls to
+    `mul` per generator when there are none, and verifies the group axioms
+    on it, completely and at every order.  `mul` and `inv` are evaluated
+    only to compile; every query below runs on `compiled`.
     """
 
-    def __init__(self, elements, mul, inv, identity, generators=None, name=""):
+    def __init__(self, elements, mul, inv, identity, generators=None, name="",
+                 right=None):
         self.elements = list(elements)
         if len(self.elements) > MAX_GROUP_ORDER:
             raise GroupSizeError(
@@ -76,7 +81,7 @@ class FiniteGroup:
         self.identity = identity
         self.generators = list(generators) if generators is not None else list(self.elements)
         self.compiled = CompiledGroup(
-            self.elements, self.index, identity, self.generators, mul, inv, name
+            self.elements, self.index, identity, self.generators, mul, inv, name, right
         )
 
     @property
@@ -295,7 +300,8 @@ class CompiledGroup:
     `elements[i]`.
 
     - `R[s]`: the right-regular permutation of generator s,
-      `R[s][i]` = index of `elements[i] * elements[gens[s]]`, from `mul`.
+      `R[s][i]` = index of `elements[i] * elements[gens[s]]`, from the
+      rows handed in (`right`) or else from `mul`.
     - `parent`, `gen`: a breadth-first tree of the Cayley graph rooted at
       the identity, `elements[i] = elements[parent[i]] * elements[gens[gen[i]]]`;
       `levels` lists the non-root nodes level by level.
@@ -310,29 +316,36 @@ class CompiledGroup:
     s; (4) the left translations by the generators commute with every
     R[s]; (5) they act transitively.  By (4) and (5) the group generated by
     the R[s] acts semiregularly, by (2) transitively, so it is regular of
-    order |G|: the law computed here is a group law, and it agrees with
-    `mul` on every (element, generator) pair.
+    order |G|: the law computed here is a group law, and when R comes from
+    `mul` it agrees with `mul` on every (element, generator) pair.
 
     Other maps are filled along the tree: if y = x s, the image of y is
     maps[s] applied to the image of x, one gather per level.  Left
     translations fill with R, conjugations with C[s]: x -> s^-1 x s.
     """
 
-    def __init__(self, elements, index, identity, generators, mul, inv, name=""):
+    def __init__(self, elements, index, identity, generators, mul, inv, name="",
+                 right=None):
         n = len(elements)
         self.elements, self.index, self.name, self.order = elements, index, name, n
         self.dtype = np.int16 if n < 2**15 else np.int32
         self.identity = e = index[identity]
         if any(g not in index for g in generators):
             raise GroupDomainError("generator not among the elements")
+        if right is not None and np.shape(right) != (len(generators), n):
+            raise GroupDomainError("one row of n indices is needed per generator")
         prune = len(generators) > n.bit_length()
         self.gens, rows = [], []
         spanned = np.arange(n) == e
-        for j in (index[g] for g in generators):
+        for t, j in enumerate(index[g] for g in generators):
             if prune and spanned[j]:
                 continue
-            Rs = np.array([index.get(mul(x, elements[j]), -1) for x in elements], dtype=np.intp)
-            if Rs.min() < 0:
+            if right is None:
+                Rs = np.array([index.get(mul(x, elements[j]), -1) for x in elements],
+                              dtype=np.intp)
+            else:
+                Rs = np.asarray(right[t], dtype=np.intp)
+            if Rs.min() < 0 or Rs.max() >= n:
                 raise GroupDomainError("multiplication left the element set")
             if np.bincount(Rs, minlength=n).max() > 1:
                 raise GroupDomainError("multiplication is not a Latin square")
@@ -834,8 +847,19 @@ def cycles_of(p: tuple) -> str:
     return "".join(parts) or "()"
 
 
-def from_permutations(degree: int, generators, name="") -> FiniteGroup:
-    """Group generated by permutations (tuples or cycle-notation strings)."""
+def from_permutations(degree: int, generators, name="",
+                      max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+    """Group generated by permutations (tuples or cycle-notation strings);
+    GroupSizeError as soon as it has more than `max_order` elements.
+
+    The elements are enumerated breadth-first, one level at a time, on
+    integer arrays: the images of a level under every generator come from
+    one gather, g[a] = perm_mul(a, g), and new images are numbered in
+    (parent, generator) order.  The number of every image is kept, so the
+    same pass yields the rows R[s] that FiniteGroup compiles and verifies,
+    and `perm_mul` is never called."""
+    if degree < 1:
+        raise GroupDomainError("degree must be positive")
     gens = [
         parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
         for g in generators
@@ -844,19 +868,27 @@ def from_permutations(degree: int, generators, name="") -> FiniteGroup:
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise GroupDomainError(f"{g!r} is not a permutation of degree {degree}")
-    seen = {ident}
-    order_list = [ident]
-    for a in order_list:  # grows as it goes: breadth-first order
-        for g in gens:
-            b = perm_mul(a, g)
-            if b not in seen:
-                if len(seen) >= MAX_GROUP_ORDER:
-                    raise GroupSizeError("generated group exceeds the size cap")
-                seen.add(b)
-                order_list.append(b)
+    P = np.array(gens, dtype=np.min_scalar_type(degree - 1)).reshape(len(gens), degree)
+    key = np.dtype((np.void, degree * P.itemsize))
+    frontier = np.array([ident], dtype=P.dtype)
+    number = {frontier.view(key).item(): 0}  # row bytes -> element index
+    levels, rows = [], []
+    while len(frontier):
+        levels.append(frontier)
+        images = np.ascontiguousarray(P[:, frontier].swapaxes(0, 1)).reshape(-1, degree)
+        before = len(number)
+        found = np.array([number.setdefault(k, len(number))
+                          for k in images.view(key).ravel().tolist()], dtype=np.intp)
+        rows.append(found.reshape(len(frontier), len(gens)))
+        if len(number) > max_order:
+            raise GroupSizeError("generated group exceeds the size cap")
+        fresh = np.flatnonzero(found >= before)
+        # the first image numbered with each new number, in number order
+        frontier = images[fresh[np.unique(found[fresh], return_index=True)[1]]]
+    elements = list(map(tuple, np.concatenate(levels).tolist()))
     return FiniteGroup(
-        order_list, perm_mul, perm_inv, ident,
-        generators=gens, name=name,
+        elements, perm_mul, perm_inv, ident,
+        generators=gens, name=name, right=np.concatenate(rows).T,
     )
 
 
@@ -932,7 +964,12 @@ class SemidirectSpec:
 
 def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict) -> dict:
     """Extend automorphisms given on H-generators (as integer matrices or
-    AbHoms) to all of H by following the generation BFS."""
+    AbHoms) to all of H by following the generation BFS.
+
+    GroupSizeError when A x| H would exceed the size cap, before the
+    automorphism check enumerates A."""
+    if A.order * H.order > MAX_GROUP_ORDER:
+        raise GroupSizeError("semidirect product exceeds the size cap")
     gen_maps = {}
     for h, m in images.items():
         gen_maps[h] = m if isinstance(m, AbHom) else AbHom.from_matrix(A, m)

@@ -1,7 +1,11 @@
 """CLI contract: exit codes, report format, determinism, and the group-file
 round trip."""
 
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 from vanishlab import character_lab
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family, catalog_entries
-from vanishlab.group_engine import GroupSizeError, alternating_7
+from vanishlab.group_engine import GroupSizeError, alternating_7, from_permutations
 from vanishlab.groupfile import (
     BUILTIN_COMPLEMENTS,
     GroupFileError,
@@ -140,6 +144,94 @@ def test_oracle_exit_code_at_the_input_boundary(tmp_path, capsys, text, expected
     assert code == expected
     if expected == EXIT_OK:
         assert "order=12" in out and "P=1/2" in out
+
+
+# -- fuzzing the oracle's input path -----------------------------------------
+
+EMITTED = [
+    emit_group(build_case_family("A", m="2", variant="c3").group),
+    emit_group(build_case_family("B2", variant="s4").group),
+    emit_group(build_case_family("PGROUP", shape="q8").group),
+    emit_group(from_permutations(4, ["(1 2 3)", "(1 2)(3 4)"])),
+]
+JUNK = ["0", "1", "-1", "65", "1_0", "\u0663", "\u00b2", "\uff11", "1e3", "nan",
+        "99999999999999999999", "9" * 5000, "C0", "C1", "C-2", "Cx", "C2x", "xC2",
+        "C\u00b2", "C99999999999", "C128xC128", "(", ")", "()", "(1", "1)",
+        "((1 2))", "(1,2)", "(0 1)", "(1 1)", "(1 2)(2 3)", "/", "//", "#", "x",
+        "perm", "semidirect", "degree", "gen", "abelian", "complement", "matrix",
+        "V4", "S3", "C7", "\t", "\x00", "\ufeff", "\u2028", "\r"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """An emitted group file with a few token-level edits."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(EMITTED)).splitlines()]
+    pool = sorted({tok for line in lines for tok in line}) + JUNK
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        j = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "drop line",
+                                     "copy line", "swap lines"]))
+        if edit == "replace" and j < len(line):
+            line[j] = draw(st.sampled_from(pool))
+        elif edit == "insert":
+            line.insert(j, draw(st.sampled_from(pool)))
+        elif edit == "delete" and j < len(line):
+            del line[j]
+        elif edit == "drop line" and len(lines) > 1:
+            del lines[i]
+        elif edit == "copy line":
+            lines.insert(i, list(line))
+        elif edit == "swap lines":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def oracle_exit_code(data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.grp"
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(["oracle", str(path)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mutated_texts(), st.text(max_size=200)))
+def test_oracle_never_raises_on_any_text(text):
+    # exit 1 means "mismatch", which the oracle never reports: a malformed
+    # file is a parse error (2), an oversized group is a cap error (3)
+    assert oracle_exit_code(text.encode("utf-8")) in (EXIT_OK, EXIT_PARSE, EXIT_CAP)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.binary(max_size=64))
+def test_oracle_reports_undecodable_files_as_parse_errors(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert oracle_exit_code(data) == EXIT_PARSE
+    else:
+        assert oracle_exit_code(data) in (EXIT_OK, EXIT_PARSE, EXIT_CAP)
+
+
+@pytest.mark.parametrize("text", [
+    "semidirect\nabelian C\u00b2\ncomplement C2\nmatrix 1\n",
+    "semidirect\nabelian C" + "9" * 5000 + "\ncomplement C2\nmatrix 1\n",
+])
+def test_abelian_literal_digits_int_cannot_read_are_parse_errors(text):
+    assert oracle_exit_code(text.encode()) == EXIT_PARSE
+
+
+def test_huge_abelian_factor_is_capped_before_its_action_is_checked(capsys):
+    # checking that the action is an automorphism enumerates A: 10^11 and
+    # 2^42 elements here
+    text = "semidirect\nabelian C99999999999\ncomplement C2\nmatrix 1\n"
+    assert oracle_exit_code(text.encode()) == EXIT_CAP
+    code, _ = run(capsys, "construct", "B4_2", "n=20")
+    assert code == EXIT_CAP
 
 
 # -- subcommands -------------------------------------------------------------

@@ -13,6 +13,7 @@ from vanishlab.cyclotomic import (
     LemmaViolationError,
     SixSumVerdict,
     _reduce_mod_cyclotomic,
+    _two_power_exponent,
     cyclotomic_polynomial,
     enumerate_six_sums,
     euler_phi,
@@ -326,3 +327,30 @@ def test_six_sum_rejects_values_outside_ambient_group():
             [root_of_unity(3, 1)] * 3,
             [Cyclo.one()] * 3,
         )
+
+
+@pytest.mark.parametrize("big", [2, 4, 8, 16, 64])
+def test_two_power_exponent_reads_every_root_at_its_own_order(big):
+    for m in (d for d in (1, 2, 4, 8, 16, 32, 64) if big % d == 0):
+        for i in range(m):
+            # zeta_m^i stored at order m (not reduced to its own order)
+            v = Cyclo.from_poly(m, [0] * i + [1])
+            assert root_of_unity(big, _two_power_exponent(v, big)) == v
+            assert _two_power_exponent(v, big) == i * (big // m)
+            w = Cyclo.from_poly(m, [0] * i + [-1])
+            assert root_of_unity(big, _two_power_exponent(w, big)) == w
+
+
+@pytest.mark.parametrize("v,big", [
+    (root_of_unity(8, 1), 4),          # order does not divide big
+    (root_of_unity(3, 1), 8),
+    (Cyclo.zero(), 8),
+    (Cyclo.from_int(2), 8),
+    (Cyclo.from_poly(8, [1, 1]), 8),   # not a signed unit vector
+    (Cyclo.from_poly(8, [0, 2]), 8),
+    (Cyclo.one(), 6),                  # ambient order not a power of two
+    (Cyclo.one(), 0),
+])
+def test_two_power_exponent_rejects_values_outside_u_big(v, big):
+    with pytest.raises(ValueError):
+        _two_power_exponent(v, big)
