@@ -2,16 +2,19 @@
 structure under a finite group of automorphisms.
 
 Elements are exponent vectors against a declared factor list, written
-additively; the trivial subgroup is the zero element.  Subgroups carry a
-fully enumerated closure (desk scale |A| <= 2^16).
+additively; the trivial subgroup is the zero element.  A group is
+enumerated once, as a table of coordinate rows (desk scale |A| <= 2^16):
+subgroups are boolean masks over it, and maps and characters act on the
+whole table at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, lcm, prod
+
+import numpy as np
 
 from .cyclotomic import Cyclo, p_valuation, prime_factors, root_of_unity
 
@@ -43,14 +46,11 @@ class AbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.factor_orders:
-            out *= d
-        return out
+        return prod(self.factor_orders)
 
     @property
     def exponent(self) -> int:
-        return reduce(lcm, self.factor_orders, 1)
+        return lcm(*self.factor_orders)
 
     def zero(self) -> "AbElement":
         return AbElement(self, (0,) * len(self.factor_orders))
@@ -70,8 +70,32 @@ class AbelianGroup:
         return [self.generator(i) for i in range(len(self.factor_orders))]
 
     def elements(self):
-        for coords in itertools.product(*(range(d) for d in self.factor_orders)):
-            yield AbElement(self, coords)
+        for row in self.table.tolist():
+            yield AbElement(self, tuple(row))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """One coordinate row per element, in mixed radix with the first
+        coordinate most significant; the only enumeration of the group."""
+        if self.order > MAX_ENUMERATION:
+            raise AbelianDomainError("group beyond enumeration cap")
+        return np.indices(self.factor_orders).reshape(self.rank, self.order).T
+
+    @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray]:
+        d = np.array(self.factor_orders, dtype=np.int64)
+        return d, self.order // np.cumprod(d)
+
+    def index_of(self, rows) -> np.ndarray:
+        """Table index of each coordinate row (last axis), read mod the
+        factor orders."""
+        d, places = self._radix
+        return np.asarray(rows, dtype=np.int64) % d @ places
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        d, _ = self._radix
+        return np.lcm.reduce(d // np.gcd(self.table, d), axis=1, initial=1)
 
     def primes(self) -> list[int]:
         return prime_factors(self.order) if self.factor_orders else []
@@ -126,11 +150,7 @@ class AbElement:
         return not any(self.coords)
 
     def order(self) -> int:
-        return reduce(
-            lcm,
-            (d // gcd(d, c) for c, d in zip(self.coords, self.group.factor_orders)),
-            1,
-        )
+        return lcm(*(d // gcd(d, c) for c, d in zip(self.coords, self.group.factor_orders)))
 
     def _check(self, other: "AbElement"):
         if other.group != self.group:
@@ -158,6 +178,7 @@ def abelian_type(orders: list[int]) -> tuple[int, ...]:
 
     |Omega_i| = #elements of order dividing p^i; the p-logs of the
     successive quotients form the conjugate of the type partition."""
+    orders = np.asarray(orders)
     n = len(orders)
     parts = []
     for p in prime_factors(n):
@@ -165,7 +186,7 @@ def abelian_type(orders: list[int]) -> tuple[int, ...]:
         prev = 1
         q = p
         while prev < p ** p_valuation(n, p):
-            cur = sum(1 for o in orders if q % o == 0)
+            cur = int(np.count_nonzero(q % orders == 0))
             logs.append(p_valuation(cur // prev, p))
             prev = cur
             q *= p
@@ -213,33 +234,29 @@ class AbHom:
                 out = out + c * img
         return out
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Target coordinates of the source generators' images, a row each."""
+        rows = [img.coords for img in self.images]
+        return np.array(rows, dtype=np.int64).reshape(self.source.rank, self.target.rank)
+
+    @cached_property
+    def on_table(self) -> np.ndarray:
+        """Target table index of the image of each source table element."""
+        return self.target.index_of(self.source.table @ self.matrix)
+
     def compose(self, inner: "AbHom") -> "AbHom":
         """self o inner (apply inner first)."""
         if inner.target != self.source:
             raise AbelianDomainError("composition mismatch")
         return AbHom(inner.source, self.target, tuple(self(img) for img in inner.images))
 
-    def __add__(self, other: "AbHom") -> "AbHom":
-        return AbHom(
-            self.source,
-            self.target,
-            tuple(a + b for a, b in zip(self.images, other.images)),
-        )
-
     def is_identity(self) -> bool:
         return self == AbHom.identity(self.source)
 
     def is_automorphism(self) -> bool:
-        return self._bijective_endomorphism
-
-    @cached_property
-    def _bijective_endomorphism(self) -> bool:
-        # one pass over the source, kept on the instance: the map is frozen,
-        # and == and hash read only the fields
-        if self.source != self.target:
-            return False
-        seen = {self(a).coords for a in self.source.elements()}
-        return len(seen) == self.source.order
+        # an endomorphism of a finite group is onto when its kernel is trivial
+        return self.source == self.target and np.count_nonzero(self.on_table == 0) == 1
 
     def multiplicative_order(self) -> int:
         if not self.is_automorphism():
@@ -255,11 +272,7 @@ class AbHom:
         return k
 
     def inverse(self) -> "AbHom":
-        k = self.multiplicative_order()
-        out = AbHom.identity(self.source)
-        for _ in range(k - 1):
-            out = self.compose(out)
-        return out
+        return self ** (self.multiplicative_order() - 1)
 
     def __pow__(self, k: int) -> "AbHom":
         if k < 0:
@@ -290,11 +303,7 @@ class DualCharacter:
         """(L, k) with lambda(a) = zeta_L^k, L = exponent of the group."""
         if a.group != self.group:
             raise AbelianDomainError("argument outside the group")
-        L = self.group.exponent
-        k = 0
-        for ci, ai, d in zip(self.coords, a.coords, self.group.factor_orders):
-            k += (L // d) * ci * ai
-        return L, k % L if L else (1, 0)
+        return self.group.exponent, int(pairing(self.group, [self.coords], [a.coords])[0, 0])
 
     def __call__(self, a: AbElement) -> Cyclo:
         L, k = self.value_exponent(a)
@@ -302,43 +311,39 @@ class DualCharacter:
 
     def acted_by(self, x: AbHom) -> "DualCharacter":
         """The dual action: (alpha^x)(a) = alpha(a^(x^-1))."""
-        xinv = x.inverse()
         A = self.group
-        L = max(A.exponent, 1)
-        new = []
-        for j, d in enumerate(A.factor_orders):
-            _, t = self.value_exponent(xinv(A.generator(j)))
-            step = L // d
-            if t % step:
-                raise AssertionError("dual action produced a non-character")
-            new.append((t // step) % d)
-        return DualCharacter(A, tuple(new))
+        d = np.array(A.factor_orders, dtype=np.int64)
+        step = A.exponent // d
+        t = pairing(A, [self.coords], x.inverse().matrix)[0]  # alpha(a_j^(x^-1))
+        if np.any(t % step):
+            raise AssertionError("dual action produced a non-character")
+        return DualCharacter(A, tuple((t // step % d).tolist()))
 
     def kernel(self) -> "AbSubgroup":
         A = self.group
-        members = [a for a in A.elements() if self.value_exponent(a)[1] == 0]
-        return AbSubgroup.from_elements(A, members)
+        return AbSubgroup._generated(A, pairing(A, A.table, [self.coords])[:, 0] == 0)
 
     def multiplicative_order(self) -> int:
-        return reduce(
-            lcm,
-            (d // gcd(d, c) for c, d in zip(self.coords, self.group.factor_orders)),
-            1,
-        )
+        return AbElement(self.group, self.coords).order()
 
 
-def dual_group(A: AbelianGroup) -> AbelianGroup:
-    """The dual is (noncanonically) isomorphic to A with the same factors."""
-    return A
+def pairing(A: AbelianGroup, left, right) -> np.ndarray:
+    """k with alpha(a) = zeta_L^k, L = exp A, for each left row against each
+    right row.  Characters and elements are both coordinate rows, and the
+    pairing is symmetric in them."""
+    dtype = np.int64 if A.order <= MAX_ENUMERATION else object  # exact ints
+    d = np.array(A.factor_orders, dtype=dtype)
+    L = A.exponent
+    return np.asarray(left, dtype=dtype) * (L // d) @ np.asarray(right, dtype=dtype).T % L
 
 
 def all_characters(A: AbelianGroup):
-    for coords in itertools.product(*(range(d) for d in A.factor_orders)):
-        yield DualCharacter(A, coords)
+    for row in A.table.tolist():
+        yield DualCharacter(A, tuple(row))
 
 
 class AbSubgroup:
-    """Subgroup of an AbelianGroup with a fully enumerated closure."""
+    """Subgroup of an AbelianGroup: a boolean mask over its element table."""
 
     def __init__(self, parent: AbelianGroup, generators: tuple[AbElement, ...]):
         for g in generators:
@@ -346,31 +351,17 @@ class AbSubgroup:
                 raise AbelianDomainError("generator not in the parent group")
         self.parent = parent
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self.closure = self._close()
+        coords = [g.coords for g in self.generators]
+        rows = np.array(coords, dtype=np.int64).reshape(len(coords), parent.rank)
+        self.mask, _ = _close(parent, parent.index_of(rows))
 
-    def _close(self) -> frozenset:
-        """The subgroup, by coset extension: each generator g outside the
-        closure so far adds the cosets H + g, H + 2g, ... until k g falls
-        back into H; a generator already inside adds nothing."""
-        if self.parent.order > MAX_ENUMERATION:
-            raise AbelianDomainError("parent group beyond enumeration cap")
-        orders = self.parent.factor_orders
-        members = [self.parent.zero().coords]  # H, zero first
-        seen = set(members)
-        for g in self.generators:
-            if g.coords in seen:
-                continue
-            coset = members
-            while True:
-                coset = [
-                    tuple((a + b) % d for a, b, d in zip(c, g.coords, orders))
-                    for c in coset
-                ]
-                if coset[0] in seen:  # coset[0] = k g
-                    break
-                seen.update(coset)
-                members.extend(coset)
-        return frozenset(seen)
+    @staticmethod
+    def _generated(parent: AbelianGroup, members: np.ndarray) -> "AbSubgroup":
+        """The subgroup generated by the table elements `members` marks,
+        on those of them the coset extension uses."""
+        _, used = _close(parent, np.flatnonzero(members))
+        rows = parent.table[used].tolist()
+        return AbSubgroup(parent, tuple(AbElement(parent, tuple(r)) for r in rows))
 
     @staticmethod
     def from_elements(parent: AbelianGroup, elements) -> "AbSubgroup":
@@ -386,44 +377,43 @@ class AbSubgroup:
 
     @property
     def order(self) -> int:
-        return len(self.closure)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, a: AbElement) -> bool:
-        return a.group == self.parent and a.coords in self.closure
+        return a.group == self.parent and bool(self.mask[self.parent.index_of(a.coords)])
 
     def elements(self):
-        for coords in sorted(self.closure):
-            yield AbElement(self.parent, coords)
+        for row in self.parent.table[self.mask].tolist():
+            yield AbElement(self.parent, tuple(row))
 
     def __eq__(self, other):
         return (
             isinstance(other, AbSubgroup)
             and self.parent == other.parent
-            and self.closure == other.closure
+            and np.array_equal(self.mask, other.mask)
         )
 
     def __hash__(self):
-        return hash((self.parent, self.closure))
+        return hash((self.parent, self.mask.tobytes()))
 
     def __le__(self, other: "AbSubgroup") -> bool:
-        return self.parent == other.parent and self.closure <= other.closure
+        return self.parent == other.parent and not np.any(self.mask & ~other.mask)
 
     def exponent(self) -> int:
-        return reduce(lcm, (a.order() for a in self.elements()), 1)
+        # a finite abelian group has an element whose order is the exponent
+        return int(self.parent.element_orders[self.mask].max())
 
-    def squares(self) -> frozenset:
-        return frozenset((2 * a).coords for a in self.elements())
+    def squares(self) -> "AbSubgroup":
+        """2H, the subgroup of squares written additively."""
+        return AbSubgroup(self.parent, tuple(2 * g for g in self.generators))
 
     def isomorphism_type(self) -> AbelianGroup:
         """Abstract type from the element-order census (unique for finite
         abelian groups)."""
-        return AbelianGroup(abelian_type([a.order() for a in self.elements()]))
+        return AbelianGroup(abelian_type(self.parent.element_orders[self.mask]))
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
-        members = [
-            AbElement(self.parent, c) for c in self.closure & other.closure
-        ]
-        return AbSubgroup.from_elements(self.parent, members)
+        return AbSubgroup._generated(self.parent, self.mask & other.mask)
 
     def join(self, other: "AbSubgroup") -> "AbSubgroup":
         return AbSubgroup(self.parent, self.generators + other.generators)
@@ -432,24 +422,44 @@ class AbSubgroup:
         return AbSubgroup(f.target, tuple(f(g) for g in self.generators))
 
     def is_invariant_under(self, f: AbHom) -> bool:
-        return all(f(AbElement(self.parent, c)) in self for c in self.closure)
+        return all(f(g) in self for g in self.generators)
 
     def __repr__(self):
         return f"AbSubgroup(order={self.order} of {self.parent.literal()})"
+
+
+def _close(A: AbelianGroup, candidates: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Mask of the subgroup the table elements `candidates` generate, by
+    coset extension, and the candidates it used: the first candidate g
+    outside the closure H so far adds the cosets H + g, ..., H + (k-1) g,
+    k the least with k g in H; a candidate already inside adds nothing."""
+    table = A.table
+    mask = np.zeros(len(table), dtype=bool)
+    mask[0] = True
+    members = np.zeros(1, dtype=np.int64)  # H, zero first
+    used = []
+    while True:
+        outside = candidates[~mask[candidates]]
+        if not outside.size:
+            return mask, used
+        g = int(outside[0])
+        used.append(g)
+        steps = A.index_of(np.arange(A.element_orders[g] + 1)[:, None] * table[g])
+        k = int(mask[steps[1:]].argmax()) + 1  # k g in H, k <= order of g
+        members = A.index_of(table[steps[:k], None] + table[members]).ravel()
+        mask[members] = True
 
 
 # -- operations ----------------------------------------------------------
 
 
 def perp(B: AbSubgroup) -> AbSubgroup:
-    """Annihilator of B <= A inside the dual group: characters trivial on B."""
+    """Annihilator of B <= A inside the dual group, which is (noncanonically)
+    A itself with the same factors: the characters trivial on B."""
     A = B.parent
-    gens = B.generators if B.generators else ()
-    members = []
-    for alpha in all_characters(A):
-        if all(alpha.value_exponent(g)[1] == 0 for g in gens):
-            members.append(AbElement(A, alpha.coords))
-    return AbSubgroup.from_elements(dual_group(A), members)
+    rows = np.array([g.coords for g in B.generators], dtype=np.int64)
+    rows = rows.reshape(len(B.generators), A.rank)
+    return AbSubgroup._generated(A, ~pairing(A, A.table, rows).any(axis=1))
 
 
 def perp_dual(V: AbSubgroup) -> AbSubgroup:
@@ -466,10 +476,7 @@ def commutator_map(A: AbelianGroup, y: AbHom) -> tuple[AbSubgroup, AbSubgroup]:
         raise AbelianDomainError("y must be an involution")
     gamma = commutator_hom(A, y)
     image = AbSubgroup(A, tuple(gamma(g) for g in A.generators()))
-    kernel = AbSubgroup.from_elements(
-        A, [a for a in A.elements() if gamma(a).is_zero()]
-    )
-    return image, kernel
+    return image, AbSubgroup._generated(A, gamma.on_table == 0)
 
 
 def commutator_hom(A: AbelianGroup, y: AbHom) -> AbHom:
@@ -479,10 +486,12 @@ def commutator_hom(A: AbelianGroup, y: AbHom) -> AbHom:
 
 def fixed_subgroup(A: AbelianGroup, maps) -> AbSubgroup:
     """Common fixed points of the given endomorphisms."""
-    members = [
-        a for a in A.elements() if all(f(a) == a for f in maps)
-    ]
-    return AbSubgroup.from_elements(A, members)
+    if any(f.source != A or f.target != A for f in maps):
+        raise AbelianDomainError("maps must be endomorphisms of A")
+    fixed = np.ones(len(A.table), dtype=bool)
+    for f in maps:
+        fixed &= f.on_table == np.arange(A.order)
+    return AbSubgroup._generated(A, fixed)
 
 
 def omega(A: AbelianGroup, i: int) -> AbSubgroup:
@@ -494,40 +503,30 @@ def omega(A: AbelianGroup, i: int) -> AbSubgroup:
         raise AbelianDomainError("omega requires a p-group")
     if not primes or i == 0:
         return AbSubgroup.trivial(A)
-    p = primes[0]
-    gens = []
-    for j, d in enumerate(A.factor_orders):
-        k = min(i, p_valuation(d, p))
-        gens.append((d // p**k) * A.generator(j))
-    return AbSubgroup(A, tuple(gens))
+    return AbSubgroup._generated(A, A.element_orders <= primes[0] ** i)
 
 
 def generated_submodule(a: AbElement, acting) -> AbSubgroup:
     """Smallest subgroup containing a that is invariant under the given
-    automorphisms."""
+    automorphisms: the span of the orbit of a."""
     A = a.group
     for f in acting:
-        if not f.is_automorphism():
-            raise AbelianDomainError("acting maps must be automorphisms")
-    orbit = {a.coords}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for f in acting:
-                c = f(b)
-                if c.coords not in orbit:
-                    orbit.add(c.coords)
-                    nxt.append(c)
-        frontier = nxt
-    return AbSubgroup(A, tuple(AbElement(A, c) for c in sorted(orbit)))
+        if f.source != A or not f.is_automorphism():
+            raise AbelianDomainError("acting maps must be automorphisms of A")
+    orbit = np.zeros(len(A.table), dtype=bool)
+    frontier = A.index_of([a.coords])
+    while frontier.size:
+        orbit[frontier] = True
+        reached = np.zeros_like(orbit)
+        for f in acting:
+            reached[f.on_table[frontier]] = True
+        frontier = np.flatnonzero(reached & ~orbit)
+    return AbSubgroup._generated(A, orbit)
 
 
 def embeds_in_C4_x_C2k(Z: AbSubgroup) -> bool:
     """Whether Z embeds into C_4 x (C_2)^k: exponent at most 4 and at most
     two squares."""
-    for a in Z.elements():
-        o = a.order()
-        if o != 1 and prime_factors(o) != [2]:
-            raise AbelianDomainError("embedding test requires a 2-group")
-    return Z.exponent() <= 4 and len(Z.squares()) <= 2
+    if Z.order & (Z.order - 1):
+        raise AbelianDomainError("embedding test requires a 2-group")
+    return Z.exponent() <= 4 and Z.squares().order <= 2

@@ -29,7 +29,7 @@ from math import isqrt
 import numpy as np
 
 from . import _linalg_modp as lin
-from .abelian_core import AbElement, DualCharacter, all_characters
+from .abelian_core import AbElement, DualCharacter, pairing
 from .cyclotomic import Cyclo, power_table, prime_factors
 from .group_engine import (
     FiniteGroup,
@@ -350,8 +350,10 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     The exact sums are float64 products of blocks of r // phi(e) rows, or,
     when phi(e) > r, of one row against all later rows (pairs x > y are the
     conjugates of pairs x < y), exact below the checked bound 2^53.  Their
-    terms zeta^a conj(zeta^b) are collected by the exponent a - b mod e,
-    then reduced to the power basis in int64."""
+    terms zeta^a conj(zeta^b) are summed along the 2 phi - 1 diagonals
+    a - b of each phi x phi block, one slice per row a, then reduced to the
+    power basis in int64 through the rows (a - b) mod e of the reduction
+    matrix."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
     conj = theta[:, list(data.inverse_class)]
@@ -365,8 +367,7 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     peak = int(np.abs(values).max())
     if n * peak * peak * phi * phi * int(np.abs(reduction).max()) >= 2**53:
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
-    a = np.arange(phi)
-    exponent = np.subtract.outer(a, a).ravel() % e  # of zeta^a conj(zeta^b)
+    diagonal = reduction[(np.arange(2 * phi - 1) - (phi - 1)) % e]  # row a - b + phi - 1
     floats = values.astype(np.float64)
     step = max(1, r // phi)  # rows per left block
     width = step if phi <= r else r  # rows per right block
@@ -378,12 +379,13 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
         for x in range(0, r, step):
             left = floats[v[x : x + step]] * w[:, None]  # (x, m, a)
             for y in range(x, r, width):
-                sums = np.tensordot(left, floats[v[y : y + width]], (1, 1))
+                # (x, a, y, phi - 1 - b): b reversed, so a - b + phi - 1 = a + column
+                sums = np.tensordot(left, floats[v[y : y + width]][..., ::-1], (1, 1))
                 bx, by = sums.shape[0], sums.shape[2]
-                sums = sums.transpose(0, 2, 1, 3).reshape(bx * by, phi * phi)
-                slots = np.arange(bx * by)[:, None] * e + exponent
-                powers = np.bincount(slots.ravel(), sums.ravel(), bx * by * e)
-                got = np.rint(powers).astype(np.int64).reshape(bx, by, e) @ reduction
+                diagonals = np.zeros((bx, by, 2 * phi - 1))
+                for a in range(phi):  # a - b + phi - 1 = a + column
+                    diagonals[..., a : a + phi] += sums[:, a]
+                got = np.rint(diagonals).astype(np.int64) @ diagonal
                 if x == y:
                     k = np.arange(bx)
                     got[k, k, 0] -= d[x : x + bx]
@@ -466,22 +468,13 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
     coords_of = np.zeros((G.order, shape.rank), dtype=np.int64)
     for g, c in model.to_coords.items():
         coords_of[G.index[g]] = c
-    # weight matrix: column per character, exponent of its value at a
-    # coordinate vector via a dot product mod L
-    weights = np.array(
-        [
-            [(L // d) * c for c, d in zip(alpha.coords, shape.factor_orders)]
-            for alpha in all_characters(shape)
-        ],
-        dtype=np.int64,
-    ).T  # (rank, #characters)
-    characters = np.arange(weights.shape[1])
+    characters = np.arange(shape.order)  # table rows of the dual
     reduction = _reduction_matrix(L)
 
     out = set()
     conjugates = G.compiled.conjugates(A.idx)[:, _coset_firsts(A)]  # a^t
     for g, row in zip(A.idx.tolist(), conjugates):
-        exps = coords_of[row] @ weights % L  # (transversal, #characters)
+        exps = pairing(shape, coords_of[row], shape.table)  # (transversal, #characters)
         counts = np.zeros((len(characters), L), dtype=np.int64)
         np.add.at(counts, (characters, exps), 1)
         if np.any(np.all(counts @ reduction == 0, axis=1)):  # exact: tiny entries

@@ -182,7 +182,7 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     if all(gamma(v).is_zero() for v in image.generators):
         return C6Witness(CaseLabel.B3, [], None, None)
 
-    exp_w = AbSubgroup.full(W).exponent()
+    exp_w = W.exponent
     if exp_w < 8:
         return None
     candidates = [a for a in W.elements() if a.order() == exp_w]

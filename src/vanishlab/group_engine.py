@@ -1020,10 +1020,7 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     ]
     orders = A.factor_orders
     # columns[h][j]: coordinate j of the images of A's generators under action(h)
-    columns = {
-        h: [tuple(img.coords[j] for img in f.images) for j in range(A.rank)]
-        for h, f in action.items()
-    }
+    columns = {h: f.matrix.T.tolist() for h, f in action.items()}
     hmul = {(h1, h2): H.compiled.law_mul(h1, h2) for h1 in H.elements for h2 in H.elements}
     hinv = {h: H.compiled.law_inv(h) for h in H.elements}
 

@@ -1,7 +1,10 @@
 """Finite abelian groups: duality, annihilators and commutator structure."""
 
+import itertools
 import random
-from math import gcd
+from functools import reduce
+from math import gcd, lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -286,3 +289,166 @@ def test_subgroup_join_and_meet_are_lattice_ops(A, data):
     assert B <= join and C <= join
     # product formula |BC||B n C| = |B||C| (everything is normal here)
     assert join.order * meet.order == B.order * C.order
+
+
+# -- masks against a frozenset reference ----------------------------------
+
+
+def reference_close(A: AbelianGroup, gens) -> frozenset:
+    """The subgroup generated by coordinate tuples, as a frozenset of
+    tuples, by coset extension on tuples."""
+    orders = A.factor_orders
+    members = [(0,) * A.rank]
+    seen = set(members)
+    for g in gens:
+        if g in seen:
+            continue
+        coset = members
+        while True:
+            coset = [tuple((a + b) % d for a, b, d in zip(c, g, orders)) for c in coset]
+            if coset[0] in seen:
+                break
+            seen.update(coset)
+            members.extend(coset)
+    return frozenset(seen)
+
+
+def reference_elements(A: AbelianGroup) -> list:
+    return list(itertools.product(*(range(d) for d in A.factor_orders)))
+
+
+def reference_apply(f: AbHom, c) -> tuple:
+    out = [0] * f.target.rank
+    for k, img in zip(c, f.images):
+        out = [o + k * v for o, v in zip(out, img.coords)]
+    return tuple(o % d for o, d in zip(out, f.target.factor_orders))
+
+
+def reference_pairs_to_zero(A: AbelianGroup, alpha, a) -> bool:
+    L = A.exponent
+    return sum((L // d) * x * y for x, y, d in zip(alpha, a, A.factor_orders)) % L == 0
+
+
+def coords_of(H: AbSubgroup) -> frozenset:
+    return frozenset(a.coords for a in H.elements())
+
+
+def order_census(A: AbelianGroup, members) -> list:
+    def order(c):
+        return reduce(lcm, (d // gcd(d, x) for x, d in zip(c, A.factor_orders)), 1)
+
+    return sorted(order(c) for c in members)
+
+
+@st.composite
+def small_abelian(draw):
+    orders = []
+    for _ in range(draw(st.integers(0, 4))):
+        room = 256 // prod(orders)
+        if room < 2:
+            break
+        orders.append(draw(st.integers(2, min(room, 16))))
+    return AbelianGroup(tuple(orders))
+
+
+def draw_element(draw, A: AbelianGroup) -> tuple:
+    return tuple(draw(st.integers(0, d - 1)) for d in A.factor_orders)
+
+
+def draw_endomorphism(draw, A: AbelianGroup) -> AbHom:
+    # the image of generator i has order dividing d_i
+    rows = [
+        [draw(st.integers(0, e - 1)) * (e // gcd(d, e)) for e in A.factor_orders]
+        for d in A.factor_orders
+    ]
+    return AbHom.from_matrix(A, rows)
+
+
+def draw_involution(draw, A: AbelianGroup) -> AbHom:
+    n = A.rank
+    choices = [AbHom.identity(A), AbHom.scalar(A, -1)]
+    for i in range(n - 1):
+        if A.factor_orders[i] == A.factor_orders[i + 1]:
+            rows = [[int(j == k) for j in range(n)] for k in range(n)]
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            choices.append(AbHom.from_matrix(A, rows))
+    return draw(st.sampled_from(choices))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_abelian(), st.data())
+def test_mask_subgroups_match_the_frozenset_reference(A, data):
+    draw = data.draw
+    gens1 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
+    gens2 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
+    B = AbSubgroup(A, tuple(A.element(c) for c in gens1))
+    C = AbSubgroup(A, tuple(A.element(c) for c in gens2))
+    ref_b, ref_c = reference_close(A, gens1), reference_close(A, gens2)
+    everything = reference_elements(A)
+
+    assert coords_of(B) == ref_b and B.order == len(ref_b)
+    assert [a.coords for a in B.elements()] == sorted(ref_b)
+    assert all((A.element(c) in B) == (c in ref_b) for c in everything)
+    assert coords_of(B.join(C)) == reference_close(A, gens1 + gens2)
+    assert coords_of(B.intersection(C)) == ref_b & ref_c
+    assert (B <= C) == (ref_b <= ref_c) and (B == C) == (ref_b == ref_c)
+
+    annihilator = frozenset(
+        alpha for alpha in everything
+        if all(reference_pairs_to_zero(A, alpha, b) for b in ref_b)
+    )
+    assert coords_of(perp(B)) == annihilator
+    assert coords_of(perp_dual(B)) == annihilator
+    alpha = draw_element(draw, A)
+    assert coords_of(DualCharacter(A, alpha).kernel()) == frozenset(
+        a for a in everything if reference_pairs_to_zero(A, alpha, a)
+    )
+
+    type_b = B.isomorphism_type()
+    assert order_census(type_b, reference_elements(type_b)) == order_census(A, ref_b)
+
+    f = draw_endomorphism(draw, A)
+    assert f.is_automorphism() == (
+        len({reference_apply(f, a) for a in everything}) == A.order
+    )
+    y = draw_involution(draw, A)
+    assert coords_of(fixed_subgroup(A, [f, y])) == frozenset(
+        a for a in everything if reference_apply(f, a) == a == reference_apply(y, a)
+    )
+    gamma = commutator_hom(A, y)
+    image, kernel = commutator_map(A, y)
+    assert coords_of(image) == reference_close(
+        A, [reference_apply(gamma, g.coords) for g in A.generators()]
+    )
+    assert coords_of(kernel) == frozenset(
+        a for a in everything if not any(reference_apply(gamma, a))
+    )
+
+    acting = [y, f] if f.is_automorphism() else [y]
+    start = draw_element(draw, A)
+    orbit, frontier = {start}, {start}
+    while frontier:
+        frontier = {reference_apply(g, b) for b in frontier for g in acting} - orbit
+        orbit |= frontier
+    assert coords_of(generated_submodule(A.element(start), acting)) == reference_close(
+        A, sorted(orbit)
+    )
+
+
+def test_groups_beyond_the_cap_refuse_at_once():
+    A = AbelianGroup.of(10**12)
+    f = AbHom.scalar(A, 5)
+    with pytest.raises(AbelianDomainError):
+        f.is_automorphism()
+    with pytest.raises(AbelianDomainError):
+        fixed_subgroup(A, [f])
+    with pytest.raises(AbelianDomainError):
+        # no subgroup of A can be built, so a stand-in carries B's two fields
+        perp(SimpleNamespace(parent=A, generators=()))
+    with pytest.raises(AbelianDomainError):
+        DualCharacter(A, (1,)).kernel()
+    with pytest.raises(AbelianDomainError):
+        AbSubgroup(A, ())
+    # single values stay exact integers beyond int64
+    a = A.element((10**12 - 1,))
+    assert DualCharacter(A, (10**12 - 1,)).value_exponent(a) == (10**12, 1)
