@@ -39,6 +39,11 @@ from .group_engine import (
     abelian_model,
 )
 
+# Terms in one exact orthogonality product of a table with fewer than 128
+# classes; larger tables use r^2.
+_BLOCK_TERMS = 1 << 14
+
+
 class TableConsistencyError(AssertionError):
     """A produced table failed an internal exactness check."""
 
@@ -182,7 +187,9 @@ def _split_eigenspaces(
     polynomial f of w and each root lam of f in GF(p).  A block splits
     unless M takes one value on all its characters, so r pieces are r
     eigenvectors; above p = 4r^2 one round splits all r characters with
-    probability above 7/8, and r rounds bound the loop."""
+    probability above 7/8, and r rounds bound the loop.  In each round one
+    product M @ pieces finds the pieces that are already eigenvectors of M,
+    and only the others get a Krylov basis."""
     r = data.count
     rng = np.random.default_rng(0x5EED)
     pieces = [np.eye(r, dtype=np.int64)[0]]
@@ -195,11 +202,11 @@ def _split_eigenspaces(
             M += c * _class_matrix(G, data, L, i)
         M %= p
         split = []
-        for w in pieces:
-            K, f = lin.krylov(M, w, r - len(pieces) + 1, p)
-            if len(f) == 2:  # w is an eigenvector of M
+        for w, whole in zip(pieces, _is_eigenvector(M, pieces, p)):
+            if whole:
                 split.append(w)
                 continue
+            K, f = lin.krylov(M, w, r - len(pieces) + 1, p)
             roots = lin.poly_roots(f, p)
             if len(roots) != len(f) - 1:
                 raise TableConsistencyError("class matrix not diagonalizable mod p")
@@ -208,6 +215,18 @@ def _split_eigenspaces(
     if len(pieces) != r:
         raise TableConsistencyError("joint eigenspaces did not separate")
     return pieces
+
+
+def _is_eigenvector(M: np.ndarray, pieces: list[np.ndarray], p: int) -> list[bool]:
+    """Whether each (nonzero) piece w is an eigenvector of M mod p: M w is
+    lam w for lam read off w's first nonzero entry."""
+    W = np.stack(pieces, axis=1) % p
+    MW = lin.matmul(M, W, p)
+    cols = np.arange(W.shape[1])
+    lead = (W != 0).argmax(axis=0)
+    inverses = np.array([pow(int(a), -1, p) for a in W[lead, cols]], dtype=np.int64)
+    lam = MW[lead, cols] * inverses % p
+    return (MW == W * lam % p).all(axis=0).tolist()
 
 
 def _quotients(f: list[int], roots: list[int], p: int) -> np.ndarray:
@@ -347,9 +366,14 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     theta, and exactly in Z[zeta_e] on the power-basis coefficient vectors
     values[ids[i, k]] of chi_i(rep_k).
 
-    The exact sums are float64 products of blocks of r // phi(e) rows, or,
-    when phi(e) > r, of one row against all later rows (pairs x > y are the
-    conjugates of pairs x < y), exact below the checked bound 2^53.  Their
+    The exact sums are float64 products of row blocks against later row
+    blocks (pairs x > y are the conjugates of pairs x < y), exact below the
+    checked bound 2^53.  One product holds about max(r^2, 2^14) terms: when
+    phi(e) <= r, square blocks of that many rows, so a table with
+    r phi <= 128 checks in one product per relation (S4: r = 5, phi = 4)
+    and a large one in blocks of r // phi rows (M5: r = 264, phi = 8);
+    when phi(e) > r, blocks of that many rows against all later rows, at
+    least one row (AGL(1,31): r = 31, phi = 240).  Their
     terms zeta^a conj(zeta^b) are summed along the 2 phi - 1 diagonals
     a - b of each phi x phi block, one slice per row a, then reduced to the
     power basis in int64 through the rows (a - b) mod e of the reduction
@@ -369,8 +393,11 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
     diagonal = reduction[(np.arange(2 * phi - 1) - (phi - 1)) % e]  # row a - b + phi - 1
     floats = values.astype(np.float64)
-    step = max(1, r // phi)  # rows per left block
-    width = step if phi <= r else r  # rows per right block
+    budget = max(r * r, _BLOCK_TERMS)  # terms (step, phi, width, phi) per product
+    if phi <= r:
+        step = width = min(r, max(1, isqrt(budget) // phi))
+    else:  # rows per left block against all later rows
+        step, width = min(r, max(1, budget // (r * phi * phi))), r
     relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
         ("first", ids, sizes, np.full(r, n)),
         ("column", ids.T, np.ones(r, dtype=np.int64), n // sizes),

@@ -246,9 +246,10 @@ def _check_duality(seed: int, trials: int):
     """Annihilator laws on random subgroups of abelian 2-groups."""
     rng = random.Random(seed)
     shapes = [(2,), (4,), (8,), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (4, 4, 2)]
+    groups = [AbelianGroup.of(*shape) for shape in shapes]  # one element table each
     failures = 0
     for _ in range(trials):
-        A = AbelianGroup.of(*rng.choice(shapes))
+        A = rng.choice(groups)
         gens = tuple(
             A.element(tuple(rng.randrange(d) for d in A.factor_orders))
             for _ in range(rng.randrange(3))

@@ -191,26 +191,42 @@ class FiniteGroup:
         view = self.compiled
         return bool((view.C[:, view.gens] == view.gens).all())
 
+    @cached_property
+    def _sylow(self) -> dict:
+        return {}
+
     def sylow(self, p: int) -> "SubgroupHandle":
         """A Sylow p-subgroup by normalizer percolation (deterministic):
         start from the p-part of the first element of order divisible by p,
-        and grow by the p-part of the first normalizing element outside."""
+        and grow by the p-part of the first normalizing element outside.
+
+        Memoized per prime: every caller shares one read-only handle, and
+        the handle refers to the compiled view only, so the memo makes no
+        reference cycle."""
+        if p not in self._sylow:
+            self._sylow[p] = self._percolate(p)
+        return self._sylow[p]
+
+    def _percolate(self, p: int) -> "SubgroupHandle":
         target = p ** p_valuation(self.order, p)
         if target == 1:
             return self.trivial_subgroup()
         view = self.compiled
         p_orders = view.orders % p == 0
-        current = view.subgroup([view.p_part(int(np.argmax(p_orders)), p)])
-        while current.order < target:
+        pe = view.p_part(int(np.argmax(p_orders)), p)
+        gens, spanned = [], None
+        while True:
+            gens.append(pe)
+            spanned = view.span([pe], spanned)  # fills the row of pe only
+            current = SubgroupHandle(view, np.flatnonzero(spanned[0]), gens, spanned[1])
+            if current.order >= target:
+                return current
             norm = self.normalizer(current).idx
-            for g in norm[p_orders[norm] & ~current.mask[norm]].tolist():
-                pe = view.p_part(g, p)
-                if not current.mask[pe]:
-                    current = view.subgroup([*current.gens.tolist(), pe])
-                    break
-            else:
+            outside = norm[p_orders[norm] & ~current.mask[norm]].tolist()
+            pe = next((x for x in (view.p_part(g, p) for g in outside)
+                       if not current.mask[x]), None)
+            if pe is None:
                 raise AssertionError("Sylow percolation stalled")
-        return current
 
     def p_core(self, p: int) -> "SubgroupHandle":
         """O_p(G): the intersection of all conjugates of a Sylow p-subgroup,
@@ -550,19 +566,25 @@ class CompiledGroup:
         """The subgroup given by its sorted members, generated by all of them."""
         return SubgroupHandle(self, members, members)
 
-    def span(self, gens):
-        """(mask of <gens>, the gens outside the span of those before them,
-        which generate it too)."""
-        mask = np.arange(self.order) == self.identity
-        basis = []
+    def span(self, gens, start=None):
+        """(mask of <gens>, basis, rows): the basis holds the gens outside
+        the span of those before them, which generate it too, and rows[k]
+        is the left translation by basis[k].  Given an earlier result as
+        `start`, the span grows from it, and each new basis element fills
+        its own row only."""
+        if start is None:
+            start = (np.arange(self.order) == self.identity, [],
+                     np.empty((0, self.order), dtype=self.dtype))
+        mask, basis, rows = start
         for g in map(int, gens):
             if not mask[g]:
-                basis.append(g)
-                mask = self._reach(self.left_translations(basis), mask)
-        return mask, basis
+                basis = [*basis, g]
+                rows = np.concatenate([rows, self.left_translations([g])])
+                mask = self._reach(rows, mask)
+        return mask, basis, rows
 
     def subgroup(self, gens) -> "SubgroupHandle":
-        mask, basis = self.span(gens)
+        mask, basis, _ = self.span(gens)
         return SubgroupHandle(self, np.flatnonzero(mask), gens, basis)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
@@ -577,6 +599,13 @@ class CompiledGroup:
         return out
 
 
+def _read_only(indices) -> np.ndarray:
+    """A read-only copy of `indices`."""
+    out = np.array(indices, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 class SubgroupHandle:
     """A subgroup of a compiled group: `idx`, the sorted indices of its
     members, and `mask`, their indicator.
@@ -585,16 +614,21 @@ class SubgroupHandle:
     was given by its members, none for the trivial subgroup); `basis` is
     an irredundant part of them.  A handle refers to the compiled view,
     never to the group object.
+
+    A handle is never changed after construction: `idx`, `mask`, `gens`
+    and `basis` are read-only arrays.  Memoized handles (`sylow`, `center`,
+    `fitting`) are shared between callers and rely on this.
     """
 
     def __init__(self, view: CompiledGroup, members, generators=(), basis=None):
         self.view = view
-        self.idx = np.asarray(members, dtype=np.intp)
-        self.gens = np.asarray(generators, dtype=np.intp)
+        self.idx = _read_only(members)
+        self.gens = _read_only(generators)
         self.mask = np.zeros(view.order, dtype=bool)
         self.mask[self.idx] = True
+        self.mask.flags.writeable = False
         if basis is not None:
-            self.basis = np.asarray(basis, dtype=np.intp)
+            self.basis = _read_only(basis)
         if not self.mask[view.identity]:
             raise GroupDomainError("subgroup must contain the identity")
 
@@ -617,7 +651,7 @@ class SubgroupHandle:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        return np.asarray(self.view.span(self.spanning)[1], dtype=np.intp)
+        return _read_only(self.view.span(self.spanning)[1])
 
     def __contains__(self, g) -> bool:
         i = self.view.index.get(g)

@@ -274,6 +274,35 @@ def test_exact_orthogonality_with_phi_above_r_catches_every_corrupted_value(
                 )
 
 
+def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
+    monkeypatch,
+):
+    # S4 has 5 classes and phi(12) = 4 <= 5: one block of all rows per
+    # relation, so the pairs x = y and x != y share one product
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    r, phi = ids.shape[0], values.shape[1]
+    assert (n, r, phi) == (24, 5, 4)
+    products = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda *a: products.append(a) or tensordot(*a))
+    character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
+    assert len(products) == 2
+    monkeypatch.undo()
+    bump = np.eye(phi, dtype=np.int64)
+    for i, k in itertools.product(range(r), repeat=2):
+        value = values[ids[i, k]]
+        for j in range(phi):
+            for bad in (value + bump[j], -value):
+                if np.array_equal(bad, value):
+                    continue
+                bad_ids = ids.copy()
+                bad_ids[i, k] = len(values)
+                with pytest.raises(TableConsistencyError, match="fails exactly"):
+                    character_lab._verify_orthogonality(
+                        data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                    )
+
+
 def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):
     data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
     with pytest.raises(TableConsistencyError, match="2\\^53"):
@@ -335,6 +364,21 @@ def test_m5_table_splits_in_one_round_without_a_nullspace(monkeypatch):
     table = dixon_table(build_case_family("M5").group)
     assert table.classes.count == 264
     assert calls == [] and len(built) == 263
+
+
+def test_later_rounds_build_krylov_bases_only_for_pieces_that_split(monkeypatch):
+    # at the forced prime 37 the 45 characters of D8xS3xS3 need several
+    # rounds; after the first, one product per round finds the pieces that
+    # are already eigenvectors of the new combination, so every Krylov
+    # basis built splits its piece
+    golden = dixon_table(d8_s3_s3()).rows
+    G = d8_s3_s3()  # a fresh group: tables are cached on the group
+    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
+    bases = []
+    krylov = lin.krylov
+    monkeypatch.setattr(lin, "krylov", lambda *a: bases.append(krylov(*a)) or bases[-1])
+    assert dixon_table(G).rows == golden
+    assert len(bases) > 1 and all(len(f) > 2 for _, f in bases)
 
 
 def test_poly_roots_scan_crosses_chunk_boundaries():

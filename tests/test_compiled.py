@@ -22,7 +22,7 @@ from vanishlab.character_lab import (
     proportion,
 )
 from vanishlab.classifier import classify_theorem_a
-from vanishlab.constructions import build_case_family
+from vanishlab.constructions import build_case_family, random_corpus
 from vanishlab.cyclotomic import p_valuation
 from vanishlab.groupfile import parse_group
 from vanishlab.group_engine import (
@@ -32,6 +32,7 @@ from vanishlab.group_engine import (
     cyclic_group,
     direct_product,
     from_permutations,
+    is_a_group,
     symmetric_3,
 )
 
@@ -325,6 +326,79 @@ def test_queries_run_on_the_compiled_law_only(make):
     if G.order <= 500:
         G.normal_subgroups()
     assert calls == 0
+
+
+# -- shared Sylow subgroups and grown spans ---------------------------------
+
+
+def test_sylow_is_memoized_as_one_read_only_handle():
+    G = s4()
+    S = G.sylow(2)
+    assert G.sylow(2) is S and G.sylow(3) is G.sylow(3)
+    for name in ("idx", "mask", "gens", "basis"):
+        with pytest.raises(ValueError):
+            getattr(S, name)[0] = 1
+    with pytest.raises(ValueError):  # a basis found after construction
+        G.p_core(2).basis[0] = 1
+
+
+@pytest.mark.parametrize("make", [
+    s4,
+    lambda: build_case_family("B4_1").group,
+    lambda: build_case_family("PGROUP", shape="q16").group,
+])
+def test_structure_queries_percolate_once_per_prime(monkeypatch, make):
+    runs = []
+    percolate = FiniteGroup._percolate
+    monkeypatch.setattr(
+        FiniteGroup, "_percolate", lambda G, p: runs.append(p) or percolate(G, p)
+    )
+    G = make()
+    assert G.fitting.order > 1
+    is_a_group(G)
+    for p in G.primes():
+        assert G.sylow(p).mask[G.p_core(p).idx].all()
+    assert sorted(runs) == G.primes()
+
+
+def reference_span(view, gens):
+    """The span with the left translations of the whole basis refilled
+    at every step."""
+    mask = np.arange(view.order) == view.identity
+    basis = []
+    for g in map(int, gens):
+        if not mask[g]:
+            basis.append(g)
+            mask = view._reach(view.left_translations(basis), mask)
+    return mask, basis
+
+
+def test_grown_spans_match_the_refilled_span(monkeypatch):
+    for entry in random_corpus(1, 400, 1000):
+        G = entry.group
+        view = G.compiled
+        gens = G.indices(G.generators)
+        mask, basis = reference_span(view, gens)
+        got = view.span(gens)
+        assert np.array_equal(got[0], mask) and got[1] == basis
+        assert np.array_equal(got[2], view.left_translations(basis))
+        H = view.subgroup(gens)
+        assert np.array_equal(H.mask, mask) and H.basis.tolist() == basis
+        # every step of the Sylow percolation against the span of all the
+        # p-elements it has taken so far
+        steps = []
+        span = view.span
+        monkeypatch.setattr(view, "span", lambda *a: steps.append(span(*a)) or steps[-1])
+        for p in G.primes():
+            shared = G.sylow(p)  # may be memoized by the builder
+            steps.clear()
+            S = G._percolate(p)
+            assert len(steps) == len(S.gens) and S == shared
+            for k, (got_mask, got_basis, _) in enumerate(steps, 1):
+                mask, basis = reference_span(view, S.gens[:k])
+                assert np.array_equal(got_mask, mask) and got_basis == basis
+            assert np.array_equal(S.mask, mask) and S.basis.tolist() == basis
+        monkeypatch.undo()
 
 
 # -- the group law check at construction -----------------------------------
