@@ -9,15 +9,16 @@ identical (inputs, seed, version).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .abelian_core import AbelianGroup, AbSubgroup, perp, perp_dual
-from .character_lab import proportion, dixon_table
+from .character_lab import _reduction_matrix, dixon_table, proportion
 from .classifier import THRESHOLD, classify_theorem_a
 from .constructions import (
     BuilderError,
@@ -26,10 +27,10 @@ from .constructions import (
     replay,
 )
 from .cyclotomic import (
-    Cyclo,
-    enumerate_six_sums,
+    SIX_SUM_VERDICTS,
     root_of_unity,
-    six_sum_classifier,
+    six_sum_inputs,
+    six_sum_verdicts,
     vanishing_sum_possible,
 )
 from .group_engine import GroupDomainError, GroupSizeError
@@ -197,43 +198,77 @@ def cmd_classify(args) -> int:
 
 
 def _check_sixsum(max_n: int):
-    """Exhaustive six-sum verdicts vs exact zero testing for n <= max_n."""
+    """Checks every admissible six-sum over U_(2^n), n <= max_n: its
+    `six_sum_verdicts` code against an exact zero test that does not use
+    the classifier's fold.  The sum's exponent counts times the power table
+    of Phi_(2^n) are its integer coefficients in the power basis, all zero
+    exactly when the sum is.  One block holds an eps triple against every
+    eta triple, in enumeration order, and a mismatch reports its first
+    input."""
+    claims_zero = np.array([v.value.startswith("zero") for v in SIX_SUM_VERDICTS])
     for n in range(1, max_n + 1):
-        census = {}
         big = 2 ** n
-        for ae, be in enumerate_six_sums(n):
-            eps = [root_of_unity(big, a) for a in ae]
-            eta = [root_of_unity(big, b) for b in be]
-            result = six_sum_classifier(n, eps, eta)
-            exact_zero = result.total.is_zero()
-            claims_zero = result.verdict.value.startswith("zero")
-            if exact_zero != claims_zero:
+        triples = six_sum_inputs(n)
+        reduction = _reduction_matrix(big)
+        cells = np.arange(len(triples))[:, None] * big + triples
+        eta_counts = np.bincount(cells.ravel(), minlength=len(triples) * big)
+        eta_counts = eta_counts.reshape(-1, big).astype(np.int8)
+        census = np.zeros(len(SIX_SUM_VERDICTS), dtype=np.int64)
+        for eps in triples:
+            codes = six_sum_verdicts(n, np.broadcast_to(eps, triples.shape), triples)
+            counts = eta_counts + np.bincount(eps, minlength=big).astype(np.int8)
+            exact_zero = ~(counts @ reduction).any(axis=1)
+            bad = np.flatnonzero(exact_zero != claims_zero[codes])
+            if len(bad):
+                ae, be = tuple(eps.tolist()), tuple(triples[bad[0]].tolist())
                 yield (f"sixsum-n{n}", False, f"mismatch at {ae}+{be}",
                        "verdict-matches-exact-zero")
                 break
-            census[result.verdict.value] = census.get(result.verdict.value, 0) + 1
+            census += np.bincount(codes, minlength=len(census))
         else:
-            observed = ";".join(f"{k}:{v}" for k, v in sorted(census.items()))
+            found = sorted((verdict.value, count) for verdict, count
+                           in zip(SIX_SUM_VERDICTS, census.tolist()) if count)
+            observed = ";".join(f"{k}:{v}" for k, v in found)
             yield (f"sixsum-n{n}", True, observed, "verdict-matches-exact-zero")
 
 
-def _brute_vanishing_sum(n_terms: int, m: int) -> bool:
-    roots = [root_of_unity(m, k) for k in range(m)]
-    for combo in itertools.combinations_with_replacement(range(m), n_terms):
-        total = Cyclo.zero()
-        for k in combo:
-            total = total + roots[k]
-        if total.is_zero():
-            return True
-    return False
+def _sum_levels(m: int, max_terms: int):
+    """For n = 1, ..., max_terms, the distinct sums of n elements of U_m
+    (with repetition), as sorted integer keys of their power-basis
+    coefficients.
+
+    A sum of at most max_terms roots has coefficients |c_j| <= bound, that
+    many times the largest root coefficient.  On such coefficients the key
+    sum_j c_j base^j, base = 2 bound + 1, is injective and linear, so the
+    keys of length n + 1 are those of length n plus the key of each root,
+    and a sum is zero exactly when its key is.  Every key lies within
+    (base^phi - 1) / 2 in size: the keys take the smallest integer type
+    that holds that, and int64 is a checked bound."""
+    roots = np.array([root_of_unity(m, k).lift(m).coeffs for k in range(m)],
+                     dtype=np.int64)
+    phi = roots.shape[1]
+    base = 2 * max_terms * int(np.abs(roots).max()) + 1
+    if base ** phi > 2 ** 64:
+        raise OverflowError(f"vanishing-sum keys for m={m} exceed int64")
+    key_type = np.min_scalar_type(-(base ** phi // 2))
+    root_keys = (roots @ base ** np.arange(phi, dtype=np.int64)).astype(key_type)
+    level = np.zeros(1, dtype=key_type)  # the empty sum
+    for _ in range(max_terms):
+        level = (level[:, None] + root_keys).ravel()
+        level.sort()
+        level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+        yield level
 
 
 def _check_vs(max_terms: int):
-    """The feasibility predicate is never false when a sum exists."""
+    """The feasibility predicate is never false when a sum exists.  Every
+    multiset of at most max_terms roots is covered: the distinct sums of
+    each length, exact integers in the power basis, hold the zero vector
+    exactly when a vanishing sum of that length exists."""
     for m in (2, 3, 4, 5, 6, 8, 9, 12):
         bad = []
-        for n_terms in range(1, max_terms + 1):
-            exists = _brute_vanishing_sum(n_terms, m)
+        for n_terms, level in enumerate(_sum_levels(m, max_terms), start=1):
+            exists = bool((level == 0).any())
             allowed = vanishing_sum_possible(n_terms, m)
             if exists and not allowed:
                 bad.append(n_terms)
@@ -373,6 +408,16 @@ def cmd_campaign(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanishlab",
@@ -414,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="run one named checker")
     p.add_argument("name", choices=LEMMA_CHECKS)
-    p.add_argument("--max-n", type=int, default=4,
+    p.add_argument("--max-n", type=_positive_int, default=4,
                    help="six-sum exhaustive bound (order 2^n)")
-    p.add_argument("--max-terms", type=int, default=8)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--max-terms", type=_positive_int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_lemma)
 

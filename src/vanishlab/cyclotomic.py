@@ -20,6 +20,8 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 
 def euler_phi(n: int) -> int:
     if n < 1:
@@ -426,9 +428,78 @@ def _two_power_exponent(v: Cyclo, big: int) -> int:
     return k if c == 1 else (k + big // 2) % big
 
 
+# Verdict codes of `six_sum_verdicts` index SIX_SUM_VERDICTS.
+SIX_SUM_VERDICTS = tuple(SixSumVerdict)
+_CODE = {verdict: code for code, verdict in enumerate(SIX_SUM_VERDICTS)}
+# Codes of the rows that contradict part j, raised as _VIOLATIONS[-code - 1].
+_VIOLATIONS = (
+    "part 1 predicts a nonzero sum",
+    "part 2 predicts the {zeta4, -zeta4} shape",
+    "part 3 predicts delta in {±zeta4, -1}",
+)
+
+
+def six_sum_verdicts(n: int, ae, be) -> np.ndarray:
+    """Verdict codes (int8, indices into SIX_SUM_VERDICTS) of the sums
+    eps1+eps2+eps3+eta1+eta2+eta3 with eps_i = zeta^ae[r, i] and
+    eta_i = zeta^be[r, i], zeta = zeta_(2^n), one per row r of the
+    (rows, 3) exponent arrays ae and be.
+
+    Each row takes the first rule that applies: part 1 (every
+    delta_i = eta_i / eps_i is +-1: the sum is nonzero), a nonzero sum,
+    part 2 (every root in U_4: the eps and eta are 1 + zeta4 - zeta4 and
+    1 - 1 - 1), part 3 (an eps of order >= 8 and every delta in U_4: the
+    deltas are {zeta4, -1} or {-zeta4, -1}), else zero.  The sum is zero
+    when the exponent counts, folded through x^(2^(n-1)) = -1, vanish.
+    Raises SixSumPreconditionError if a row breaks
+    eps1*eps2*eps3 = eta1*eta2*eta3 = 1, and LemmaViolationError, for the
+    first row that has one, if an exact result contradicts a part."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    big = 2**n
+    x = np.array((ae, be), dtype=np.int64) % big  # (eps/eta, rows, 3)
+    if x.ndim != 3 or x.shape[2] != 3:
+        raise ValueError("need (rows, 3) eps and eta exponent arrays")
+    if (x.sum(axis=2) % big).any():
+        raise SixSumPreconditionError("product constraints violated")
+
+    rows = x.shape[1]
+    cells = np.arange(rows)[:, None] * big + x.transpose(1, 0, 2).reshape(rows, 6)
+    counts = np.bincount(cells.ravel(), minlength=rows * big).reshape(rows, 2, -1)
+    zero = (counts[:, 0] == counts[:, 1]).all(axis=1)
+
+    v = np.concatenate([x, (x[1:] - x[:1]) % big])  # eps, eta, delta
+    top = (big // np.gcd(v, big)).max(axis=2)  # the largest order of each triple
+    # The U_4 exponents of each triple as a bit mask (meaningful where every
+    # order is <= 4).  The exponents of a triple sum to 0 mod 4, so its set
+    # of exponents determines it.
+    bits = np.bitwise_or.reduce(1 << (v * 4 // big % 4), axis=2)
+    # part 2: one of eps, eta is {1, -1} (1 - 1 - 1), the other {1, zeta4, -zeta4}
+    shape2 = (np.minimum(bits[0], bits[1]) == 0b0101) & (np.maximum(bits[0], bits[1]) == 0b1011)
+    # part 3: the deltas are {zeta4, -1} or {-zeta4, -1}
+    shape3 = (bits[2] == 0b0110) | (bits[2] == 0b1100)
+
+    part1 = top[2] <= 2
+    part2 = np.maximum(top[0], top[1]) <= 4
+    part3 = (top[2] <= 4) & (top[0] >= 8)
+    # the rules in reverse, so that each overrides the ones after it
+    codes = np.where(part3, np.where(shape3, _CODE[SixSumVerdict.ZERO_PART3_SHAPE], -3),
+                     _CODE[SixSumVerdict.ZERO])
+    codes = np.where(part2, np.where(shape2, _CODE[SixSumVerdict.ZERO_PART2_SHAPE], -2),
+                     codes)
+    codes = np.where(zero, codes, _CODE[SixSumVerdict.NONZERO])
+    codes = np.where(part1, np.where(zero, -1, _CODE[SixSumVerdict.NONZERO_BY_PART1]),
+                     codes).astype(np.int8)
+    bad = np.flatnonzero(codes < 0)
+    if len(bad):
+        raise LemmaViolationError(_VIOLATIONS[-codes[bad[0]] - 1])
+    return codes
+
+
 def six_sum_classifier(n: int, eps, eta) -> SixSumResult:
     """Classify Sigma = eps1+eps2+eps3+eta1+eta2+eta3 for roots in U_(2^n)
-    subject to eps1*eps2*eps3 = eta1*eta2*eta3 = 1.
+    subject to eps1*eps2*eps3 = eta1*eta2*eta3 = 1, through a one-row
+    `six_sum_verdicts`.
 
     The shape tests are up to the permutation symmetry of the constraint;
     no index-ordering convention is imposed on the inputs.
@@ -440,67 +511,31 @@ def six_sum_classifier(n: int, eps, eta) -> SixSumResult:
     be = [_two_power_exponent(v, big) for v in eta]
     if len(ae) != 3 or len(be) != 3:
         raise ValueError("need exactly three eps and three eta values")
-    if sum(ae) % big or sum(be) % big:
-        raise SixSumPreconditionError("product constraints violated")
-
-    # exact zero test by folding exponent counts through x^(big/2) = -1
+    (code,) = six_sum_verdicts(n, [ae], [be])
+    verdict = SIX_SUM_VERDICTS[code]
     counts = [0] * big
     for k in ae + be:
         counts[k] += 1
-    half = big // 2
-    if half:
-        fold = [counts[i] - counts[i + half] for i in range(half)]
-        total_zero = not any(fold)
-    else:
-        total_zero = counts[0] == 0
     total = Cyclo.from_poly(big, counts)
-    assert total.is_zero() == total_zero
+    assert total.is_zero() == verdict.value.startswith("zero")
+    delta = tuple(root_of_unity(big, b - a) for a, b in zip(ae, be))
+    return SixSumResult(verdict, total, delta)
 
-    delta_exp = [(b - a) % big for a, b in zip(ae, be)]
-    delta = tuple(root_of_unity(big, d) for d in delta_exp)
 
-    def order_of(k: int) -> int:
-        return big // gcd(big, k)
-
-    if all(order_of(d) <= 2 for d in delta_exp):
-        if total_zero:
-            raise LemmaViolationError("part 1 predicts a nonzero sum")
-        return SixSumResult(SixSumVerdict.NONZERO_BY_PART1, total, delta)
-
-    if not total_zero:
-        return SixSumResult(SixSumVerdict.NONZERO, total, delta)
-
-    def as_u4(k: int) -> int:
-        # exponent of an order<=4 root written in U_4
-        assert (k * 4) % big == 0
-        return (k * 4 // big) % 4
-
-    all_orders = [order_of(k) for k in ae + be]
-    if max(all_orders) <= 4:
-        # values lie in U_4; part 2 applies
-        te = sorted(as_u4(a) for a in ae)
-        th = sorted(as_u4(b) for b in be)
-        shapes = {(0, 1, 3), (0, 2, 2)}
-        if {tuple(te), tuple(th)} == shapes:
-            return SixSumResult(SixSumVerdict.ZERO_PART2_SHAPE, total, delta)
-        raise LemmaViolationError("part 2 predicts the {zeta4, -zeta4} shape")
-
-    eps_orders = [order_of(a) for a in ae]
-    if all(order_of(d) <= 4 for d in delta_exp) and max(eps_orders) >= 8:
-        dset = {as_u4(d) for d in delta_exp}
-        if dset in ({1, 2}, {3, 2}):
-            return SixSumResult(SixSumVerdict.ZERO_PART3_SHAPE, total, delta)
-        raise LemmaViolationError("part 3 predicts delta in {±zeta4, -1}")
-
-    return SixSumResult(SixSumVerdict.ZERO, total, delta)
+def six_sum_inputs(n: int) -> np.ndarray:
+    """The admissible exponent triples (a1, a2, a3) over U_(2^n), those with
+    a1 + a2 + a3 = 0 mod 2^n, as a (4^n, 3) int16 array in the order
+    `enumerate_six_sums` takes eps (and eta) in."""
+    big = 2**n
+    if big - 1 > np.iinfo(np.int16).max:
+        raise ValueError("six-sum exponents exceed int16")
+    a1, a2 = np.divmod(np.arange(big * big), big)
+    return np.stack([a1, a2, (-a1 - a2) % big], axis=1).astype(np.int16)
 
 
 def enumerate_six_sums(n: int):
-    """All admissible (eps_exponents, eta_exponents) tuples over U_(2^n):
-    the independent brute-force enumerator for the six-sum lemma."""
-    big = 2**n
-    for a1, a2 in itertools.product(range(big), repeat=2):
-        a3 = (-a1 - a2) % big
-        for b1, b2 in itertools.product(range(big), repeat=2):
-            b3 = (-b1 - b2) % big
-            yield (a1, a2, a3), (b1, b2, b3)
+    """All admissible (eps_exponents, eta_exponents) pairs of plain-int
+    triples over U_(2^n), every eps triple against every eta triple of
+    `six_sum_inputs`: the exhaustive input set of the six-sum lemma."""
+    triples = [tuple(t) for t in six_sum_inputs(n).tolist()]
+    return itertools.product(triples, repeat=2)

@@ -672,6 +672,10 @@ class SubgroupHandle:
         return bool(self.mask[self.view.C[:, self.spanning]].all())
 
     def is_abelian(self) -> bool:
+        return self._abelian
+
+    @cached_property
+    def _abelian(self) -> bool:
         basis = self.basis
         return bool((self.view.conjugates(basis)[:, basis] == basis[:, None]).all())
 

@@ -4,6 +4,9 @@ round trip."""
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanishlab import character_lab
+from vanishlab import character_lab, cli
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family, catalog_entries
+from vanishlab.cyclotomic import SIX_SUM_VERDICTS, SixSumVerdict
 from vanishlab.group_engine import GroupSizeError, alternating_7, from_permutations
 from vanishlab.groupfile import (
     BUILTIN_COMPLEMENTS,
@@ -454,6 +458,56 @@ def test_lemma_reports_are_golden(capsys, argv, digest):
     code, out = run(capsys, "verify-lemma", *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sixsum_mismatch_reports_the_first_input(capsys, monkeypatch):
+    # a rule that calls every zero sum over U_4 nonzero
+    verdicts = cli.six_sum_verdicts
+    nonzero = SIX_SUM_VERDICTS.index(SixSumVerdict.NONZERO)
+
+    def flipped(n, ae, be):
+        codes = verdicts(n, ae, be)
+        if n == 2:
+            codes[[SIX_SUM_VERDICTS[c].value.startswith("zero") for c in codes]] = nonzero
+        return codes
+
+    monkeypatch.setattr(cli, "six_sum_verdicts", flipped)
+    code, out = run(capsys, "verify-lemma", "sixsum", "--max-n", "3")
+    assert code == EXIT_MISMATCH
+    rows = [line for line in out.splitlines() if line.startswith("check=")]
+    assert rows[1] == ("check=sixsum-n2 status=fail observed=mismatch at "
+                       "(0, 1, 3)+(0, 2, 2) expected=verdict-matches-exact-zero")
+    assert [row.split()[1] for row in rows] == \
+        ["status=pass", "status=fail", "status=pass"]
+    assert out.endswith("result=fail\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sixsum", "--max-n", "0"),
+    ("vs", "--max-terms", "0"),
+    ("duality", "--trials", "-5"),
+    ("duality", "--trials", "many"),
+])
+def test_verify_lemma_rejects_counts_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", *argv])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}:" in captured.err
+
+
+def test_module_entry_point_runs_from_a_checkout(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vanishlab", "verify-lemma", "vs", "--max-terms", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    _, out = run(capsys, "verify-lemma", "vs", "--max-terms", "3")
+    assert proc.stdout == out
+    assert "result=pass" in out
 
 
 def test_campaign_degenerate_small_run(capsys):

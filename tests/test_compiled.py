@@ -342,6 +342,18 @@ def test_sylow_is_memoized_as_one_read_only_handle():
         G.p_core(2).basis[0] = 1
 
 
+def test_subgroup_handle_decides_abelian_once(monkeypatch):
+    G = s4()
+    D8, C3 = G.sylow(2), G.sylow(3)
+    calls = []
+    conjugates = type(G.compiled).conjugates
+    monkeypatch.setattr(type(G.compiled), "conjugates",
+                        lambda view, targets: calls.append(1) or conjugates(view, targets))
+    assert [D8.is_abelian(), C3.is_abelian(), D8.is_abelian(), C3.is_abelian()] == \
+        [False, True, False, True]
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("make", [
     s4,
     lambda: build_case_family("B4_1").group,

@@ -3,14 +3,18 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanishlab.character_lab import _reduction_matrix
+from vanishlab.cli import _sum_levels
 from vanishlab.cyclotomic import (
+    SIX_SUM_VERDICTS,
     Cyclo,
     LemmaViolationError,
+    SixSumPreconditionError,
     SixSumVerdict,
     _reduce_mod_cyclotomic,
     _two_power_exponent,
@@ -19,6 +23,8 @@ from vanishlab.cyclotomic import (
     euler_phi,
     root_of_unity,
     six_sum_classifier,
+    six_sum_inputs,
+    six_sum_verdicts,
     vanishing_sum_possible,
 )
 
@@ -244,6 +250,24 @@ def test_feasibility_matches_brute_force(m):
         ), (n_terms, m)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
+def test_vs_levels_match_brute_force(m):
+    roots = [root_of_unity(m, k) for k in range(m)]
+    for n_terms, level in enumerate(_sum_levels(m, 8), start=1):
+        assert bool((level == 0).any()) == brute_force_vanishing_sum_exists(n_terms, m)
+        assert len(set(level.tolist())) == len(level)
+        if n_terms <= 3:
+            sums = {sum(combo, Cyclo.zero()) for combo
+                    in itertools.combinations_with_replacement(roots, n_terms)}
+            assert len(level) == len(sums), n_terms
+
+
+def test_vs_keys_are_bounded_below_int64():
+    assert len(next(_sum_levels(9, 800))) == 9  # base 1601, 1601^6 < 2^64
+    with pytest.raises(OverflowError):
+        next(_sum_levels(9, 900))
+
+
 def test_feasibility_examples():
     assert not vanishing_sum_possible(1, 6)
     assert vanishing_sum_possible(2, 6)
@@ -354,3 +378,71 @@ def test_two_power_exponent_reads_every_root_at_its_own_order(big):
 def test_two_power_exponent_rejects_values_outside_u_big(v, big):
     with pytest.raises(ValueError):
         _two_power_exponent(v, big)
+
+
+# -- the array classifier against the per-input rules --------------------
+
+
+def per_input_verdict(n, ae, be):
+    """The six-sum rules one input at a time, on exponents: the reference
+    for `six_sum_verdicts`."""
+    big = 2**n
+    if sum(ae) % big or sum(be) % big:
+        raise SixSumPreconditionError("product constraints violated")
+    counts = [0] * big
+    for k in ae + be:
+        counts[k] += 1
+    half = big // 2
+    total_zero = not any(counts[i] - counts[i + half] for i in range(half))
+    delta_exp = [(b - a) % big for a, b in zip(ae, be)]
+
+    def order_of(k):
+        return big // math.gcd(big, k)
+
+    def as_u4(k):
+        assert (k * 4) % big == 0
+        return (k * 4 // big) % 4
+
+    if all(order_of(d) <= 2 for d in delta_exp):
+        if total_zero:
+            raise LemmaViolationError("part 1 predicts a nonzero sum")
+        return SixSumVerdict.NONZERO_BY_PART1
+    if not total_zero:
+        return SixSumVerdict.NONZERO
+    if max(order_of(k) for k in ae + be) <= 4:
+        te = tuple(sorted(as_u4(a) for a in ae))
+        th = tuple(sorted(as_u4(b) for b in be))
+        if {te, th} == {(0, 1, 3), (0, 2, 2)}:
+            return SixSumVerdict.ZERO_PART2_SHAPE
+        raise LemmaViolationError("part 2 predicts the {zeta4, -zeta4} shape")
+    if all(order_of(d) <= 4 for d in delta_exp) and max(order_of(a) for a in ae) >= 8:
+        if {as_u4(d) for d in delta_exp} in ({1, 2}, {3, 2}):
+            return SixSumVerdict.ZERO_PART3_SHAPE
+        raise LemmaViolationError("part 3 predicts delta in {±zeta4, -1}")
+    return SixSumVerdict.ZERO
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_six_sum_verdicts_match_the_per_input_rules(n):
+    pairs = list(enumerate_six_sums(n))
+    codes = six_sum_verdicts(n, [ae for ae, _ in pairs], [be for _, be in pairs])
+    assert codes.dtype == np.int8
+    assert [SIX_SUM_VERDICTS[c] for c in codes.tolist()] == \
+        [per_input_verdict(n, ae, be) for ae, be in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_six_sum_inputs_are_the_enumerated_triples(n):
+    triples = six_sum_inputs(n)
+    assert triples.dtype == np.int16 and triples.shape == (4**n, 3)
+    rows = [tuple(t) for t in triples.tolist()]
+    assert list(itertools.product(rows, repeat=2)) == list(enumerate_six_sums(n))
+    assert all(sum(t) % 2**n == 0 for t in rows)
+
+
+def test_six_sum_verdicts_reject_a_batch_with_one_bad_product():
+    triples = six_sum_inputs(3)
+    be = triples.copy()
+    be[17] = (0, 0, 1)
+    with pytest.raises(SixSumPreconditionError):
+        six_sum_verdicts(3, triples, be)
