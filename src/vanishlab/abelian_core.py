@@ -358,10 +358,13 @@ class AbSubgroup:
     @staticmethod
     def _generated(parent: AbelianGroup, members: np.ndarray) -> "AbSubgroup":
         """The subgroup generated by the table elements `members` marks,
-        on those of them the coset extension uses."""
-        _, used = _close(parent, np.flatnonzero(members))
-        rows = parent.table[used].tolist()
-        return AbSubgroup(parent, tuple(AbElement(parent, tuple(r)) for r in rows))
+        on those of them the coset extension uses; the subgroup is closed
+        once."""
+        sub = object.__new__(AbSubgroup)
+        sub.parent = parent
+        sub.mask, used = _close(parent, np.flatnonzero(members))
+        sub.generators = tuple(AbElement(parent, tuple(r)) for r in parent.table[used].tolist())
+        return sub
 
     @staticmethod
     def from_elements(parent: AbelianGroup, elements) -> "AbSubgroup":

@@ -139,21 +139,17 @@ class C6Witness:
     x_used: AbHom | None = None
 
 
-def _module_of(b: AbElement, x: AbHom, y: AbHom) -> AbSubgroup:
-    return generated_submodule(b, [x, y])
-
-
-def _shape_b41(W, b: AbElement, x: AbHom, y: AbHom) -> bool:
-    M = _module_of(b, x, y)
-    pair = AbSubgroup(W, (b, x(b)))
-    if M != pair:
+def _shape_b41(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
+    """Whether b, whose module is M, has the (b4.1) shape."""
+    if M != AbSubgroup(W, (b, x(b))):
         return False
     if M.isomorphism_type().factor_orders != (8, 8):
         return False
     return b + y(b) == 4 * x(b)
 
 
-def _shape_b42(W, b: AbElement, x: AbHom, y: AbHom) -> bool:
+def _shape_b42(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
+    """Whether b, whose module is M, has the (b4.2) shape."""
     n_order = b.order()
     if n_order < 8:
         return False
@@ -167,7 +163,6 @@ def _shape_b42(W, b: AbElement, x: AbHom, y: AbHom) -> bool:
     # homomorphism on the abelian module
     if D.isomorphism_type().factor_orders != (4, 4):
         return False
-    M = _module_of(b, x, y)
     if M != E.join(D):
         return False
     return (2 ** (n - 1)) * b == x(gamma(2 * b))
@@ -197,35 +192,29 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
 
 def _search_b4(W, x, y, candidates, shape, label) -> C6Witness | None:
     gamma = commutator_hom(W, y)
-    tried = 0
-    for b0 in candidates:
-        if tried >= B4_CANDIDATE_TRIES:
-            break
-        tried += 1
-        if not shape(W, b0, x, y):
+    for b0 in candidates[:B4_CANDIDATE_TRIES]:
+        B = generated_submodule(b0, [x, y])
+        if not shape(W, b0, B, x, y):
             continue
-        B = _module_of(b0, x, y)
+        rank_b0 = len(B.isomorphism_type().factor_orders)
         b0_list = [b0]
         # absorb further copies of the same shape
         for b in candidates:
-            M = _module_of(b, x, y)
-            if M.intersection(B).order > 1:
+            if (b.order() // 2) * b in B:  # B meets <b>, so also the module of b
                 continue
-            if not shape(W, b, x, y):
-                continue
-            B = B.join(M)
-            b0_list.append(b)
-        rank_b0 = len(_module_of(b0, x, y).isomorphism_type().factor_orders)
+            M = generated_submodule(b, [x, y])
+            if M.intersection(B).order == 1 and shape(W, b, M, x, y):
+                B = B.join(M)
+                b0_list.append(b)
         # greedy G-invariant complement from low-order elements upward
         C = AbSubgroup.trivial(W)
         for c in sorted(W.elements(), key=lambda a: (a.order(), a.coords)):
             if c.order() >= b0.order():
                 continue
-            M = _module_of(c, x, y)
-            grown = C.join(M)
+            grown = C.join(generated_submodule(c, [x, y]))
             if grown.intersection(B).order == 1:
                 C = grown
-        if not (B.intersection(C).order == 1 and B.order * C.order == W.order):
+        if not _direct_factors(W, B, C):
             continue
         if not _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0):
             continue
@@ -244,7 +233,7 @@ def _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0) -> bool:
     for c in C.elements():
         if c.is_zero():
             continue
-        rank_c = len(_module_of(c, x, y).isomorphism_type().factor_orders)
+        rank_c = len(generated_submodule(c, [x, y]).isomorphism_type().factor_orders)
         if rank_c > rank_b0:
             return False
         if label is CaseLabel.B4_1:
@@ -286,13 +275,14 @@ def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
 # -- the main classifier -------------------------------------------------
 
 
-def check_b1(G: FiniteGroup) -> dict | None:
-    """m = 4 with O_2(A) = Z(Q) for some abelian normal A of index 4."""
+def check_b1(G: FiniteGroup, candidates: list[SubgroupHandle]) -> dict | None:
+    """m = 4 with O_2(A) = Z(Q) for some A of index 4 among the abelian
+    normal `candidates`."""
     Q = G.sylow(2)
     if Q.is_abelian():
         return None
     ZQ = subgroup_center(Q)
-    for A in abelian_normal_candidates(G):
+    for A in candidates:
         if G.order != 4 * A.order:
             continue
         if primary_part(A, 2) == ZQ:
@@ -306,22 +296,20 @@ def _module_data(G: FiniteGroup, W: SubgroupHandle, x_elem, y_elem):
 
 
 def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict | None:
-    quotient = G.quotient(A)
-    if quotient.order != 6:
-        return None
+    """The m = 6 cases for an abelian normal A of index 6."""
+    view = G.compiled
     P = G.sylow(3)
     O2A = primary_part(A, 2)
     O3A = primary_part(A, 3)
-    cent = G.centralizer_of_set(P.generators or P.elements)
-    C_O2A_P = O2A.intersection(cent)
-    if not (C_O2A_P.elements <= G.center.elements):
+    # C_{O_2(A)}(P) <= Z(G)
+    if (O2A.mask & view.centralizer_mask(P.spanning) & ~G.center.mask).any():
         return None
     W = commutator_subgroup(G, O2A, P)
     if W.order == 1:
         return None
     # the first element of P outside O_3(A) of order divisible by 3, and
     # the first element of Q outside A
-    xs = P.idx[~O3A.mask[P.idx] & (G.compiled.orders[P.idx] % 3 == 0)]
+    xs = P.idx[~O3A.mask[P.idx] & (view.orders[P.idx] % 3 == 0)]
     ys = Q.idx[~A.mask[Q.idx]]
     if not len(xs) or not len(ys):
         return None
@@ -333,7 +321,7 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     except GroupDomainError:
         return None
 
-    if quotient.is_abelian:  # G/A = C_6
+    if A.mask[G.derived_subgroup.idx].all():  # G/A = C_6
         try:
             witness = check_c6_case(model.shape, xh, yh)
         except SettingError:
@@ -364,6 +352,23 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     )
 
 
+def _b_verdicts(G: FiniteGroup):
+    """Every verifying (b) verdict of G, b1 first, then the m = 6 cases in
+    candidate order."""
+    Q = G.sylow(2)
+    if Q.is_abelian():
+        return
+    candidates = abelian_normal_candidates(G)
+    b1 = check_b1(G, candidates)
+    if b1 is not None:
+        yield Verdict(True, CaseLabel.B1, 4, Fraction(3, 4), b1)
+    for A in candidates:
+        if G.order == 6 * A.order:
+            verdict = _check_b_m6(G, A, Q)
+            if verdict is not None:
+                yield verdict
+
+
 def classify_theorem_a(G: FiniteGroup) -> Verdict:
     if is_a_group(G):
         F = G.fitting
@@ -379,40 +384,13 @@ def classify_theorem_a(G: FiniteGroup) -> Verdict:
                 True, CaseLabel.A, m, Fraction(m - 1, m), {"F": F}
             )
         return Verdict(False)
-
-    Q = G.sylow(2)
-    if Q.is_abelian():
-        return Verdict(False)
-
-    b1 = check_b1(G)
-    if b1 is not None:
-        return Verdict(True, CaseLabel.B1, 4, Fraction(3, 4), b1)
-
-    for A in abelian_normal_candidates(G):
-        if G.order != 6 * A.order:
-            continue
-        verdict = _check_b_m6(G, A, Q)
-        if verdict is not None:
-            return verdict
-    return Verdict(False)
+    return next(_b_verdicts(G), Verdict(False))
 
 
 def verifying_b_cases(G: FiniteGroup) -> list[CaseLabel]:
     """All (b)-cases whose witnesses verify; the theorem's cases should be
     mutually exclusive, so more than one entry signals a bug."""
-    found = []
-    if check_b1(G) is not None:
-        found.append(CaseLabel.B1)
-    Q = G.sylow(2)
-    if Q.is_abelian():
-        return found
-    for A in abelian_normal_candidates(G):
-        if G.order != 6 * A.order:
-            continue
-        verdict = _check_b_m6(G, A, Q)
-        if verdict is not None:
-            found.append(verdict.case)
-    return found
+    return [verdict.case for verdict in _b_verdicts(G)]
 
 
 # -- the A-group taxonomy ------------------------------------------------

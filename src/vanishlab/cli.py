@@ -57,9 +57,9 @@ def _cap(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(
-                f"{ENV_MAX_ORDER} must be an integer, got {env!r}"
-            )
+            print(f"error: {ENV_MAX_ORDER} must be an integer, got {env!r}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_PARSE) from None
     return DEFAULT_MAX_ORDER
 
 
@@ -408,14 +408,20 @@ def cmd_campaign(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,10 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="full verification campaign")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=_positive_int, default=200)
     p.add_argument("--only", default=None,
                    help="run a single section: sixsum, vs, duality, corpus")
-    p.add_argument("--caps", type=int, default=None,
+    # a random group has order at least 2
+    p.add_argument("--caps", type=_int_at_least(2), default=None,
                    help="max corpus group order (default 2000)")
     p.add_argument("--jobs", type=int, default=1,
                    help="corpus workers (entries are independent)")

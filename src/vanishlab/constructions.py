@@ -58,10 +58,14 @@ def _semidirect(A: AbelianGroup, h_name: str, matrices, name: str) -> FiniteGrou
     return build_semidirect(SemidirectSpec(A, H, action), name=name)
 
 
-def _conj_on_A(G: FiniteGroup, h) -> AbHom:
-    # conjugation by (0, h) acts on the abelian factor as action(h^-1)
+def _c6_actions(G: FiniteGroup) -> tuple[AbHom, AbHom]:
+    """x and y of a C_6 = <g> complement: conjugation by g^2 and by g^3.
+    Conjugation by (0, h) acts on the abelian factor as action(h^-1)."""
     spec = G.semidirect_spec
-    return spec.action[spec.H.compiled.law_inv(h)]
+    law = spec.H.compiled
+    g = spec.H.generators[0]
+    g2 = law.law_mul(g, g)
+    return spec.action[law.law_inv(g2)], spec.action[law.law_inv(law.law_mul(g, g2))]
 
 
 def _block_diagonal(blocks: list[tuple[tuple[int, ...], list[list[int]]]]):
@@ -172,10 +176,7 @@ def _c6_action_matrix(X, Y):
 def _verify_module_shapes(G: FiniteGroup, n: int, k: int):
     """b4.2 shape check: each block has C ~ (C_{2^n})^2 and D = [C,y] ~ (C_4)^2."""
     A = G.semidirect_spec.A
-    H = G.semidirect_spec.H
-    g = H.generators[0]
-    x = _conj_on_A(G, H.compiled.law_mul(g, g))
-    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
+    x, y = _c6_actions(G)
     for block in range(k):
         a0 = A.generator(4 * block)
         C = AbSubgroup(A, (a0, x(a0)))
@@ -393,10 +394,7 @@ def _build_b42(n: int, k: int, c_part: bool) -> FiniteGroup:
 def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
     """Check the b4.x relation on every element of the 2-part of A."""
     A = G.semidirect_spec.A
-    H = G.semidirect_spec.H
-    g = H.generators[0]
-    x = _conj_on_A(G, H.compiled.law_mul(g, g))
-    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
+    x, y = _c6_actions(G)
     width = 2 if n is None else 4
     for a in A.elements():
         # the relation is asserted blockwise on the B-part only
@@ -414,9 +412,7 @@ def _build_inversion_negative() -> FiniteGroup:
     A = AbelianGroup.of(8, 8)
     neg_rot = [[0, -1], [1, 1]]
     G = _semidirect(A, "C6", [neg_rot], "C8^2:C6-inv")
-    H = G.semidirect_spec.H
-    g = H.generators[0]
-    y = _conj_on_A(G, H.compiled.law_mul(g, H.compiled.law_mul(g, g)))
+    _, y = _c6_actions(G)
     if y != AbHom.scalar(A, -1):
         raise BuilderError("inversion builder: y does not invert A")
     return G
@@ -574,6 +570,8 @@ def random_corpus(seed: int, count: int, max_order: int = 2000) -> list[CorpusEn
     padded up to `count` with random small permutation groups."""
     rng = random.Random(seed)
     entries = catalog_entries(max_order)
+    if len(entries) < count and max_order < 2:
+        raise BuilderError("random groups need an order cap of at least 2")
     index = 0
     while len(entries) < count:
         entries.append(_random_perm_entry(rng, index, max_order))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vanishlab import abelian_core
 from vanishlab.abelian_core import (
     AbelianDomainError,
     AbelianGroup,
@@ -159,6 +160,22 @@ def test_annihilator_reverses_inclusion():
     C = AbSubgroup(A, (A.element((2, 0)), A.element((0, 2))))
     assert B <= C
     assert perp(C) <= perp(B)
+
+
+def test_perp_closes_its_subgroup_once(monkeypatch):
+    A = AbelianGroup.of(4, 4, 2)
+    B = AbSubgroup(A, (A.element((1, 2, 0)), A.element((0, 2, 1))))
+    calls = []
+    close = abelian_core._close
+    monkeypatch.setattr(abelian_core, "_close",
+                        lambda *args: calls.append(args) or close(*args))
+    Bp = perp(B)
+    assert len(calls) == 1
+    # the generators kept from the closure generate the same mask
+    monkeypatch.undo()
+    assert Bp.generators and all(not g.is_zero() for g in Bp.generators)
+    assert AbSubgroup(A, Bp.generators) == Bp
+    assert B.order * Bp.order == A.order
 
 
 def test_characters_separate_points():

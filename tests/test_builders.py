@@ -142,6 +142,12 @@ def test_random_corpus_is_deterministic():
     assert all(e.group.order <= 2000 for e in a)
 
 
+@pytest.mark.parametrize("max_order", [1, -5])
+def test_random_corpus_rejects_a_cap_no_random_group_fits(max_order):
+    with pytest.raises(BuilderError, match="at least 2"):
+        random_corpus(1, 3, max_order=max_order)
+
+
 def test_random_corpus_replay():
     for entry in random_corpus(11, 45, max_order=2000)[-8:]:
         again = replay(entry.provenance)

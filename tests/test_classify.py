@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vanishlab import classifier
 from vanishlab.abelian_core import AbelianGroup, AbHom
 from vanishlab.classifier import (
     THRESHOLD,
@@ -16,8 +17,9 @@ from vanishlab.classifier import (
     classify_theorem_a,
     verifying_b_cases,
 )
-from vanishlab.constructions import build_case_family
+from vanishlab.constructions import build_case_family, catalog_entries
 from vanishlab.group_engine import (
+    FiniteGroup,
     cyclic_group,
     direct_product,
     from_permutations,
@@ -122,6 +124,71 @@ def test_b_cases_are_mutually_exclusive_on_their_builders():
     for (tag, kwargs), label in pairs:
         G = build_case_family(tag, **kwargs).group
         assert verifying_b_cases(G) == [label]
+
+
+# the parent search's outcome on each catalog entry up to order 1000
+CATALOG_OUTCOMES = {
+    "family:A m=2 variant=c3": "Below case=a m=2 p=1/2",
+    "family:A m=2 variant=c3xc3": "Below case=a m=2 p=1/2",
+    "family:A m=2 variant=c5": "Below case=a m=2 p=1/2",
+    "family:A m=2 variant=c9": "Below case=a m=2 p=1/2",
+    "family:A m=3 variant=c13": "Below case=a m=3 p=2/3",
+    "family:A m=3 variant=c7": "Below case=a m=3 p=2/3",
+    "family:A m=3 variant=v4": "Below case=a m=3 p=2/3",
+    "family:A m=4 variant=c13": "Below case=a m=4 p=3/4",
+    "family:A m=4 variant=c3xc3": "Below case=a m=4 p=3/4",
+    "family:A m=4 variant=c5": "Below case=a m=4 p=3/4",
+    "family:A m=4 variant=s3xs3": "Below case=a m=4 p=3/4",
+    "family:A m=5 variant=c11": "Below case=a m=5 p=4/5",
+    "family:A m=5 variant=c2^4": "Below case=a m=5 p=4/5",
+    "family:A m=5 variant=c3^4": "Below case=a m=5 p=4/5",
+    "family:A m=6 variant=c13": "Below case=a m=6 p=5/6",
+    "family:A m=6 variant=c7": "Below case=a m=6 p=5/6",
+    "family:A m=6 variant=c7^2:s3": "Below case=a m=6 p=5/6",
+    "family:A m=6 variant=s3xa4": "Below case=a m=6 p=5/6",
+    "family:B1 shape=d8": "Below case=b1 m=4 p=3/4",
+    "family:B1 shape=q8": "Below case=b1 m=4 p=3/4",
+    "family:B1 shape=m16": "Below case=b1 m=4 p=3/4",
+    "family:B1 shape=c4:c4": "Below case=b1 m=4 p=3/4",
+    "family:B1 shape=d8xc3": "Below case=b1 m=4 p=3/4",
+    "family:B2 variant=s4": "Below case=b2 m=6 p=5/6",
+    "family:B2 variant=c4": "Below case=b2 m=6 p=5/6",
+    "family:B4_1 k=1 c_part=0": "Below case=b4.1 m=6 p=5/6",
+    "family:PGROUP shape=c4xc2": "Below case=a m=1 p=0",
+    "family:PGROUP shape=d16": "AtOrAbove",
+    "family:PGROUP shape=d8": "Below case=b1 m=4 p=3/4",
+    "family:PGROUP shape=heis3": "AtOrAbove",
+    "family:PGROUP shape=m16": "Below case=b1 m=4 p=3/4",
+    "family:PGROUP shape=q16": "AtOrAbove",
+    "family:PGROUP shape=q8": "Below case=b1 m=4 p=3/4",
+    "family:PGROUP shape=sd16": "AtOrAbove",
+    "family:INVERSION_NEGATIVE": "AtOrAbove",
+}
+
+
+def test_one_b_search_per_call_and_no_quotient(monkeypatch):
+    entries = catalog_entries(max_order=1000)
+    assert [e.provenance for e in entries] == list(CATALOG_OUTCOMES)
+    searches = []
+    find = classifier.abelian_normal_candidates
+    monkeypatch.setattr(classifier, "abelian_normal_candidates",
+                        lambda G: searches.append(G) or find(G))
+
+    def no_quotient(G, N):
+        raise AssertionError("the classifier built a quotient group")
+
+    monkeypatch.setattr(FiniteGroup, "quotient", no_quotient)
+    for entry in entries:
+        G = entry.group
+        searches.clear()
+        verdict = classify_theorem_a(G)
+        assert len(searches) <= 1, entry.provenance
+        assert verdict.outcome == CATALOG_OUTCOMES[entry.provenance]
+        searches.clear()
+        cases = verifying_b_cases(G)
+        assert len(searches) <= 1, entry.provenance
+        b_case = verdict.below and verdict.case is not CaseLabel.A
+        assert cases == ([verdict.case] if b_case else []), entry.provenance
 
 
 def test_outcome_string_format():

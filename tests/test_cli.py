@@ -420,6 +420,17 @@ def test_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_malformed_cap_variable_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.grp"
+    run(capsys, "construct", "A", "m=2", "variant=c3", "-o", str(path))
+    monkeypatch.setenv("VANISHLAB_MAX_ORDER", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", str(path)])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: VANISHLAB_MAX_ORDER must be an integer")
+
 def test_verify_lemma_sixsum(capsys):
     code, out = run(capsys, "verify-lemma", "sixsum", "--max-n", "2")
     assert code == EXIT_OK
@@ -516,6 +527,30 @@ def test_campaign_degenerate_small_run(capsys):
     assert "result=pass" in out
     assert "seed=42" in out  # default seed is recorded
 
+
+@pytest.mark.parametrize("caps", ["1", "-5"])
+def test_campaign_rejects_caps_no_random_group_fits(caps):
+    # a random group has order at least 2, so the corpus used to redraw forever
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vanishlab", "campaign", "--only", "corpus",
+         "--caps", caps, "--count", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert "argument --caps: must be at least 2" in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_campaign_rejects_counts_below_one(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--count", count])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --count: must be at least 1" in captured.err
 
 def test_reports_are_byte_identical(capsys):
     _, first = run(capsys, "verify-lemma", "duality", "--trials", "60",
