@@ -56,7 +56,6 @@ class OracleConfigurationError(RuntimeError):
 class ClassData:
     reps: tuple
     sizes: tuple[int, ...]
-    class_of: dict
     inverse_class: tuple[int, ...]
 
     @property
@@ -70,37 +69,44 @@ class CharacterTable:
     classes: ClassData
     rows: tuple  # one tuple of Cyclo values per irreducible, class-indexed
     degrees: tuple[int, ...]
+    zero_classes: tuple[int, ...]  # the classes on which some row is zero
 
     def value(self, i: int, g) -> Cyclo:
-        return self.rows[i][self.classes.class_of[g]]
+        return self.rows[i][self.group.class_index[self.group.index[g]]]
 
     def vanishing_classes(self) -> list[int]:
-        return [
-            k
-            for k in range(self.classes.count)
-            if any(row[k].is_zero() for row in self.rows)
-        ]
+        return list(self.zero_classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VanishReport:
+    """V(G) as a read-only bool array over the element indices of G, with
+    the element sets `vanishing` and `nonvanishing` read off it."""
+
     group: FiniteGroup
-    vanishing: frozenset
-    nonvanishing: frozenset
+    vanishing_mask: np.ndarray
     proportion: Fraction
+
+    @property
+    def vanishing(self) -> frozenset:
+        members = np.flatnonzero(self.vanishing_mask).tolist()
+        return frozenset(self.group.elements[i] for i in members)
+
+    @property
+    def nonvanishing(self) -> frozenset:
+        return frozenset(self.group.elements) - self.vanishing
 
 
 def class_data(G: FiniteGroup) -> ClassData:
-    cached = getattr(G, "_class_data", None)
-    if cached is not None:
-        return cached
-    classes, class_of = G.conjugacy_data
-    reps = tuple(rep for rep, _ in classes)
-    sizes = tuple(len(c) for _, c in classes)
-    inverse_class = tuple(G.class_index[G.compiled.inv[G.indices(reps)]].tolist())
-    data = ClassData(reps, sizes, class_of, inverse_class)
-    G._class_data = data
-    return data
+    """Class representatives (the first member of each class), sizes and
+    the class of each representative's inverse, read off `G.class_index`."""
+    cls = G.class_index
+    firsts = np.unique(cls, return_index=True)[1]
+    return ClassData(
+        tuple(G.elements[i] for i in firsts.tolist()),
+        tuple(np.bincount(cls).tolist()),
+        tuple(cls[G.compiled.inv[firsts]].tolist()),
+    )
 
 
 # -- prime selection -----------------------------------------------------
@@ -270,7 +276,7 @@ def _reduction_matrix(L: int) -> np.ndarray:
 
 
 def dixon_table(G: FiniteGroup) -> CharacterTable:
-    # G keeps (classes, rows, degrees), not the table: a table points back
+    # G keeps the table's fields, not the table: a table points back
     # at its group, and that cycle would outlive the last outside reference.
     cached = getattr(G, "_dixon_table", None)
     if cached is not None:
@@ -279,7 +285,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     r = data.count
     n = G.order
     if n == 1:
-        G._dixon_table = (data, ((Cyclo.one(),),), (1,))
+        G._dixon_table = (data, ((Cyclo.one(),),), (1,), ())
         return CharacterTable(G, *G._dixon_table)
     e = G.exponent
     p = dixon_prime(n, e, r)
@@ -357,8 +363,11 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     values = np.array(list(value_id), dtype=np.int64)
     ids = ids[order_key]
     _verify_orthogonality(data, n, e, values, ids, np.stack(theta_rows)[order_key], p)
-    G._dixon_table = (data, rows, degrees)
-    return CharacterTable(G, data, rows, degrees)
+    # class k vanishes when column k holds the id of the zero vector (if any)
+    zero = value_id.get((0,) * values.shape[1], -1)
+    zero_classes = tuple(np.flatnonzero((ids == zero).any(axis=0)).tolist())
+    G._dixon_table = (data, rows, degrees, zero_classes)
+    return CharacterTable(G, *G._dixon_table)
 
 
 def _verify_orthogonality(data, n, e, values, ids, theta, p):
@@ -425,21 +434,11 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
 
 def proportion(G: FiniteGroup) -> VanishReport:
     if G.is_abelian:
-        return VanishReport(
-            G, frozenset(), frozenset(G.elements), Fraction(0)
-        )
-    table = dixon_table(G)
-    data = table.classes
-    vanishing = set()
-    for k in table.vanishing_classes():
-        vanishing |= G.conjugacy_classes[k][1]
-    nonvanishing = frozenset(set(G.elements) - vanishing)
-    return VanishReport(
-        G,
-        frozenset(vanishing),
-        nonvanishing,
-        Fraction(len(vanishing), G.order),
-    )
+        vanishing = np.zeros(G.order, dtype=bool)
+    else:
+        vanishing = np.isin(G.class_index, dixon_table(G).vanishing_classes())
+    vanishing.flags.writeable = False
+    return VanishReport(G, vanishing, Fraction(int(vanishing.sum()), G.order))
 
 
 # -- the abelian-normal fast path ----------------------------------------

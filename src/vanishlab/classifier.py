@@ -245,15 +245,6 @@ def _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0) -> bool:
 # -- candidate abelian normal subgroups ----------------------------------
 
 
-def _as_subgroup_handle(G: FiniteGroup, members: frozenset) -> SubgroupHandle | None:
-    """The handle of `members` when they form a subgroup (contain the
-    identity and span nothing more)."""
-    idx = np.array(sorted(G.indices(members)), dtype=np.intp)
-    if G.identity not in members or G.compiled.span(idx)[0].sum() != len(idx):
-        return None
-    return G.compiled.handle(idx)
-
-
 def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
     """Candidate subgroups for the theorem's A: the builder-designated one
     when present, and the nonvanishing set when it forms a subgroup (the
@@ -263,9 +254,12 @@ def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
     if designated is not None:
         out.append(designated)
     if G.order <= ORACLE_CANDIDATE_LIMIT:
-        handle = _as_subgroup_handle(G, proportion(G).nonvanishing)
-        if handle is not None and all(handle != h for h in out):
-            out.append(handle)
+        # a subgroup when it spans nothing more (the span holds the identity)
+        idx = np.flatnonzero(~proportion(G).vanishing_mask)
+        if G.compiled.span(idx)[0].sum() == len(idx):
+            handle = G.compiled.handle(idx)
+            if all(handle != h for h in out):
+                out.append(handle)
     return [
         h for h in out
         if h.is_abelian() and h.is_normal() and h.order < G.order

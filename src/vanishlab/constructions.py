@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .abelian_core import (
     AbelianGroup,
@@ -20,8 +21,10 @@ from .abelian_core import (
 )
 from .classifier import primary_part, subgroup_center
 from .group_engine import (
+    MAX_GROUP_ORDER,
     FiniteGroup,
     GroupDomainError,
+    GroupSizeError,
     SemidirectSpec,
     action_from_generator_matrices,
     alternating_7,
@@ -68,20 +71,21 @@ def _c6_actions(G: FiniteGroup) -> tuple[AbHom, AbHom]:
     return spec.action[law.law_inv(g2)], spec.action[law.law_inv(law.law_mul(g, g2))]
 
 
-def _block_diagonal(blocks: list[tuple[tuple[int, ...], list[list[int]]]]):
-    """Stack (orders, matrix) blocks into one abelian group plus matrix."""
-    orders: list[int] = []
-    offsets = []
-    for ords, _ in blocks:
-        offsets.append(len(orders))
-        orders.extend(ords)
-    n = len(orders)
-    M = [[0] * n for _ in range(n)]
-    for (ords, rows), off in zip(blocks, offsets):
+def _block_semidirect(blocks, h_name: str, name: str) -> FiniteGroup:
+    """A x| builtin_h(h_name) for A the direct sum of the (orders, matrix)
+    blocks, acted on by the block-diagonal matrix through H's one generator.
+    |A| is checked against the size cap before the matrix is built: under
+    the cap, A has at most 13 factors."""
+    orders = [q for ords, _ in blocks for q in ords]
+    if prod(orders) > MAX_GROUP_ORDER:
+        raise GroupSizeError("semidirect product exceeds the size cap")
+    M = [[0] * len(orders) for _ in orders]
+    off = 0
+    for ords, rows in blocks:
         for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                M[off + i][off + j] = v
-    return AbelianGroup.of(*orders), M
+            M[off + i][off:off + len(row)] = row
+        off += len(ords)
+    return _semidirect(AbelianGroup.of(*orders), h_name, [M], name)
 
 
 def metacyclic_2generator(n: int, t: int, s: int, name: str) -> FiniteGroup:
@@ -367,8 +371,7 @@ def _build_b41(k: int, c_part: bool) -> FiniteGroup:
         xc = ROT
         yc = [[-1, 0], [0, -1]]
         blocks = blocks + [((4, 4), _c6_action_matrix(xc, yc))]
-    A, M = _block_diagonal(blocks)
-    G = _semidirect(A, "C6", [M], f"(C8^2)^{k}{'xC4^2' if c_part else ''}:C6")
+    G = _block_semidirect(blocks, "C6", f"(C8^2)^{k}{'xC4^2' if c_part else ''}:C6")
     _verify_c6_identity_blocks(G, k, None)
     return G
 
@@ -384,8 +387,7 @@ def _build_b42(n: int, k: int, c_part: bool) -> FiniteGroup:
         # C = (C_2)^2 rotated by x, centralized by y
         blocks = blocks + [((2, 2), _c6_action_matrix([[0, 1], [1, 1]],
                                                       [[1, 0], [0, 1]]))]
-    A, M = _block_diagonal(blocks)
-    G = _semidirect(A, "C6", [M], f"b42(n={n},k={k}{',C' if c_part else ''})")
+    G = _block_semidirect(blocks, "C6", f"b42(n={n},k={k}{',C' if c_part else ''})")
     _verify_c6_identity_blocks(G, k, n)
     _verify_module_shapes(G, n, k)
     return G
@@ -421,11 +423,10 @@ def _build_inversion_negative() -> FiniteGroup:
 def _build_m5() -> FiniteGroup:
     comp2 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
     comp3 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]
-    A, M = _block_diagonal([((2, 2, 2, 2), comp2), ((3, 3, 3, 3), comp3)])
-    G = _semidirect(A, "C5", [M], "M5")
+    G = _block_semidirect([((2, 2, 2, 2), comp2), ((3, 3, 3, 3), comp3)], "C5", "M5")
     # hypotheses: U, V minimal normal and noncentral; |G/UV| = 5
     spec = G.semidirect_spec
-    act = spec.action[spec.H.generators[0]]
+    A, act = spec.A, spec.action[spec.H.generators[0]]
     for start, width, p in ((0, 4, 2), (4, 4, 3)):
         for a in A.elements():
             c = a.coords
@@ -445,8 +446,17 @@ def _build_m5() -> FiniteGroup:
 
 
 def build_case_family(tag: str, **params) -> CorpusEntry:
-    """Build one named family member; see the module docstring for tags."""
+    """Build one named family member; see the module docstring for tags.
+    A parameter the tag does not take is a BuilderError."""
     tag = tag.upper()
+    takes = {"A": ("m", "variant"), "B1": ("shape",), "B2": ("variant",),
+             "B4_1": ("k", "c_part"), "B4_2": ("n", "k", "c_part"),
+             "PGROUP": ("shape",), "M5": (), "A7": (), "INVERSION_NEGATIVE": ()}
+    if tag not in takes:
+        raise BuilderError(f"unknown family tag {tag!r}")
+    for key in params:
+        if key not in takes[tag]:
+            raise BuilderError(f"family tag {tag} takes no parameter {key!r}")
     if tag == "A":
         m = int(params.get("m", 2))
         variant = params.get("variant")
@@ -517,11 +527,8 @@ def build_case_family(tag: str, **params) -> CorpusEntry:
             alternating_7(), "family:A7",
             expected_p=Fraction(1067, 1260), expected_case="AtOrAbove",
         )
-    if tag == "INVERSION_NEGATIVE":
-        G = _build_inversion_negative()
-        return CorpusEntry(G, "family:INVERSION_NEGATIVE",
-                           expected_case="AtOrAbove")
-    raise BuilderError(f"unknown family tag {tag!r}")
+    G = _build_inversion_negative()  # INVERSION_NEGATIVE, the last tag
+    return CorpusEntry(G, "family:INVERSION_NEGATIVE", expected_case="AtOrAbove")
 
 
 def catalog_entries(max_order: int = 2000) -> list[CorpusEntry]:

@@ -1,6 +1,8 @@
 """Builders: each family member satisfies its defining predicate, and the
 provenance strings replay to the same group."""
 
+import tracemalloc
+
 import pytest
 
 from vanishlab.abelian_core import AbelianGroup, AbHom
@@ -11,7 +13,7 @@ from vanishlab.constructions import (
     random_corpus,
     replay,
 )
-from vanishlab.group_engine import abelian_model, is_a_group
+from vanishlab.group_engine import GroupSizeError, abelian_model, is_a_group
 
 
 def test_metacyclic_two_groups():
@@ -74,6 +76,31 @@ def test_bad_tag_and_params():
         build_case_family("A", m=7)
     with pytest.raises(BuilderError):
         build_case_family("B2", variant="bogus")
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("B1", {"shape": "q8", "extra": "1"}),
+    ("B4_1", {"c_prt": "1"}),
+    ("B4_2", {"n": "3", "m": "2"}),
+    ("M5", {"k": "1"}),
+    ("INVERSION_NEGATIVE", {"variant": "s4"}),
+])
+def test_unknown_parameters_are_rejected(tag, params):
+    with pytest.raises(BuilderError, match="takes no parameter"):
+        build_case_family(tag, **params)
+
+
+@pytest.mark.parametrize("tag,k", [("B4_1", "2000"), ("B4_2", "1000")])
+def test_b4_builders_check_the_order_before_the_matrix(tag, k):
+    # n = 2k or 4k generators: an n x n action matrix would take far more
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSizeError):
+            build_case_family(tag, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_m5_hypotheses():
@@ -146,6 +173,14 @@ def test_random_corpus_is_deterministic():
 def test_random_corpus_rejects_a_cap_no_random_group_fits(max_order):
     with pytest.raises(BuilderError, match="at least 2"):
         random_corpus(1, 3, max_order=max_order)
+
+
+def test_every_catalog_and_corpus_provenance_replays():
+    entries = catalog_entries(max_order=8192) + random_corpus(42, 200, max_order=2000)
+    for entry in entries:
+        again = replay(entry.provenance)
+        assert again.provenance == entry.provenance
+        assert again.group.order == entry.group.order
 
 
 def test_random_corpus_replay():

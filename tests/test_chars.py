@@ -23,7 +23,7 @@ from vanishlab.character_lab import (
     proportion,
     vanish_on_abelian_normal,
 )
-from vanishlab.constructions import build_case_family
+from vanishlab.constructions import build_case_family, catalog_entries
 from vanishlab.cyclotomic import Cyclo
 from vanishlab.group_engine import (
     abelian_model,
@@ -153,6 +153,29 @@ def test_induced_value_matches_full_average():
             for t in G.elements:
                 total = total + alpha(model.element(G.conj(g, t)))
             assert total == fast * A.order
+
+
+def test_integer_zero_test_and_census_match_the_cyclo_scan():
+    # the table marks class k vanishing when column k of its integer value
+    # ids holds the zero vector's id; the reference scans the Cyclo rows,
+    # and V(G) is the union of those classes as element sets
+    entries = catalog_entries(max_order=2000)
+    entries += [build_case_family("M5"), build_case_family("A7")]
+    for entry in entries:
+        G = entry.group
+        table = dixon_table(G)
+        scan = [
+            k for k in range(table.classes.count)
+            if any(row[k].is_zero() for row in table.rows)
+        ]
+        assert table.vanishing_classes() == scan, entry.provenance
+        report = proportion(G)
+        V = frozenset().union(*(G.conjugacy_classes[k][1] for k in scan))
+        assert report.vanishing == V, entry.provenance
+        assert report.vanishing | report.nonvanishing == frozenset(G.elements)
+        assert not report.vanishing & report.nonvanishing
+        assert report.vanishing_mask.sum() == len(report.vanishing)
+        assert not report.vanishing_mask.flags.writeable
 
 
 def test_fast_path_agrees_with_oracle():

@@ -16,9 +16,15 @@ from hypothesis import strategies as st
 
 from vanishlab import character_lab, cli
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
-from vanishlab.constructions import build_case_family, catalog_entries
+from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
 from vanishlab.cyclotomic import SIX_SUM_VERDICTS, SixSumVerdict
-from vanishlab.group_engine import GroupSizeError, alternating_7, from_permutations
+from vanishlab.group_engine import (
+    FiniteGroup,
+    GroupSizeError,
+    SubgroupHandle,
+    alternating_7,
+    from_permutations,
+)
 from vanishlab.groupfile import (
     BUILTIN_COMPLEMENTS,
     GroupFileError,
@@ -236,6 +242,21 @@ def test_huge_abelian_factor_is_capped_before_its_action_is_checked(capsys):
     assert oracle_exit_code(text.encode()) == EXIT_CAP
     code, _ = run(capsys, "construct", "B4_2", "n=20")
     assert code == EXIT_CAP
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("B4_1", "k=4000"), EXIT_CAP),
+    (("B4_2", "k=1000"), EXIT_CAP),
+    (("B1", "shape=q8", "extra=1"), EXIT_PARSE),
+    (("B4_1", "c_prt=1"), EXIT_PARSE),
+])
+def test_construct_rejects_oversized_and_unknown_parameters(capsys, argv, expected):
+    code = main(["construct", *argv])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    if expected == EXIT_PARSE:
+        assert repr(argv[-1].partition("=")[0]) in captured.err
 
 
 # -- subcommands -------------------------------------------------------------
@@ -572,8 +593,55 @@ def test_campaign_jobs_matches_serial(capsys):
 
 
 def test_campaign_unknown_section(capsys):
-    code, _ = run(capsys, "campaign", "--only", "nope")
-    assert code == EXIT_PARSE
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--only", "nope"])
+    assert exc.value.code == EXIT_PARSE
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_campaign_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a corpus worker was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "--only", "corpus", "--count", "3", "--jobs", jobs])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --jobs: must be at least 1" in captured.err
+
+
+# sha256 of the M5 `ptable --emit-table` and `oracle --elements` reports
+M5_REPORTS = (
+    (("ptable", "--emit-table"),
+     "fad24f6e892d82093f2b09aae160b8fef1526cbd241110d365cfe3389f23601e"),
+    (("oracle", "--elements"),
+     "19f7cf35c63ee7eb5d98754bd822f1c311db893cdd8b4dfbc3693365eab05054"),
+)
+
+
+def test_oracle_path_reads_no_element_sets(tmp_path, capsys, monkeypatch):
+    # the census is a mask over element indices: neither the class
+    # frozensets nor a subgroup's element set is read on its way to a
+    # campaign row or an oracle report
+    def refuse(self):
+        raise AssertionError("element sets read on the oracle path")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_data", property(refuse))
+    monkeypatch.setattr(SubgroupHandle, "elements", property(refuse))
+    for entry in random_corpus(42, 200, max_order=2000):
+        row, ok = cli._corpus_row(entry.provenance)
+        assert ok, row
+    path = tmp_path / "m5.grp"
+    run(capsys, "construct", "M5", "-o", str(path))
+    for argv, digest in M5_REPORTS:
+        code, out = run(capsys, *argv, str(path))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_construct_writes_provenance_comment(capsys):
