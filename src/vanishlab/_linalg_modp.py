@@ -1,15 +1,53 @@
-"""Dense linear algebra over GF(p) on numpy int64 arrays.
+"""Dense linear algebra over GF(p) on numpy arrays.
 
-Entries are kept reduced below p, so a product of two entries is below p**2
-and `matmul` sums at most 2**62 // p**2 of them before reducing again; every
-step therefore stays inside int64 for p**2 <= 2**62 (p <= 2**31), which holds
-for every prime this package selects (`dixon_prime` searches below 10**7).
-`poly_roots` scans all of GF(p): it costs p * deg Horner steps.
+Products are exact float64 BLAS products: operands are residues below p, so
+each term is at most (p - 1)^2, and a float64 sum of k terms is exact while
+k (p - 1)^2 < 2^53.  `matmul` checks that bound before it multiplies, sums
+at most that many inner terms per float64 product and folds each product
+back in int64 with `% p`; a p with (p - 1)^2 >= 2^53, where no single term
+is exact, is a ValueError.  Every prime this package selects (`dixon_prime`
+searches below 10**7) passes with blocks of at least 90 terms.
+`rref` eliminates in int64, every step below p^2 in absolute value, and
+updates only the columns from the pivot on.
+`poly_roots` evaluates at every point of GF(p) by baby steps and giant
+steps (Paterson-Stockmeyer): about 2 p sqrt(deg) int64 steps and one
+float64 product of p deg terms, where a Horner scan takes p deg steps.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
+
+# points of GF(p) per chunk of `poly_roots`, so its arrays stay in cache
+_CHUNK = 1 << 12
+
+
+def _exact_terms(p: int) -> int:
+    """The most products of two residues mod p that one float64 sum holds
+    exactly: the largest k with k (p - 1)^2 < 2^53."""
+    k = (2**53 - 1) // (p - 1) ** 2
+    if k < 1:
+        raise ValueError(f"p = {p}: (p - 1)^2 reaches 2^53, no float64 term is exact")
+    return k
+
+
+def _residues(A, p: int) -> np.ndarray:
+    """A reduced mod p, as float64."""
+    return (np.asarray(A, dtype=np.int64) % p).astype(np.float64)
+
+
+def _products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, as int64, for float64 A and B holding residues mod p:
+    one float64 product per block of `_exact_terms(p)` inner terms."""
+    k = _exact_terms(p)
+    out = (A[..., :k] @ B[:k]).astype(np.int64)
+    for start in range(k, A.shape[-1], k):
+        out %= p
+        out += (A[..., start:start + k] @ B[start:start + k]).astype(np.int64)
+    out %= p
+    return out
 
 
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -27,10 +65,13 @@ def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
+        # the pivot row is zero left of c, so only columns c.. change
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), -1, p) % p
         col = A[:, c].copy()
         col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        tail = A[:, c:]
+        tail -= np.outer(col, A[r, c:])
+        tail %= p
         pivots.append(c)
         r += 1
     return A, pivots
@@ -69,18 +110,9 @@ def solve(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, chunked so intermediate sums stay inside int64."""
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
-    inner = A.shape[-1]
-    # each product < p^2; cap the number summed before reducing
-    chunk = max(1, (2**62) // (p * p))
-    if inner <= chunk:
-        return (A @ B) % p
-    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
-    for start in range(0, inner, chunk):
-        out = (out + A[..., start:start + chunk] @ B[start:start + chunk]) % p
-    return out
+    """A @ B mod p, as int64, by exact float64 blocks (see the module
+    docstring)."""
+    return _products(_residues(A, p), _residues(B, p), p)
 
 
 def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
@@ -106,14 +138,20 @@ def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
 def krylov(M: np.ndarray, v: np.ndarray, length: int, p: int):
     """(K, f): the Krylov matrix K = [v, Mv, ..., M^length v] (as columns)
     and the minimal polynomial f of v under M (ascending, monic), for
-    `length` at least the degree of f."""
-    vecs = [v % p]
-    for _ in range(length):
-        vecs.append(matmul(M, vecs[-1], p))
-    K = np.stack(vecs, axis=1)
+    `length` at least the degree of f.  M is reduced and converted once;
+    each step is one exact float64 product."""
+    M = _residues(M, p)
+    K = np.empty((len(v), length + 1), dtype=np.int64)
+    K[:, 0] = np.asarray(v, dtype=np.int64) % p
+    for j in range(length):
+        K[:, j + 1] = _products(M, K[:, j].astype(np.float64), p)
     A, pivots = rref(K, p)
     # the first dependent Krylov vector gives the minimal-degree relation
-    fc = next(c for c in range(K.shape[1]) if c not in pivots)
+    fc = next((c for c in range(K.shape[1]) if c not in pivots), None)
+    if fc is None:
+        raise ValueError(
+            f"Krylov length {length} is below the degree of the minimal polynomial of v"
+        )
     coeffs = [0] * (fc + 1)
     coeffs[fc] = 1
     for r, pc in enumerate(pivots):
@@ -174,25 +212,31 @@ def _poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def poly_roots(poly: list[int], p: int) -> list[int]:
-    """All roots in GF(p) by direct scan: in-place Horner over chunks of
-    2**15 points (256 KiB per int64 array), so the scan stays in cache and
-    its memory does not grow with p."""
-    # a value below p stays below p**(j + 1) for j more Horner steps, so it
-    # is reduced once every `every` steps with p**(every + 1) <= 2**62
-    every = 1
-    while p ** (every + 2) <= 2**62:
-        every += 1
+    """All roots in GF(p), sorted, by evaluation at every point, one chunk
+    of points at a time.  With s about sqrt(len(poly)) and
+    poly = sum_j P_j(x) (x^s)^j for P_j of degree below s: baby steps
+    x^0 .. x^s, one exact float64 product of x^0 .. x^(s-1) with the
+    coefficient blocks (every P_j(x), each at most s (p - 1)^2 < 2^53), then
+    Horner in x^s over the P_j."""
+    s = min(isqrt(max(len(poly) - 1, 0)) + 1, _exact_terms(p))
+    t = max(1, -(-len(poly) // s))
+    blocks = np.zeros(t * s, dtype=np.int64)
+    blocks[: len(poly)] = [c % p for c in poly]
+    blocks = blocks.reshape(t, s).astype(np.float64)  # row j: P_j, ascending
+    powers = np.empty((s + 1, min(p, _CHUNK)), dtype=np.int64)
     roots = []
-    vals = np.empty(min(p, 2**15), dtype=np.int64)
-    for start in range(0, p, len(vals)):
-        xs = np.arange(start, min(start + len(vals), p), dtype=np.int64)
-        acc = vals[: len(xs)]
-        acc[:] = 0
-        for step, c in enumerate(reversed(poly), 1):
-            acc *= xs
-            acc += c
-            if step % every == 0:
-                acc %= p
-        acc %= p
+    for start in range(0, p, _CHUNK):
+        x = powers[:, : min(_CHUNK, p - start)]  # row i: x^i
+        x[0] = 1
+        x[1] = np.arange(start, start + x.shape[1])
+        for i in range(2, s + 1):
+            np.multiply(x[i - 1], x[1], out=x[i])
+            x[i] %= p
+        P = (blocks @ x[:s].astype(np.float64)).astype(np.int64)  # row j: P_j(x)
+        acc = P[-1] % p
+        for j in range(t - 2, -1, -1):
+            acc *= x[s]
+            acc += P[j]
+            acc %= p
         roots.extend((start + np.flatnonzero(acc == 0)).tolist())
     return roots

@@ -12,8 +12,9 @@ The values are held as one integer array of power-basis coefficient
 vectors in Z[zeta_e], e = exp G, on which both orthogonality relations
 are verified exactly for every pair.  The fast path evaluates induced
 linear characters on an abelian normal subgroup.  Zero tests are exact
-everywhere; float64 serves only as an exact integer accumulator in the
-orthogonality sums, under a checked bound of 2^53.
+everywhere; float64 serves only as an exact integer accumulator, under a
+checked bound of 2^53: in the exact orthogonality sums, and in every GF(p)
+product of `_linalg_modp`, blocks of k terms with k (p - 1)^2 < 2^53.
 
 All outputs are immutable and calls are reentrant: per-group work shares
 no mutable state, so corpus sweeps may run one group per worker.
@@ -40,7 +41,7 @@ from .group_engine import (
 )
 
 # Terms in one exact orthogonality product of a table with fewer than 128
-# classes; larger tables use r^2.
+# classes (larger tables use r^2), and values per multiplicity product.
 _BLOCK_TERMS = 1 << 14
 
 
@@ -298,9 +299,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     size_inv = np.array([pow(int(s), -1, p) for s in sizes], dtype=np.int64)
     n_mod = n % p
 
-    theta_rows = []
+    thetas = np.empty((r, r), dtype=np.int64)
     degrees = []
-    for u in vectors:
+    for u, theta in zip(vectors, thetas):
         u = u % p
         if u[0] % p == 0:
             raise TableConsistencyError("eigenvector vanishes at the identity class")
@@ -312,8 +313,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         )
         if degree is None:
             raise TableConsistencyError("no admissible character degree")
-        theta = degree * u % p * size_inv % p
-        theta_rows.append(theta)
+        theta[:] = degree * u % p * size_inv % p
         degrees.append(degree)
 
     if sum(d * d for d in degrees) != n:
@@ -336,16 +336,21 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         by_order.append((K, power_class[K, :o], W, reduction[:: e // o]))
 
     # Each value is a power-basis coefficient vector in Z[zeta_e]; a table
-    # has few distinct ones, so rows hold ids into value_id.
+    # has few distinct ones, so rows hold ids into value_id.  A block of
+    # rows takes one product per element order, of about _BLOCK_TERMS values.
+    step = max(1, _BLOCK_TERMS // max(powers.size for _, powers, _, _ in by_order))
     ids = np.empty((r, r), dtype=np.int64)
     value_id = {}
-    for theta, id_row in zip(theta_rows, ids):
+    for start in range(0, r, step):
+        block = []
         for K, powers, W, lift in by_order:
-            mult = lin.matmul(theta[powers], W, p)  # (|K|, o) multiplicities
+            mult = lin.matmul(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
             if np.any(mult >= p // 2):
                 raise TableConsistencyError("multiplicity lift out of range")
-            coeffs = map(tuple, (mult @ lift).tolist())
-            id_row[K] = [value_id.setdefault(c, len(value_id)) for c in coeffs]
+            block.append((K, (mult @ lift).tolist()))
+        for i, id_row in enumerate(ids[start:start + step]):
+            for K, coeffs in block:
+                id_row[K] = [value_id.setdefault(tuple(c), len(value_id)) for c in coeffs[i]]
     id_rows = ids.tolist()
     cyclos = [Cyclo(e, c) if any(c) else Cyclo.zero() for c in value_id]
 
@@ -362,7 +367,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
     values = np.array(list(value_id), dtype=np.int64)
     ids = ids[order_key]
-    _verify_orthogonality(data, n, e, values, ids, np.stack(theta_rows)[order_key], p)
+    _verify_orthogonality(data, n, e, values, ids, thetas[order_key], p)
     # class k vanishes when column k holds the id of the zero vector (if any)
     zero = value_id.get((0,) * values.shape[1], -1)
     zero_classes = tuple(np.flatnonzero((ids == zero).any(axis=0)).tolist())

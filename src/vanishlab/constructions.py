@@ -256,8 +256,6 @@ def _build_a(m: int, variant: str) -> FiniteGroup:
     return G
 
 
-_B1_SHAPES = ("d8", "q8", "m16", "c4:c4", "d8xc3")
-
 _PGROUP_SHAPES = {
     # shape -> (constructor, [G : Z(G)])
     "d8": (lambda: metacyclic_2generator(4, -1, 0, "D8"), 4),
@@ -531,27 +529,34 @@ def build_case_family(tag: str, **params) -> CorpusEntry:
     return CorpusEntry(G, "family:INVERSION_NEGATIVE", expected_case="AtOrAbove")
 
 
+# Every deterministic family member as (tag, params, order), in catalog
+# order: the listed order lets `catalog_entries` skip a member over its cap
+# without building it (the tests check each against the built group).
+_CATALOG = (
+    [("A", {"m": m, "variant": v}, order) for m, v, order in (
+        (2, "c3", 6), (2, "c3xc3", 18), (2, "c5", 10), (2, "c9", 18),
+        (3, "c13", 39), (3, "c7", 21), (3, "v4", 12),
+        (4, "c13", 52), (4, "c3xc3", 36), (4, "c5", 20), (4, "s3xs3", 36),
+        (5, "c11", 55), (5, "c2^4", 80), (5, "c3^4", 405),
+        (6, "c13", 78), (6, "c7", 42), (6, "c7^2:s3", 294), (6, "s3xa4", 72),
+    )]
+    + [("B1", {"shape": shape}, order) for shape, order in (
+        ("d8", 8), ("q8", 8), ("m16", 16), ("c4:c4", 16), ("d8xc3", 24))]
+    + [("B2", {"variant": v}, order) for v, order in (
+        ("s4", 24), ("c4", 96), ("negative", 1536))]
+    + [("B4_1", {"k": 1}, 384), ("B4_2", {"n": 3, "k": 1}, 1536)]
+    + [("PGROUP", {"shape": shape}, order) for shape, order in (
+        ("c4xc2", 8), ("d16", 16), ("d8", 8), ("heis3", 27), ("m16", 16),
+        ("q16", 16), ("q8", 8), ("sd16", 16))]
+    + [("INVERSION_NEGATIVE", {}, 384)]
+)
+
+
 def catalog_entries(max_order: int = 2000) -> list[CorpusEntry]:
-    """All deterministic family members whose order fits the cap."""
-    calls: list[tuple[str, dict]] = []
-    for m, variants in _A_FAMILY.items():
-        for variant in sorted(variants):
-            calls.append(("A", {"m": m, "variant": variant}))
-    for shape in _B1_SHAPES:
-        calls.append(("B1", {"shape": shape}))
-    for variant in ("s4", "c4", "negative"):
-        calls.append(("B2", {"variant": variant}))
-    calls.append(("B4_1", {"k": 1}))
-    calls.append(("B4_2", {"n": 3, "k": 1}))
-    for shape in sorted(_PGROUP_SHAPES):
-        calls.append(("PGROUP", {"shape": shape}))
-    calls.append(("INVERSION_NEGATIVE", {}))
-    out = []
-    for tag, params in calls:
-        entry = build_case_family(tag, **params)
-        if entry.group.order <= max_order:
-            out.append(entry)
-    return out
+    """All deterministic family members whose order fits the cap; only
+    those are built."""
+    return [build_case_family(tag, **params)
+            for tag, params, order in _CATALOG if order <= max_order]
 
 
 def _random_perm_entry(rng: random.Random, index: int, max_order: int) -> CorpusEntry:

@@ -1,10 +1,12 @@
 """Builders: each family member satisfies its defining predicate, and the
 provenance strings replay to the same group."""
 
+import hashlib
 import tracemalloc
 
 import pytest
 
+from vanishlab import constructions
 from vanishlab.abelian_core import AbelianGroup, AbHom
 from vanishlab.constructions import (
     BuilderError,
@@ -150,6 +152,38 @@ def test_catalog_is_within_order_bound():
     assert len(entries) >= 30
     assert all(e.group.order <= 2000 for e in entries)
     assert len({e.provenance for e in entries}) == len(entries)
+
+
+def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
+    # every listed order is the built order, every family member is listed,
+    # and a member over the cap is never built
+    catalog = constructions._CATALOG
+    full = catalog_entries(max_order=8192)
+    assert [e.group.order for e in full] == [order for _, _, order in catalog]
+    listed = {(tag, p.get("variant") or p.get("shape")) for tag, p, _ in catalog}
+    assert {("A", v) for vs in constructions._A_FAMILY.values() for v in vs} <= listed
+    assert {("PGROUP", s) for s in constructions._PGROUP_SHAPES} <= listed
+    built = []
+    build = constructions.build_case_family
+    monkeypatch.setattr(
+        constructions, "build_case_family",
+        lambda tag, **params: built.append(tag) or build(tag, **params),
+    )
+    for cap in (1, 8, 100, 1000, 1535, 1536):
+        built.clear()
+        entries = catalog_entries(max_order=cap)
+        assert [e.provenance for e in entries] == \
+            [e.provenance for e in full if e.group.order <= cap]
+        assert len(built) == len(entries)
+
+
+@pytest.mark.parametrize("args,digest", [
+    ((42, 200, 2000), "18d65d71dc5a50251637b4f2b443bd7a72c0d8e2bfc300fb7e663bc72fb657ac"),
+    ((1, 400, 1000), "d0962affb63ffe7761fa7106d220da63817c865ac7edc165a66bd8810d4e9417"),
+], ids=["42-200-2000", "1-400-1000"])
+def test_corpus_provenances_are_golden(args, digest):
+    text = "\n".join(e.provenance for e in random_corpus(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_replay_reproduces_catalog():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,25 @@ def test_forced_collisions_still_give_the_golden_table(tmp_path, capsys, monkeyp
     assert code == EXIT_OK and "classes=45" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert len(built) >= 2 * 44
+
+
+def test_forced_large_prime_still_gives_the_golden_table(tmp_path, capsys, monkeypatch):
+    # 9999973 = 1 (mod 12) is the largest admissible prime below the search
+    # bound 10^7: float64 products hold only 90 exact terms, and every root
+    # scan covers 10^7 points
+    text, digest = GOLDEN_TABLES[2]
+    primes = []
+    monkeypatch.setattr(
+        character_lab, "dixon_prime",
+        lambda order, exponent, classes: primes.append(exponent) or 9999973,
+    )
+    path = tmp_path / "g.grp"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out = run(capsys, "ptable", str(path), "--emit-table")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK and primes == [12]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 prefixes of the `classify --cross-check` and `oracle --elements`
