@@ -113,8 +113,12 @@ def cmd_construct(args) -> int:
         return EXIT_CAP
     text = "# " + entry.provenance + "\n" + emit_group(entry.group)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_PARSE
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -25,13 +25,11 @@ from .group_engine import (
     FiniteGroup,
     GroupDomainError,
     GroupSizeError,
-    SemidirectSpec,
-    action_from_generator_matrices,
     alternating_7,
-    build_semidirect,
     builtin_h,
     cycles_of,
     from_permutations,
+    semidirect_from_matrices,
 )
 
 
@@ -50,15 +48,6 @@ class CorpusEntry:
 
 
 # -- assembly helpers -----------------------------------------------------
-
-
-def _semidirect(A: AbelianGroup, h_name: str, matrices, name: str) -> FiniteGroup:
-    H = builtin_h(h_name)
-    if len(matrices) != len(H.generators):
-        raise BuilderError("one action matrix per complement generator required")
-    images = dict(zip(H.generators, matrices))
-    action = action_from_generator_matrices(A, H, images)
-    return build_semidirect(SemidirectSpec(A, H, action), name=name)
 
 
 def _c6_actions(G: FiniteGroup) -> tuple[AbHom, AbHom]:
@@ -85,7 +74,7 @@ def _block_semidirect(blocks, h_name: str, name: str) -> FiniteGroup:
         for i, row in enumerate(rows):
             M[off + i][off:off + len(row)] = row
         off += len(ords)
-    return _semidirect(AbelianGroup.of(*orders), h_name, [M], name)
+    return semidirect_from_matrices(AbelianGroup.of(*orders), builtin_h(h_name), [M], name)
 
 
 def metacyclic_2generator(n: int, t: int, s: int, name: str) -> FiniteGroup:
@@ -242,11 +231,11 @@ def _build_a(m: int, variant: str) -> FiniteGroup:
         G = from_permutations(degree, gens, name=name)
     elif variant == "c7^2:s3":
         A = AbelianGroup.of(7, 7)
-        G = _semidirect(A, "S3", [ROT, [[0, 1], [1, 0]]], "C7^2:S3")
+        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, [[0, 1], [1, 0]]], "C7^2:S3")
     else:
         orders, h_name, mats = _A_FAMILY[m][variant]
         A = AbelianGroup.of(*orders)
-        G = _semidirect(A, h_name, mats, f"{variant}:{h_name}")
+        G = semidirect_from_matrices(A, builtin_h(h_name), mats, f"{variant}:{h_name}")
     # defining predicate: A-group with Fitting subgroup of index m
     for p in G.primes():
         if not G.sylow(p).is_abelian():
@@ -272,7 +261,7 @@ _PGROUP_SHAPES = {
 def _abelian_as_group(*orders: int) -> FiniteGroup:
     A = AbelianGroup.of(*orders)
     eye = [[1 if i == j else 0 for j in range(A.rank)] for i in range(A.rank)]
-    return _semidirect(A, "C1", [eye], "x".join(f"C{d}" for d in orders))
+    return semidirect_from_matrices(A, builtin_h("C1"), [eye], "x".join(f"C{d}" for d in orders))
 
 
 def _build_pgroup(shape: str) -> tuple[FiniteGroup, int]:
@@ -291,7 +280,7 @@ def _build_b1(shape: str) -> FiniteGroup:
     if shape == "d8xc3":
         A = AbelianGroup.of(4, 3)
         # C2 inverts the C4 part and fixes the C3 part
-        G = _semidirect(A, "C2", [[[-1, 0], [0, 1]]], "D8xC3")
+        G = semidirect_from_matrices(A, builtin_h("C2"), [[[-1, 0], [0, 1]]], "D8xC3")
     elif shape == "c4:c4":
         G = _c4_semi_c4()
     elif shape in ("d8", "q8", "m16"):
@@ -332,11 +321,11 @@ def _build_b2(variant: str) -> tuple[FiniteGroup, str | None]:
     swap = [[0, 1], [1, 0]]
     if variant == "s4":
         A = AbelianGroup.of(2, 2)
-        G = _semidirect(A, "S3", [[[0, 1], [1, 1]], swap], "S4")
+        G = semidirect_from_matrices(A, builtin_h("S3"), [[[0, 1], [1, 1]], swap], "S4")
         return G, "b2"
     if variant == "c4":
         A = AbelianGroup.of(4, 4)
-        G = _semidirect(A, "S3", [ROT, swap], "C4^2:S3")
+        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, swap], "C4^2:S3")
         return G, "b2"
     if variant == "negative":
         # two (C_4)^2 blocks rotated oppositely, y swapping them:
@@ -354,7 +343,7 @@ def _build_b2(variant: str) -> tuple[FiniteGroup, str | None]:
             [1, 0, 0, 0],
             [0, 1, 0, 0],
         ]
-        G = _semidirect(A, "S3", [r, t], "C4^4:S3-diag")
+        G = semidirect_from_matrices(A, builtin_h("S3"), [r, t], "C4^4:S3-diag")
         return G, None
     raise BuilderError(f"unknown B2 variant {variant!r}")
 
@@ -411,7 +400,7 @@ def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
 def _build_inversion_negative() -> FiniteGroup:
     A = AbelianGroup.of(8, 8)
     neg_rot = [[0, -1], [1, 1]]
-    G = _semidirect(A, "C6", [neg_rot], "C8^2:C6-inv")
+    G = semidirect_from_matrices(A, builtin_h("C6"), [neg_rot], "C8^2:C6-inv")
     _, y = _c6_actions(G)
     if y != AbHom.scalar(A, -1):
         raise BuilderError("inversion builder: y does not invert A")

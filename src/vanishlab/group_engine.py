@@ -6,9 +6,9 @@ elements.  Construction compiles the group into integer index arrays
 (`FiniteGroup.compiled`) around the right-multiplication rows of its
 generators, verifies on them that the law is a group law, completely and
 at every order, and never evaluates `mul` or `inv` again.  Permutation
-groups hand in the rows their breadth-first enumeration found
-(`from_permutations`); every other group gets them from |G| *
-|generators| calls to `mul`.  Every structural query
+groups (`from_permutations`) and semidirect products (`build_semidirect`)
+hand in rows found without `mul`; every other group gets them from
+|G| * |generators| calls to `mul`.  Every structural query
 (conjugacy classes, element orders, center, centralizers, normalizers,
 derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
 is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
@@ -24,7 +24,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, partial, reduce
 from math import lcm
 
 import numpy as np
@@ -57,11 +57,11 @@ class FiniteGroup:
     `mul` and `inv` are callables on the (hashable, opaque) elements;
     `generators` must generate the group (all elements when omitted).
     `right`, when given, holds one row per generator: `right[t][i]` is the
-    index of `elements[i] * generators[t]`.  Construction builds
-    `compiled` (see CompiledGroup) from those rows, or from |G| calls to
-    `mul` per generator when there are none, and verifies the group axioms
-    on it, completely and at every order.  `mul` and `inv` are evaluated
-    only to compile; every query below runs on `compiled`.
+    index of `elements[i] * generators[t]`.  Construction builds `compiled`
+    (see CompiledGroup) from those rows, or from |G| calls to `mul` per
+    generator when there are none, and verifies the group axioms on it,
+    completely and at every order.  `mul` is evaluated only to compile and
+    `inv` once per generator; every query below runs on `compiled`.
     """
 
     def __init__(self, elements, mul, inv, identity, generators=None, name="",
@@ -952,21 +952,16 @@ def klein_4() -> FiniteGroup:
     return from_permutations(4, ["(1 2)(3 4)", "(1 3)(2 4)"], name="V4")
 
 
+# the complements that builders and group files may name
+BUILTIN_H = {**{f"C{n}": partial(cyclic_group, n) for n in range(1, 7)},
+             "V4": klein_4, "S3": symmetric_3}
+
+
 def builtin_h(name: str) -> FiniteGroup:
-    table = {
-        "C1": lambda: cyclic_group(1),
-        "C2": lambda: cyclic_group(2),
-        "C3": lambda: cyclic_group(3),
-        "C4": lambda: cyclic_group(4),
-        "C5": lambda: cyclic_group(5),
-        "C6": lambda: cyclic_group(6),
-        "V4": klein_4,
-        "S3": symmetric_3,
-    }
     key = name.strip().upper()
-    if key not in table:
+    if key not in BUILTIN_H:
         raise GroupDomainError(f"unknown builtin complement {name!r}")
-    return table[key]()
+    return BUILTIN_H[key]()
 
 
 def alternating_7() -> FiniteGroup:
@@ -1001,8 +996,8 @@ class SemidirectSpec:
 
 
 def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict) -> dict:
-    """Extend automorphisms given on H-generators (as integer matrices or
-    AbHoms) to all of H by following the generation BFS.
+    """Extend automorphisms given on H-generators as integer matrices to
+    all of H by following the generation BFS.
 
     GroupSizeError when A x| H would exceed the size cap, before the
     automorphism check enumerates A."""
@@ -1010,7 +1005,7 @@ def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict
         raise GroupSizeError("semidirect product exceeds the size cap")
     gen_maps = {}
     for h, m in images.items():
-        gen_maps[h] = m if isinstance(m, AbHom) else AbHom.from_matrix(A, m)
+        gen_maps[h] = AbHom.from_matrix(A, m)
         if not gen_maps[h].is_automorphism():
             raise GroupDomainError("generator image is not an automorphism")
     action = {H.identity: AbHom.identity(A)}
@@ -1046,6 +1041,12 @@ class SemidirectGroup(FiniteGroup):
 def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     """A x| H with (a1, h1)(a2, h2) = (a1 + action(h1)(a2), h1 h2).
 
+    Element (a, h) is number |A| * index(h) + index(a), index(h) its place
+    in H.elements and index(a) its row in A.table.  The rows of the
+    generators, A's then H's, come from the action matrices and H's law:
+    (a, h)(e_i, 1) = (a + row i of action(h), h), (a, h)(0, s) = (a, hs).
+    `mul` and `inv` compute the same law on elements, as a reference.
+
     Conjugation of a in A by h comes out as a^h = action(h^-1)(a).
     The result carries `semidirect_spec` (see SemidirectGroup).
     """
@@ -1053,35 +1054,43 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     A, H, action = spec.A, spec.H, spec.action
     if A.order * H.order > MAX_GROUP_ORDER:
         raise GroupSizeError("semidirect product exceeds the size cap")
-    elements = [
-        (a.coords, h) for h in H.elements for a in A.elements()
-    ]
+    n, law = A.order, H.compiled
+    coords = list(map(tuple, A.table.tolist()))
+    elements = [(a, h) for h in H.elements for a in coords]
+    offsets = n * np.arange(H.order)[:, None]
+    matrices = np.array([action[h].matrix for h in H.elements])
+    right = [(A.index_of(A.table + matrices[:, i, None]) + offsets).ravel()
+             for i in range(A.rank)]
+    right += [(n * law.right_translation(H.index[s])[:, None] + np.arange(n)).ravel()
+              for s in H.generators]
+
     orders = A.factor_orders
     # columns[h][j]: coordinate j of the images of A's generators under action(h)
     columns = {h: f.matrix.T.tolist() for h, f in action.items()}
-    hmul = {(h1, h2): H.compiled.law_mul(h1, h2) for h1 in H.elements for h2 in H.elements}
-    hinv = {h: H.compiled.law_inv(h) for h in H.elements}
-
-    @lru_cache(maxsize=None)  # at most |A| * |H| entries
-    def act(h, a):
-        """Coordinates of action(h)(a), before reduction."""
-        return tuple(sum(map(operator.mul, a, col)) for col in columns[h])
 
     def mul(x, y):
         (a1, h1), (a2, h2) = x, y
-        return tuple(map(operator.mod, map(operator.add, a1, act(h1, a2)), orders)), hmul[h1, h2]
+        return tuple((c + sum(map(operator.mul, a2, col))) % d
+                     for c, col, d in zip(a1, columns[h1], orders)), law.law_mul(h1, h2)
 
     def inv(x):
         a, h = x
-        h = hinv[h]
-        return tuple(map(operator.mod, map(operator.neg, act(h, a)), orders)), h
+        h = law.law_inv(h)
+        return tuple(-sum(map(operator.mul, a, col)) % d for col, d in zip(columns[h], orders)), h
 
     ident = (A.zero().coords, H.identity)
     gens = [(g.coords, H.identity) for g in A.generators()]
     gens += [(A.zero().coords, h) for h in H.generators]
-    G = SemidirectGroup(elements, mul, inv, ident, generators=gens, name=name)
+    G = SemidirectGroup(elements, mul, inv, ident, generators=gens, name=name, right=right)
     G.semidirect_spec = spec
     return G
+
+
+def semidirect_from_matrices(A: AbelianGroup, H: FiniteGroup, matrices, name=""):
+    """A x| H, generator k of H acting on A through the integer matrix
+    matrices[k], whose row i is the image of A's generator i."""
+    action = action_from_generator_matrices(A, H, dict(zip(H.generators, matrices, strict=True)))
+    return build_semidirect(SemidirectSpec(A, H, action), name=name)
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name="") -> FiniteGroup:

@@ -13,10 +13,10 @@ Two headers are supported::
     gen (1 2 3 4 5 6 7)
     gen (1 2 3)
 
-`matrix` rows are separated by `/`; entry j of row i is the i-th coordinate
-of the image of generator j... rows are the images of the abelian generators
-in coordinates.  Parse failures carry a 1-based line and column; a valid
-file whose group exceeds the size cap raises GroupSizeError instead.
+`matrix` rows are separated by `/`; row i holds the coordinates of the
+image of abelian generator i.  Parse failures carry a 1-based line and
+column; a valid file whose group exceeds the size cap raises
+GroupSizeError instead.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from dataclasses import dataclass
 
 from .abelian_core import AbelianDomainError, parse_abelian_literal
 from .group_engine import (
+    BUILTIN_H,
     FiniteGroup,
     GroupDomainError,
     GroupSizeError,
-    SemidirectSpec,
-    action_from_generator_matrices,
-    build_semidirect,
     builtin_h,
     cycles_of,
     from_permutations,
+    semidirect_from_matrices,
 )
 
-BUILTIN_COMPLEMENTS = ("C1", "C2", "C3", "C4", "C5", "C6", "V4", "S3")
+BUILTIN_COMPLEMENTS = tuple(BUILTIN_H)
 
 
 class GroupFileError(ValueError):
@@ -131,11 +130,8 @@ def _parse_semidirect(lines: list[_Line]) -> FiniteGroup:
             f"{h_name} needs {len(H.generators)} matrix line(s), got {len(matrices)}",
             lines[-1].number,
         )
-    images = dict(zip(H.generators, matrices))
     try:
-        action = action_from_generator_matrices(A, H, images)
-        return build_semidirect(SemidirectSpec(A, H, action),
-                                name=f"{literal}:{h_name}")
+        return semidirect_from_matrices(A, H, matrices, name=f"{literal}:{h_name}")
     except GroupSizeError:
         raise
     except (GroupDomainError, AbelianDomainError) as exc:

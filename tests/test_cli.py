@@ -11,6 +11,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,10 +53,12 @@ def roundtrip(G):
 
 
 def test_roundtrip_semidirect():
-    for tag, kwargs in [("B4_1", {}), ("B2", {"variant": "s4"}),
-                        ("A", {"m": 6, "variant": "c7^2:s3"})]:
-        G = build_case_family(tag, **kwargs).group
-        roundtrip(G)
+    groups = [e.group for e in catalog_entries(1000) if hasattr(e.group, "semidirect_spec")]
+    # B4_1, B2 s4 and A m=6 c7^2:s3 among them
+    assert {"(C8^2)^1:C6", "S4", "C7^2:S3"} <= {G.name for G in groups}
+    for G in groups:
+        H = roundtrip(G)
+        assert np.array_equal(H.compiled.R, G.compiled.R), G.name
 
 
 def test_roundtrip_semidirect_is_byte_stable():
@@ -258,6 +261,15 @@ def test_construct_rejects_oversized_and_unknown_parameters(capsys, argv, expect
     assert captured.out == ""
     if expected == EXIT_PARSE:
         assert repr(argv[-1].partition("=")[0]) in captured.err
+
+
+def test_construct_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "d8.grp", tmp_path):
+        code = main(["construct", "PGROUP", "shape=d8", "-o", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 # -- subcommands -------------------------------------------------------------

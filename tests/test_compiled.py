@@ -22,17 +22,21 @@ from vanishlab.character_lab import (
     proportion,
 )
 from vanishlab.classifier import classify_theorem_a
-from vanishlab.constructions import build_case_family, random_corpus
+from vanishlab.abelian_core import AbelianGroup
+from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
 from vanishlab.cyclotomic import p_valuation
-from vanishlab.groupfile import parse_group
+from vanishlab.groupfile import emit_group, parse_group
 from vanishlab.group_engine import (
     FiniteGroup,
     GroupDomainError,
+    SemidirectGroup,
     alternating_7,
+    builtin_h,
     cyclic_group,
     direct_product,
     from_permutations,
     is_a_group,
+    semidirect_from_matrices,
     symmetric_3,
 )
 
@@ -161,7 +165,7 @@ def test_table_mul_calls_stay_linear_in_the_order(make):
 
     G.mul = counting
     dixon_table(G)
-    # construction made the |G| * |generators| products the table reads
+    # construction computed or was handed the |G| * |generators| products the table reads
     assert G.compiled.R.shape == (len(G.generators), G.order)
     assert calls == 0
 
@@ -452,6 +456,42 @@ def test_semidirect_law_matches_the_module_action(tag, params):
             assert G.mul((a1, h1), (a2, h2)) == expected
         inverse = spec.action[H.inv(h1)](-A.element(a1))
         assert G.inv((a1, h1)) == (inverse.coords, H.inv(h1))
+
+
+def test_semidirect_rows_agree_with_mul():
+    groups = [e.group for e in catalog_entries(1000) if hasattr(e.group, "semidirect_spec")]
+    groups += [
+        build_case_family("M5").group,
+        # two complement generators
+        parse_group("semidirect\nabelian C3xC3\ncomplement V4\n"
+                    "matrix -1 0 / 0 1\nmatrix 1 0 / 0 -1\n"),
+        # A of rank 0
+        semidirect_from_matrices(AbelianGroup.of(), builtin_h("S3"), [[], []]),
+    ]
+    for G in groups:
+        view = G.compiled
+        assert len(view.gens) == len(G.generators)
+        for t, j in enumerate(view.gens):
+            s = G.elements[j]
+            assert [G.elements[k] for k in view.R[t].tolist()] == \
+                [G.mul(x, s) for x in G.elements], (G.name, t)
+
+
+def test_semidirect_products_compile_without_calling_mul(monkeypatch):
+    calls = 0
+    init = FiniteGroup.__init__
+
+    def counting_init(group, elements, mul, *args, **kwargs):
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return mul(x, y)
+        init(group, elements, counted, *args, **kwargs)
+
+    monkeypatch.setattr(SemidirectGroup, "__init__", counting_init)
+    G = build_case_family("M5").group
+    assert parse_group(emit_group(G)).order == G.order == 6480
+    assert calls == 0
 
 
 # -- no reference cycles ------------------------------------------------------
