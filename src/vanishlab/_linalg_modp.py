@@ -7,11 +7,16 @@ at most that many inner terms per float64 product and folds each product
 back in int64 with `% p`; a p with (p - 1)^2 >= 2^53, where no single term
 is exact, is a ValueError.  Every prime this package selects (`dixon_prime`
 searches below 10**7) passes with blocks of at least 90 terms.
-`rref` eliminates in int64, every step below p^2 in absolute value, and
-updates only the columns from the pivot on.
+`krylov` finds a Krylov polynomial without elimination: Berlekamp-Massey
+on the 2 length + 1 terms u M^k v for a seeded row u, in int64 with every
+sum of at most 2 length + 1 terms below p^2 checked below 2^63, and the
+result is proved on the Krylov basis, K f = 0 mod p.
+`rref` (for `nullspace` and `solve`) eliminates in int64, every step below
+p^2 in absolute value, and updates only the columns from the pivot on.
 `poly_roots` evaluates at every point of GF(p) by baby steps and giant
-steps (Paterson-Stockmeyer): about 2 p sqrt(deg) int64 steps and one
-float64 product of p deg terms, where a Horner scan takes p deg steps.
+steps (Paterson-Stockmeyer, `_poly_values`): about 2 p sqrt(deg) int64
+steps and one float64 product of p deg terms, where a Horner scan takes
+p deg steps.
 """
 
 from __future__ import annotations
@@ -138,26 +143,73 @@ def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
 def krylov(M: np.ndarray, v: np.ndarray, length: int, p: int):
     """(K, f): the Krylov matrix K = [v, Mv, ..., M^length v] (as columns)
     and the minimal polynomial f of v under M (ascending, monic), for
-    `length` at least the degree of f.  M is reduced and converted once;
-    each step is one exact float64 product."""
+    `length` at least the degree of f; a higher degree is a ValueError.
+
+    M is reduced and converted once, and every product is an exact float64
+    one.  For a seeded row u the 2 length + 1 terms a_(i + j) = (u M^i) M^j v
+    are u K and the left sequence u M, u M^2, ... against the last column
+    of K; no elimination runs.  Berlekamp-Massey gives their minimal
+    polynomial, a divisor of v's.  The lcm of these divisors over the draws
+    is returned once K[:, :deg + 1] f = 0 mod p, which makes it v's minimal
+    polynomial exactly; an unlucky u (probability at most deg/p) fails that
+    check, and the next one is folded in.  Every int64 step stays below
+    2^63: the terms are residues, and each Berlekamp-Massey sum holds at
+    most 2 length + 1 terms below p^2, checked."""
     M = _residues(M, p)
-    K = np.empty((len(v), length + 1), dtype=np.int64)
-    K[:, 0] = np.asarray(v, dtype=np.int64) % p
+    K = np.empty((len(v), length + 1))
+    K[:, 0] = _residues(v, p)
     for j in range(length):
-        K[:, j + 1] = _products(M, K[:, j].astype(np.float64), p)
-    A, pivots = rref(K, p)
-    # the first dependent Krylov vector gives the minimal-degree relation
-    fc = next((c for c in range(K.shape[1]) if c not in pivots), None)
-    if fc is None:
-        raise ValueError(
-            f"Krylov length {length} is below the degree of the minimal polynomial of v"
-        )
-    coeffs = [0] * (fc + 1)
-    coeffs[fc] = 1
-    for r, pc in enumerate(pivots):
-        if pc < fc:
-            coeffs[pc] = int((-A[r, fc]) % p)
-    return K, coeffs
+        K[:, j + 1] = _products(M, K[:, j], p)
+    f = [1]
+    draws = _left_vectors(len(v), p)
+    while _products(K[:, : len(f)], np.array(f, dtype=np.float64), p).any():
+        u = next(draws)
+        a = np.empty(2 * length + 1, dtype=np.int64)
+        a[: length + 1] = _products(u, K, p)
+        for k in range(length + 1, 2 * length + 1):
+            u = _products(u, M, p).astype(np.float64)
+            a[k] = _products(u, K[:, length], p)
+        f = _poly_lcm(f, _berlekamp_massey(a, p), p)
+        if len(f) > length + 1:
+            raise ValueError(
+                f"Krylov length {length} is below the degree of the minimal polynomial of v"
+            )
+    return K.astype(np.int64), f
+
+
+def _left_vectors(n: int, p: int):
+    """The seeded rows u of `krylov`, as float64 residues, one per draw."""
+    rng = np.random.default_rng(0x5EED)
+    while True:
+        yield rng.integers(0, p, size=n).astype(np.float64)
+
+
+def _berlekamp_massey(a: np.ndarray, p: int) -> list[int]:
+    """The minimal polynomial (ascending, monic) of the sequence a mod p:
+    the shortest recurrence sum_i C_i a_(k - i) = 0 that holds all along
+    a, read backwards (Berlekamp-Massey).  For a linearly recurrent
+    sequence of which a holds at least twice the degree terms, it is the
+    sequence's minimal polynomial.  Each discrepancy is an int64 sum of at
+    most len(a) terms below p^2, checked below 2^63; every other step stays
+    below p^2."""
+    if len(a) * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"p = {p}: {len(a)} terms below p^2 reach 2^63")
+    C = np.zeros(len(a) + 1, dtype=np.int64)
+    C[0] = 1
+    B, L, shift, b = C.copy(), 0, 1, 1
+    for k in range(len(a)):
+        d = int(C[: L + 1] @ a[k - L : k + 1][::-1]) % p
+        if d == 0:
+            shift += 1
+            continue
+        previous = C.copy()
+        C[shift:] -= d * pow(b, -1, p) % p * B[: len(C) - shift]
+        C %= p
+        if 2 * L <= k:
+            L, B, b, shift = k + 1 - L, previous, d, 1
+        else:
+            shift += 1
+    return C[L::-1].tolist()
 
 
 def _poly_mul_modp(a: list[int], b: list[int], p: int) -> list[int]:
@@ -213,30 +265,43 @@ def _poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
 
 def poly_roots(poly: list[int], p: int) -> list[int]:
     """All roots in GF(p), sorted, by evaluation at every point, one chunk
-    of points at a time.  With s about sqrt(len(poly)) and
+    of points at a time (`_poly_values`)."""
+    values = _poly_values([c % p for c in poly], p, min(p, _CHUNK))
+    roots = []
+    for start in range(0, p, _CHUNK):
+        at = values(np.arange(start, min(start + _CHUNK, p)))
+        roots.extend((start + np.flatnonzero(at == 0)).tolist())
+    return roots
+
+
+def _poly_values(coeffs: list[int], p: int, width: int):
+    """The function x -> poly(x) mod p on int64 arrays of at most `width`
+    residues, for the ascending residues coeffs of poly.  With s about
+    sqrt(len(coeffs)), capped at `_exact_terms(p)`, and
     poly = sum_j P_j(x) (x^s)^j for P_j of degree below s: baby steps
     x^0 .. x^s, one exact float64 product of x^0 .. x^(s-1) with the
     coefficient blocks (every P_j(x), each at most s (p - 1)^2 < 2^53), then
-    Horner in x^s over the P_j."""
-    s = min(isqrt(max(len(poly) - 1, 0)) + 1, _exact_terms(p))
-    t = max(1, -(-len(poly) // s))
-    blocks = np.zeros(t * s, dtype=np.int64)
-    blocks[: len(poly)] = [c % p for c in poly]
-    blocks = blocks.reshape(t, s).astype(np.float64)  # row j: P_j, ascending
-    powers = np.empty((s + 1, min(p, _CHUNK)), dtype=np.int64)
-    roots = []
-    for start in range(0, p, _CHUNK):
-        x = powers[:, : min(_CHUNK, p - start)]  # row i: x^i
-        x[0] = 1
-        x[1] = np.arange(start, start + x.shape[1])
+    Horner in x^s over the P_j.  Every call reuses one buffer."""
+    s = min(isqrt(max(len(coeffs) - 1, 0)) + 1, _exact_terms(p))
+    t = max(1, -(-len(coeffs) // s))
+    blocks = np.zeros(t * s)
+    blocks[: len(coeffs)] = coeffs
+    blocks = blocks.reshape(t, s)  # row j: P_j, ascending
+    buffer = np.empty((s + 1, width), dtype=np.int64)
+
+    def values(x: np.ndarray) -> np.ndarray:
+        powers = buffer[:, : len(x)]  # row i: x^i
+        powers[0] = 1
+        powers[1] = x
         for i in range(2, s + 1):
-            np.multiply(x[i - 1], x[1], out=x[i])
-            x[i] %= p
-        P = (blocks @ x[:s].astype(np.float64)).astype(np.int64)  # row j: P_j(x)
+            np.multiply(powers[i - 1], powers[1], out=powers[i])
+            powers[i] %= p
+        P = (blocks @ powers[:s].astype(np.float64)).astype(np.int64)  # row j: P_j(x)
         acc = P[-1] % p
         for j in range(t - 2, -1, -1):
-            acc *= x[s]
+            acc *= powers[s]
             acc += P[j]
             acc %= p
-        roots.extend((start + np.flatnonzero(acc == 0)).tolist())
-    return roots
+        return acc
+
+    return values

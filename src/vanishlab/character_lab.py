@@ -5,7 +5,9 @@ eigenvector method (Dixon, with Schneider's splitting): simultaneous
 eigenvectors of the class-sum matrices over GF(p), read off the Krylov
 basis of one random combination of all of them, for the smallest prime
 p = 1 (mod exp G) above max(2*sqrt|G|, 4r^2), r the number of classes (the
-4r^2 term capped by the prime search bound 10^7), then exact recovery of
+4r^2 term capped by the prime search bound 10^7).  Each combination is one
+weighted count over the left translations of the class representatives;
+no single class matrix is formed.  Then comes exact recovery of
 cyclotomic character values through multiplicity extraction, one transform
 per element order.
 The values are held as one integer array of power-basis coefficient
@@ -13,8 +15,9 @@ vectors in Z[zeta_e], e = exp G, on which both orthogonality relations
 are verified exactly for every pair.  The fast path evaluates induced
 linear characters on an abelian normal subgroup.  Zero tests are exact
 everywhere; float64 serves only as an exact integer accumulator, under a
-checked bound of 2^53: in the exact orthogonality sums, and in every GF(p)
-product of `_linalg_modp`, blocks of k terms with k (p - 1)^2 < 2^53.
+checked bound of 2^53: in the weighted class counts (at most |G| (p - 1)),
+in the exact orthogonality sums, and in every GF(p) product of
+`_linalg_modp`, blocks of k terms with k (p - 1)^2 < 2^53.
 
 All outputs are immutable and calls are reentrant: per-group work shares
 no mutable state, so corpus sweeps may run one group per worker.
@@ -43,6 +46,8 @@ from .group_engine import (
 # Terms in one exact orthogonality product of a table with fewer than 128
 # classes (larger tables use r^2), and values per multiplicity product.
 _BLOCK_TERMS = 1 << 14
+# Hits per weighted bincount of a class combination: 512 KiB arrays.
+_BINCOUNT_HITS = 1 << 16
 
 
 class TableConsistencyError(AssertionError):
@@ -151,18 +156,32 @@ def _primitive_root(p: int) -> int:
 # -- class-sum matrices --------------------------------------------------
 
 
-def _class_matrix(G: FiniteGroup, data: ClassData, L: np.ndarray, i: int) -> np.ndarray:
-    """M_i with (M_i)[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}; every
-    joint eigenvector u satisfies M_i u = omega_i u.
+def _class_combination(G: FiniteGroup, data: ClassData, L: np.ndarray, c) -> np.ndarray:
+    """sum_i c_i M_i over the class-sum matrices M_i, with
+    (M_i)[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}; every joint
+    eigenvector u satisfies M_i u = omega_i u.
 
     L[k] is the left translation y -> rep_k y (as element indices).
     x y = rep_k puts y = x^-1 rep_k, conjugate to rep_k x^-1, so column k
-    counts the classes of rep_k w over w in the inverse class of C_i."""
+    is the class count of rep_k w over all w, where w weighs c_i for the
+    class C_i whose inverse class holds w: one weighted bincount per block
+    of rows of L, about _BINCOUNT_HITS hits each.  Every sum is at most
+    |G| max |c_i|, checked below 2^53, so the float64 weights are exact."""
     r = data.count
     cls = G.class_index
-    members = np.flatnonzero(cls == data.inverse_class[i])
-    hits = cls[L[:, members]] + r * np.arange(r)[:, None]
-    return np.bincount(hits.ravel(), minlength=r * r).reshape(r, r).T
+    c = np.asarray(c, dtype=np.int64)
+    if G.order * int(np.abs(c).max(initial=0)) >= 2**53:
+        raise TableConsistencyError("class combination sums reach 2^53")
+    step = min(r, max(1, _BINCOUNT_HITS // G.order))
+    weights = np.tile(c[np.asarray(data.inverse_class)[cls]].astype(np.float64), step)
+    M = np.empty((r, r), dtype=np.int64)
+    for start in range(0, r, step):
+        rows = L[start:start + step]
+        hits = cls[rows]
+        hits += r * np.arange(len(rows))[:, None]
+        counts = np.bincount(hits.ravel(), weights[: hits.size], minlength=r * len(rows))
+        M[:, start:start + len(rows)] = counts.reshape(len(rows), r).T
+    return M
 
 
 def _power_classes(G: FiniteGroup, L: np.ndarray, e: int) -> np.ndarray:
@@ -189,25 +208,25 @@ def _split_eigenspaces(
     chi(1)^2 / |G|, none of them 0 mod p.  So each piece below is the sum of
     the eigenvectors of one block of characters; the first piece is e_1.
     Each round draws one seeded random combination M of all class
-    matrices and replaces every piece w by its parts K (f / (x - lam)) in
-    the eigenspaces of M, for the Krylov basis K of w under M, the Krylov
-    polynomial f of w and each root lam of f in GF(p).  A block splits
-    unless M takes one value on all its characters, so r pieces are r
-    eigenvectors; above p = 4r^2 one round splits all r characters with
-    probability above 7/8, and r rounds bound the loop.  In each round one
-    product M @ pieces finds the pieces that are already eigenvectors of M,
-    and only the others get a Krylov basis."""
+    matrices, counted at once by `_class_combination`, and replaces every
+    piece w by its parts K (f / (x - lam)) in the eigenspaces of M, for the
+    Krylov basis K of w under M, the Krylov polynomial f of w (by
+    Berlekamp-Massey, checked on K: see `lin.krylov`) and each root lam of
+    f in GF(p).  A block splits unless M takes one value on all its
+    characters, so r pieces are r eigenvectors; above p = 4r^2 one round
+    splits all r characters with probability above 7/8, and r rounds bound
+    the loop.  In each round one product M @ pieces finds the pieces that
+    are already eigenvectors of M, and only the others get a Krylov
+    basis."""
     r = data.count
     rng = np.random.default_rng(0x5EED)
     pieces = [np.eye(r, dtype=np.int64)[0]]
     for _ in range(r):
         if len(pieces) >= r:
             break
-        # sum_i (M_i)[j, k] = |C_j|, so the sum stays below p n before "% p"
-        M = np.zeros((r, r), dtype=np.int64)
-        for i, c in enumerate(rng.integers(0, p, size=r - 1).tolist(), start=1):
-            M += c * _class_matrix(G, data, L, i)
-        M %= p
+        c = np.zeros(r, dtype=np.int64)  # M_0 = I shifts every eigenvalue alike
+        c[1:] = rng.integers(0, p, size=r - 1)
+        M = _class_combination(G, data, L, c) % p
         split = []
         for w, whole in zip(pieces, _is_eigenvector(M, pieces, p)):
             if whole:

@@ -219,10 +219,10 @@ def test_fast_path_rejects_bad_inputs():
 
 
 def test_splitting_rejects_a_jordan_block(monkeypatch):
-    # every class combination is then a multiple of one Jordan block: its
-    # Krylov polynomial (x - c)^2 has one root, not two
+    # every class combination is then one Jordan block: its Krylov
+    # polynomial (x - 1)^2 has one root, not two
     jordan = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    monkeypatch.setattr(character_lab, "_class_matrix", lambda *args: jordan)
+    monkeypatch.setattr(character_lab, "_class_combination", lambda *args: jordan)
     with pytest.raises(TableConsistencyError, match="not diagonalizable"):
         dixon_table(cyclic_group(2))
 
@@ -379,14 +379,14 @@ def test_m5_table_splits_in_one_round_without_a_nullspace(monkeypatch):
     # characters at p = 278881, and every eigenvector is read off its Krylov
     # basis
     calls, built = [], []
-    nullspace, class_matrix = lin.nullspace, character_lab._class_matrix
+    nullspace, combination = lin.nullspace, character_lab._class_combination
     monkeypatch.setattr(lin, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
     monkeypatch.setattr(
-        character_lab, "_class_matrix", lambda *a: built.append(a) or class_matrix(*a)
+        character_lab, "_class_combination", lambda *a: built.append(a) or combination(*a)
     )
     table = dixon_table(build_case_family("M5").group)
     assert table.classes.count == 264
-    assert calls == [] and len(built) == 263
+    assert calls == [] and len(built) == 1
 
 
 def test_later_rounds_build_krylov_bases_only_for_pieces_that_split(monkeypatch):

@@ -334,16 +334,16 @@ def test_forced_collisions_still_give_the_golden_table(tmp_path, capsys, monkeyp
     text, digest = GOLDEN_TABLES[2]
     monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
     built = []
-    class_matrix = character_lab._class_matrix
+    combination = character_lab._class_combination
     monkeypatch.setattr(
-        character_lab, "_class_matrix", lambda *a: built.append(a) or class_matrix(*a)
+        character_lab, "_class_combination", lambda *a: built.append(a) or combination(*a)
     )
     path = tmp_path / "g.grp"
     path.write_text(text)
     code, out = run(capsys, "ptable", str(path), "--emit-table")
     assert code == EXIT_OK and "classes=45" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert len(built) >= 2 * 44
+    assert len(built) >= 2
 
 
 def test_forced_large_prime_still_gives_the_golden_table(tmp_path, capsys, monkeypatch):

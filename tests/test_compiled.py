@@ -14,10 +14,12 @@ from math import lcm
 import numpy as np
 import pytest
 
+from vanishlab import character_lab
 from vanishlab.character_lab import (
-    _class_matrix,
+    _class_combination,
     _power_classes,
     class_data,
+    dixon_prime,
     dixon_table,
     proportion,
 )
@@ -121,15 +123,37 @@ def test_compiled_view_matches_mul(name):
 
     data = class_data(G)
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
-    for i in range(data.count):
-        assert np.array_equal(
-            _class_matrix(G, data, L, i),
-            reference_class_matrix(G, classes, class_of, i),
-        )
     assert np.array_equal(
         _power_classes(G, L, G.exponent),
         reference_power_classes(G, classes, class_of, G.exponent),
     )
+
+
+def s5_x_s4():
+    return from_permutations(9, ["(1 2 3 4 5)", "(1 2)", "(6 7 8 9)", "(6 7)"], name="S5xS4")
+
+
+@pytest.mark.parametrize("name", list(GROUPS) + ["S5xS4"])
+def test_class_combination_matches_the_reference_matrices(name):
+    # S5 x S4 (order 2880, 35 classes) counts its 100,800 hits in two row
+    # blocks
+    G = s5_x_s4() if name == "S5xS4" else GROUPS[name]()
+    classes, class_of = reference_classes(G)
+    data = class_data(G)
+    r = data.count
+    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    if name == "S5xS4":
+        assert r * G.order > character_lab._BINCOUNT_HITS
+    p = dixon_prime(G.order, G.exponent, r)
+    c = np.random.default_rng(r).integers(0, p, size=r)
+    expected = np.zeros((r, r), dtype=np.int64)
+    for i, ci in enumerate(c.tolist()):
+        M = reference_class_matrix(G, classes, class_of, i)
+        assert np.array_equal(
+            _class_combination(G, data, L, np.eye(r, dtype=np.int64)[i]), M
+        )
+        expected = (expected + ci * M) % p
+    assert np.array_equal(_class_combination(G, data, L, c) % p, expected)
 
 
 def test_compiled_view_arrays():

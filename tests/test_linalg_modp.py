@@ -1,6 +1,9 @@
 """The GF(p) kernels against exact references: Python-int products, a plain
-Horner scan, a full-width elimination and the Krylov relation itself."""
+Horner scan, a full-width elimination, the Krylov relation itself and the
+minimal polynomial read off a full-width elimination of the Krylov
+matrix."""
 
+import itertools
 import random
 from math import isqrt
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from vanishlab import _linalg_modp as lin
-from vanishlab.character_lab import _class_matrix, class_data, dixon_prime
+from vanishlab.character_lab import _class_combination, class_data, dixon_prime
 from vanishlab.constructions import build_case_family
 from vanishlab.cyclotomic import prime_factors
 
@@ -144,11 +147,9 @@ def m5_first_combination():
     r = data.count
     p = dixon_prime(G.order, G.exponent, r)
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
-    rng = np.random.default_rng(0x5EED)
-    M = np.zeros((r, r), dtype=np.int64)
-    for i, c in enumerate(rng.integers(0, p, size=r - 1).tolist(), start=1):
-        M += c * _class_matrix(G, data, L, i)
-    return M % p, r, p
+    c = np.zeros(r, dtype=np.int64)
+    c[1:] = np.random.default_rng(0x5EED).integers(0, p, size=r - 1)
+    return _class_combination(G, data, L, c) % p, r, p
 
 
 def test_krylov_relation_holds_on_the_m5_combination():
@@ -170,3 +171,78 @@ def test_krylov_shorter_than_the_minimal_polynomial_is_a_value_error():
         lin.krylov(cycle, v, 1, 7)
     K, f = lin.krylov(cycle, v, 3, 7)
     assert f == [6, 0, 0, 1]  # x^3 - 1
+
+
+def rref_minimal_polynomial(M, v, p):
+    """Reference: the minimal polynomial of v under M (ascending, monic),
+    from the first dependent column of the full-width elimination of
+    [v, Mv, ..., M^n v]."""
+    columns = [np.asarray(v, dtype=np.int64) % p]
+    for _ in range(len(v)):
+        columns.append(np.asarray(M, dtype=np.int64) @ columns[-1] % p)
+    A, pivots = full_width_rref(np.stack(columns, axis=1), p)
+    d = next(c for c in range(len(columns)) if c not in pivots)
+    return [int(-A[pivots.index(c), d] % p) for c in range(d)] + [1]
+
+
+def test_krylov_gives_the_minimal_polynomial_on_the_m5_combination():
+    M, r, p = m5_first_combination()
+    v = np.eye(r, dtype=np.int64)[0]
+    assert lin.krylov(M, v, r, p)[1] == rref_minimal_polynomial(M, v, p)
+
+
+def test_krylov_degree_may_lie_below_the_dimension():
+    M = np.diag([2, 2, 3])
+    v = np.ones(3, dtype=np.int64)
+    for p in (5, 37, 278881):
+        K, f = lin.krylov(M, v, 3, p)
+        assert f == rref_minimal_polynomial(M, v, p) == [6 % p, p - 5, 1]  # (x-2)(x-3)
+        assert K.shape == (3, 4)
+
+
+def test_krylov_on_a_jordan_block():
+    # (x - 4)^3 on e_1 of one Jordan block, (x - 4)^2 on e_2
+    J = 4 * np.eye(3, dtype=np.int64) + np.eye(3, k=-1, dtype=np.int64)
+    for p in (7, 37, 278881):
+        for v, degree in (([1, 0, 0], 3), ([0, 1, 0], 2), ([1, 2, 3], 3)):
+            f = lin.krylov(J, np.array(v), 3, p)[1]
+            assert len(f) == degree + 1 and f == rref_minimal_polynomial(J, v, p)
+
+
+def test_krylov_recovers_from_an_unlucky_first_row(monkeypatch):
+    # a_k = e_1 M^k v = 1 for all k: the first row sees only the factor x - 1
+    # of the minimal polynomial, so the check on K fails and the next seeded
+    # row is folded in
+    M = np.diag([1, 2, 3, 4, 5])
+    v = np.ones(5, dtype=np.int64)
+    seeded, drawn = lin._left_vectors, []
+
+    def unlucky_first(n, p):
+        for u in itertools.chain([np.eye(n)[0]], seeded(n, p)):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(lin, "_left_vectors", unlucky_first)
+    for p in (11, 37):
+        drawn.clear()
+        assert lin.krylov(M, v, 5, p)[1] == rref_minimal_polynomial(M, v, p)
+        assert len(drawn) >= 2
+
+
+def test_poly_values_at_the_smallest_baby_step_cap():
+    # at p = 54794197 one float64 sum holds exactly 2 products of residues,
+    # so the baby steps stop at s = 2 although sqrt(400) is 20: a block of 21
+    # terms would pass 2^53 and lose its low bits
+    p = 54794197
+    assert exact_terms(p) == 2
+    rng = random.Random(54794197)
+    poly = [rng.randrange(p) for _ in range(401)]
+    points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(3000)]
+    expected = []
+    for x in points:
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        expected.append(acc)
+    values = lin._poly_values(poly, p, len(points))(np.array(points))
+    assert values.tolist() == expected
