@@ -10,9 +10,10 @@ weighted count over the left translations of the class representatives;
 no single class matrix is formed.  Then comes exact recovery of
 cyclotomic character values through multiplicity extraction, one transform
 per element order.
-The values are held as one integer array of power-basis coefficient
-vectors in Z[zeta_e], e = exp G, on which both orthogonality relations
-are verified exactly for every pair.  The fast path evaluates induced
+Each value is a power-basis coefficient vector in Z[zeta_e], e = exp G.
+The table keeps the distinct ones (the zero first) and a read-only r x r
+array of ids into them, on which both orthogonality relations are
+verified exactly for every pair.  The fast path evaluates induced
 linear characters on an abelian normal subgroup.  Zero tests are exact
 everywhere; float64 serves only as an exact integer accumulator, under a
 checked bound of 2^53: in the weighted class counts (at most |G| (p - 1)),
@@ -73,12 +74,13 @@ class ClassData:
 class CharacterTable:
     group: FiniteGroup
     classes: ClassData
-    rows: tuple  # one tuple of Cyclo values per irreducible, class-indexed
+    values: tuple  # the distinct Cyclo values of the table, the zero (if any) first
+    ids: np.ndarray  # read-only (r, r) int64: chi_i(rep_k) is values[ids[i, k]]
     degrees: tuple[int, ...]
     zero_classes: tuple[int, ...]  # the classes on which some row is zero
 
     def value(self, i: int, g) -> Cyclo:
-        return self.rows[i][self.group.class_index[self.group.index[g]]]
+        return self.values[self.ids[i, self.group.class_index[self.group.index[g]]]]
 
     def vanishing_classes(self) -> list[int]:
         return list(self.zero_classes)
@@ -295,6 +297,18 @@ def _reduction_matrix(L: int) -> np.ndarray:
     return out
 
 
+def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows of an integer array, the index of each row among
+    them): the zero row first, if any, then the rest in lexicographic order,
+    the order of their `Cyclo` keys (order, coeffs)."""
+    order = np.lexsort((*vectors.T[::-1], vectors.any(axis=1)))
+    ordered = vectors[order]
+    new = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    index = np.empty(len(order), dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
+
+
 def dixon_table(G: FiniteGroup) -> CharacterTable:
     # G keeps the table's fields, not the table: a table points back
     # at its group, and that cycle would outlive the last outside reference.
@@ -305,14 +319,12 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     r = data.count
     n = G.order
     if n == 1:
-        G._dixon_table = (data, ((Cyclo.one(),),), (1,), ())
+        G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int64(0), (1, 1)), (1,), ())
         return CharacterTable(G, *G._dixon_table)
     e = G.exponent
     p = dixon_prime(n, e, r)
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
     vectors = _split_eigenspaces(G, data, L, p)
-    if len(vectors) != r:
-        raise TableConsistencyError("eigenvector count differs from class count")
 
     sizes = np.array(data.sizes, dtype=np.int64)
     size_inv = np.array([pow(int(s), -1, p) for s in sizes], dtype=np.int64)
@@ -354,43 +366,36 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         W = _zeta_power_table(o, p, pow(z, e // o, p))
         by_order.append((K, power_class[K, :o], W, reduction[:: e // o]))
 
-    # Each value is a power-basis coefficient vector in Z[zeta_e]; a table
-    # has few distinct ones, so rows hold ids into value_id.  A block of
-    # rows takes one product per element order, of about _BLOCK_TERMS values.
+    # A block of rows takes one product per element order, of about
+    # _BLOCK_TERMS values, and keeps its distinct vectors; ids point into the
+    # blocks' vectors laid end to end until one more `_distinct` merges them.
     step = max(1, _BLOCK_TERMS // max(powers.size for _, powers, _, _ in by_order))
-    ids = np.empty((r, r), dtype=np.int64)
-    value_id = {}
+    phi = reduction.shape[1]
+    ids, blocks, found = np.empty((r, r), dtype=np.int64), [], 0
     for start in range(0, r, step):
-        block = []
+        coeffs = np.empty((min(step, r - start), r, phi), dtype=np.int64)
         for K, powers, W, lift in by_order:
             mult = lin.matmul(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
             if np.any(mult >= p // 2):
                 raise TableConsistencyError("multiplicity lift out of range")
-            block.append((K, (mult @ lift).tolist()))
-        for i, id_row in enumerate(ids[start:start + step]):
-            for K, coeffs in block:
-                id_row[K] = [value_id.setdefault(tuple(c), len(value_id)) for c in coeffs[i]]
-    id_rows = ids.tolist()
-    cyclos = [Cyclo(e, c) if any(c) else Cyclo.zero() for c in value_id]
+            coeffs[:, K] = mult @ lift
+        block, index = _distinct(coeffs.reshape(-1, phi))
+        ids[start:start + step] = index.reshape(-1, r) + found
+        blocks.append(block)
+        found += len(block)
+    distinct, merged = _distinct(np.concatenate(blocks))
+    ids = merged[ids]
+    order = np.lexsort((*ids.T[::-1], degrees))  # by degree, then ids left to right
+    ids, degrees = ids[order], np.array(degrees)[order]
+    if np.any(distinct[ids[:, 0]] != np.outer(degrees, np.eye(1, phi, dtype=np.int64))):
+        raise TableConsistencyError("identity column disagrees with degree")
 
-    keys = [(v.order, v.coeffs) for v in cyclos]
-    order_key = sorted(
-        range(r), key=lambda i: (degrees[i], [keys[t] for t in id_rows[i]])
-    )
-    degrees = tuple(degrees[i] for i in order_key)
-    rows = tuple(tuple(cyclos[t] for t in id_rows[i]) for i in order_key)
-
-    for i, row in enumerate(rows):
-        if row[0] != Cyclo.from_int(degrees[i]):
-            raise TableConsistencyError("identity column disagrees with degree")
-
-    values = np.array(list(value_id), dtype=np.int64)
-    ids = ids[order_key]
-    _verify_orthogonality(data, n, e, values, ids, thetas[order_key], p)
-    # class k vanishes when column k holds the id of the zero vector (if any)
-    zero = value_id.get((0,) * values.shape[1], -1)
-    zero_classes = tuple(np.flatnonzero((ids == zero).any(axis=0)).tolist())
-    G._dixon_table = (data, rows, degrees, zero_classes)
+    _verify_orthogonality(data, n, e, distinct, ids, thetas[order], p)
+    ids.flags.writeable = False
+    values = tuple(Cyclo(e, tuple(c)) if any(c) else Cyclo.zero() for c in distinct.tolist())
+    # class k vanishes when column k holds id 0, if that is the zero vector
+    zero_classes = tuple(np.flatnonzero((ids == 0).any(0) & ~distinct[0].any()).tolist())
+    G._dixon_table = (data, values, ids, tuple(degrees.tolist()), zero_classes)
     return CharacterTable(G, *G._dixon_table)
 
 

@@ -148,8 +148,9 @@ def cmd_ptable(args) -> int:
         print("vanishing_classes="
               + ",".join(str(k) for k in table.vanishing_classes()))
         if args.emit_table:
-            for i, row in enumerate(table.rows):
-                print(f"chi={i} " + " | ".join(v.render() for v in row))
+            rendered = [v.render() for v in table.values]
+            for i, row in enumerate(table.ids.tolist()):
+                print(f"chi={i} " + " | ".join(rendered[t] for t in row))
     _print_census(G, report)
     return EXIT_OK
 

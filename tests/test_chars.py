@@ -157,8 +157,9 @@ def test_induced_value_matches_full_average():
 
 def test_integer_zero_test_and_census_match_the_cyclo_scan():
     # the table marks class k vanishing when column k of its integer value
-    # ids holds the zero vector's id; the reference scans the Cyclo rows,
-    # and V(G) is the union of those classes as element sets
+    # ids holds the zero vector's id; the reference tests the Cyclo value of
+    # every id in column k, and V(G) is the union of those classes as
+    # element sets
     entries = catalog_entries(max_order=2000)
     entries += [build_case_family("M5"), build_case_family("A7")]
     for entry in entries:
@@ -166,7 +167,7 @@ def test_integer_zero_test_and_census_match_the_cyclo_scan():
         table = dixon_table(G)
         scan = [
             k for k in range(table.classes.count)
-            if any(row[k].is_zero() for row in table.rows)
+            if any(table.values[t].is_zero() for t in table.ids[:, k].tolist())
         ]
         assert table.vanishing_classes() == scan, entry.provenance
         report = proportion(G)
@@ -394,13 +395,16 @@ def test_later_rounds_build_krylov_bases_only_for_pieces_that_split(monkeypatch)
     # rounds; after the first, one product per round finds the pieces that
     # are already eigenvectors of the new combination, so every Krylov
     # basis built splits its piece
-    golden = dixon_table(d8_s3_s3()).rows
+    golden = dixon_table(d8_s3_s3())
     G = d8_s3_s3()  # a fresh group: tables are cached on the group
     monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
     bases = []
     krylov = lin.krylov
     monkeypatch.setattr(lin, "krylov", lambda *a: bases.append(krylov(*a)) or bases[-1])
-    assert dixon_table(G).rows == golden
+    table = dixon_table(G)
+    assert table.values == golden.values
+    assert table.ids.tolist() == golden.ids.tolist()
+    assert table.degrees == golden.degrees
     assert len(bases) > 1 and all(len(f) > 2 for _, f in bases)
 
 
@@ -432,9 +436,49 @@ def test_agl_1_31_table_is_golden():
     table = dixon_table(G)
     assert (G.order, table.classes.count, G.exponent) == (930, 31, 930)
     text = "".join(
-        f"chi={i} " + " | ".join(v.render() for v in row) + "\n"
-        for i, row in enumerate(table.rows)
+        f"chi={i} " + " | ".join(table.values[t].render() for t in row) + "\n"
+        for i, row in enumerate(table.ids.tolist())
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9c5b9c7e4138d660779faec4972741eb48a2229346ba0ca352872343199c358c"
     )
+
+
+def test_distinct_matches_a_sorted_set_with_zero_first():
+    rng = np.random.default_rng(7)
+    cases = [rng.integers(-2, 3, size=(n, phi)) for n, phi in ((1, 1), (40, 2), (200, 3))]
+    cases.append(rng.integers(1, 3, size=(30, 2)))  # no zero row
+    cases.append(np.tile([[0, -1, 2]], (12, 1)))  # one repeated row
+    for vectors in cases:
+        rows = [tuple(v) for v in vectors.tolist()]
+        reference = sorted(set(rows), key=lambda v: (any(v), v))
+        distinct, index = character_lab._distinct(vectors)
+        assert [tuple(v) for v in distinct.tolist()] == reference
+        assert [reference[t] for t in index.tolist()] == rows
+
+
+def test_one_row_blocks_merge_into_the_same_table(monkeypatch):
+    # every block of rows keeps only its own distinct values; merging the
+    # blocks gives the ids and values of the default blocking
+    golden = [dixon_table(G()) for G in (d8_s3_s3, agl_1_31)]
+    monkeypatch.setattr(character_lab, "_BLOCK_TERMS", 1)
+    for G, want in zip((d8_s3_s3, agl_1_31), golden):
+        table = dixon_table(G())  # a fresh group: tables are cached on the group
+        assert table.values == want.values
+        assert table.ids.tolist() == want.ids.tolist()
+
+
+def test_table_ids_are_read_only_and_each_value_is_one_cyclo(monkeypatch):
+    G = build_case_family("M5").group
+    built = []
+    init = Cyclo.__init__
+    monkeypatch.setattr(
+        Cyclo, "__init__", lambda self, *a: built.append(a) or init(self, *a)
+    )
+    table = dixon_table(G)
+    assert not table.ids.flags.writeable
+    with pytest.raises(ValueError):
+        table.ids[0, 0] = 1
+    assert len(built) == len(table.values) == 43
+    assert table.values[0].is_zero() and table.vanishing_classes()
+    assert len(set(table.values)) == len(table.values)

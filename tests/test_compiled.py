@@ -203,7 +203,7 @@ def test_finished_group_is_freed_without_the_cycle_collector():
         assert proportion(G).proportion > 0
         table = dixon_table(G)
         assert table.group is G
-        assert dixon_table(G).rows is table.rows  # served from the cache
+        assert dixon_table(G).ids is table.ids  # served from the cache
         assert G.A_handle.order * G.H_handle.order == G.order
         del table
         ref = weakref.ref(G)
