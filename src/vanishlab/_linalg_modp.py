@@ -7,21 +7,20 @@ at most that many inner terms per float64 product and folds each product
 back in int64 with `% p`; a p with (p - 1)^2 >= 2^53, where no single term
 is exact, is a ValueError.  Every prime this package selects (`dixon_prime`
 searches below 10**7) passes with blocks of at least 90 terms.
-`krylov` finds a Krylov polynomial without elimination: Berlekamp-Massey
-on the 2 length + 1 terms u M^k v for a seeded row u, in int64 with every
-sum of at most 2 length + 1 terms below p^2 checked below 2^63, and the
-result is proved on the Krylov basis, K f = 0 mod p.
+`krylov` finds Krylov polynomials without elimination: the columns of W
+step together, one product M @ W per step, and Berlekamp-Massey, in Python
+ints, runs term by term on each column's sequence u M^k w for a seeded
+row u, until its recurrence f passes the proof on the Krylov basis,
+K f = 0 mod p; a column's work follows its own degree.
 `rref` (for `nullspace` and `solve`) eliminates in int64, every step below
 p^2 in absolute value, and updates only the columns from the pivot on.
-`poly_roots` evaluates at every point of GF(p) by baby steps and giant
-steps (Paterson-Stockmeyer, `_poly_values`): about 2 p sqrt(deg) int64
-steps and one float64 product of p deg terms, where a Horner scan takes
-p deg steps.
+`poly_roots` evaluates at every point of GF(p) by a Horner scan in int64,
+every step below p^2: p deg steps, one chunk of points at a time.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+import operator
 
 import numpy as np
 
@@ -134,47 +133,82 @@ def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
             v[0] = 1
         else:
             v = rng.integers(0, p, size=n, dtype=np.int64)
-        poly = _poly_lcm(poly, krylov(M, v, n, p)[1], p)
+        poly = _poly_lcm(poly, krylov(M, v[:, None], n, p)[0][1], p)
         if len(poly) == n + 1:
             break
     return poly
 
 
-def krylov(M: np.ndarray, v: np.ndarray, length: int, p: int):
-    """(K, f): the Krylov matrix K = [v, Mv, ..., M^length v] (as columns)
-    and the minimal polynomial f of v under M (ascending, monic), for
-    `length` at least the degree of f; a higher degree is a ValueError.
+def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
+    """[(K, f)] for the columns w of W: the Krylov basis K = [w, Mw, ...,
+    M^deg w] (int64 columns) and the minimal polynomial f of w under M
+    (ascending, monic), for `length` at least every degree; a higher degree
+    is a ValueError.
 
-    M is reduced and converted once, and every product is an exact float64
-    one.  For a seeded row u the 2 length + 1 terms a_(i + j) = (u M^i) M^j v
-    are u K and the left sequence u M, u M^2, ... against the last column
-    of K; no elimination runs.  Berlekamp-Massey gives their minimal
-    polynomial, a divisor of v's.  The lcm of these divisors over the draws
-    is returned once K[:, :deg + 1] f = 0 mod p, which makes it v's minimal
-    polynomial exactly; an unlucky u (probability at most deg/p) fails that
-    check, and the next one is folded in.  Every int64 step stays below
-    2^63: the terms are residues, and each Berlekamp-Massey sum holds at
-    most 2 length + 1 terms below p^2, checked."""
+    M is reduced and converted once, and the columns step together, one
+    exact float64 product M @ X per step over the columns still open.  For a
+    seeded row u, each step gives a column two more terms
+    a_(i + j) = (u M^i) M^j w of its sequence, from the left sequence
+    u, u M, u M^2, ... that all columns share, and Berlekamp-Massey takes
+    them one at a time (`_Recurrence`).  Once its recurrence f, of degree L,
+    has held for 2 L + 1 terms, the column checks K[:, :L + 1] f = 0 mod p.
+    That proves f the minimal polynomial of w (which divides f, and whose
+    degree is at least L), so a column leaves after deg f steps.  A failed
+    check means too few terms or an unlucky u, one that misses an
+    eigenvalue of w (probability at most deg/p): the column restarts its
+    recurrence on the next seeded row, over the basis it has, and goes
+    on.  After `length` steps a recurrence longer than `length` proves the
+    degree above it."""
     M = _residues(M, p)
-    K = np.empty((len(v), length + 1))
-    K[:, 0] = _residues(v, p)
-    for j in range(length):
-        K[:, j + 1] = _products(M, K[:, j], p)
-    f = [1]
-    draws = _left_vectors(len(v), p)
-    while _products(K[:, : len(f)], np.array(f, dtype=np.float64), p).any():
-        u = next(draws)
-        a = np.empty(2 * length + 1, dtype=np.int64)
-        a[: length + 1] = _products(u, K, p)
-        for k in range(length + 1, 2 * length + 1):
-            u = _products(u, M, p).astype(np.float64)
-            a[k] = _products(u, K[:, length], p)
-        f = _poly_lcm(f, _berlekamp_massey(a, p), p)
-        if len(f) > length + 1:
-            raise ValueError(
-                f"Krylov length {length} is below the degree of the minimal polynomial of v"
-            )
-    return K.astype(np.int64), f
+    X = _residues(W, p)
+    draws = _left_vectors(len(X), p)
+    left = []  # left[t]: the seeded row u_t, then u_t M, u_t M^2, ...
+    bases = [[x] for x in X.T]
+    row = [0] * len(bases)
+    recurrences = [_Recurrence(p) for _ in bases]
+    found = [None] * len(bases)
+    open_ = list(range(len(bases)))
+
+    def left_rows(t: int, j: int) -> list:
+        """u_t M^i for i = 0 .. j."""
+        while len(left) <= t:
+            left.append([next(draws)])
+        rows = left[t]
+        while len(rows) <= j:
+            rows.append(_products(rows[-1], M, p).astype(np.float64))
+        return rows
+
+    for j in range(length + 1):
+        if j:
+            X = _products(M, X, p).astype(np.float64)
+            for i, x in zip(open_, X.T):
+                bases[i].append(x)
+        for t in sorted(set(row[i] for i in open_)):
+            at = [k for k, i in enumerate(open_) if row[i] == t]
+            U = np.array(left_rows(t, j)[max(j - 1, 0):])
+            for i, terms in zip([open_[k] for k in at], _products(U, X[:, at], p).T):
+                recurrences[i].extend(terms.tolist())  # a_0, or a_(2j - 1) and a_(2j)
+        for i in open_:
+            while recurrences[i].degree <= j:
+                f = recurrences[i].poly()
+                K = np.array(bases[i][: len(f)]).T
+                if not _products(K, np.array(f, dtype=np.float64), p).any():
+                    found[i] = (K.astype(np.int64), f)
+                    break
+                row[i] += 1
+                U = np.array(left_rows(row[i], j)[: j + 1])
+                recurrences[i] = _Recurrence(p)
+                # a_0 .. a_(j - 1) from u K, then a_j .. a_(2j) from U against M^j w
+                K = np.array(bases[i]).T
+                recurrences[i].extend(_products(U[0], K[:, :j], p).tolist())
+                recurrences[i].extend(_products(U, K[:, j], p).tolist())
+        keep = [k for k, i in enumerate(open_) if found[i] is None]
+        open_, X = [open_[k] for k in keep], X[:, keep]
+        if not open_:
+            return found
+    raise ValueError(
+        f"Krylov length {length} is below the degree of the minimal polynomial of w"
+    )
 
 
 def _left_vectors(n: int, p: int):
@@ -184,32 +218,40 @@ def _left_vectors(n: int, p: int):
         yield rng.integers(0, p, size=n).astype(np.float64)
 
 
-def _berlekamp_massey(a: np.ndarray, p: int) -> list[int]:
-    """The minimal polynomial (ascending, monic) of the sequence a mod p:
-    the shortest recurrence sum_i C_i a_(k - i) = 0 that holds all along
-    a, read backwards (Berlekamp-Massey).  For a linearly recurrent
-    sequence of which a holds at least twice the degree terms, it is the
-    sequence's minimal polynomial.  Each discrepancy is an int64 sum of at
-    most len(a) terms below p^2, checked below 2^63; every other step stays
-    below p^2."""
-    if len(a) * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"p = {p}: {len(a)} terms below p^2 reach 2^63")
-    C = np.zeros(len(a) + 1, dtype=np.int64)
-    C[0] = 1
-    B, L, shift, b = C.copy(), 0, 1, 1
-    for k in range(len(a)):
-        d = int(C[: L + 1] @ a[k - L : k + 1][::-1]) % p
-        if d == 0:
-            shift += 1
-            continue
-        previous = C.copy()
-        C[shift:] -= d * pow(b, -1, p) % p * B[: len(C) - shift]
-        C %= p
-        if 2 * L <= k:
-            L, B, b, shift = k + 1 - L, previous, d, 1
-        else:
-            shift += 1
-    return C[L::-1].tolist()
+class _Recurrence:
+    """Berlekamp-Massey fed one term at a time, in Python ints: after each
+    term, `poly()` is the minimal polynomial (ascending, monic, of
+    `degree` L) of the shortest linear recurrence that generates every term
+    so far.  For a linearly recurrent sequence of which it has seen at
+    least twice the degree terms, that is the sequence's minimal
+    polynomial."""
+
+    def __init__(self, p: int):
+        self.p, self.terms = p, []
+        self.C, self.B = [1], [1]  # connection polynomials, ascending
+        self.degree, self.shift, self.b = 0, 1, 1
+
+    def extend(self, terms) -> None:
+        p = self.p
+        for a in terms:
+            C, k = self.C, len(self.terms)
+            self.terms.append(a)
+            d = sum(map(operator.mul, C, reversed(self.terms))) % p
+            if d == 0:
+                self.shift += 1
+                continue
+            scale = d * pow(self.b, -1, p) % p
+            T = C + [0] * (self.shift + len(self.B) - len(C))
+            for i, c in enumerate(self.B, self.shift):
+                T[i] = (T[i] - scale * c) % p
+            if 2 * self.degree <= k:
+                self.degree, self.B, self.b, self.shift = k + 1 - self.degree, C, d, 1
+            else:
+                self.shift += 1
+            self.C = T[: self.degree + 1]
+
+    def poly(self) -> list[int]:
+        return (self.C + [0] * (self.degree + 1 - len(self.C)))[::-1]
 
 
 def _poly_mul_modp(a: list[int], b: list[int], p: int) -> list[int]:
@@ -264,44 +306,16 @@ def _poly_lcm(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def poly_roots(poly: list[int], p: int) -> list[int]:
-    """All roots in GF(p), sorted, by evaluation at every point, one chunk
-    of points at a time (`_poly_values`)."""
-    values = _poly_values([c % p for c in poly], p, min(p, _CHUNK))
+    """All roots in GF(p), sorted, by a Horner scan of every point of GF(p),
+    one chunk of points at a time."""
+    coeffs = [c % p for c in poly]
     roots = []
     for start in range(0, p, _CHUNK):
-        at = values(np.arange(start, min(start + _CHUNK, p)))
-        roots.extend((start + np.flatnonzero(at == 0)).tolist())
-    return roots
-
-
-def _poly_values(coeffs: list[int], p: int, width: int):
-    """The function x -> poly(x) mod p on int64 arrays of at most `width`
-    residues, for the ascending residues coeffs of poly.  With s about
-    sqrt(len(coeffs)), capped at `_exact_terms(p)`, and
-    poly = sum_j P_j(x) (x^s)^j for P_j of degree below s: baby steps
-    x^0 .. x^s, one exact float64 product of x^0 .. x^(s-1) with the
-    coefficient blocks (every P_j(x), each at most s (p - 1)^2 < 2^53), then
-    Horner in x^s over the P_j.  Every call reuses one buffer."""
-    s = min(isqrt(max(len(coeffs) - 1, 0)) + 1, _exact_terms(p))
-    t = max(1, -(-len(coeffs) // s))
-    blocks = np.zeros(t * s)
-    blocks[: len(coeffs)] = coeffs
-    blocks = blocks.reshape(t, s)  # row j: P_j, ascending
-    buffer = np.empty((s + 1, width), dtype=np.int64)
-
-    def values(x: np.ndarray) -> np.ndarray:
-        powers = buffer[:, : len(x)]  # row i: x^i
-        powers[0] = 1
-        powers[1] = x
-        for i in range(2, s + 1):
-            np.multiply(powers[i - 1], powers[1], out=powers[i])
-            powers[i] %= p
-        P = (blocks @ powers[:s].astype(np.float64)).astype(np.int64)  # row j: P_j(x)
-        acc = P[-1] % p
-        for j in range(t - 2, -1, -1):
-            acc *= powers[s]
-            acc += P[j]
+        x = np.arange(start, min(start + _CHUNK, p), dtype=np.int64)
+        acc = np.full(len(x), coeffs[-1], dtype=np.int64)
+        for c in reversed(coeffs[:-1]):
+            acc *= x
+            acc += c
             acc %= p
-        return acc
-
-    return values
+        roots.extend((start + np.flatnonzero(acc == 0)).tolist())
+    return roots

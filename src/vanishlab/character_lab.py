@@ -2,12 +2,12 @@
 
 The oracle path builds the full character table by the class-algebra
 eigenvector method (Dixon, with Schneider's splitting): simultaneous
-eigenvectors of the class-sum matrices over GF(p), read off the Krylov
-basis of one random combination of all of them, for the smallest prime
-p = 1 (mod exp G) above max(2*sqrt|G|, 4r^2), r the number of classes (the
-4r^2 term capped by the prime search bound 10^7).  Each combination is one
-weighted count over the left translations of the class representatives;
-no single class matrix is formed.  Then comes exact recovery of
+eigenvectors of the class-sum matrices over GF(p), for Dixon's prime, the
+smallest p = 1 (mod exp G) above 2*sqrt|G|.  Each splitting round draws one
+random combination of all of them, one weighted count over the left
+translations of the class representatives (no single class matrix is
+formed), and splits every piece on its Krylov basis; rounds repeat until
+the r classes give r eigenvectors.  Then comes exact recovery of
 cyclotomic character values through multiplicity extraction, one transform
 per element order.
 Each value is a power-basis coefficient vector in Z[zeta_e], e = exp G.
@@ -120,29 +120,16 @@ def class_data(G: FiniteGroup) -> ClassData:
 # -- prime selection -----------------------------------------------------
 
 
-def dixon_prime(group_order: int, exponent: int, classes: int) -> int:
-    """Smallest prime p = 1 (mod exponent) above max(2*sqrt(group_order),
-    4*classes^2).  Above 2*sqrt|G| distinct characters differ mod p; above
-    4r^2 a random combination of the r class matrices separates all r of
-    them with probability above 7/8.  The 4r^2 term is capped by the search
-    bound 10^7: when no such prime lies below it, p is the smallest one
-    above 2*sqrt|G| alone, and the splitting rounds absorb the collisions."""
-    floor = 2 * isqrt(group_order) + 1
-    p = _first_prime(max(floor, 4 * classes * classes), exponent)
-    if p is None:
-        p = _first_prime(floor, exponent)
-    if p is None:
-        raise OracleConfigurationError("no admissible prime below 10^7")
-    return p
-
-
-def _first_prime(bound: int, exponent: int) -> int | None:
-    """Smallest prime p = 1 (mod exponent) with bound < p <= 10^7, or None."""
+def dixon_prime(group_order: int, exponent: int) -> int:
+    """Smallest prime p = 1 (mod exponent) above 2*sqrt(group_order), searched
+    below 10^7: above 2*sqrt|G| distinct characters differ mod p (Dixon),
+    and p = 1 (mod exp G) puts every character value in GF(p)."""
+    bound = 2 * isqrt(group_order) + 1
     p = bound - (bound - 1) % exponent  # the largest 1 (mod exponent) <= bound
     while True:
         p += exponent
         if p > 10**7:
-            return None
+            raise OracleConfigurationError("no admissible prime below 10^7")
         if prime_factors(p) == [p]:
             return p
 
@@ -213,13 +200,15 @@ def _split_eigenspaces(
     matrices, counted at once by `_class_combination`, and replaces every
     piece w by its parts K (f / (x - lam)) in the eigenspaces of M, for the
     Krylov basis K of w under M, the Krylov polynomial f of w (by
-    Berlekamp-Massey, checked on K: see `lin.krylov`) and each root lam of
-    f in GF(p).  A block splits unless M takes one value on all its
-    characters, so r pieces are r eigenvectors; above p = 4r^2 one round
-    splits all r characters with probability above 7/8, and r rounds bound
-    the loop.  In each round one product M @ pieces finds the pieces that
-    are already eigenvectors of M, and only the others get a Krylov
-    basis."""
+    Berlekamp-Massey, proved on K: see `lin.krylov`) and each root lam of
+    f in GF(p).  `lin.krylov` steps all pieces together, one product M @ W
+    per step, and a piece leaves once its f is proved: a piece that is
+    already an eigenvector of M costs one product, and the columns of a
+    round sum to at most r plus the number of pieces.  A block splits
+    unless M takes one value on all its characters, so r pieces are r
+    eigenvectors.  Two characters share the value of M with probability
+    1/p, so with r near or above p a block takes a few rounds; r rounds
+    bound the loop."""
     r = data.count
     rng = np.random.default_rng(0x5EED)
     pieces = [np.eye(r, dtype=np.int64)[0]]
@@ -230,11 +219,10 @@ def _split_eigenspaces(
         c[1:] = rng.integers(0, p, size=r - 1)
         M = _class_combination(G, data, L, c) % p
         split = []
-        for w, whole in zip(pieces, _is_eigenvector(M, pieces, p)):
-            if whole:
-                split.append(w)
+        for K, f in lin.krylov(M, np.stack(pieces, axis=1), r - len(pieces) + 1, p):
+            if len(f) == 2:  # already an eigenvector of M
+                split.append(K[:, 0])
                 continue
-            K, f = lin.krylov(M, w, r - len(pieces) + 1, p)
             roots = lin.poly_roots(f, p)
             if len(roots) != len(f) - 1:
                 raise TableConsistencyError("class matrix not diagonalizable mod p")
@@ -243,18 +231,6 @@ def _split_eigenspaces(
     if len(pieces) != r:
         raise TableConsistencyError("joint eigenspaces did not separate")
     return pieces
-
-
-def _is_eigenvector(M: np.ndarray, pieces: list[np.ndarray], p: int) -> list[bool]:
-    """Whether each (nonzero) piece w is an eigenvector of M mod p: M w is
-    lam w for lam read off w's first nonzero entry."""
-    W = np.stack(pieces, axis=1) % p
-    MW = lin.matmul(M, W, p)
-    cols = np.arange(W.shape[1])
-    lead = (W != 0).argmax(axis=0)
-    inverses = np.array([pow(int(a), -1, p) for a in W[lead, cols]], dtype=np.int64)
-    lam = MW[lead, cols] * inverses % p
-    return (MW == W * lam % p).all(axis=0).tolist()
 
 
 def _quotients(f: list[int], roots: list[int], p: int) -> np.ndarray:
@@ -322,8 +298,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int64(0), (1, 1)), (1,), ())
         return CharacterTable(G, *G._dixon_table)
     e = G.exponent
-    p = dixon_prime(n, e, r)
-    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    p = dixon_prime(n, e)
+    reps = [G.index[rep] for rep in data.reps]
+    L = G.compiled.left_translations(reps)
     vectors = _split_eigenspaces(G, data, L, p)
 
     sizes = np.array(data.sizes, dtype=np.int64)
@@ -351,8 +328,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
 
     power_class = _power_classes(G, L, e)
-    at_identity = power_class[:, 1:] == power_class[:, :1]
-    orders = np.where(at_identity.any(axis=1), at_identity.argmax(axis=1) + 1, e)
+    orders = G.compiled.orders[reps]
 
     # theta(rep_k^l) has period o = o(rep_k) in l, so the classes of one
     # element order o share one o x o transform, and its multiplicities of

@@ -339,8 +339,9 @@ def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):
 
 
 def old_dixon_prime(group_order, exponent):
-    """The rule before the 4r^2 term: smallest p = 1 (mod exponent) above
-    2*sqrt(group_order), searched below 10^7."""
+    """Reference: Dixon's rule by trial division, the smallest prime
+    p = 1 (mod exponent) above 2*sqrt(group_order), searched below 10^7, or
+    None."""
     p = exponent + 1
     while p <= 10**7:
         if p > 2 * isqrt(group_order) + 1 and all(p % q for q in range(2, isqrt(p) + 1)):
@@ -349,63 +350,117 @@ def old_dixon_prime(group_order, exponent):
     return None
 
 
-def test_dixon_prime_follows_the_class_count():
-    assert dixon_prime(6480, 30, 264) == 278881  # M5
-    p = dixon_prime(288, 12, 45)  # D8xS3xS3, 37 under the old rule
-    assert p % 12 == 1 and 4 * 45**2 < p < 4 * 45**2 + 12 * 40
-    assert old_dixon_prime(288, 12) == 37
+def test_dixon_prime_is_the_smallest_admissible_prime():
+    assert dixon_prime(6480, 30) == old_dixon_prime(6480, 30) == 181  # M5
+    assert dixon_prime(288, 12) == old_dixon_prime(288, 12) == 37  # D8xS3xS3
+    assert dixon_prime(4096, 4) == 137 and dixon_prime(8192, 4) == 193  # D8^4, D8^4xC2
     assert old_dixon_prime(10**7, 10**7) is None
     with pytest.raises(OracleConfigurationError):
-        dixon_prime(10**7, 10**7, 2)
+        dixon_prime(10**7, 10**7)
 
 
-@pytest.mark.parametrize("classes", [2, 1581, 8192])
-def test_dixon_prime_raises_only_where_the_old_rule_did(classes):
-    # 4 * 1581^2 lies just below the search bound 10^7 and 4 * 8192^2 far
-    # above it, so the capped term is exercised at every exponent
+@pytest.mark.parametrize("order", [2, 1581, 8192])
+def test_dixon_prime_raises_only_where_the_old_rule_did(order):
+    # the bound 2*sqrt|G| is 3, 79 and 181 at these orders, below and above
+    # many exponents
     for exponent in range(1, 8193):
-        order = 8192 if classes < 8192 else exponent * (8192 // exponent)
         old = old_dixon_prime(order, exponent)
         if old is None:
             with pytest.raises(OracleConfigurationError):
-                dixon_prime(order, exponent, classes)
+                dixon_prime(order, exponent)
             continue
-        p = dixon_prime(order, exponent, classes)
-        assert (p - 1) % exponent == 0 and p > 2 * isqrt(order) + 1
-        assert p > 4 * classes**2 or p == old
+        assert dixon_prime(order, exponent) == old
 
 
 def test_m5_table_splits_in_one_round_without_a_nullspace(monkeypatch):
-    # one combination of the 263 nontrivial class matrices separates all 264
-    # characters at p = 278881, and every eigenvector is read off its Krylov
-    # basis
+    # at the prime 278881 = 1 (mod 30), far above M5's Dixon prime 181, one
+    # combination of the 263 nontrivial class matrices separates all 264
+    # characters, every eigenvector is read off its Krylov basis, and the
+    # table is the one the Dixon prime gives
+    golden = dixon_table(build_case_family("M5").group)
     calls, built = [], []
     nullspace, combination = lin.nullspace, character_lab._class_combination
+    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent: 278881)
     monkeypatch.setattr(lin, "nullspace", lambda *a: calls.append(a) or nullspace(*a))
     monkeypatch.setattr(
         character_lab, "_class_combination", lambda *a: built.append(a) or combination(*a)
     )
-    table = dixon_table(build_case_family("M5").group)
+    table = dixon_table(build_case_family("M5").group)  # a fresh group
     assert table.classes.count == 264
     assert calls == [] and len(built) == 1
+    assert table.values == golden.values
+    assert table.ids.tolist() == golden.ids.tolist()
+
+
+def spy_krylov(monkeypatch):
+    """One [columns, results] per `lin.krylov` call: results is what the call
+    returns, and columns counts the Krylov columns its steps build, the
+    widths of its products of a square matrix by a block of columns."""
+    calls, krylov, products = [], lin.krylov, lin._products
+
+    def counted_products(A, B, p):
+        inside = calls and calls[-1][1] is None
+        if inside and A.ndim == B.ndim == 2 and A.shape[0] == A.shape[1] == B.shape[0]:
+            calls[-1][0] += B.shape[1]
+        return products(A, B, p)
+
+    def counted_krylov(*args):
+        calls.append([0, None])
+        calls[-1][1] = krylov(*args)
+        return calls[-1][1]
+
+    monkeypatch.setattr(lin, "_products", counted_products)
+    monkeypatch.setattr(lin, "krylov", counted_krylov)
+    return calls
 
 
 def test_later_rounds_build_krylov_bases_only_for_pieces_that_split(monkeypatch):
-    # at the forced prime 37 the 45 characters of D8xS3xS3 need several
-    # rounds; after the first, one product per round finds the pieces that
-    # are already eigenvectors of the new combination, so every Krylov
-    # basis built splits its piece
+    # at its Dixon prime 37, pinned here, the 45 characters of D8xS3xS3 need
+    # several rounds; each piece steps only until its degree, so a piece that
+    # is already an eigenvector of the new combination costs one column, and
+    # only a piece that splits grows a longer Krylov basis
     golden = dixon_table(d8_s3_s3())
     G = d8_s3_s3()  # a fresh group: tables are cached on the group
-    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
-    bases = []
-    krylov = lin.krylov
-    monkeypatch.setattr(lin, "krylov", lambda *a: bases.append(krylov(*a)) or bases[-1])
+    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent: 37)
+    rounds = spy_krylov(monkeypatch)
     table = dixon_table(G)
     assert table.values == golden.values
     assert table.ids.tolist() == golden.ids.tolist()
     assert table.degrees == golden.degrees
-    assert len(bases) > 1 and all(len(f) > 2 for _, f in bases)
+    assert len(rounds) > 1
+    for columns, bases in rounds:
+        assert columns == sum(len(f) - 1 for _, f in bases)
+        assert all(K.shape[1] == len(f) for K, f in bases)
+    assert {len(f) for _, bases in rounds[1:] for _, f in bases} > {2}
+
+
+def d8_power(copies, c2=0):
+    """D8^copies x C2^c2 as a permutation group: D8 on each block of four
+    points, then a transposition per C2."""
+    gens = []
+    for b in range(0, 4 * copies, 4):
+        gens += [f"({b + 1} {b + 2} {b + 3} {b + 4})", f"({b + 1} {b + 3})"]
+    for b in range(4 * copies, 4 * copies + 2 * c2, 2):
+        gens.append(f"({b + 1} {b + 2})")
+    return from_permutations(4 * copies + 2 * c2, gens, name=f"D8^{copies}xC2^{c2}")
+
+
+def test_d8_to_the_fourth_is_golden_with_columns_linear_in_r(monkeypatch):
+    # D8^4: order 4096, r = 625 classes and Dixon prime 137 < r, so several
+    # rounds.  A piece steps only until its degree, and the degrees of a
+    # round's pieces sum to at most r, so each round builds at most r Krylov
+    # columns, not about r per piece
+    G = d8_power(4)
+    rounds = spy_krylov(monkeypatch)
+    table = dixon_table(G)
+    r = table.classes.count
+    assert (G.order, r, dixon_prime(G.order, G.exponent)) == (4096, 625, 137)
+    rows = tuple(tuple(table.values[t] for t in row) for row in table.ids.tolist())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "83ddd9746a116f523850e6933a3047c51af47533eb5d4936f308c5f714629c7f"
+    )
+    assert len(rounds) > 1
+    assert all(columns <= r for columns, _ in rounds)
 
 
 def test_poly_roots_scan_crosses_chunk_boundaries():

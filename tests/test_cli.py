@@ -327,12 +327,12 @@ def test_ptable_emit_table_is_golden(tmp_path, capsys, text, digest):
 
 
 def test_forced_collisions_still_give_the_golden_table(tmp_path, capsys, monkeypatch):
-    # at its old prime 37 the 45 characters of D8xS3xS3 cannot take 45
-    # distinct eigenvalues under any one combination, so the blocks that
-    # collide are split by further rounds, each a fresh combination of the
-    # 44 nontrivial class matrices
+    # at its Dixon prime 37, pinned here, the 45 characters of D8xS3xS3
+    # cannot take 45 distinct eigenvalues under any one combination, so the
+    # blocks that collide are split by further rounds, each a fresh
+    # combination of the 44 nontrivial class matrices
     text, digest = GOLDEN_TABLES[2]
-    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent, classes: 37)
+    monkeypatch.setattr(character_lab, "dixon_prime", lambda order, exponent: 37)
     built = []
     combination = character_lab._class_combination
     monkeypatch.setattr(
@@ -354,7 +354,7 @@ def test_forced_large_prime_still_gives_the_golden_table(tmp_path, capsys, monke
     primes = []
     monkeypatch.setattr(
         character_lab, "dixon_prime",
-        lambda order, exponent, classes: primes.append(exponent) or 9999973,
+        lambda order, exponent: primes.append(exponent) or 9999973,
     )
     path = tmp_path / "g.grp"
     path.write_text(text)

@@ -144,7 +144,7 @@ def test_class_combination_matches_the_reference_matrices(name):
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
     if name == "S5xS4":
         assert r * G.order > character_lab._BINCOUNT_HITS
-    p = dixon_prime(G.order, G.exponent, r)
+    p = dixon_prime(G.order, G.exponent)
     c = np.random.default_rng(r).integers(0, p, size=r)
     expected = np.zeros((r, r), dtype=np.int64)
     for i, ci in enumerate(c.tolist()):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from vanishlab import _linalg_modp as lin
-from vanishlab.character_lab import _class_combination, class_data, dixon_prime
+from vanishlab.character_lab import _class_combination, class_data
 from vanishlab.constructions import build_case_family
 from vanishlab.cyclotomic import prime_factors
 
@@ -139,13 +139,20 @@ def test_rref_on_trailing_columns_matches_the_full_width_elimination():
             assert pivots == expected and np.array_equal(A, B)
 
 
+# a prime = 1 (mod 30) far above M5's Dixon prime 181: at it one combination
+# of M5's class matrices has 264 distinct eigenvalues
+M5_LARGE_PRIME = 278881
+
+
 def m5_first_combination():
-    """M5's class data, prime and first-round random combination of its
-    nontrivial class matrices, as `_split_eigenspaces` draws it."""
+    """M5's class data, the prime M5_LARGE_PRIME and the first-round random
+    combination of its nontrivial class matrices, as `_split_eigenspaces`
+    draws it."""
     G = build_case_family("M5").group
     data = class_data(G)
     r = data.count
-    p = dixon_prime(G.order, G.exponent, r)
+    p = M5_LARGE_PRIME
+    assert prime_factors(p) == [p] and p % G.exponent == 1
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
     c = np.zeros(r, dtype=np.int64)
     c[1:] = np.random.default_rng(0x5EED).integers(0, p, size=r - 1)
@@ -155,7 +162,7 @@ def m5_first_combination():
 def test_krylov_relation_holds_on_the_m5_combination():
     M, r, p = m5_first_combination()
     v = np.eye(r, dtype=np.int64)[0]
-    K, f = lin.krylov(M, v, r, p)
+    [(K, f)] = lin.krylov(M, v[:, None], r, p)
     assert K.shape == (r, r + 1) and f[-1] == 1 and len(f) == r + 1
     assert np.array_equal(K[:, 0], v) and np.array_equal(K[:, 1:], M @ K[:, :-1] % p)
     # sum_k f_k M^k v = 0, in Python ints
@@ -168,8 +175,8 @@ def test_krylov_shorter_than_the_minimal_polynomial_is_a_value_error():
     cycle = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
     v = np.array([1, 0, 0], dtype=np.int64)
     with pytest.raises(ValueError, match="below the degree"):
-        lin.krylov(cycle, v, 1, 7)
-    K, f = lin.krylov(cycle, v, 3, 7)
+        lin.krylov(cycle, v[:, None], 1, 7)
+    [(K, f)] = lin.krylov(cycle, v[:, None], 3, 7)
     assert f == [6, 0, 0, 1]  # x^3 - 1
 
 
@@ -188,16 +195,16 @@ def rref_minimal_polynomial(M, v, p):
 def test_krylov_gives_the_minimal_polynomial_on_the_m5_combination():
     M, r, p = m5_first_combination()
     v = np.eye(r, dtype=np.int64)[0]
-    assert lin.krylov(M, v, r, p)[1] == rref_minimal_polynomial(M, v, p)
+    assert lin.krylov(M, v[:, None], r, p)[0][1] == rref_minimal_polynomial(M, v, p)
 
 
 def test_krylov_degree_may_lie_below_the_dimension():
     M = np.diag([2, 2, 3])
     v = np.ones(3, dtype=np.int64)
     for p in (5, 37, 278881):
-        K, f = lin.krylov(M, v, 3, p)
+        [(K, f)] = lin.krylov(M, v[:, None], 3, p)
         assert f == rref_minimal_polynomial(M, v, p) == [6 % p, p - 5, 1]  # (x-2)(x-3)
-        assert K.shape == (3, 4)
+        assert K.shape == (3, 3)  # v, Mv, M^2 v: the basis stops at the degree
 
 
 def test_krylov_on_a_jordan_block():
@@ -205,14 +212,14 @@ def test_krylov_on_a_jordan_block():
     J = 4 * np.eye(3, dtype=np.int64) + np.eye(3, k=-1, dtype=np.int64)
     for p in (7, 37, 278881):
         for v, degree in (([1, 0, 0], 3), ([0, 1, 0], 2), ([1, 2, 3], 3)):
-            f = lin.krylov(J, np.array(v), 3, p)[1]
+            f = lin.krylov(J, np.array(v)[:, None], 3, p)[0][1]
             assert len(f) == degree + 1 and f == rref_minimal_polynomial(J, v, p)
 
 
 def test_krylov_recovers_from_an_unlucky_first_row(monkeypatch):
     # a_k = e_1 M^k v = 1 for all k: the first row sees only the factor x - 1
-    # of the minimal polynomial, so the check on K fails and the next seeded
-    # row is folded in
+    # of the minimal polynomial, so the check on K fails and the column
+    # restarts its recurrence on the next seeded row
     M = np.diag([1, 2, 3, 4, 5])
     v = np.ones(5, dtype=np.int64)
     seeded, drawn = lin._left_vectors, []
@@ -225,24 +232,29 @@ def test_krylov_recovers_from_an_unlucky_first_row(monkeypatch):
     monkeypatch.setattr(lin, "_left_vectors", unlucky_first)
     for p in (11, 37):
         drawn.clear()
-        assert lin.krylov(M, v, 5, p)[1] == rref_minimal_polynomial(M, v, p)
+        assert lin.krylov(M, v[:, None], 5, p)[0][1] == rref_minimal_polynomial(M, v, p)
         assert len(drawn) >= 2
 
 
-def test_poly_values_at_the_smallest_baby_step_cap():
-    # at p = 54794197 one float64 sum holds exactly 2 products of residues,
-    # so the baby steps stop at s = 2 although sqrt(400) is 20: a block of 21
-    # terms would pass 2^53 and lose its low bits
-    p = 54794197
-    assert exact_terms(p) == 2
-    rng = random.Random(54794197)
-    poly = [rng.randrange(p) for _ in range(401)]
-    points = [0, 1, p - 1] + [rng.randrange(p) for _ in range(3000)]
-    expected = []
-    for x in points:
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        expected.append(acc)
-    values = lin._poly_values(poly, p, len(points))(np.array(points))
-    assert values.tolist() == expected
+def test_krylov_steps_columns_together_and_stops_each_at_its_degree():
+    # M = diag(A, D) for a random A and D = diag(1, 2, 2): columns inside D's
+    # block stop after at most two steps while the others run on, and each
+    # column gets what it gets alone
+    p = 37
+    rng = np.random.default_rng(11)
+    M = np.zeros((9, 9), dtype=np.int64)
+    M[:6, :6] = rng.integers(0, p, size=(6, 6))
+    M[6:, 6:] = np.diag([1, 2, 2])
+    W = np.zeros((9, 5), dtype=np.int64)
+    W[:, 0] = rng.integers(0, p, size=9)
+    W[6:, 1] = 1  # degree 2
+    W[7:, 2] = [3, 5]  # an eigenvector
+    W[:6, 3] = rng.integers(0, p, size=6)
+    results = lin.krylov(M, W, 9, p)  # column 4 is zero: degree 0
+    assert [len(f) - 1 for _, f in results][1:] == [2, 1, 6, 0]
+    for w, (K, f) in zip(W.T, results):
+        assert f == rref_minimal_polynomial(M, w, p)
+        assert K.shape == (9, len(f)) and np.array_equal(K[:, 0], w)
+        assert np.array_equal(K[:, 1:], M @ K[:, :-1] % p)
+        [(K_alone, f_alone)] = lin.krylov(M, w[:, None], 9, p)
+        assert f_alone == f and np.array_equal(K_alone, K)
