@@ -4,9 +4,10 @@ Products are exact float64 BLAS products: operands are residues below p, so
 each term is at most (p - 1)^2, and a float64 sum of k terms is exact while
 k (p - 1)^2 < 2^53.  `matmul` checks that bound before it multiplies, sums
 at most that many inner terms per float64 product and folds each product
-back in int64 with `% p`; a p with (p - 1)^2 >= 2^53, where no single term
-is exact, is a ValueError.  Every prime this package selects (`dixon_prime`
-searches below 10**7) passes with blocks of at least 90 terms.
+back in int64 with `% p`, for operands stacked as `np.matmul` stacks them;
+a p with (p - 1)^2 >= 2^53, where no single term is exact, is a ValueError.
+Every prime this package selects (`dixon_prime` searches below 10**7)
+passes with blocks of at least 90 terms.
 `krylov` finds Krylov polynomials without elimination: the columns of W
 step together, one product M @ W per step, and Berlekamp-Massey, in Python
 ints, runs term by term on each column's sequence u M^k w for a seeded
@@ -43,13 +44,17 @@ def _residues(A, p: int) -> np.ndarray:
 
 
 def _products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, as int64, for float64 A and B holding residues mod p:
-    one float64 product per block of `_exact_terms(p)` inner terms."""
+    """A @ B mod p, as int64, for float64 A and B holding residues mod p,
+    stacked as `np.matmul` stacks them (a 1-d B is one column): one float64
+    product per block of `_exact_terms(p)` inner terms, the last axis of A
+    against the second-to-last of B."""
+    if B.ndim == 1:
+        return _products(A, B[:, None], p)[..., 0]
     k = _exact_terms(p)
-    out = (A[..., :k] @ B[:k]).astype(np.int64)
+    out = (A[..., :k] @ B[..., :k, :]).astype(np.int64)
     for start in range(k, A.shape[-1], k):
         out %= p
-        out += (A[..., start:start + k] @ B[start:start + k]).astype(np.int64)
+        out += (A[..., start:start + k] @ B[..., start:start + k, :]).astype(np.int64)
     out %= p
     return out
 

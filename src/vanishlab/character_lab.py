@@ -13,12 +13,14 @@ per element order.
 Each value is a power-basis coefficient vector in Z[zeta_e], e = exp G.
 The table keeps the distinct ones (the zero first) and a read-only r x r
 array of ids into them, on which both orthogonality relations are
-verified exactly for every pair.  The fast path evaluates induced
-linear characters on an abelian normal subgroup.  Zero tests are exact
+verified exactly for every pair: mod a few primes q = 1 (mod e), at every
+primitive e-th root mod q, until the primes' product exceeds a bound on
+the relations' coefficients.  The fast path evaluates induced linear
+characters on an abelian normal subgroup.  Zero tests are exact
 everywhere; float64 serves only as an exact integer accumulator, under a
-checked bound of 2^53: in the weighted class counts (at most |G| (p - 1)),
-in the exact orthogonality sums, and in every GF(p) product of
-`_linalg_modp`, blocks of k terms with k (p - 1)^2 < 2^53.
+checked bound of 2^53: in the weighted class counts (at most |G| (p - 1))
+and in every GF(p) product of `_linalg_modp`, blocks of k terms with
+k (p - 1)^2 < 2^53.
 
 All outputs are immutable and calls are reentrant: per-group work shares
 no mutable state, so corpus sweeps may run one group per worker.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -44,8 +46,8 @@ from .group_engine import (
     abelian_model,
 )
 
-# Terms in one exact orthogonality product of a table with fewer than 128
-# classes (larger tables use r^2), and values per multiplicity product.
+# Entries of the r x r tables stacked in one exact orthogonality product (at
+# least one table), and values per multiplicity product.
 _BLOCK_TERMS = 1 << 14
 # Hits per weighted bincount of a class combination: 512 KiB arrays.
 _BINCOUNT_HITS = 1 << 16
@@ -124,14 +126,18 @@ def dixon_prime(group_order: int, exponent: int) -> int:
     """Smallest prime p = 1 (mod exponent) above 2*sqrt(group_order), searched
     below 10^7: above 2*sqrt|G| distinct characters differ mod p (Dixon),
     and p = 1 (mod exp G) puts every character value in GF(p)."""
-    bound = 2 * isqrt(group_order) + 1
-    p = bound - (bound - 1) % exponent  # the largest 1 (mod exponent) <= bound
-    while True:
-        p += exponent
-        if p > 10**7:
-            raise OracleConfigurationError("no admissible prime below 10^7")
+    p = next(_primes_one_mod(exponent, 2 * isqrt(group_order) + 1, 10**7), None)
+    if p is None:
+        raise OracleConfigurationError("no admissible prime below 10^7")
+    return p
+
+
+def _primes_one_mod(e: int, low: int, high: int):
+    """The primes p = 1 (mod e) with low < p <= high, ascending."""
+    p = low - (low - 1) % e  # the largest 1 (mod e) <= low
+    while (p := p + e) <= high:
         if prime_factors(p) == [p]:
-            return p
+            yield p
 
 
 def _primitive_root(p: int) -> int:
@@ -297,10 +303,10 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if n == 1:
         G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int64(0), (1, 1)), (1,), ())
         return CharacterTable(G, *G._dixon_table)
+    L = G.compiled.class_translations()  # before G.exponent, which reads orders
     e = G.exponent
     p = dixon_prime(n, e)
     reps = [G.index[rep] for rep in data.reps]
-    L = G.compiled.left_translations(reps)
     vectors = _split_eigenspaces(G, data, L, p)
 
     sizes = np.array(data.sizes, dtype=np.int64)
@@ -380,18 +386,29 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     theta, and exactly in Z[zeta_e] on the power-basis coefficient vectors
     values[ids[i, k]] of chi_i(rep_k).
 
-    The exact sums are float64 products of row blocks against later row
-    blocks (pairs x > y are the conjugates of pairs x < y), exact below the
-    checked bound 2^53.  One product holds about max(r^2, 2^14) terms: when
-    phi(e) <= r, square blocks of that many rows, so a table with
-    r phi <= 128 checks in one product per relation (S4: r = 5, phi = 4)
-    and a large one in blocks of r // phi rows (M5: r = 264, phi = 8);
-    when phi(e) > r, blocks of that many rows against all later rows, at
-    least one row (AGL(1,31): r = 31, phi = 240).  Their
-    terms zeta^a conj(zeta^b) are summed along the 2 phi - 1 diagonals
-    a - b of each phi x phi block, one slice per row a, then reduced to the
-    power basis in int64 through the rows (a - b) mod e of the reduction
-    matrix."""
+    For one pair, a relation's sum S = sum_m w_m a_m conj(b_m) has weights
+    w_m summing to at most n (the class sizes, or r ones), and the product
+    a conj(b) = sum_(i, j < phi) a_i b_j zeta^(i - j) of two values has
+    power-basis coefficients at most l^2 max|reduction| in absolute value,
+    for l the largest sum of |coefficients| of one value: reducing
+    zeta^(i - j) scales each term by at most max|reduction|.  So every
+    coefficient of S - target, the target being at most n, is below
+    B = n (l^2 max|reduction| + 1), and B < 2^53 is checked.
+
+    The coefficients of S - target are checked mod the primes q = 1 (mod e)
+    above 2^20 (`_embeddings`), ascending, until their product exceeds B
+    (three at most): a coefficient divisible by each of them is smaller
+    than their product in absolute value, so it is 0.  Mod q, Phi_e has
+    the phi distinct roots z^k, z a primitive e-th root mod q and k a unit
+    mod e, and zeta -> z^k is a ring map Z[zeta_e] -> GF(q); a polynomial of
+    degree below phi that vanishes at all phi roots is 0 mod q.  The map
+    takes conj(b) to b at z^-k, so for the r x r tables T_k = E_k[ids] of
+    every distinct value evaluated at z^k, the relations at k read
+    (T_k diag(sizes)) T_-k^T = n I and T_k^T T_-k = diag(n / sizes) mod q.
+    Those at -k are their transposes, so one k of each pair {k, -k} does.
+    A product stacks max(1, _BLOCK_TERMS // r^2) of the tables T_k: a small
+    table takes all of them at once, one product per relation and prime
+    (S4: r = 5, two tables), and one with r >= 128 one at a time."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
     conj = theta[:, list(data.inverse_class)]
@@ -401,37 +418,51 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     if np.any(lin.matmul(theta.T, conj, p) != np.diag(n // sizes % p)):
         raise TableConsistencyError("column orthogonality fails mod p")
 
-    reduction = _reduction_matrix(e)
-    peak = int(np.abs(values).max())
-    if n * peak * peak * phi * phi * int(np.abs(reduction).max()) >= 2**53:
+    l1 = int(np.abs(values).sum(axis=1).max())
+    bound = n * (l1 * l1 * int(np.abs(_reduction_matrix(e)).max()) + 1)
+    if bound >= 2**53:
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
-    diagonal = reduction[(np.arange(2 * phi - 1) - (phi - 1)) % e]  # row a - b + phi - 1
-    floats = values.astype(np.float64)
-    budget = max(r * r, _BLOCK_TERMS)  # terms (step, phi, width, phi) per product
-    if phi <= r:
-        step = width = min(r, max(1, isqrt(budget) // phi))
-    else:  # rows per left block against all later rows
-        step, width = min(r, max(1, budget // (r * phi * phi))), r
+    stack = max(1, _BLOCK_TERMS // (r * r))  # tables T_k per product
+    diagonal = np.arange(r)
     relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
-        ("first", ids, sizes, np.full(r, n)),
-        ("column", ids.T, np.ones(r, dtype=np.int64), n // sizes),
+        ("first", ids, sizes, n),
+        ("column", ids.T, 1, n // sizes),
     )
-    for name, v, w, d in relations:
-        for x in range(0, r, step):
-            left = floats[v[x : x + step]] * w[:, None]  # (x, m, a)
-            for y in range(x, r, width):
-                # (x, a, y, phi - 1 - b): b reversed, so a - b + phi - 1 = a + column
-                sums = np.tensordot(left, floats[v[y : y + width]][..., ::-1], (1, 1))
-                bx, by = sums.shape[0], sums.shape[2]
-                diagonals = np.zeros((bx, by, 2 * phi - 1))
-                for a in range(phi):  # a - b + phi - 1 = a + column
-                    diagonals[..., a : a + phi] += sums[:, a]
-                got = np.rint(diagonals).astype(np.int64) @ diagonal
-                if x == y:
-                    k = np.arange(bx)
-                    got[k, k, 0] -= d[x : x + bx]
-                if np.any(got):
+    product = 1
+    for q, powers in _embeddings(e, phi):
+        if product > bound:
+            break
+        product *= q
+        E = lin.matmul(values, powers, q).T.astype(np.float64)  # at z^k, then z^-k
+        half = len(E) // 2
+        for name, v, w, d in relations:
+            for t in range(0, half, stack):
+                left = E[t : min(t + stack, half), v] * w % q
+                right = E[half + t : half + t + len(left), v].transpose(0, 2, 1)
+                got = lin._products(left, right, q)
+                got[:, diagonal, diagonal] -= d % q
+                if got.any():
                     raise TableConsistencyError(f"{name} orthogonality fails exactly")
+
+
+@lru_cache(maxsize=64)
+def _embeddings(e: int, phi: int) -> tuple:
+    """((q, powers), ...) for the three smallest primes q = 1 (mod e) above
+    2^20, whose product exceeds 2^60: powers[j] holds z^(k j) mod q for one
+    k of each pair {k, -k} of units mod e, then z^(-k j) for the same k, z
+    a primitive e-th root mod q.  Below 2^21 a float64 product of residues
+    mod q sums 2048 terms exactly; every e <= 8192 has four such primes."""
+    units = [k for k in range(e) if gcd(k, e) == 1 and k <= e - k]
+    exponents = np.outer(np.arange(phi), units + [-k for k in units]) % e
+    out = []
+    for q in _primes_one_mod(e, 2**20, 2**21 - 1):
+        z = pow(_primitive_root(q), (q - 1) // e, q)
+        powers = np.array([pow(z, k, q) for k in range(e)], dtype=np.int64)[exponents]
+        powers.flags.writeable = False
+        out.append((q, powers))
+        if len(out) == 3:
+            return tuple(out)
+    raise OracleConfigurationError(f"fewer than three primes = 1 (mod {e}) below 2^21")
 
 
 # -- vanishing reports ---------------------------------------------------

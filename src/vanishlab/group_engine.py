@@ -544,17 +544,27 @@ class CompiledGroup:
     def orders(self) -> np.ndarray:
         """Order of every element; a class function, so it is read off the
         left translations by one element per class."""
-        cls = self.class_index
-        out = []
-        for block in self.blocks(np.unique(cls, return_index=True)[1]):
-            L = self.left_translations(block)
-            x = L[:, self.identity].astype(np.intp)
-            order = np.ones(len(L), dtype=np.intp)
-            while (pending := x != self.identity).any():
-                x = np.where(pending, L[np.arange(len(L)), x], self.identity)
-                order += pending
-            out.append(order)
-        return np.concatenate(out)[cls]
+        firsts = np.unique(self.class_index, return_index=True)[1]
+        out = [self._orders_of(self.left_translations(b)) for b in self.blocks(firsts)]
+        return np.concatenate(out)[self.class_index]
+
+    def class_translations(self) -> np.ndarray:
+        """The left translations by the first element of each class, all at
+        once; `orders` is read off them when it is not yet known, so a
+        character table builds them once.  The array is not kept."""
+        L = self.left_translations(np.unique(self.class_index, return_index=True)[1])
+        if "orders" not in self.__dict__:
+            self.orders = self._orders_of(L)[self.class_index]
+        return L
+
+    def _orders_of(self, L: np.ndarray) -> np.ndarray:
+        """The order of the element whose left translation is each row of L."""
+        x = L[:, self.identity].astype(np.intp)
+        order = np.ones(len(L), dtype=np.intp)
+        while (pending := x != self.identity).any():
+            x = np.where(pending, L[np.arange(len(L)), x], self.identity)
+            order += pending
+        return order
 
     def coset_labels(self, gens) -> np.ndarray:
         """The least index of each left coset x<gens>."""

@@ -301,16 +301,20 @@ def test_exact_orthogonality_with_phi_above_r_catches_every_corrupted_value(
 def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
     monkeypatch,
 ):
-    # S4 has 5 classes and phi(12) = 4 <= 5: one block of all rows per
-    # relation, so the pairs x = y and x != y share one product
+    # S4 has 5 classes and phi(12) = 4 units mod 12 in the pairs {1, 11} and
+    # {5, 7}: its exact sums are checked mod one prime, both embeddings
+    # stacked in one product per relation, so all pairs share one product
     data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
     r, phi = ids.shape[0], values.shape[1]
     assert (n, r, phi) == (24, 5, 4)
-    products = []
-    tensordot = np.tensordot
-    monkeypatch.setattr(np, "tensordot", lambda *a: products.append(a) or tensordot(*a))
+    stacked = []
+    products = lin._products
+    monkeypatch.setattr(
+        lin, "_products",
+        lambda A, B, q: (A.ndim == 3 and stacked.append((A.shape, B.shape))) or products(A, B, q),
+    )
     character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
-    assert len(products) == 2
+    assert stacked == [((2, r, r), (2, r, r))] * 2
     monkeypatch.undo()
     bump = np.eye(phi, dtype=np.int64)
     for i, k in itertools.product(range(r), repeat=2):
@@ -325,6 +329,28 @@ def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
                     character_lab._verify_orthogonality(
                         data, n, e, np.vstack([values, bad]), bad_ids, theta, p
                     )
+
+
+def test_exact_orthogonality_needs_every_prime_its_bound_asks_for(monkeypatch):
+    # a character value off by exactly the first verification prime q1 is
+    # invisible mod q1; its size near q1 lifts the bound to about 2^45, so
+    # the check would take three primes, and the second sees it
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    primes = [q for q, _ in character_lab._embeddings(e, values.shape[1])]
+    bad_ids = ids.copy()
+    bad_ids[4, 1] = len(values)
+    bad = values[ids[4, 1]] + primes[0] * np.eye(1, 4, dtype=np.int64)
+    args = (data, n, e, np.vstack([values, bad]), bad_ids, theta, p)
+    used = []
+    products = lin._products
+    monkeypatch.setattr(lin, "_products", lambda A, B, q: used.append(q) or products(A, B, q))
+    with pytest.raises(TableConsistencyError, match="fails exactly"):
+        character_lab._verify_orthogonality(*args)
+    assert n * int(np.abs(bad).sum()) ** 2 > primes[0] * primes[1]  # three primes
+    assert sorted(set(used) - {p}) == primes[:2]  # q2 sees it
+    embeddings = character_lab._embeddings
+    monkeypatch.setattr(character_lab, "_embeddings", lambda *a: embeddings(*a)[:1])
+    character_lab._verify_orthogonality(*args)  # mod q1 alone it goes unseen
 
 
 def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):

@@ -47,6 +47,24 @@ def test_matmul_matches_python_ints_on_random_operands(p):
     assert lin.matmul(np.array(A), np.array(B), p).tolist() == expected
 
 
+def test_stacked_products_match_python_ints_in_blocks_of_three_terms():
+    # k (p - 1)^2 < 2^53 holds for k = 3 at p = 50,000,017, so 7 and 10
+    # inner terms take three and four float64 blocks; A stacks (2, 3) and B
+    # (3,) operands, broadcast as np.matmul broadcasts them
+    p = 50_000_017
+    assert exact_terms(p) == 3
+    rng = random.Random(p)
+    for inner in (7, 10):
+        A = [[[[rng.choice([p - 1, rng.randrange(p)]) for _ in range(inner)]
+               for _ in range(4)] for _ in range(3)] for _ in range(2)]
+        B = [[[rng.choice([p - 1, rng.randrange(p)]) for _ in range(5)]
+              for _ in range(inner)] for _ in range(3)]
+        expected = [[[[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Bj)]
+                      for row in Aij] for Aij, Bj in zip(Ai, B)] for Ai in A]
+        got = lin._products(np.array(A, dtype=np.float64), np.array(B, dtype=np.float64), p)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
 def test_matmul_rejects_a_modulus_whose_single_term_is_inexact():
     # for p - 1 = isqrt(2^53 - 1) one term is exact; one more and (p - 1)^2
     # reaches 2^53, so not even one product of residues is exact in float64
