@@ -210,21 +210,23 @@ def _check_sixsum(max_n: int):
     `six_sum_verdicts` code against an exact zero test that does not use
     the classifier's fold.  The sum's exponent counts times the power table
     of Phi_(2^n) are its integer coefficients in the power basis, all zero
-    exactly when the sum is.  One block holds an eps triple against every
-    eta triple, in enumeration order, and a mismatch reports its first
-    input."""
+    exactly when the sum is.  That table's entries are 0 and +-1 and the
+    counts of one sum add up to 6, so every coefficient is an integer of
+    size at most 6 and the float64 product is exact.  One block holds an eps
+    triple against every eta triple, in enumeration order, and a mismatch
+    reports its first input."""
     claims_zero = np.array([v.value.startswith("zero") for v in SIX_SUM_VERDICTS])
     for n in range(1, max_n + 1):
         big = 2 ** n
         triples = six_sum_inputs(n)
-        reduction = _reduction_matrix(big)
+        reduction = _reduction_matrix(big).astype(np.float64)
         cells = np.arange(len(triples))[:, None] * big + triples
         eta_counts = np.bincount(cells.ravel(), minlength=len(triples) * big)
-        eta_counts = eta_counts.reshape(-1, big).astype(np.int8)
+        eta_counts = eta_counts.reshape(-1, big).astype(np.float64)
         census = np.zeros(len(SIX_SUM_VERDICTS), dtype=np.int64)
         for eps in triples:
             codes = six_sum_verdicts(n, np.broadcast_to(eps, triples.shape), triples)
-            counts = eta_counts + np.bincount(eps, minlength=big).astype(np.int8)
+            counts = eta_counts + np.bincount(eps, minlength=big)
             exact_zero = ~(counts @ reduction).any(axis=1)
             bad = np.flatnonzero(exact_zero != claims_zero[codes])
             if len(bad):
@@ -285,12 +287,17 @@ def _check_vs(max_terms: int):
                "no-false-negatives")
 
 
+DUALITY_SHAPES = ((2,), (4,), (8,), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (4, 4, 2))
+
+
 def _check_duality(seed: int, trials: int):
-    """Annihilator laws on random subgroups of abelian 2-groups."""
+    """Annihilator laws |B| |B^perp| = |A| and (B^perp)^perp = B on random
+    subgroups B of abelian 2-groups.  Each trial draws a shape and up to two
+    generators and closes B; equal subgroups are checked once, in the order
+    first drawn, and a failing one counts once per trial that drew it."""
     rng = random.Random(seed)
-    shapes = [(2,), (4,), (8,), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (4, 4, 2)]
-    groups = [AbelianGroup.of(*shape) for shape in shapes]  # one element table each
-    failures = 0
+    groups = [AbelianGroup.of(*shape) for shape in DUALITY_SHAPES]  # one table each
+    draws = {}
     for _ in range(trials):
         A = rng.choice(groups)
         gens = tuple(
@@ -298,9 +305,12 @@ def _check_duality(seed: int, trials: int):
             for _ in range(rng.randrange(3))
         )
         B = AbSubgroup(A, gens)
+        draws[B] = draws.get(B, 0) + 1
+    failures = 0
+    for B, count in draws.items():
         Bp = perp(B)
-        if B.order * Bp.order != A.order or perp_dual(Bp) != B:
-            failures += 1
+        if B.order * Bp.order != B.parent.order or perp_dual(Bp) != B:
+            failures += count
     yield ("duality-annihilator", failures == 0,
            f"trials={trials};failures={failures}", "perp-laws")
 

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vanishlab import character_lab, cli
+from vanishlab.abelian_core import AbelianGroup, AbSubgroup
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
 from vanishlab.cyclotomic import SIX_SUM_VERDICTS, SixSumVerdict
@@ -522,6 +524,88 @@ def test_lemma_reports_are_golden(capsys, argv, digest):
     code, out = run(capsys, "verify-lemma", *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `campaign --seed 42 --only <section>` for the lemma sections,
+# recorded before the duality check tallied draws per subgroup
+CAMPAIGN_LEMMA_DIGESTS = [
+    ("duality", "5ddcc79f90df1bf9a095d221de28773fb7dbbfb2eac471719c0364077222f58c"),
+    ("sixsum", "64a07a495477bedf2d98458082d011cc09b22d07bf948f2841fc33b85f9dd375"),
+    ("vs", "62d72f7014f098eee47d1362ef402e1b2a9287a1ebf1ff08db11af49cd71f720"),
+]
+
+
+@pytest.mark.parametrize("section,digest", CAMPAIGN_LEMMA_DIGESTS,
+                         ids=[section for section, _ in CAMPAIGN_LEMMA_DIGESTS])
+def test_campaign_lemma_sections_are_golden(capsys, section, digest):
+    code, out = run(capsys, "campaign", "--seed", "42", "--only", section)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _duality_draws(seed, trials):
+    """Each trial's subgroup, drawn as the duality check draws it."""
+    rng = random.Random(seed)
+    groups = [AbelianGroup.of(*shape) for shape in cli.DUALITY_SHAPES]
+    for _ in range(trials):
+        A = rng.choice(groups)
+        gens = tuple(
+            A.element(tuple(rng.randrange(d) for d in A.factor_orders))
+            for _ in range(rng.randrange(3))
+        )
+        yield AbSubgroup(A, gens)
+
+
+def test_duality_checks_each_distinct_subgroup_once(capsys, monkeypatch):
+    seen = {"perp": [], "perp_dual": []}
+    built = []
+    init = cli.AbSubgroup.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapped(sub):
+            seen[name].append(sub)
+            return real(sub)
+        return wrapped
+
+    monkeypatch.setattr(cli.AbSubgroup, "__init__", counting_init)
+    for name in seen:
+        monkeypatch.setattr(cli, name, spy(name))
+    code, out = run(capsys, "verify-lemma", "duality", "--trials", "1000",
+                    "--seed", "1")
+    assert code == EXIT_OK
+    assert "observed=trials=1000;failures=0" in out
+    assert len(built) == 1000  # one closure per trial, none by perp
+    for subs in seen.values():
+        assert 0 < len(subs) < 1000
+        assert len(set(subs)) == len(subs)
+    assert len(seen["perp"]) == len(seen["perp_dual"])
+
+
+def test_duality_counts_a_failing_subgroup_once_per_draw(capsys, monkeypatch):
+    A = AbelianGroup.of(4, 2)
+    chosen = AbSubgroup.trivial(A)
+    real = cli.perp
+
+    def wrong(sub):  # the trivial annihilator of the trivial subgroup
+        return AbSubgroup.trivial(sub.parent) if sub == chosen else real(sub)
+
+    monkeypatch.setattr(cli, "perp", wrong)
+    expected = draws = 0
+    for B in _duality_draws(5, 600):  # per trial, as the check once ran
+        Bp = wrong(B)
+        expected += B.order * Bp.order != B.parent.order or cli.perp_dual(Bp) != B
+        draws += B == chosen
+    assert expected == draws > 1
+    code, out = run(capsys, "verify-lemma", "duality", "--trials", "600",
+                    "--seed", "5")
+    assert code == EXIT_MISMATCH
+    assert f"observed=trials=600;failures={expected} " in out
 
 
 def test_sixsum_mismatch_reports_the_first_input(capsys, monkeypatch):
