@@ -179,14 +179,14 @@ def _class_combination(G: FiniteGroup, data: ClassData, L: np.ndarray, c) -> np.
     return M
 
 
-def _power_classes(G: FiniteGroup, L: np.ndarray, e: int) -> np.ndarray:
-    """(r, e) array: the class of rep_k^l at [k, l], for the left
+def _power_classes(G: FiniteGroup, L: np.ndarray, m: int) -> np.ndarray:
+    """(r, m) array: the class of rep_k^l at [k, l], l < m, for the left
     translations L of the class representatives."""
     cls = G.class_index
     rows = np.arange(len(L))
     x = np.full(len(L), G.compiled.identity, dtype=np.intp)
-    out = np.empty((len(L), e), dtype=np.int64)
-    for l in range(e):
+    out = np.empty((len(L), m), dtype=np.int64)
+    for l in range(m):
         out[:, l] = cls[x]
         x = L[rows, x]
     return out
@@ -333,8 +333,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if sum(d * d for d in degrees) != n:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
 
-    power_class = _power_classes(G, L, e)
     orders = G.compiled.orders[reps]
+    # rows K of element order o read power_class[K, :o] only
+    power_class = _power_classes(G, L, int(orders.max()))
 
     # theta(rep_k^l) has period o = o(rep_k) in l, so the classes of one
     # element order o share one o x o transform, and its multiplicities of

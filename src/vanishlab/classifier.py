@@ -170,7 +170,9 @@ def _shape_b42(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
 
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
-    of the (b4.1)/(b4.2) shapes.  Both generators x, x^2 are tried."""
+    of the (b4.1)/(b4.2) shapes.  Both generators x, x^2 are tried.  As x
+    has order 3, x^2 and y generate what x and y do, so the four searches
+    share one <x, y>-module per candidate."""
     _check_module_setting(W, x, y, order6_cyclic=True)
     gamma = commutator_hom(W, y)
     image = AbSubgroup(W, tuple(gamma(g) for g in W.generators()))
@@ -181,19 +183,27 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     if exp_w < 8:
         return None
     candidates = [a for a in W.elements() if a.order() == exp_w]
+    modules = {}
+
+    def module(b: AbElement) -> AbSubgroup:
+        if b.coords not in modules:
+            modules[b.coords] = generated_submodule(b, [x, y])
+        return modules[b.coords]
+
     for x_used in (x, x ** 2):
         for shape, label in ((_shape_b41, CaseLabel.B4_1), (_shape_b42, CaseLabel.B4_2)):
-            witness = _search_b4(W, x_used, y, candidates, shape, label)
+            witness = _search_b4(W, x_used, y, gamma, candidates, module, shape, label)
             if witness is not None:
                 witness.x_used = x_used
                 return witness
     return None
 
 
-def _search_b4(W, x, y, candidates, shape, label) -> C6Witness | None:
-    gamma = commutator_hom(W, y)
+def _search_b4(W, x, y, gamma, candidates, module, shape, label) -> C6Witness | None:
+    """The first witness of the shape from the first B4_CANDIDATE_TRIES
+    candidates; module(b) is the <x, y>-module of a candidate b."""
     for b0 in candidates[:B4_CANDIDATE_TRIES]:
-        B = generated_submodule(b0, [x, y])
+        B = module(b0)
         if not shape(W, b0, B, x, y):
             continue
         rank_b0 = len(B.isomorphism_type().factor_orders)
@@ -202,7 +212,7 @@ def _search_b4(W, x, y, candidates, shape, label) -> C6Witness | None:
         for b in candidates:
             if (b.order() // 2) * b in B:  # B meets <b>, so also the module of b
                 continue
-            M = generated_submodule(b, [x, y])
+            M = module(b)
             if M.intersection(B).order == 1 and shape(W, b, M, x, y):
                 B = B.join(M)
                 b0_list.append(b)

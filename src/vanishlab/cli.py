@@ -44,6 +44,10 @@ EXIT_CAP = 3
 ENV_MAX_ORDER = "VANISHLAB_MAX_ORDER"
 DEFAULT_MAX_ORDER = 8192
 
+# inputs per `six_sum_verdicts` call of the six-sum check, so that one
+# block's arrays stay in cache
+_SIXSUM_BLOCK_ROWS = 1 << 11
+
 VALUE_SET = frozenset(
     {Fraction(0)} | {Fraction(m - 1, m) for m in range(2, 7)}
 )
@@ -210,27 +214,34 @@ def _check_sixsum(max_n: int):
     `six_sum_verdicts` code against an exact zero test that does not use
     the classifier's fold.  The sum's exponent counts times the power table
     of Phi_(2^n) are its integer coefficients in the power basis, all zero
-    exactly when the sum is.  That table's entries are 0 and +-1 and the
-    counts of one sum add up to 6, so every coefficient is an integer of
-    size at most 6 and the float64 product is exact.  One block holds an eps
-    triple against every eta triple, in enumeration order, and a mismatch
-    reports its first input."""
+    exactly when the sum is.  The counts of a sum are those of its eps
+    triple plus those of its eta triple, so the sum is zero exactly when
+    the eta triple's coefficients are the negated eps triple's: each
+    triple's coefficient vector and its negation get ids into their
+    distinct rows, and a sum is zero when two ids agree.  One block holds
+    about _SIXSUM_BLOCK_ROWS inputs, consecutive eps triples each against
+    every eta triple, in enumeration order, and a mismatch reports its
+    first input."""
     claims_zero = np.array([v.value.startswith("zero") for v in SIX_SUM_VERDICTS])
     for n in range(1, max_n + 1):
         big = 2 ** n
         triples = six_sum_inputs(n)
-        reduction = _reduction_matrix(big).astype(np.float64)
         cells = np.arange(len(triples))[:, None] * big + triples
-        eta_counts = np.bincount(cells.ravel(), minlength=len(triples) * big)
-        eta_counts = eta_counts.reshape(-1, big).astype(np.float64)
+        counts = np.bincount(cells.ravel(), minlength=len(triples) * big)
+        coeffs = counts.reshape(-1, big) @ _reduction_matrix(big)
+        _, ids = np.unique(np.concatenate([coeffs, -coeffs]), axis=0, return_inverse=True)
+        ids, negated_ids = ids[:len(triples)], ids[len(triples):]
+        step = max(1, _SIXSUM_BLOCK_ROWS // len(triples))
         census = np.zeros(len(SIX_SUM_VERDICTS), dtype=np.int64)
-        for eps in triples:
-            codes = six_sum_verdicts(n, np.broadcast_to(eps, triples.shape), triples)
-            counts = eta_counts + np.bincount(eps, minlength=big)
-            exact_zero = ~(counts @ reduction).any(axis=1)
+        for start in range(0, len(triples), step):
+            eps = triples[start:start + step]
+            codes = six_sum_verdicts(n, np.repeat(eps, len(triples), axis=0),
+                                     np.tile(triples, (len(eps), 1)))
+            exact_zero = (negated_ids[start:start + step, None] == ids).ravel()
             bad = np.flatnonzero(exact_zero != claims_zero[codes])
             if len(bad):
-                ae, be = tuple(eps.tolist()), tuple(triples[bad[0]].tolist())
+                i, j = divmod(bad[0], len(triples))
+                ae, be = tuple(eps[i].tolist()), tuple(triples[j].tolist())
                 yield (f"sixsum-n{n}", False, f"mismatch at {ae}+{be}",
                        "verdict-matches-exact-zero")
                 break

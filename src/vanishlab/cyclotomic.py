@@ -439,6 +439,34 @@ _VIOLATIONS = (
 )
 
 
+# Compare-exchanges (i, j) that sort three values, and that merge two
+# sorted triples at 0-2 and 3-5 into six sorted values.
+_SORT3 = ((0, 1), (1, 2), (0, 1))
+_MERGE33 = ((0, 3), (1, 4), (1, 3), (2, 5), (2, 3), (3, 4))
+
+
+def _sorting_network(values: list, pairs) -> list:
+    """values (arrays of one shape) after the compare-exchange of each pair
+    (i, j) in turn, which leaves their minimum at i and maximum at j."""
+    for i, j in pairs:
+        values[i], values[j] = np.minimum(values[i], values[j]), np.maximum(values[i], values[j])
+    return values
+
+
+@lru_cache(maxsize=32)
+def _two_power_orders(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per exponent k < 2^n, read-only uint8: the order of zeta_(2^n)^k,
+    capped at 8 (the six-sum rules tell no larger orders apart), and the bit
+    1 << (4k / 2^n mod 4) that names zeta^k in U_4 (meaningful where that
+    order is at most 4)."""
+    big = 2**n
+    k = np.arange(big)
+    order = np.minimum(big // np.gcd(k, big), 8).astype(np.uint8)
+    bit = (1 << (k * 4 // big % 4)).astype(np.uint8)
+    order.flags.writeable = bit.flags.writeable = False
+    return order, bit
+
+
 def six_sum_verdicts(n: int, ae, be) -> np.ndarray:
     """Verdict codes (int8, indices into SIX_SUM_VERDICTS) of the sums
     eps1+eps2+eps3+eta1+eta2+eta3 with eps_i = zeta^ae[r, i] and
@@ -449,31 +477,40 @@ def six_sum_verdicts(n: int, ae, be) -> np.ndarray:
     delta_i = eta_i / eps_i is +-1: the sum is nonzero), a nonzero sum,
     part 2 (every root in U_4: the eps and eta are 1 + zeta4 - zeta4 and
     1 - 1 - 1), part 3 (an eps of order >= 8 and every delta in U_4: the
-    deltas are {zeta4, -1} or {-zeta4, -1}), else zero.  The sum is zero
-    when the exponent counts, folded through x^(2^(n-1)) = -1, vanish.
+    deltas are {zeta4, -1} or {-zeta4, -1}), else zero.
+    Exponents are reduced mod 2^n in the smallest signed integer type that
+    holds -2^n (int8 up to n = 7, int16 up to n = 15), and each root's order
+    and U_4 bit are read from the per-n tables of `_two_power_orders`.
     Raises SixSumPreconditionError if a row breaks
     eps1*eps2*eps3 = eta1*eta2*eta3 = 1, and LemmaViolationError, for the
     first row that has one, if an exact result contradicts a part."""
     if n < 1:
         raise ValueError("n must be positive")
-    big = 2**n
-    x = np.array((ae, be), dtype=np.int64) % big  # (eps/eta, rows, 3)
+    big, mask = 2**n, 2**n - 1
+    dtype = np.min_scalar_type(-big)
+    x = np.asarray((ae, be))
     if x.ndim != 3 or x.shape[2] != 3:
         raise ValueError("need (rows, 3) eps and eta exponent arrays")
-    if (x.sum(axis=2) % big).any():
+    # (eps/eta, slot, rows); a wrapping cast keeps every exponent mod 2^n
+    x = np.ascontiguousarray(x.transpose(0, 2, 1)).astype(dtype) & mask
+    if (x.sum(axis=1, dtype=dtype) & mask).any():
         raise SixSumPreconditionError("product constraints violated")
 
-    rows = x.shape[1]
-    cells = np.arange(rows)[:, None] * big + x.transpose(1, 0, 2).reshape(rows, 6)
-    counts = np.bincount(cells.ravel(), minlength=rows * big).reshape(rows, 2, -1)
-    zero = (counts[:, 0] == counts[:, 1]).all(axis=1)
+    # The sum is zero exactly when its exponent counts, folded through
+    # zeta^(2^(n-1)) = -1, vanish: when its six exponents, sorted, are three
+    # below 2^(n-1) followed by those three plus 2^(n-1).
+    a, b, c = _sorting_network(list(x.transpose(1, 0, 2)), _SORT3)  # both triples
+    s = _sorting_network([a[0], b[0], c[0], a[1], b[1], c[1]], _MERGE33)
+    half = big // 2
+    zero = (s[3] - s[0] == half) & (s[4] - s[1] == half) & (s[5] - s[2] == half)
 
-    v = np.concatenate([x, (x[1:] - x[:1]) % big])  # eps, eta, delta
-    top = (big // np.gcd(v, big)).max(axis=2)  # the largest order of each triple
+    v = np.concatenate([x, (x[1:] - x[:1]) & mask]).astype(np.intp)  # eps, eta, delta
+    order, bit = _two_power_orders(n)
+    top = order[v].max(axis=1)  # the largest order of each triple, capped at 8
     # The U_4 exponents of each triple as a bit mask (meaningful where every
     # order is <= 4).  The exponents of a triple sum to 0 mod 4, so its set
     # of exponents determines it.
-    bits = np.bitwise_or.reduce(1 << (v * 4 // big % 4), axis=2)
+    bits = np.bitwise_or.reduce(bit[v], axis=1)
     # part 2: one of eps, eta is {1, -1} (1 - 1 - 1), the other {1, zeta4, -zeta4}
     shape2 = (np.minimum(bits[0], bits[1]) == 0b0101) & (np.maximum(bits[0], bits[1]) == 0b1011)
     # part 3: the deltas are {zeta4, -1} or {-zeta4, -1}

@@ -630,6 +630,54 @@ def test_sixsum_mismatch_reports_the_first_input(capsys, monkeypatch):
     assert out.endswith("result=fail\n")
 
 
+def test_sixsum_report_to_n5_is_golden(capsys):
+    # sha256 of the report, recorded when one block held one eps triple
+    code, out = run(capsys, "verify-lemma", "sixsum", "--max-n", "5")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "23f860c8bf026986cca6ca1312973263055a6ace7269de445ed252c7c97a4ca9"
+
+
+def test_sixsum_mismatch_in_a_later_block_reports_the_first_input(capsys, monkeypatch):
+    code, out = run(capsys, "verify-lemma", "sixsum", "--max-n", "4")
+    assert code == EXIT_OK
+    passing = [line for line in out.splitlines() if line.startswith("check=")]
+    # blocks of two eps triples at n = 3; flip three zero sums from the third
+    # block on, two of them in one block, the first in enumeration order
+    # having the later eta
+    monkeypatch.setattr(cli, "_SIXSUM_BLOCK_ROWS", 128)
+    triples = cli.six_sum_inputs(3)
+    codes = cli.six_sum_verdicts(3, np.repeat(triples, 64, axis=0), np.tile(triples, (64, 1)))
+    claims_zero = np.array([v.value.startswith("zero") for v in SIX_SUM_VERDICTS])
+    zero_etas = [np.flatnonzero(row).tolist() for row in claims_zero[codes].reshape(64, 64)]
+    triples = [tuple(t) for t in triples.tolist()]
+    first = next(i for i in range(4, 62, 2) if zero_etas[i] and zero_etas[i + 1]
+                 and zero_etas[i + 1][0] < zero_etas[i][-1])
+    later = next(i for i in range(first + 2, 64) if zero_etas[i])
+    flips = {(first, zero_etas[first][-1]), (first + 1, zero_etas[first + 1][0]),
+             (later, zero_etas[later][0])}
+    flipped_inputs = {(triples[i], triples[j]) for i, j in flips}
+    verdicts = cli.six_sum_verdicts
+    nonzero = SIX_SUM_VERDICTS.index(SixSumVerdict.NONZERO)
+
+    def flipped(n, ae, be):
+        codes = verdicts(n, ae, be)
+        if n == 3:
+            for r, row in enumerate(zip(map(tuple, ae.tolist()), map(tuple, be.tolist()))):
+                if row in flipped_inputs:
+                    codes[r] = nonzero
+        return codes
+
+    monkeypatch.setattr(cli, "six_sum_verdicts", flipped)
+    code, out = run(capsys, "verify-lemma", "sixsum", "--max-n", "4")
+    assert code == EXIT_MISMATCH
+    rows = [line for line in out.splitlines() if line.startswith("check=")]
+    i, j = first, zero_etas[first][-1]
+    assert rows[2] == (f"check=sixsum-n3 status=fail observed=mismatch at "
+                       f"{triples[i]}+{triples[j]} expected=verdict-matches-exact-zero")
+    assert rows[:2] + rows[3:] == passing[:2] + passing[3:]
+
+
 @pytest.mark.parametrize("argv", [
     ("sixsum", "--max-n", "0"),
     ("vs", "--max-terms", "0"),

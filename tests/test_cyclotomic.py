@@ -16,7 +16,10 @@ from vanishlab.cyclotomic import (
     LemmaViolationError,
     SixSumPreconditionError,
     SixSumVerdict,
+    _MERGE33,
+    _SORT3,
     _reduce_mod_cyclotomic,
+    _sorting_network,
     _two_power_exponent,
     cyclotomic_polynomial,
     enumerate_six_sums,
@@ -429,6 +432,47 @@ def test_six_sum_verdicts_match_the_per_input_rules(n):
     assert codes.dtype == np.int8
     assert [SIX_SUM_VERDICTS[c] for c in codes.tolist()] == \
         [per_input_verdict(n, ae, be) for ae, be in pairs]
+
+
+def test_six_sum_sorting_network_sorts_every_zero_one_input():
+    # a comparator network that sorts every 0-1 input sorts every input
+    for bits in itertools.product((0, 1), repeat=6):
+        values = [np.array([b]) for b in bits]
+        values = _sorting_network(values[:3], _SORT3) + _sorting_network(values[3:], _SORT3)
+        assert [int(v[0]) for v in _sorting_network(values, _MERGE33)] == sorted(bits)
+
+
+def test_six_sum_verdicts_match_the_per_input_rules_on_a_sample_at_n5():
+    # n = 5 is the first n with roots of order 32
+    triples = six_sum_inputs(5)
+    i, j = np.random.default_rng(2000).integers(len(triples), size=(2, 20_000))
+    codes = six_sum_verdicts(5, triples[i], triples[j])
+    expected = [per_input_verdict(5, ae, be) for ae, be
+                in zip(triples[i].tolist(), triples[j].tolist())]
+    assert [SIX_SUM_VERDICTS[c] for c in codes.tolist()] == expected
+    assert set(expected) == set(SixSumVerdict)
+
+
+def test_six_sum_verdicts_match_the_per_input_rules_at_n16():
+    # exponents up to 2^16 - 1 do not fit int16: the int32 path
+    big = 2**16
+    scale = big // 8
+    # the first n = 3 input of each verdict, lifted to U_(2^16)
+    first = {}
+    for ae, be in enumerate_six_sums(3):
+        first.setdefault(per_input_verdict(3, ae, be), (ae, be))
+    assert len(first) == len(SixSumVerdict)
+    rows = [([a * scale for a in ae], [b * scale for b in be]) for ae, be in first.values()]
+    rows += [
+        ([1, 2, big - 3], [0, 0, 0]),                    # order 2^16, nonzero
+        ([40000, big - 40000, 0], [40000, 0, big - 40000]),  # a permutation: nonzero
+        ([40000, 25536, 0], [-40000, -25536, 0]),        # negative exponents wrap
+        ([0, big // 4, 3 * big // 4], [0, big // 2, big // 2]),  # part 2 shape
+    ]
+    codes = six_sum_verdicts(16, [ae for ae, _ in rows], [be for _, be in rows])
+    assert [SIX_SUM_VERDICTS[c] for c in codes.tolist()] == \
+        [per_input_verdict(16, [a % big for a in ae], [b % big for b in be])
+         for ae, be in rows]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
