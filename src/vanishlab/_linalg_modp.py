@@ -12,7 +12,9 @@ passes with blocks of at least 90 terms.
 step together, one product M @ W per step, and Berlekamp-Massey, in Python
 ints, runs term by term on each column's sequence u M^k w for a seeded
 row u, until its recurrence f passes the proof on the Krylov basis,
-K f = 0 mod p; a column's work follows its own degree.
+K f = 0 mod p; a column's work follows its own degree.  Its operands and
+bases stay float64 residues: a step whose inner dimension fits one exact
+block is one product, reduced in place.
 `rref` (for `nullspace` and `solve`) eliminates in int64, every step below
 p^2 in absolute value, and updates only the columns from the pivot on.
 `poly_roots` evaluates at every point of GF(p) by a Horner scan in int64,
@@ -55,6 +57,17 @@ def _products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     for start in range(k, A.shape[-1], k):
         out %= p
         out += (A[..., start:start + k] @ B[..., start:start + k, :]).astype(np.int64)
+    out %= p
+    return out
+
+
+def _residue_products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p as float64 residues, for float64 residues A and B.  When
+    one float64 sum holds the whole inner dimension exactly, that is one
+    product reduced in place, and no array but the result is made."""
+    if A.shape[-1] > _exact_terms(p):
+        return _products(A, B, p).astype(np.float64)
+    out = A @ B
     out %= p
     return out
 
@@ -146,13 +159,15 @@ def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
 
 def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
     """[(K, f)] for the columns w of W: the Krylov basis K = [w, Mw, ...,
-    M^deg w] (int64 columns) and the minimal polynomial f of w under M
-    (ascending, monic), for `length` at least every degree; a higher degree
-    is a ValueError.
+    M^deg w] (float64 columns of residues mod p) and the minimal polynomial
+    f of w under M (ascending, monic), for `length` at least every degree; a
+    higher degree is a ValueError.
 
-    M is reduced and converted once, and the columns step together, one
-    exact float64 product M @ X per step over the columns still open.  For a
-    seeded row u, each step gives a column two more terms
+    A float64 M or W is taken to hold residues mod p already and is used as
+    it is, with no copy; any other array is reduced and converted once.  The
+    columns step together, one exact float64 product M @ X per step over
+    the columns still open (`_residue_products`).  For a seeded row u, each
+    step gives a column two more terms
     a_(i + j) = (u M^i) M^j w of its sequence, from the left sequence
     u, u M, u M^2, ... that all columns share, and Berlekamp-Massey takes
     them one at a time (`_Recurrence`).  Once its recurrence f, of degree L,
@@ -164,8 +179,7 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
     recurrence on the next seeded row, over the basis it has, and goes
     on.  After `length` steps a recurrence longer than `length` proves the
     degree above it."""
-    M = _residues(M, p)
-    X = _residues(W, p)
+    M, X = (A if A.dtype == np.float64 else _residues(A, p) for A in (M, W))
     draws = _left_vectors(len(X), p)
     left = []  # left[t]: the seeded row u_t, then u_t M, u_t M^2, ...
     bases = [[x] for x in X.T]
@@ -180,25 +194,26 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
             left.append([next(draws)])
         rows = left[t]
         while len(rows) <= j:
-            rows.append(_products(rows[-1], M, p).astype(np.float64))
+            rows.append(_residue_products(rows[-1], M, p))
         return rows
 
     for j in range(length + 1):
         if j:
-            X = _products(M, X, p).astype(np.float64)
+            X = _residue_products(M, X, p)
             for i, x in zip(open_, X.T):
                 bases[i].append(x)
         for t in sorted(set(row[i] for i in open_)):
             at = [k for k, i in enumerate(open_) if row[i] == t]
             U = np.array(left_rows(t, j)[max(j - 1, 0):])
-            for i, terms in zip([open_[k] for k in at], _products(U, X[:, at], p).T):
+            Y = X if len(at) == len(open_) else X[:, at]
+            for i, terms in zip([open_[k] for k in at], _products(U, Y, p).T):
                 recurrences[i].extend(terms.tolist())  # a_0, or a_(2j - 1) and a_(2j)
         for i in open_:
             while recurrences[i].degree <= j:
                 f = recurrences[i].poly()
                 K = np.array(bases[i][: len(f)]).T
                 if not _products(K, np.array(f, dtype=np.float64), p).any():
-                    found[i] = (K.astype(np.int64), f)
+                    found[i] = (K, f)
                     break
                 row[i] += 1
                 U = np.array(left_rows(row[i], j)[: j + 1])
@@ -208,7 +223,8 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
                 recurrences[i].extend(_products(U[0], K[:, :j], p).tolist())
                 recurrences[i].extend(_products(U, K[:, j], p).tolist())
         keep = [k for k, i in enumerate(open_) if found[i] is None]
-        open_, X = [open_[k] for k in keep], X[:, keep]
+        if len(keep) < len(open_):
+            open_, X = [open_[k] for k in keep], X[:, keep]
         if not open_:
             return found
     raise ValueError(

@@ -46,9 +46,13 @@ from .group_engine import (
     abelian_model,
 )
 
-# Entries of the r x r tables stacked in one exact orthogonality product (at
-# least one table), and values per multiplicity product.
+# Entries of the small r x r tables stacked in one exact orthogonality
+# product (at least one table), and values per multiplicity product.
 _BLOCK_TERMS = 1 << 14
+# Bytes of one operand block of the r x r products (the split's K @ Q and
+# both verifications), at least one row: every table up to r = 724 (M5, the
+# corpus) takes one block, and a larger one is never copied whole.
+_BLOCK_BYTES = 1 << 22
 # Hits per weighted bincount of a class combination: 512 KiB arrays.
 _BINCOUNT_HITS = 1 << 16
 
@@ -77,7 +81,9 @@ class CharacterTable:
     group: FiniteGroup
     classes: ClassData
     values: tuple  # the distinct Cyclo values of the table, the zero (if any) first
-    ids: np.ndarray  # read-only (r, r) int64: chi_i(rep_k) is values[ids[i, k]]
+    # read-only (r, r), of the smallest signed integer type that holds
+    # len(values): chi_i(rep_k) is values[ids[i, k]]
+    ids: np.ndarray
     degrees: tuple[int, ...]
     zero_classes: tuple[int, ...]  # the classes on which some row is zero
 
@@ -152,7 +158,7 @@ def _primitive_root(p: int) -> int:
 
 
 def _class_combination(G: FiniteGroup, data: ClassData, L: np.ndarray, c) -> np.ndarray:
-    """sum_i c_i M_i over the class-sum matrices M_i, with
+    """sum_i c_i M_i, as exact float64, over the class-sum matrices M_i, with
     (M_i)[j, k] = #{(x, y) in C_i x C_j : x y = rep_k}; every joint
     eigenvector u satisfies M_i u = omega_i u.
 
@@ -169,7 +175,7 @@ def _class_combination(G: FiniteGroup, data: ClassData, L: np.ndarray, c) -> np.
         raise TableConsistencyError("class combination sums reach 2^53")
     step = min(r, max(1, _BINCOUNT_HITS // G.order))
     weights = np.tile(c[np.asarray(data.inverse_class)[cls]].astype(np.float64), step)
-    M = np.empty((r, r), dtype=np.int64)
+    M = np.empty((r, r))
     for start in range(0, r, step):
         rows = L[start:start + step]
         hits = cls[rows]
@@ -192,11 +198,10 @@ def _power_classes(G: FiniteGroup, L: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _split_eigenspaces(
-    G: FiniteGroup, data: ClassData, L: np.ndarray, p: int
-) -> list[np.ndarray]:
-    """The r joint eigenvectors of the class-sum matrices mod p, by
-    Schneider's one-combination variant of Dixon's method.
+def _split_eigenspaces(G: FiniteGroup, data: ClassData, L: np.ndarray, p: int) -> np.ndarray:
+    """The r joint eigenvectors of the class-sum matrices mod p, as the rows
+    of an (r, r) float64 array of residues, by Schneider's one-combination
+    variant of Dixon's method.
 
     The joint eigenvectors are the central characters omega_chi, and the
     identity class vector e_1 is their sum with the coefficients
@@ -207,8 +212,9 @@ def _split_eigenspaces(
     piece w by its parts K (f / (x - lam)) in the eigenspaces of M, for the
     Krylov basis K of w under M, the Krylov polynomial f of w (by
     Berlekamp-Massey, proved on K: see `lin.krylov`) and each root lam of
-    f in GF(p).  `lin.krylov` steps all pieces together, one product M @ W
-    per step, and a piece leaves once its f is proved: a piece that is
+    f in GF(p), one block of rows of K at a time.  M is built once, as
+    float64 residues.  `lin.krylov` steps all pieces together, one product
+    M @ W per step, and a piece leaves once its f is proved: a piece that is
     already an eigenvector of M costs one product, and the columns of a
     round sum to at most r plus the number of pieces.  A block splits
     unless M takes one value on all its characters, so r pieces are r
@@ -217,26 +223,50 @@ def _split_eigenspaces(
     bound the loop."""
     r = data.count
     rng = np.random.default_rng(0x5EED)
-    pieces = [np.eye(r, dtype=np.int64)[0]]
+    pieces = np.eye(1, r)  # one piece per row
     for _ in range(r):
         if len(pieces) >= r:
             break
         c = np.zeros(r, dtype=np.int64)  # M_0 = I shifts every eigenvalue alike
         c[1:] = rng.integers(0, p, size=r - 1)
-        M = _class_combination(G, data, L, c) % p
-        split = []
-        for K, f in lin.krylov(M, np.stack(pieces, axis=1), r - len(pieces) + 1, p):
-            if len(f) == 2:  # already an eigenvector of M
-                split.append(K[:, 0])
-                continue
-            roots = lin.poly_roots(f, p)
-            if len(roots) != len(f) - 1:
-                raise TableConsistencyError("class matrix not diagonalizable mod p")
-            split.extend(lin.matmul(K[:, : len(roots)], _quotients(f, roots, p), p).T)
-        pieces = split
+        M = _class_combination(G, data, L, c)
+        M %= p
+        # free each r x r operand once the next step no longer reads it
+        bases = lin.krylov(M, pieces.T, r - len(pieces) + 1, p)
+        del M, pieces
+        pieces = _split_pieces(bases, r, p)
+        del bases
     if len(pieces) != r:
         raise TableConsistencyError("joint eigenspaces did not separate")
     return pieces
+
+
+def _split_pieces(bases: list, r: int, p: int) -> np.ndarray:
+    """The parts K (f / (x - lam)) of the pieces, for the [(K, f)] of
+    `lin.krylov` and each root lam of f, as rows of float64 residues; the
+    product takes one block of rows of K at a time."""
+    pieces = np.empty((sum(len(f) - 1 for _, f in bases), r))
+    at = 0
+    for K, f in bases:
+        d = len(f) - 1
+        if d == 1:  # already an eigenvector of M
+            pieces[at] = K[:, 0]
+        else:
+            roots = lin.poly_roots(f, p)
+            if len(roots) != d:
+                raise TableConsistencyError("class matrix not diagonalizable mod p")
+            Q = _quotients(f, roots, p).astype(np.float64)
+            for rows in _row_blocks(r, 8 * d):
+                pieces[at:at + d, rows] = lin._products(K[rows, :d], Q, p).T
+        at += d
+    return pieces
+
+
+def _row_blocks(rows: int, row_bytes: int) -> list[slice]:
+    """range(rows) in consecutive slices of at most _BLOCK_BYTES of rows of
+    row_bytes bytes each, and at least one row."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _quotients(f: list[int], roots: list[int], p: int) -> np.ndarray:
@@ -253,8 +283,9 @@ def _quotients(f: list[int], roots: list[int], p: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _zeta_power_table(o: int, p: int, z: int) -> np.ndarray:
-    """W[l, j] = z^(-j l) / o mod p for z of order o: a length-o vector of
-    values theta(g^l) times W holds the multiplicities of z^j in chi(g)."""
+    """W[l, j] = z^(-j l) / o mod p, as float64, for z of order o: a length-o
+    vector of values theta(g^l) times W holds the multiplicities of z^j in
+    chi(g)."""
     zinv = pow(z, -1, p)
     out = np.zeros((o, o), dtype=np.int64)
     powers = np.array([pow(zinv, j, p) for j in range(o)], dtype=np.int64)
@@ -262,7 +293,7 @@ def _zeta_power_table(o: int, p: int, z: int) -> np.ndarray:
     for l in range(o):
         out[l] = cur
         cur = (cur * powers) % p
-    return out
+    return out.astype(np.float64)
 
 
 @lru_cache(maxsize=64)
@@ -301,23 +332,27 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     r = data.count
     n = G.order
     if n == 1:
-        G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int64(0), (1, 1)), (1,), ())
+        G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int8(0), (1, 1)), (1,), ())
         return CharacterTable(G, *G._dixon_table)
     L = G.compiled.class_translations()  # before G.exponent, which reads orders
     e = G.exponent
     p = dixon_prime(n, e)
     reps = [G.index[rep] for rep in data.reps]
-    vectors = _split_eigenspaces(G, data, L, p)
+    # each eigenvector row becomes its character's row of theta in place
+    thetas = _split_eigenspaces(G, data, L, p)
+    orders = G.compiled.orders[reps]
+    # rows K of element order o read power_class[K, :o] only
+    power_class = _power_classes(G, L, int(orders.max()))
+    del L  # _power_classes is its last reader
 
     sizes = np.array(data.sizes, dtype=np.int64)
     size_inv = np.array([pow(int(s), -1, p) for s in sizes], dtype=np.int64)
     n_mod = n % p
 
-    thetas = np.empty((r, r), dtype=np.int64)
     degrees = []
-    for u, theta in zip(vectors, thetas):
-        u = u % p
-        if u[0] % p == 0:
+    for theta in thetas:
+        u = theta.astype(np.int64)
+        if u[0] == 0:
             raise TableConsistencyError("eigenvector vanishes at the identity class")
         u = (u * pow(int(u[0]), -1, p)) % p
         s = int(np.sum(u * u[list(data.inverse_class)] % p * size_inv % p) % p)
@@ -332,10 +367,6 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
     if sum(d * d for d in degrees) != n:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
-
-    orders = G.compiled.orders[reps]
-    # rows K of element order o read power_class[K, :o] only
-    power_class = _power_classes(G, L, int(orders.max()))
 
     # theta(rep_k^l) has period o = o(rep_k) in l, so the classes of one
     # element order o share one o x o transform, and its multiplicities of
@@ -358,7 +389,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     for start in range(0, r, step):
         coeffs = np.empty((min(step, r - start), r, phi), dtype=np.int64)
         for K, powers, W, lift in by_order:
-            mult = lin.matmul(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
+            mult = lin._products(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
             if np.any(mult >= p // 2):
                 raise TableConsistencyError("multiplicity lift out of range")
             coeffs[:, K] = mult @ lift
@@ -367,13 +398,15 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         blocks.append(block)
         found += len(block)
     distinct, merged = _distinct(np.concatenate(blocks))
-    ids = merged[ids]
+    # the smallest signed type that holds len(distinct)
+    ids = merged.astype(np.min_scalar_type(-len(distinct) - 1))[ids]
     order = np.lexsort((*ids.T[::-1], degrees))  # by degree, then ids left to right
     ids, degrees = ids[order], np.array(degrees)[order]
     if np.any(distinct[ids[:, 0]] != np.outer(degrees, np.eye(1, phi, dtype=np.int64))):
         raise TableConsistencyError("identity column disagrees with degree")
 
-    _verify_orthogonality(data, n, e, distinct, ids, thetas[order], p)
+    # the relations mod p hold for theta's rows in any order
+    _verify_orthogonality(data, n, e, distinct, ids, thetas, p)
     ids.flags.writeable = False
     values = tuple(Cyclo(e, tuple(c)) if any(c) else Cyclo.zero() for c in distinct.tolist())
     # class k vanishes when column k holds id 0, if that is the zero vector
@@ -384,8 +417,12 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
 
 def _verify_orthogonality(data, n, e, values, ids, theta, p):
     """Both orthogonality relations for every pair: mod p on the table
-    theta, and exactly in Z[zeta_e] on the power-basis coefficient vectors
-    values[ids[i, k]] of chi_i(rep_k).
+    theta (float64 residues), and exactly in Z[zeta_e] on the power-basis
+    coefficient vectors values[ids[i, k]] of chi_i(rep_k).
+
+    Mod p, with conj = theta[:, inverse_class], the relations read
+    (conj diag(sizes)) theta^T = n I and (theta^T theta)[k, inverse k] =
+    n / sizes[k], zero elsewhere; sizes are constant on inverse pairs.
 
     For one pair, a relation's sum S = sum_m w_m a_m conj(b_m) has weights
     w_m summing to at most n (the class sizes, or r ones), and the product
@@ -407,26 +444,34 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     every distinct value evaluated at z^k, the relations at k read
     (T_k diag(sizes)) T_-k^T = n I and T_k^T T_-k = diag(n / sizes) mod q.
     Those at -k are their transposes, so one k of each pair {k, -k} does.
+
     A product stacks max(1, _BLOCK_TERMS // r^2) of the tables T_k: a small
     table takes all of them at once, one product per relation and prime
-    (S4: r = 5, two tables), and one with r >= 128 one at a time."""
+    (S4: r = 5, two tables), and one with r >= 128 one at a time.  Each
+    product, mod p or mod q, takes one block of rows of at most _BLOCK_BYTES
+    of float64 operand (`_row_blocks`; all rows up to r = 724) against the
+    whole of the other side, which the exact check gathers from E_-k[ids]
+    into one float64 buffer, again a block of rows at a time."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
-    conj = theta[:, list(data.inverse_class)]
-    gram = lin.matmul(theta * sizes % p, conj.T, p)
-    if np.any(gram != n % p * np.eye(r, dtype=np.int64)):
-        raise TableConsistencyError("first orthogonality fails mod p")
-    if np.any(lin.matmul(theta.T, conj, p) != np.diag(n // sizes % p)):
-        raise TableConsistencyError("column orthogonality fails mod p")
+    inverse = np.array(data.inverse_class)
+    for rows in _row_blocks(r, 8 * r):
+        got = lin._products(theta[rows][:, inverse] * sizes % p, theta.T, p)
+        local = np.arange(len(got))
+        got[local, local + rows.start] -= n % p
+        if got.any():
+            raise TableConsistencyError("first orthogonality fails mod p")
+        got = lin._products(theta[:, rows].T, theta, p)
+        got[local, inverse[rows]] -= n // sizes[rows] % p
+        if got.any():
+            raise TableConsistencyError("column orthogonality fails mod p")
 
     l1 = int(np.abs(values).sum(axis=1).max())
     bound = n * (l1 * l1 * int(np.abs(_reduction_matrix(e)).max()) + 1)
     if bound >= 2**53:
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
-    stack = max(1, _BLOCK_TERMS // (r * r))  # tables T_k per product
-    diagonal = np.arange(r)
     relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
-        ("first", ids, sizes, n),
+        ("first", ids, sizes, np.full(r, n)),
         ("column", ids.T, 1, n // sizes),
     )
     product = 1
@@ -436,14 +481,21 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
         product *= q
         E = lin.matmul(values, powers, q).T.astype(np.float64)  # at z^k, then z^-k
         half = len(E) // 2
+        stack = min(half, max(1, _BLOCK_TERMS // (r * r)))  # tables T_k per product
+        right = np.empty((stack, r, r))
+        blocks = _row_blocks(r, 8 * r * stack)
         for name, v, w, d in relations:
             for t in range(0, half, stack):
-                left = E[t : min(t + stack, half), v] * w % q
-                right = E[half + t : half + t + len(left), v].transpose(0, 2, 1)
-                got = lin._products(left, right, q)
-                got[:, diagonal, diagonal] -= d % q
-                if got.any():
-                    raise TableConsistencyError(f"{name} orthogonality fails exactly")
+                T = min(stack, half - t)
+                for rows in blocks:
+                    right[:T, rows] = E[half + t : half + t + T, v[rows]]
+                for rows in blocks:
+                    left = E[t : t + T, v[rows]] * w % q
+                    got = lin._products(left, right[:T].transpose(0, 2, 1), q)
+                    local = np.arange(got.shape[1])
+                    got[:, local, local + rows.start] -= d[rows] % q
+                    if got.any():
+                        raise TableConsistencyError(f"{name} orthogonality fails exactly")
 
 
 @lru_cache(maxsize=64)

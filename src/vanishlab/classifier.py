@@ -148,31 +148,32 @@ def _shape_b41(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
     return b + y(b) == 4 * x(b)
 
 
-def _shape_b42(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
-    """Whether b, whose module is M, has the (b4.2) shape."""
+def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
+    """Whether b, of order 2^n >= 8 and whose module is M, has E = <b, x(b)>
+    of type (2^n, 2^n), D = [E, y] of type (4, 4) and M = E D, for gamma the
+    commutator map of y: the part of the (b4.2) shape that x and x^2 share.
+    As x is fixed-point-free of order 3, 1 + x + x^2 = 0 on W, so
+    x^2(b) = -b - x(b) and <b, x^2(b)> = E."""
     n_order = b.order()
     if n_order < 8:
         return False
-    n = n_order.bit_length() - 1  # order = 2^n, n >= 3
     E = AbSubgroup(W, (b, x(b)))
     if E.isomorphism_type().factor_orders != (n_order, n_order):
         return False
-    gamma = commutator_hom(W, y)
     D = AbSubgroup(W, tuple(gamma(e) for e in E.generators))
     # [E, y] is generated by the generator commutators since gamma is a
     # homomorphism on the abelian module
     if D.isomorphism_type().factor_orders != (4, 4):
         return False
-    if M != E.join(D):
-        return False
-    return (2 ** (n - 1)) * b == x(gamma(2 * b))
+    return M == E.join(D)
 
 
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
     of the (b4.1)/(b4.2) shapes.  Both generators x, x^2 are tried.  As x
     has order 3, x^2 and y generate what x and y do, so the four searches
-    share one <x, y>-module per candidate."""
+    share one <x, y>-module per candidate, and the two (b4.2) searches one
+    `_b42_span` per candidate."""
     _check_module_setting(W, x, y, order6_cyclic=True)
     gamma = commutator_hom(W, y)
     image = AbSubgroup(W, tuple(gamma(g) for g in W.generators()))
@@ -183,15 +184,24 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     if exp_w < 8:
         return None
     candidates = [a for a in W.elements() if a.order() == exp_w]
-    modules = {}
+    modules, spans = {}, {}
 
     def module(b: AbElement) -> AbSubgroup:
         if b.coords not in modules:
             modules[b.coords] = generated_submodule(b, [x, y])
         return modules[b.coords]
 
+    def shape_b41(b: AbElement, M: AbSubgroup, x_used: AbHom) -> bool:
+        return _shape_b41(W, b, M, x_used, y)
+
+    def shape_b42(b: AbElement, M: AbSubgroup, x_used: AbHom) -> bool:
+        if b.coords not in spans:
+            spans[b.coords] = _b42_span(W, b, M, x, gamma)
+        n = b.order().bit_length() - 1  # order = 2^n, n >= 3
+        return spans[b.coords] and (2 ** (n - 1)) * b == x_used(gamma(2 * b))
+
     for x_used in (x, x ** 2):
-        for shape, label in ((_shape_b41, CaseLabel.B4_1), (_shape_b42, CaseLabel.B4_2)):
+        for shape, label in ((shape_b41, CaseLabel.B4_1), (shape_b42, CaseLabel.B4_2)):
             witness = _search_b4(W, x_used, y, gamma, candidates, module, shape, label)
             if witness is not None:
                 witness.x_used = x_used
@@ -201,10 +211,11 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
 
 def _search_b4(W, x, y, gamma, candidates, module, shape, label) -> C6Witness | None:
     """The first witness of the shape from the first B4_CANDIDATE_TRIES
-    candidates; module(b) is the <x, y>-module of a candidate b."""
+    candidates; module(b) is the <x, y>-module of a candidate b, and
+    shape(b, module(b), x) tests b."""
     for b0 in candidates[:B4_CANDIDATE_TRIES]:
         B = module(b0)
-        if not shape(W, b0, B, x, y):
+        if not shape(b0, B, x):
             continue
         rank_b0 = len(B.isomorphism_type().factor_orders)
         b0_list = [b0]
@@ -213,7 +224,7 @@ def _search_b4(W, x, y, gamma, candidates, module, shape, label) -> C6Witness | 
             if (b.order() // 2) * b in B:  # B meets <b>, so also the module of b
                 continue
             M = module(b)
-            if M.intersection(B).order == 1 and shape(W, b, M, x, y):
+            if M.intersection(B).order == 1 and shape(b, M, x):
                 B = B.join(M)
                 b0_list.append(b)
         # greedy G-invariant complement from low-order elements upward

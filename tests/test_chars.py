@@ -3,6 +3,7 @@ fast path for abelian normal subgroups."""
 
 import hashlib
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -422,7 +423,7 @@ def spy_krylov(monkeypatch):
     """One [columns, results] per `lin.krylov` call: results is what the call
     returns, and columns counts the Krylov columns its steps build, the
     widths of its products of a square matrix by a block of columns."""
-    calls, krylov, products = [], lin.krylov, lin._products
+    calls, krylov, products = [], lin.krylov, lin._residue_products
 
     def counted_products(A, B, p):
         inside = calls and calls[-1][1] is None
@@ -435,7 +436,7 @@ def spy_krylov(monkeypatch):
         calls[-1][1] = krylov(*args)
         return calls[-1][1]
 
-    monkeypatch.setattr(lin, "_products", counted_products)
+    monkeypatch.setattr(lin, "_residue_products", counted_products)
     monkeypatch.setattr(lin, "krylov", counted_krylov)
     return calls
 
@@ -547,6 +548,85 @@ def test_one_row_blocks_merge_into_the_same_table(monkeypatch):
         table = dixon_table(G())  # a fresh group: tables are cached on the group
         assert table.values == want.values
         assert table.ids.tolist() == want.ids.tolist()
+
+
+def c7_c3():
+    return from_permutations(7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"], name="C7:C3")
+
+
+def test_one_row_product_blocks_give_the_same_table(monkeypatch):
+    # with a byte bound below one row, the split's K @ Q products and both
+    # verifications take one row per block, and the tables do not change
+    groups = (d8_s3_s3, agl_1_31, lambda: build_case_family("M5").group)
+    golden = [dixon_table(G()) for G in groups]
+    stacked = []  # the (tables, rows) of each exact verification product
+    products = lin._products
+    monkeypatch.setattr(
+        lin, "_products",
+        lambda A, B, q: (B.ndim == 3 and stacked.append(A.shape[:2])) or products(A, B, q),
+    )
+    monkeypatch.setattr(character_lab, "_BLOCK_BYTES", 1)
+    for G, want in zip(groups, golden):
+        stacked.clear()
+        table = dixon_table(G())  # a fresh group: tables are cached on the group
+        assert table.values == want.values and table.degrees == want.degrees
+        assert table.ids.dtype == want.ids.dtype
+        assert table.ids.tolist() == want.ids.tolist()
+        assert {rows for _, rows in stacked} == {1}
+        assert len(stacked) >= 2 * table.classes.count
+
+
+@pytest.mark.parametrize("group", [s4, c7_c3, d8_s3_s3])
+def test_one_row_verification_blocks_catch_every_corrupted_value(monkeypatch, group):
+    # the corruptions of the tests above, under blocks of one row: every
+    # corrupted entry of the exact table and of theta mod p is caught
+    data, n, e, values, ids, theta, p = verification_args(monkeypatch, group())
+    monkeypatch.setattr(character_lab, "_BLOCK_BYTES", 1)
+    character_lab._verify_orthogonality(data, n, e, values, ids, theta[::-1], p)
+    r, phi = ids.shape[0], values.shape[1]
+    bump = np.eye(phi, dtype=np.int64)
+    entries = itertools.product(range(r), repeat=2) if r <= 5 else (
+        (i, (7 * i + 3) % r) for i in range(r)
+    )
+    for i, k in entries:
+        value = values[ids[i, k]]
+        for bad in (value + bump[(i + k) % phi], -value):
+            if np.array_equal(bad, value):
+                continue
+            bad_ids = ids.copy()
+            bad_ids[i, k] = len(values)
+            with pytest.raises(TableConsistencyError, match="fails exactly"):
+                character_lab._verify_orthogonality(
+                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                )
+        bad_theta = theta.copy()
+        bad_theta[i, k] = (bad_theta[i, k] + 1) % p
+        with pytest.raises(TableConsistencyError, match="fails mod p"):
+            character_lab._verify_orthogonality(data, n, e, values, ids, bad_theta, p)
+
+
+def test_d8_to_the_fourth_table_peaks_within_its_memory_bound():
+    # tracemalloc peak of the table of D8^4 (r = 625), in r x r float64
+    # arrays: 14.1 when every stage kept its own int64 copies and the class
+    # translations lived to the end, 7.2 with each r x r operand built
+    # once and freed after its last reader; the bound is 7.2 plus 15%
+    G = d8_power(4)
+    tracemalloc.start()
+    try:
+        table = dixon_table(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    r = table.classes.count
+    assert r == 625
+    assert peak < 8.23 * 8 * r * r
+
+
+def test_table_ids_take_the_smallest_signed_type_that_holds_their_count():
+    # the corrupted-entry tests write len(values) into a copy of ids
+    for G in (s4(), agl_1_31(), build_case_family("M5").group):
+        table = dixon_table(G)
+        assert table.ids.dtype == np.int8 and len(table.values) <= 127
 
 
 def test_table_ids_are_read_only_and_each_value_is_one_cyclo(monkeypatch):

@@ -78,6 +78,29 @@ def test_b42_verdict():
     assert verdict.predicted_p == Fraction(5, 6)
 
 
+@pytest.mark.parametrize("tag,kwargs,outcome", [
+    ("INVERSION_NEGATIVE", {}, "AtOrAbove"),
+    ("B4_2", {"n": 3}, "Below case=b4.2 m=6 p=5/6"),
+])
+def test_c6_search_builds_the_commutator_map_once(monkeypatch, tag, kwargs, outcome):
+    # the four (b4) searches of one check_c6_case call share its commutator
+    # map of y, and the searches with x and x^2 share the (b4.2) span test
+    # of each candidate
+    homs, checks, spans = [], [], []
+    hom, check, span = (
+        classifier.commutator_hom, classifier.check_c6_case, classifier._b42_span
+    )
+    monkeypatch.setattr(classifier, "commutator_hom", lambda *a: homs.append(a) or hom(*a))
+    monkeypatch.setattr(classifier, "check_c6_case", lambda *a: checks.append(a) or check(*a))
+    monkeypatch.setattr(
+        classifier, "_b42_span", lambda W, b, *a: spans.append(b.coords) or span(W, b, *a)
+    )
+    verdict = classify_theorem_a(build_case_family(tag, **kwargs).group)
+    assert verdict.outcome == outcome
+    assert len(checks) == len(homs) == 1
+    assert spans and len(set(spans)) == len(spans)
+
+
 AT_OR_ABOVE = [
     ("PGROUP", {"shape": "d16"}),
     ("PGROUP", {"shape": "q16"}),
