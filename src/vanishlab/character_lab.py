@@ -580,9 +580,7 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
     L = max(shape.exponent, 1)
     if L == 1:
         return frozenset()
-    coords_of = np.zeros((G.order, shape.rank), dtype=np.int64)
-    for g, c in model.to_coords.items():
-        coords_of[G.index[g]] = c
+    coords_of = shape.table[model.rows]  # rows outside A are never read
     characters = np.arange(shape.order)  # table rows of the dual
     reduction = _reduction_matrix(L)
 

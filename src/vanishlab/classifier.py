@@ -4,8 +4,9 @@
 vanishing proportion lies below the A_7 threshold 1067/1260, returning
 the applicable case and its predicted proportion.  The sub-classifiers
 work on an abelian 2-group module carrying commuting actions x (order 3,
-fixed-point-free) and y (an involution).  `classify_a_group` refines the
-A-group case into its quasi-Frobenius taxonomy.
+fixed-point-free) and y (an involution), on the module's table indices,
+subgroup masks and the maps' `on_table` arrays.  `classify_a_group` refines
+the A-group case into its quasi-Frobenius taxonomy.
 """
 
 from __future__ import annotations
@@ -139,15 +140,6 @@ class C6Witness:
     x_used: AbHom | None = None
 
 
-def _shape_b41(W, b: AbElement, M: AbSubgroup, x: AbHom, y: AbHom) -> bool:
-    """Whether b, whose module is M, has the (b4.1) shape."""
-    if M != AbSubgroup(W, (b, x(b))):
-        return False
-    if M.isomorphism_type().factor_orders != (8, 8):
-        return False
-    return b + y(b) == 4 * x(b)
-
-
 def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
     """Whether b, of order 2^n >= 8 and whose module is M, has E = <b, x(b)>
     of type (2^n, 2^n), D = [E, y] of type (4, 4) and M = E D, for gamma the
@@ -160,9 +152,7 @@ def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
     E = AbSubgroup(W, (b, x(b)))
     if E.isomorphism_type().factor_orders != (n_order, n_order):
         return False
-    D = AbSubgroup(W, tuple(gamma(e) for e in E.generators))
-    # [E, y] is generated by the generator commutators since gamma is a
-    # homomorphism on the abelian module
+    D = E.image_under(gamma)
     if D.isomorphism_type().factor_orders != (4, 4):
         return False
     return M == E.join(D)
@@ -170,35 +160,41 @@ def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
 
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
-    of the (b4.1)/(b4.2) shapes.  Both generators x, x^2 are tried.  As x
-    has order 3, x^2 and y generate what x and y do, so the four searches
-    share one <x, y>-module per candidate, and the two (b4.2) searches one
-    `_b42_span` per candidate."""
+    of the (b4.1)/(b4.2) shapes, on W's table indices and subgroup masks; a
+    candidate is an AbElement only where its module or shape is built.
+    Both generators x, x^2 are tried.  As x has order 3, x^2 and y generate
+    what x and y do, so the four searches share one <x, y>-module per
+    candidate, and the two (b4.2) searches one `_b42_span` per candidate."""
     _check_module_setting(W, x, y, order6_cyclic=True)
     gamma = commutator_hom(W, y)
-    image = AbSubgroup(W, tuple(gamma(g) for g in W.generators()))
-    if all(gamma(v).is_zero() for v in image.generators):
+    # [W, y, y] = 1 exactly when gamma o gamma = 0 (table index 0 is zero)
+    if not gamma.on_table[gamma.on_table].any():
         return C6Witness(CaseLabel.B3, [], None, None)
 
     exp_w = W.exponent
     if exp_w < 8:
         return None
-    candidates = [a for a in W.elements() if a.order() == exp_w]
+    candidates = np.flatnonzero(W.element_orders == exp_w)
     modules, spans = {}, {}
 
-    def module(b: AbElement) -> AbSubgroup:
-        if b.coords not in modules:
-            modules[b.coords] = generated_submodule(b, [x, y])
-        return modules[b.coords]
+    def module(b: int) -> AbSubgroup:
+        if b not in modules:
+            modules[b] = generated_submodule(W.element(W.table[b].tolist()), [x, y])
+        return modules[b]
 
-    def shape_b41(b: AbElement, M: AbSubgroup, x_used: AbHom) -> bool:
-        return _shape_b41(W, b, M, x_used, y)
+    def shape_b41(b: int, M: AbSubgroup, x_used: AbHom) -> bool:
+        """Whether b, whose module is M, has the (b4.1) shape."""
+        a = W.element(W.table[b].tolist())
+        if M != AbSubgroup(W, (a, x_used(a))) or M.isomorphism_type().factor_orders != (8, 8):
+            return False
+        return a + y(a) == 4 * x_used(a)
 
-    def shape_b42(b: AbElement, M: AbSubgroup, x_used: AbHom) -> bool:
-        if b.coords not in spans:
-            spans[b.coords] = _b42_span(W, b, M, x, gamma)
-        n = b.order().bit_length() - 1  # order = 2^n, n >= 3
-        return spans[b.coords] and (2 ** (n - 1)) * b == x_used(gamma(2 * b))
+    def shape_b42(b: int, M: AbSubgroup, x_used: AbHom) -> bool:
+        a = W.element(W.table[b].tolist())
+        if b not in spans:
+            spans[b] = _b42_span(W, a, M, x, gamma)
+        n = a.order().bit_length() - 1  # order = 2^n, n >= 3
+        return spans[b] and (2 ** (n - 1)) * a == x_used(gamma(2 * a))
 
     for x_used in (x, x ** 2):
         for shape, label in ((shape_b41, CaseLabel.B4_1), (shape_b42, CaseLabel.B4_2)):
@@ -211,54 +207,54 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
 
 def _search_b4(W, x, y, gamma, candidates, module, shape, label) -> C6Witness | None:
     """The first witness of the shape from the first B4_CANDIDATE_TRIES
-    candidates; module(b) is the <x, y>-module of a candidate b, and
-    shape(b, module(b), x) tests b."""
-    for b0 in candidates[:B4_CANDIDATE_TRIES]:
+    candidates, all table indices; module(b) is the <x, y>-module of a
+    table element b, and shape(b, module(b), x) tests a candidate b."""
+    orders = W.element_orders
+    for b0 in candidates[:B4_CANDIDATE_TRIES].tolist():
         B = module(b0)
         if not shape(b0, B, x):
             continue
         rank_b0 = len(B.isomorphism_type().factor_orders)
         b0_list = [b0]
         # absorb further copies of the same shape
-        for b in candidates:
-            if (b.order() // 2) * b in B:  # B meets <b>, so also the module of b
-                continue
+        for b in candidates.tolist():
+            if B.mask[W.index_of(orders[b] // 2 * W.table[b])]:
+                continue  # B meets <b>, so also the module of b
             M = module(b)
-            if M.intersection(B).order == 1 and shape(b, M, x):
+            if np.count_nonzero(M.mask & B.mask) == 1 and shape(b, M, x):
                 B = B.join(M)
                 b0_list.append(b)
         # greedy G-invariant complement from low-order elements upward
         C = AbSubgroup.trivial(W)
-        for c in sorted(W.elements(), key=lambda a: (a.order(), a.coords)):
-            if c.order() >= b0.order():
-                continue
-            grown = C.join(generated_submodule(c, [x, y]))
-            if grown.intersection(B).order == 1:
+        for c in np.argsort(orders, kind="stable").tolist():
+            if orders[c] >= orders[b0]:
+                break
+            grown = C.join(module(c))
+            if np.count_nonzero(grown.mask & B.mask) == 1:
                 C = grown
         if not _direct_factors(W, B, C):
             continue
-        if not _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0):
+        if not _complement_conditions(W, B, C, y, gamma, module, label, rank_b0, b0):
             continue
-        return C6Witness(label, b0_list, B, C)
+        return C6Witness(label, [W.element(W.table[b].tolist()) for b in b0_list], B, C)
     return None
 
 
-def _complement_conditions(W, B, C, x, y, gamma, label, rank_b0, b0) -> bool:
-    if C.exponent() >= b0.order():
+def _complement_conditions(W, B, C, y, gamma, module, label, rank_b0, b0) -> bool:
+    if C.exponent() >= W.element_orders[b0]:
         return False  # exp(B) > exp(C)
-    gammaC = AbSubgroup(W, tuple(gamma(c) for c in C.generators))
-    if gammaC.exponent() > 2:
+    members = np.flatnonzero(C.mask)
+    commutators = gamma.on_table[members]  # [C, y] = gamma(C)
+    if W.element_orders[commutators].max() > 2:
         return False  # exp([C, y]) <= 2
-    if not all(gamma(gamma(c)).is_zero() for c in C.generators):
+    if gamma.on_table[commutators].any():
         return False  # [C, y, y] = 1
-    for c in C.elements():
-        if c.is_zero():
-            continue
-        rank_c = len(generated_submodule(c, [x, y]).isomorphism_type().factor_orders)
+    for c in members[1:].tolist():  # members[0] is zero
+        rank_c = len(module(c).isomorphism_type().factor_orders)
         if rank_c > rank_b0:
             return False
         if label is CaseLabel.B4_1:
-            if rank_c != 2 or y(c) != -c:
+            if rank_c != 2 or y.on_table[c] != W.index_of(-W.table[c]):
                 return False
     return True
 
@@ -305,11 +301,6 @@ def check_b1(G: FiniteGroup, candidates: list[SubgroupHandle]) -> dict | None:
     return None
 
 
-def _module_data(G: FiniteGroup, W: SubgroupHandle, x_elem, y_elem):
-    model = abelian_model(W)
-    return model, model.conjugation_hom(x_elem), model.conjugation_hom(y_elem)
-
-
 def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict | None:
     """The m = 6 cases for an abelian normal A of index 6."""
     view = G.compiled
@@ -332,7 +323,8 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     # the action of x on W factors through P/O_3(A) = C_3, so no powering
     # is needed to normalize its order
     try:
-        model, xh, yh = _module_data(G, W, x_elem, y_elem)
+        model = abelian_model(W)
+        xh, yh = model.conjugation_hom(x_elem), model.conjugation_hom(y_elem)
     except GroupDomainError:
         return None
 

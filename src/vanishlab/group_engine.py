@@ -717,38 +717,51 @@ class SubgroupHandle:
 # -- abelian model extraction --------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AbelianModel:
-    """An abelian subgroup rewritten on an explicit basis: coordinates
-    give an isomorphism with the AbelianGroup `shape`."""
+    """An abelian subgroup on an explicit basis, as two index arrays: row k
+    of `shape.table` is the view element `members[k]`, and `rows` holds the
+    table row of each view index (-1 outside the subgroup)."""
 
     subgroup: SubgroupHandle
     shape: AbelianGroup
-    basis: tuple
-    to_coords: dict
-    from_coords: dict
+    members: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def basis(self) -> np.ndarray:
+        """View indices of the basis: the members at the unit rows."""
+        return self.members[self.shape.index_of(np.eye(self.shape.rank, dtype=np.int64))]
 
     def element(self, g) -> AbElement:
-        return self.shape.element(self.to_coords[g])
+        row = self.rows[self.subgroup.view.index[g]]
+        if row < 0:
+            raise GroupDomainError("element outside the subgroup")
+        return self.shape.element(self.shape.table[row].tolist())
 
     def group_element(self, a: AbElement):
-        return self.from_coords[a.coords]
+        return self.subgroup.view.elements[self.members[self.shape.index_of(a.coords)]]
 
     def conjugation_hom(self, x) -> AbHom:
         """The automorphism a -> a^x of the model, for x normalizing it."""
         view = self.subgroup.view
-        images = []
-        for b in self.basis:
-            c = view.elements[view.conj(view.index[b], view.index[x])]
-            if c not in self.to_coords:
-                raise GroupDomainError("element does not normalize the subgroup")
-            images.append(self.shape.element(self.to_coords[c]))
-        return AbHom(self.shape, self.shape, tuple(images))
+        images = self.basis
+        for s in view.word(view.index[x]):  # b^(u s) = (b^u)^s
+            images = view.C[s][images]
+        rows = self.rows[images]
+        if (rows < 0).any():
+            raise GroupDomainError("element does not normalize the subgroup")
+        return AbHom.from_matrix(self.shape, self.shape.table[rows].tolist())
+
+    def __repr__(self):
+        basis = tuple(self.subgroup.view.elements[i] for i in self.basis.tolist())
+        return f"AbelianModel(subgroup={self.subgroup!r}, shape={self.shape!r}, basis={basis!r})"
 
 
 def abelian_model(H: SubgroupHandle) -> AbelianModel:
     """Basis for an abelian subgroup: greedily take elements of maximal
-    order in the quotient by the span so far, the first by index."""
+    order in the quotient by the span so far, the first by index.  The span
+    grows in table order, the first basis coordinate most significant."""
     if not H.is_abelian():
         raise GroupDomainError("abelian model of a nonabelian subgroup")
     view = H.view
@@ -761,26 +774,21 @@ def abelian_model(H: SubgroupHandle) -> AbelianModel:
     powers[:, 0] = one
     for k in range(1, powers.shape[1]):
         powers[:, k] = T[np.arange(H.order), powers[:, k - 1]]
-    basis, orders = [], []
+    orders = []
+    cells = np.array([one], dtype=np.intp)  # the span so far, in table order
     span = np.arange(H.order) == one
     while not span.all():
         # order of each element's image in H/span (0 inside the span)
         k = np.where(span, 0, span[powers[:, 1:]].argmax(axis=1) + 1)
-        basis.append(int(np.argmax(k)))
-        orders.append(int(k[basis[-1]]))
-        span[T[np.ix_(np.flatnonzero(span), powers[basis[-1], :orders[-1]])].ravel()] = True
-    cells = np.array([one], dtype=np.intp)
-    for b, d in zip(basis, orders):
-        cells = T[np.ix_(cells, powers[b, :d])].ravel()
-    if len(set(cells.tolist())) != H.order:
+        b = int(np.argmax(k))
+        orders.append(int(k[b]))
+        cells = T[np.ix_(cells, powers[b, :orders[-1]])].ravel()
+        span[cells] = True
+    if len(cells) != H.order:
         raise AssertionError("basis extraction produced a non-basis")
-    coords = list(itertools.product(*(range(d) for d in orders)))
-    elems = [view.elements[i] for i in H.idx[cells].tolist()]
-    return AbelianModel(
-        H, AbelianGroup(tuple(orders)),
-        tuple(view.elements[i] for i in H.idx[basis].tolist()),
-        dict(zip(elems, coords)), dict(zip(coords, elems)),
-    )
+    rows = np.full(view.order, -1, dtype=np.intp)
+    rows[H.idx[cells]] = np.arange(H.order)
+    return AbelianModel(H, AbelianGroup(tuple(orders)), _read_only(H.idx[cells]), _read_only(rows))
 
 
 # -- Frobenius structure -------------------------------------------------

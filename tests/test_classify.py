@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from vanishlab import classifier
-from vanishlab.abelian_core import AbelianGroup, AbHom
+from vanishlab.abelian_core import AbelianGroup, AbHom, AbSubgroup
 from vanishlab.classifier import (
     THRESHOLD,
     CaseLabel,
@@ -17,6 +17,7 @@ from vanishlab.classifier import (
     classify_theorem_a,
     verifying_b_cases,
 )
+from vanishlab.cli import main
 from vanishlab.constructions import build_case_family, catalog_entries
 from vanishlab.group_engine import (
     FiniteGroup,
@@ -25,6 +26,7 @@ from vanishlab.group_engine import (
     from_permutations,
     symmetric_3,
 )
+from vanishlab.groupfile import parse_group
 
 
 def test_threshold_value():
@@ -99,6 +101,58 @@ def test_c6_search_builds_the_commutator_map_once(monkeypatch, tag, kwargs, outc
     assert verdict.outcome == outcome
     assert len(checks) == len(homs) == 1
     assert spans and len(set(spans)) == len(spans)
+
+
+# x acts as omega on F4^2, y as the unipotent [[1, 1], [0, 1]] over F4
+B3_FILE = """semidirect
+abelian C2xC2xC2xC2
+complement C6
+matrix 0 1 0 1 / 1 1 1 1 / 0 0 0 1 / 0 0 1 1
+"""
+
+
+def test_b3_file_classifies_as_b3_and_agrees_with_the_oracle(tmp_path, capsys):
+    path = tmp_path / "b3.grp"
+    path.write_text(B3_FILE)
+    assert main(["classify", "--cross-check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "verdict=Below case=b3 m=6 p=5/6" in out
+    assert "cross_check=agree" in out
+    assert verifying_b_cases(parse_group(B3_FILE)) == [CaseLabel.B3]
+
+
+def test_b_path_enumerates_no_abelian_group(monkeypatch):
+    # (outcome, b0_list coordinates, |B|, |C|) of each c6 witness
+    expected = {
+        "B4_1": ("Below case=b4.1 m=6 p=5/6", [(0, 1)], 64, 1),
+        "B4_2 n=3": ("Below case=b4.2 m=6 p=5/6", [(0, 1, 0, 0)], 256, 1),
+        "INVERSION_NEGATIVE": ("AtOrAbove", None, None, None),
+        "B2 variant=s4": ("Below case=b2 m=6 p=5/6", None, None, None),
+        "b3": ("Below case=b3 m=6 p=5/6", [], None, None),
+    }
+    groups = {
+        "B4_1": build_case_family("B4_1", k=1).group,
+        "B4_2 n=3": build_case_family("B4_2", n=3).group,
+        "INVERSION_NEGATIVE": build_case_family("INVERSION_NEGATIVE").group,
+        "B2 variant=s4": build_case_family("B2", variant="s4").group,
+        "b3": parse_group(B3_FILE),
+    }
+
+    def enumerate_(self):
+        raise AssertionError("the (b) path enumerates an abelian group")
+
+    monkeypatch.setattr(AbelianGroup, "elements", enumerate_)
+    monkeypatch.setattr(AbSubgroup, "elements", enumerate_)
+    for name, G in groups.items():
+        verdict = classify_theorem_a(G)
+        c6 = verdict.witnesses.get("c6")
+        seen = (verdict.outcome, None, None, None)
+        if c6 is not None:
+            seen = (
+                verdict.outcome, [b.coords for b in c6.b0_list],
+                c6.B and c6.B.order, c6.C and c6.C.order,
+            )
+        assert seen == expected[name], name
 
 
 AT_OR_ABOVE = [

@@ -394,9 +394,9 @@ GOLDEN_REPORTS = {
     "family:B1 shape=m16": ("75aa4cecb4c0b00e", "06384c66a34abc82"),
     "family:B1 shape=c4:c4": ("75aa4cecb4c0b00e", "590b4fd041c6b120"),
     "family:B1 shape=d8xc3": ("bf58c8bdd0e2def4", "490d081c90ac120d"),
-    "family:B2 variant=s4": ("99679e9d1625545f", "1f496e3acfe8f3bc"),
-    "family:B2 variant=c4": ("f0b0bc3f5725091f", "e069a5ee2949a158"),
-    "family:B4_1 k=1 c_part=0": ("7ecd57675cba0914", "2f53d462d4f987b8"),
+    "family:B2 variant=s4": ("6b255bf210b2dd60", "1f496e3acfe8f3bc"),
+    "family:B2 variant=c4": ("972f328d0b29d6ed", "e069a5ee2949a158"),
+    "family:B4_1 k=1 c_part=0": ("6a62279d42c07bb2", "2f53d462d4f987b8"),
     "family:PGROUP shape=c4xc2": ("8812c36f234575cb", "2430474a30e3c01d"),
     "family:PGROUP shape=d16": ("2b06cc80b310825d", "2a9d8b619feb8cbc"),
     "family:PGROUP shape=d8": ("720c8d602db9d2ce", "b814035762c8e785"),
@@ -421,6 +421,17 @@ def test_catalog_reports_are_golden(tmp_path, capsys):
             assert code == EXIT_OK
             digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
         assert tuple(digests) == GOLDEN_REPORTS[entry.provenance], entry.provenance
+
+
+def test_module_witness_is_one_line_with_the_basis(tmp_path, capsys):
+    path = tmp_path / "g.grp"
+    run(capsys, "construct", "B2", "variant=s4", "-o", str(path))
+    code, out = run(capsys, "classify", str(path))
+    assert code == EXIT_OK
+    assert (
+        "witness=module AbelianModel(subgroup=<subgroup of order 4 in <C2xC2:S3 of order 24>>, "
+        "shape=AbelianGroup(C2xC2), basis=(((0, 1), (0, 1, 2)), ((1, 0), (0, 1, 2))))"
+    ) in out.splitlines()
 
 
 def test_cycles_sharing_a_point_are_a_parse_error(tmp_path, capsys):

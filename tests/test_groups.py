@@ -154,6 +154,35 @@ def test_abelian_model_conjugation():
     assert not f.is_identity()
 
 
+@pytest.mark.parametrize("build", [
+    s4, a4, lambda: build_case_family("M5").group,
+], ids=["s4", "a4", "m5"])
+def test_abelian_model_reads_back_its_members_and_conjugates(build):
+    # every abelian normal subgroup of S4 and A4, and F(M5) (order 1296),
+    # conjugated by the generators and by elements whose words are longer
+    G = build()
+    if G.order > 500:
+        subgroups = [G.fitting]
+    else:
+        subgroups = [H for H in G.normal_subgroups() if H.is_abelian()]
+    for H in subgroups:
+        model = abelian_model(H)
+        members = [G.elements[i] for i in H.idx.tolist()]
+        assert all(model.group_element(model.element(g)) == g for g in members)
+        for x in [*G.generators, *G.elements[:: max(1, G.order // 8)]]:
+            f = model.conjugation_hom(x)
+            assert all(f(model.element(b)) == model.element(G.conj(b, x)) for b in members)
+
+
+def test_conjugation_hom_rejects_an_element_that_does_not_normalize():
+    G = s4()
+    H = G.subgroup([parse_cycles("(1 2)", 4), parse_cycles("(3 4)", 4)])
+    model = abelian_model(H)
+    model.conjugation_hom(parse_cycles("(1 2)", 4))
+    with pytest.raises(GroupDomainError):
+        model.conjugation_hom(parse_cycles("(1 2 3)", 4))
+
+
 def test_frobenius_examples():
     S3 = symmetric_3()
     K = S3.subgroup([g for g in S3.elements if S3.element_order(g) == 3])
