@@ -1,11 +1,12 @@
 """Dense linear algebra over GF(p) on numpy arrays.
 
-Products are exact float64 BLAS products: operands are residues below p, so
-each term is at most (p - 1)^2, and a float64 sum of k terms is exact while
-k (p - 1)^2 < 2^53.  `matmul` checks that bound before it multiplies, sums
-at most that many inner terms per float64 product and folds each product
-back in int64 with `% p`, for operands stacked as `np.matmul` stacks them;
-a p with (p - 1)^2 >= 2^53, where no single term is exact, is a ValueError.
+`matmul` is the one product mod p, for operands stacked as `np.matmul`
+stacks them: a float64 operand is taken as residues, any other is reduced
+and converted once.  Each term is then at most (p - 1)^2, and a float64
+sum of k terms is exact while k (p - 1)^2 < 2^53, so each float64 BLAS
+product sums at most k inner terms, becomes int64 in its own buffer
+(`_recast`) and is folded with `% p`; a p with (p - 1)^2 >= 2^53, where no
+single term is exact, is a ValueError.
 Every prime this package selects (`dixon_prime` searches below 10**7)
 passes with blocks of at least 90 terms.
 `krylov` finds Krylov polynomials without elimination: the columns of W
@@ -13,8 +14,7 @@ step together, one product M @ W per step, and Berlekamp-Massey, in Python
 ints, runs term by term on each column's sequence u M^k w for a seeded
 row u, until its recurrence f passes the proof on the Krylov basis,
 K f = 0 mod p; a column's work follows its own degree.  Its operands and
-bases stay float64 residues: a step whose inner dimension fits one exact
-block is one product, reduced in place.
+bases are float64 residues: each step's product is recast in its buffer.
 `rref` (for `nullspace` and `solve`) eliminates in int64, every step below
 p^2 in absolute value, and updates only the columns from the pivot on.
 `poly_roots` evaluates at every point of GF(p) by a Horner scan in int64,
@@ -41,35 +41,18 @@ def _exact_terms(p: int) -> int:
 
 
 def _residues(A, p: int) -> np.ndarray:
-    """A reduced mod p, as float64."""
-    return (np.asarray(A, dtype=np.int64) % p).astype(np.float64)
+    """A as float64 residues mod p: a float64 A as it is, any other reduced."""
+    A = np.asarray(A)
+    return A if A.dtype == np.float64 else (A.astype(np.int64) % p).astype(np.float64)
 
 
-def _products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, as int64, for float64 A and B holding residues mod p,
-    stacked as `np.matmul` stacks them (a 1-d B is one column): one float64
-    product per block of `_exact_terms(p)` inner terms, the last axis of A
-    against the second-to-last of B."""
-    if B.ndim == 1:
-        return _products(A, B[:, None], p)[..., 0]
-    k = _exact_terms(p)
-    out = (A[..., :k] @ B[..., :k, :]).astype(np.int64)
-    for start in range(k, A.shape[-1], k):
-        out %= p
-        out += (A[..., start:start + k] @ B[..., start:start + k, :]).astype(np.int64)
-    out %= p
-    return out
-
-
-def _residue_products(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p as float64 residues, for float64 residues A and B.  When
-    one float64 sum holds the whole inner dimension exactly, that is one
-    product reduced in place, and no array but the result is made."""
-    if A.shape[-1] > _exact_terms(p):
-        return _products(A, B, p).astype(np.float64)
-    out = A @ B
-    out %= p
-    return out
+def _recast(a: np.ndarray, dtype) -> np.ndarray:
+    """a as dtype, of the same item size, in a's buffer if a is contiguous:
+    numpy assigns between overlapping 1-d views element by element."""
+    flat = a.reshape(-1)
+    out = flat.view(dtype)
+    out[:] = flat
+    return out.reshape(a.shape)
 
 
 def rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -132,9 +115,22 @@ def solve(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p, as int64, by exact float64 blocks (see the module
-    docstring)."""
-    return _products(_residues(A, p), _residues(B, p), p)
+    """A @ B mod p, as int64 residues, stacked as `np.matmul` stacks them (a
+    1-d B is one column): one exact float64 product per block of
+    `_exact_terms(p)` inner terms, the last axis of A against the
+    second-to-last of B.  A float64 operand is taken to hold residues mod p
+    and is used as it is; any other is reduced and converted once."""
+    A, B = _residues(A, p), _residues(B, p)
+    column = B.ndim == 1
+    if column:
+        B = B[:, None]
+    k = _exact_terms(p)
+    out = _recast(A[..., :k] @ B[..., :k, :], np.int64)
+    for start in range(k, A.shape[-1], k):
+        out %= p
+        out += _recast(A[..., start:start + k] @ B[..., start:start + k, :], np.int64)
+    out %= p
+    return out[..., 0] if column else out
 
 
 def minimal_polynomial(M: np.ndarray, p: int, max_starts: int = 8) -> list[int]:
@@ -163,11 +159,10 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
     f of w under M (ascending, monic), for `length` at least every degree; a
     higher degree is a ValueError.
 
-    A float64 M or W is taken to hold residues mod p already and is used as
-    it is, with no copy; any other array is reduced and converted once.  The
-    columns step together, one exact float64 product M @ X per step over
-    the columns still open (`_residue_products`).  For a seeded row u, each
-    step gives a column two more terms
+    M and W are taken as `matmul` takes them, a float64 array with no copy.
+    The columns step together, one product M @ X per step over the columns
+    still open (and one u M^i per left row), each recast to float64 in its
+    buffer.  For a seeded row u, each step gives a column two more terms
     a_(i + j) = (u M^i) M^j w of its sequence, from the left sequence
     u, u M, u M^2, ... that all columns share, and Berlekamp-Massey takes
     them one at a time (`_Recurrence`).  Once its recurrence f, of degree L,
@@ -179,7 +174,7 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
     recurrence on the next seeded row, over the basis it has, and goes
     on.  After `length` steps a recurrence longer than `length` proves the
     degree above it."""
-    M, X = (A if A.dtype == np.float64 else _residues(A, p) for A in (M, W))
+    M, X = _residues(M, p), _residues(W, p)
     draws = _left_vectors(len(X), p)
     left = []  # left[t]: the seeded row u_t, then u_t M, u_t M^2, ...
     bases = [[x] for x in X.T]
@@ -194,25 +189,25 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
             left.append([next(draws)])
         rows = left[t]
         while len(rows) <= j:
-            rows.append(_residue_products(rows[-1], M, p))
+            rows.append(_recast(matmul(rows[-1], M, p), np.float64))
         return rows
 
     for j in range(length + 1):
         if j:
-            X = _residue_products(M, X, p)
+            X = _recast(matmul(M, X, p), np.float64)
             for i, x in zip(open_, X.T):
                 bases[i].append(x)
         for t in sorted(set(row[i] for i in open_)):
             at = [k for k, i in enumerate(open_) if row[i] == t]
             U = np.array(left_rows(t, j)[max(j - 1, 0):])
             Y = X if len(at) == len(open_) else X[:, at]
-            for i, terms in zip([open_[k] for k in at], _products(U, Y, p).T):
+            for i, terms in zip([open_[k] for k in at], matmul(U, Y, p).T):
                 recurrences[i].extend(terms.tolist())  # a_0, or a_(2j - 1) and a_(2j)
         for i in open_:
             while recurrences[i].degree <= j:
                 f = recurrences[i].poly()
                 K = np.array(bases[i][: len(f)]).T
-                if not _products(K, np.array(f, dtype=np.float64), p).any():
+                if not matmul(K, np.array(f, dtype=np.float64), p).any():
                     found[i] = (K, f)
                     break
                 row[i] += 1
@@ -220,8 +215,8 @@ def krylov(M: np.ndarray, W: np.ndarray, length: int, p: int) -> list:
                 recurrences[i] = _Recurrence(p)
                 # a_0 .. a_(j - 1) from u K, then a_j .. a_(2j) from U against M^j w
                 K = np.array(bases[i]).T
-                recurrences[i].extend(_products(U[0], K[:, :j], p).tolist())
-                recurrences[i].extend(_products(U, K[:, j], p).tolist())
+                recurrences[i].extend(matmul(U[0], K[:, :j], p).tolist())
+                recurrences[i].extend(matmul(U, K[:, j], p).tolist())
         keep = [k for k, i in enumerate(open_) if found[i] is None]
         if len(keep) < len(open_):
             open_, X = [open_[k] for k in keep], X[:, keep]

@@ -31,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 import numpy as np
 
 from . import _linalg_modp as lin
 from .abelian_core import AbElement, DualCharacter, pairing
-from .cyclotomic import Cyclo, power_table, prime_factors
+from .cyclotomic import Cyclo, prime_factors, reduction_matrix
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -105,12 +106,11 @@ class VanishReport:
 
     @property
     def vanishing(self) -> frozenset:
-        members = np.flatnonzero(self.vanishing_mask).tolist()
-        return frozenset(self.group.elements[i] for i in members)
+        return frozenset(compress(self.group.elements, self.vanishing_mask.tolist()))
 
     @property
     def nonvanishing(self) -> frozenset:
-        return frozenset(self.group.elements) - self.vanishing
+        return frozenset(compress(self.group.elements, (~self.vanishing_mask).tolist()))
 
 
 def class_data(G: FiniteGroup) -> ClassData:
@@ -257,7 +257,7 @@ def _split_pieces(bases: list, r: int, p: int) -> np.ndarray:
                 raise TableConsistencyError("class matrix not diagonalizable mod p")
             Q = _quotients(f, roots, p).astype(np.float64)
             for rows in _row_blocks(r, 8 * d):
-                pieces[at:at + d, rows] = lin._products(K[rows, :d], Q, p).T
+                pieces[at:at + d, rows] = lin.matmul(K[rows, :d], Q, p).T
         at += d
     return pieces
 
@@ -294,20 +294,6 @@ def _zeta_power_table(o: int, p: int, z: int) -> np.ndarray:
         out[l] = cur
         cur = (cur * powers) % p
     return out.astype(np.float64)
-
-
-@lru_cache(maxsize=64)
-def _reduction_matrix(L: int) -> np.ndarray:
-    """Dense int64 view of `power_table(L)`: row j = coefficients of x^j mod
-    Phi_L, so an exponent-count vector times this matrix is its power-basis
-    coefficient vector in Z[zeta_L]."""
-    phi, rows = power_table(L)
-    j, k, c = np.array(
-        [(j, k, c) for j, row in enumerate(rows) for k, c in row], dtype=np.int64
-    ).T
-    out = np.zeros((L, phi), dtype=np.int64)
-    out[j, k] = c
-    return out
 
 
 def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +359,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     # zeta_o^j = zeta_e^(j e/o) lift to Z[zeta_e] through every (e/o)-th row
     # of the reduction matrix.
     z = pow(_primitive_root(p), (p - 1) // e, p)
-    reduction = _reduction_matrix(e)
+    reduction = reduction_matrix(e)
     by_order = []
     for o in sorted(set(orders.tolist())):
         K = np.flatnonzero(orders == o)
@@ -389,7 +375,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     for start in range(0, r, step):
         coeffs = np.empty((min(step, r - start), r, phi), dtype=np.int64)
         for K, powers, W, lift in by_order:
-            mult = lin._products(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
+            mult = lin.matmul(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
             if np.any(mult >= p // 2):
                 raise TableConsistencyError("multiplicity lift out of range")
             coeffs[:, K] = mult @ lift
@@ -445,29 +431,30 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     (T_k diag(sizes)) T_-k^T = n I and T_k^T T_-k = diag(n / sizes) mod q.
     Those at -k are their transposes, so one k of each pair {k, -k} does.
 
-    A product stacks max(1, _BLOCK_TERMS // r^2) of the tables T_k: a small
-    table takes all of them at once, one product per relation and prime
-    (S4: r = 5, two tables), and one with r >= 128 one at a time.  Each
-    product, mod p or mod q, takes one block of rows of at most _BLOCK_BYTES
-    of float64 operand (`_row_blocks`; all rows up to r = 724) against the
-    whole of the other side, which the exact check gathers from E_-k[ids]
-    into one float64 buffer, again a block of rows at a time."""
+    Every product, mod p or mod q, is one `lin.matmul`.  A product stacks
+    max(1, _BLOCK_TERMS // r^2) of the tables T_k: a small table takes all
+    of them at once, one product per relation and prime (S4: r = 5, two
+    tables), and one with r >= 128 one at a time.  Each product takes one
+    block of rows of at most _BLOCK_BYTES of float64 operand (`_row_blocks`;
+    all rows up to r = 724) against the whole of the other side, which the
+    exact check gathers from E_-k[ids] into one float64 buffer, again a
+    block of rows at a time."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
     inverse = np.array(data.inverse_class)
     for rows in _row_blocks(r, 8 * r):
-        got = lin._products(theta[rows][:, inverse] * sizes % p, theta.T, p)
+        got = lin.matmul(theta[rows][:, inverse] * sizes % p, theta.T, p)
         local = np.arange(len(got))
         got[local, local + rows.start] -= n % p
         if got.any():
             raise TableConsistencyError("first orthogonality fails mod p")
-        got = lin._products(theta[:, rows].T, theta, p)
+        got = lin.matmul(theta[:, rows].T, theta, p)
         got[local, inverse[rows]] -= n // sizes[rows] % p
         if got.any():
             raise TableConsistencyError("column orthogonality fails mod p")
 
     l1 = int(np.abs(values).sum(axis=1).max())
-    bound = n * (l1 * l1 * int(np.abs(_reduction_matrix(e)).max()) + 1)
+    bound = n * (l1 * l1 * int(np.abs(reduction_matrix(e)).max()) + 1)
     if bound >= 2**53:
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
     relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
@@ -491,7 +478,7 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
                     right[:T, rows] = E[half + t : half + t + T, v[rows]]
                 for rows in blocks:
                     left = E[t : t + T, v[rows]] * w % q
-                    got = lin._products(left, right[:T].transpose(0, 2, 1), q)
+                    got = lin.matmul(left, right[:T].transpose(0, 2, 1), q)
                     local = np.arange(got.shape[1])
                     got[:, local, local + rows.start] -= d[rows] % q
                     if got.any():
@@ -582,7 +569,7 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
         return frozenset()
     coords_of = shape.table[model.rows]  # rows outside A are never read
     characters = np.arange(shape.order)  # table rows of the dual
-    reduction = _reduction_matrix(L)
+    reduction = reduction_matrix(L)
 
     out = set()
     conjugates = G.compiled.conjugates(A.idx)[:, _coset_firsts(A)]  # a^t

@@ -34,8 +34,11 @@ from .group_engine import (
     GroupDomainError,
     SubgroupHandle,
     abelian_model,
+    commutator_subgroup,
     is_a_group,
     is_quasi_frobenius,
+    primary_part,
+    subgroup_center,
 )
 
 THRESHOLD = Fraction(1067, 1260)
@@ -70,28 +73,6 @@ class Verdict:
         if not self.below:
             return "AtOrAbove"
         return f"Below case={self.case.value} m={self.m} p={self.predicted_p}"
-
-
-# -- small structural helpers --------------------------------------------
-
-
-def primary_part(A: SubgroupHandle, p: int) -> SubgroupHandle:
-    """O_p of an abelian (or nilpotent) subgroup: its p-elements."""
-    rest = A.view.orders[A.idx]
-    while (divisible := rest % p == 0).any():
-        rest = np.where(divisible, rest // p, rest)
-    return A.view.handle(A.idx[rest == 1])
-
-
-def commutator_subgroup(G: FiniteGroup, X: SubgroupHandle, Y: SubgroupHandle) -> SubgroupHandle:
-    view = G.compiled
-    gens = {c for y in Y.spanning.tolist() for c in view.commutators(y)[X.idx].tolist()}
-    gens.discard(view.identity)
-    return view.subgroup(sorted(gens))
-
-
-def subgroup_center(Q: SubgroupHandle) -> SubgroupHandle:
-    return Q.view.handle(Q.idx[Q.view.centralizer_mask(Q.spanning)[Q.idx]])
 
 
 def _direct_factors(W: AbelianGroup, B: AbSubgroup, C: AbSubgroup) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .abelian_core import AbelianGroup, AbSubgroup, perp, perp_dual
-from .character_lab import _reduction_matrix, dixon_table, proportion
+from .character_lab import dixon_table, proportion
 from .classifier import THRESHOLD, classify_theorem_a
 from .constructions import (
     BuilderError,
@@ -28,6 +28,7 @@ from .constructions import (
 )
 from .cyclotomic import (
     SIX_SUM_VERDICTS,
+    reduction_matrix,
     root_of_unity,
     six_sum_inputs,
     six_sum_verdicts,
@@ -228,7 +229,7 @@ def _check_sixsum(max_n: int):
         triples = six_sum_inputs(n)
         cells = np.arange(len(triples))[:, None] * big + triples
         counts = np.bincount(cells.ravel(), minlength=len(triples) * big)
-        coeffs = counts.reshape(-1, big) @ _reduction_matrix(big)
+        coeffs = counts.reshape(-1, big) @ reduction_matrix(big)
         _, ids = np.unique(np.concatenate([coeffs, -coeffs]), axis=0, return_inverse=True)
         ids, negated_ids = ids[:len(triples)], ids[len(triples):]
         step = max(1, _SIXSUM_BLOCK_ROWS // len(triples))

@@ -19,7 +19,6 @@ from .abelian_core import (
     AbSubgroup,
     generated_submodule,
 )
-from .classifier import primary_part, subgroup_center
 from .group_engine import (
     MAX_GROUP_ORDER,
     FiniteGroup,
@@ -29,7 +28,9 @@ from .group_engine import (
     builtin_h,
     cycles_of,
     from_permutations,
+    primary_part,
     semidirect_from_matrices,
+    subgroup_center,
 )
 
 

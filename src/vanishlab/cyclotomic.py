@@ -135,6 +135,20 @@ def power_table(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     return len(tail), tuple(rows)
 
 
+@lru_cache(maxsize=64)
+def reduction_matrix(n: int) -> np.ndarray:
+    """Dense int64 view of `power_table(n)`: row i = coefficients of x^i mod
+    Phi_n, so an exponent-count vector times this matrix is its power-basis
+    coefficient vector in Z[zeta_n]."""
+    phi, rows = power_table(n)
+    i, j, c = np.array(
+        [(i, j, c) for i, row in enumerate(rows) for j, c in row], dtype=np.int64
+    ).T
+    out = np.zeros((n, phi), dtype=np.int64)
+    out[i, j] = c
+    return out
+
+
 def _reduce_mod_cyclotomic(coeffs, n: int) -> tuple[int, ...]:
     """Power-basis coefficients of sum_i coeffs[i] zeta_n^i, any exponents."""
     phi, rows = power_table(n)

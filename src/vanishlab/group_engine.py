@@ -791,6 +791,25 @@ def abelian_model(H: SubgroupHandle) -> AbelianModel:
     return AbelianModel(H, AbelianGroup(tuple(orders)), _read_only(H.idx[cells]), _read_only(rows))
 
 
+def primary_part(A: SubgroupHandle, p: int) -> SubgroupHandle:
+    """O_p of an abelian (or nilpotent) subgroup: its p-elements."""
+    rest = A.view.orders[A.idx]
+    while (divisible := rest % p == 0).any():
+        rest = np.where(divisible, rest // p, rest)
+    return A.view.handle(A.idx[rest == 1])
+
+
+def commutator_subgroup(G: FiniteGroup, X: SubgroupHandle, Y: SubgroupHandle) -> SubgroupHandle:
+    view = G.compiled
+    gens = {c for y in Y.spanning.tolist() for c in view.commutators(y)[X.idx].tolist()}
+    gens.discard(view.identity)
+    return view.subgroup(sorted(gens))
+
+
+def subgroup_center(Q: SubgroupHandle) -> SubgroupHandle:
+    return Q.view.handle(Q.idx[Q.view.centralizer_mask(Q.spanning)[Q.idx]])
+
+
 # -- Frobenius structure -------------------------------------------------
 
 
@@ -1008,8 +1027,9 @@ class SemidirectSpec:
                 raise GroupDomainError("action value is not an endomorphism of A")
         if not self.action[H.identity].is_identity():
             raise GroupDomainError("action of the identity is not the identity")
-        for h1, h2 in itertools.product(H.elements, repeat=2):
-            if self.action[H.compiled.law_mul(h1, h2)] != self.action[h1].compose(self.action[h2]):
+        # with action(1) = id, pairs (h, generator) give all by word length
+        for h, s in itertools.product(H.elements, H.generators):
+            if self.action[H.compiled.law_mul(h, s)] != self.action[h].compose(self.action[s]):
                 raise GroupDomainError("action is not a homomorphism")
 
 

@@ -208,6 +208,20 @@ def test_s4_fast_path_klein_four_never_vanishes():
     assert report.proportion == Fraction(5, 6)
 
 
+@pytest.mark.parametrize("make,nonvanishing", [
+    (s4, 4),
+    (lambda: from_permutations(4, ["(1 2 3)", "(1 2)(3 4)"], name="A4"), 4),
+    (lambda: build_case_family("M5").group, 96),
+])
+def test_vanishing_and_nonvanishing_partition_the_group(make, nonvanishing):
+    G = make()
+    report = proportion(G)
+    assert len(report.nonvanishing) == nonvanishing
+    assert report.vanishing | report.nonvanishing == frozenset(G.elements)
+    assert not report.vanishing & report.nonvanishing
+    assert all(report.vanishing_mask[G.index[g]] for g in report.vanishing)
+
+
 def test_fast_path_rejects_bad_inputs():
     from vanishlab.group_engine import GroupDomainError
 
@@ -309,9 +323,9 @@ def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
     r, phi = ids.shape[0], values.shape[1]
     assert (n, r, phi) == (24, 5, 4)
     stacked = []
-    products = lin._products
+    products = lin.matmul
     monkeypatch.setattr(
-        lin, "_products",
+        lin, "matmul",
         lambda A, B, q: (A.ndim == 3 and stacked.append((A.shape, B.shape))) or products(A, B, q),
     )
     character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
@@ -343,8 +357,8 @@ def test_exact_orthogonality_needs_every_prime_its_bound_asks_for(monkeypatch):
     bad = values[ids[4, 1]] + primes[0] * np.eye(1, 4, dtype=np.int64)
     args = (data, n, e, np.vstack([values, bad]), bad_ids, theta, p)
     used = []
-    products = lin._products
-    monkeypatch.setattr(lin, "_products", lambda A, B, q: used.append(q) or products(A, B, q))
+    products = lin.matmul
+    monkeypatch.setattr(lin, "matmul", lambda A, B, q: used.append(q) or products(A, B, q))
     with pytest.raises(TableConsistencyError, match="fails exactly"):
         character_lab._verify_orthogonality(*args)
     assert n * int(np.abs(bad).sum()) ** 2 > primes[0] * primes[1]  # three primes
@@ -423,7 +437,7 @@ def spy_krylov(monkeypatch):
     """One [columns, results] per `lin.krylov` call: results is what the call
     returns, and columns counts the Krylov columns its steps build, the
     widths of its products of a square matrix by a block of columns."""
-    calls, krylov, products = [], lin.krylov, lin._residue_products
+    calls, krylov, products = [], lin.krylov, lin.matmul
 
     def counted_products(A, B, p):
         inside = calls and calls[-1][1] is None
@@ -436,7 +450,7 @@ def spy_krylov(monkeypatch):
         calls[-1][1] = krylov(*args)
         return calls[-1][1]
 
-    monkeypatch.setattr(lin, "_residue_products", counted_products)
+    monkeypatch.setattr(lin, "matmul", counted_products)
     monkeypatch.setattr(lin, "krylov", counted_krylov)
     return calls
 
@@ -560,9 +574,9 @@ def test_one_row_product_blocks_give_the_same_table(monkeypatch):
     groups = (d8_s3_s3, agl_1_31, lambda: build_case_family("M5").group)
     golden = [dixon_table(G()) for G in groups]
     stacked = []  # the (tables, rows) of each exact verification product
-    products = lin._products
+    products = lin.matmul
     monkeypatch.setattr(
-        lin, "_products",
+        lin, "matmul",
         lambda A, B, q: (B.ndim == 3 and stacked.append(A.shape[:2])) or products(A, B, q),
     )
     monkeypatch.setattr(character_lab, "_BLOCK_BYTES", 1)

@@ -24,7 +24,7 @@ from vanishlab.character_lab import (
     proportion,
 )
 from vanishlab.classifier import classify_theorem_a
-from vanishlab.abelian_core import AbelianGroup
+from vanishlab.abelian_core import AbelianGroup, AbHom
 from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
 from vanishlab.cyclotomic import p_valuation
 from vanishlab.groupfile import emit_group, parse_group
@@ -32,6 +32,7 @@ from vanishlab.group_engine import (
     FiniteGroup,
     GroupDomainError,
     SemidirectGroup,
+    SemidirectSpec,
     alternating_7,
     builtin_h,
     cyclic_group,
@@ -516,6 +517,39 @@ def test_semidirect_products_compile_without_calling_mul(monkeypatch):
     G = build_case_family("M5").group
     assert parse_group(emit_group(G)).order == G.order == 6480
     assert calls == 0
+
+
+def c5_by_c4_spec(wrong_at=None):
+    """C5 x| C4, the generator 1 of C4 acting by a -> 2a, and the action of
+    C4's element `wrong_at` replaced by the identity map."""
+    A, H = AbelianGroup.of(5), cyclic_group(4)
+    action = {k: AbHom.from_matrix(A, [[pow(2, k, 5)]]) for k in H.elements}
+    if wrong_at is not None:
+        action[wrong_at] = AbHom.identity(A)
+    return SemidirectSpec(A, H, action)
+
+
+@pytest.mark.parametrize("wrong_at", [2, 3])
+def test_semidirect_spec_rejects_an_action_wrong_only_off_the_generators(wrong_at):
+    c5_by_c4_spec().validate()
+    assert cyclic_group(4).generators == [1]
+    with pytest.raises(GroupDomainError, match="action is not a homomorphism"):
+        c5_by_c4_spec(wrong_at).validate()
+
+
+def test_semidirect_spec_composes_once_per_element_and_generator(monkeypatch):
+    spec = build_case_family("M5").group.semidirect_spec
+    calls = 0
+    compose = AbHom.compose
+
+    def counted(self, inner):
+        nonlocal calls
+        calls += 1
+        return compose(self, inner)
+
+    monkeypatch.setattr(AbHom, "compose", counted)
+    spec.validate()
+    assert calls == spec.H.order * len(spec.H.generators)
 
 
 # -- no reference cycles ------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanishlab.character_lab import _reduction_matrix
 from vanishlab.cli import _sum_levels
 from vanishlab.cyclotomic import (
     SIX_SUM_VERDICTS,
@@ -24,6 +23,7 @@ from vanishlab.cyclotomic import (
     cyclotomic_polynomial,
     enumerate_six_sums,
     euler_phi,
+    reduction_matrix,
     root_of_unity,
     six_sum_classifier,
     six_sum_inputs,
@@ -122,7 +122,7 @@ def test_power_table_reduces_every_power():
 
 @pytest.mark.parametrize("L", [1, 2, 12, 30, 84, 105, 930])
 def test_reduction_matrix_rows_are_powers_of_zeta(L):
-    M = _reduction_matrix(L)
+    M = reduction_matrix(L)
     assert M.shape == (L, euler_phi(L))
     for j in range(L):
         assert tuple(M[j].tolist()) == Cyclo.from_poly(L, [0] * j + [1]).coeffs

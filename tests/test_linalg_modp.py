@@ -5,6 +5,7 @@ matrix."""
 
 import itertools
 import random
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -61,8 +62,29 @@ def test_stacked_products_match_python_ints_in_blocks_of_three_terms():
               for _ in range(inner)] for _ in range(3)]
         expected = [[[[sum(a * b for a, b in zip(row, col)) % p for col in zip(*Bj)]
                       for row in Aij] for Aij, Bj in zip(Ai, B)] for Ai in A]
-        got = lin._products(np.array(A, dtype=np.float64), np.array(B, dtype=np.float64), p)
+        got = lin.matmul(np.array(A, dtype=np.float64), np.array(B, dtype=np.float64), p)
         assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_one_block_product_makes_no_array_beside_its_result():
+    # the float64 BLAS product becomes the int64 result in its own buffer,
+    # and a Krylov step's int64 product becomes float64 residues in its own
+    p = 10007
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(400, 300)).astype(np.float64)
+    B = rng.integers(0, p, size=(300, 500)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        got = lin.matmul(A, B, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64 and peak < 1.1 * got.nbytes
+    assert (got == A.astype(np.int64) @ B.astype(np.int64) % p).all()
+    residues = lin._recast(got.copy(), np.float64)
+    assert residues.dtype == np.float64 and (residues == got).all()
+    step = lin._recast(got, np.float64)
+    assert np.shares_memory(step, got) and (step == residues).all()
 
 
 def test_matmul_rejects_a_modulus_whose_single_term_is_inexact():
