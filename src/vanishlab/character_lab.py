@@ -12,10 +12,11 @@ cyclotomic character values through multiplicity extraction, one transform
 per element order.
 Each value is a power-basis coefficient vector in Z[zeta_e], e = exp G.
 The table keeps the distinct ones (the zero first) and a read-only r x r
-array of ids into them, on which both orthogonality relations are
-verified exactly for every pair: mod a few primes q = 1 (mod e), at every
-primitive e-th root mod q, until the primes' product exceeds a bound on
-the relations' coefficients.  The fast path evaluates induced linear
+array of ids into them, on which the row orthogonality relation is
+verified exactly for every pair, which implies the column relation and
+the table mod p: mod a few primes q = 1 (mod e), at every primitive e-th
+root mod q, until the primes' product exceeds a bound on the relation's
+coefficients.  The fast path evaluates induced linear
 characters on an abelian normal subgroup.  Zero tests are exact
 everywhere; float64 serves only as an exact integer accumulator, under a
 checked bound of 2^53: in the weighted class counts (at most |G| (p - 1))
@@ -51,7 +52,7 @@ from .group_engine import (
 # product (at least one table), and values per multiplicity product.
 _BLOCK_TERMS = 1 << 14
 # Bytes of one operand block of the r x r products (the split's K @ Q and
-# both verifications), at least one row: every table up to r = 724 (M5, the
+# the verification), at least one row: every table up to r = 724 (M5, the
 # corpus) takes one block, and a larger one is never copied whole.
 _BLOCK_BYTES = 1 << 22
 # Hits per weighted bincount of a class combination: 512 KiB arrays.
@@ -336,19 +337,19 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     n_mod = n % p
 
     degrees = []
-    for theta in thetas:
-        u = theta.astype(np.int64)
+    for i in range(r):
+        u = thetas[i].astype(np.int64)
         if u[0] == 0:
             raise TableConsistencyError("eigenvector vanishes at the identity class")
         u = (u * pow(int(u[0]), -1, p)) % p
         s = int(np.sum(u * u[list(data.inverse_class)] % p * size_inv % p) % p)
-        target = n_mod * pow(s, -1, p) % p
+        # n is a unit mod p (p = 1 mod exp G), so s = 0 admits no degree
         degree = next(
-            (d for d in range(1, isqrt(n) + 1) if d * d % p == target), None
+            (d for d in range(1, isqrt(n) + 1) if d * d * s % p == n_mod), None
         )
         if degree is None:
             raise TableConsistencyError("no admissible character degree")
-        theta[:] = degree * u % p * size_inv % p
+        thetas[i] = degree * u % p * size_inv % p
         degrees.append(degree)
 
     if sum(d * d for d in degrees) != n:
@@ -383,6 +384,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
         ids[start:start + step] = index.reshape(-1, r) + found
         blocks.append(block)
         found += len(block)
+    del thetas  # value recovery is its last reader
     distinct, merged = _distinct(np.concatenate(blocks))
     # the smallest signed type that holds len(distinct)
     ids = merged.astype(np.min_scalar_type(-len(distinct) - 1))[ids]
@@ -391,8 +393,7 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     if np.any(distinct[ids[:, 0]] != np.outer(degrees, np.eye(1, phi, dtype=np.int64))):
         raise TableConsistencyError("identity column disagrees with degree")
 
-    # the relations mod p hold for theta's rows in any order
-    _verify_orthogonality(data, n, e, distinct, ids, thetas, p)
+    _verify_orthogonality(data, n, e, distinct, ids)
     ids.flags.writeable = False
     values = tuple(Cyclo(e, tuple(c)) if any(c) else Cyclo.zero() for c in distinct.tolist())
     # class k vanishes when column k holds id 0, if that is the zero vector
@@ -401,22 +402,26 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     return CharacterTable(G, *G._dixon_table)
 
 
-def _verify_orthogonality(data, n, e, values, ids, theta, p):
-    """Both orthogonality relations for every pair: mod p on the table
-    theta (float64 residues), and exactly in Z[zeta_e] on the power-basis
+def _verify_orthogonality(data, n, e, values, ids):
+    """The row orthogonality relation for every pair, exactly in Z[zeta_e]:
+    sum_m |C_m| chi_x(g_m) conj(chi_y(g_m)) = n [x = y], on the power-basis
     coefficient vectors values[ids[i, k]] of chi_i(rep_k).
 
-    Mod p, with conj = theta[:, inverse_class], the relations read
-    (conj diag(sizes)) theta^T = n I and (theta^T theta)[k, inverse k] =
-    n / sizes[k], zero elsewhere; sizes are constant on inverse pairs.
+    For a square table it implies the column relation and the relations
+    mod p, so neither is checked.  For the table X and D = diag(sizes),
+    X D X* = n I makes X invertible with X^-1 = D X* / n, so X* X = n D^-1
+    under every complex embedding and hence in Z[zeta_e]: that is the
+    column relation.  And zeta_e -> z mod p maps the values onto the table
+    mod p they were recovered from, since value recovery inverts each
+    o x o transform exactly.
 
-    For one pair, a relation's sum S = sum_m w_m a_m conj(b_m) has weights
-    w_m summing to at most n (the class sizes, or r ones), and the product
-    a conj(b) = sum_(i, j < phi) a_i b_j zeta^(i - j) of two values has
-    power-basis coefficients at most l^2 max|reduction| in absolute value,
-    for l the largest sum of |coefficients| of one value: reducing
-    zeta^(i - j) scales each term by at most max|reduction|.  So every
-    coefficient of S - target, the target being at most n, is below
+    For one pair, the sum S = sum_m w_m a_m conj(b_m) has weights w_m, the
+    class sizes, summing to n, and the product a conj(b) =
+    sum_(i, j < phi) a_i b_j zeta^(i - j) of two values has power-basis
+    coefficients at most l^2 max|reduction| in absolute value, for l the
+    largest sum of |coefficients| of one value: reducing zeta^(i - j)
+    scales each term by at most max|reduction|.  So every coefficient of
+    S - target, the target being at most n, is below
     B = n (l^2 max|reduction| + 1), and B < 2^53 is checked.
 
     The coefficients of S - target are checked mod the primes q = 1 (mod e)
@@ -427,40 +432,24 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
     mod e, and zeta -> z^k is a ring map Z[zeta_e] -> GF(q); a polynomial of
     degree below phi that vanishes at all phi roots is 0 mod q.  The map
     takes conj(b) to b at z^-k, so for the r x r tables T_k = E_k[ids] of
-    every distinct value evaluated at z^k, the relations at k read
-    (T_k diag(sizes)) T_-k^T = n I and T_k^T T_-k = diag(n / sizes) mod q.
-    Those at -k are their transposes, so one k of each pair {k, -k} does.
+    every distinct value evaluated at z^k, the relation at k reads
+    (T_k diag(sizes)) T_-k^T = n I mod q.  The one at -k is its transpose,
+    so one k of each pair {k, -k} does.
 
-    Every product, mod p or mod q, is one `lin.matmul`.  A product stacks
+    Every product is one `lin.matmul`.  A product stacks
     max(1, _BLOCK_TERMS // r^2) of the tables T_k: a small table takes all
-    of them at once, one product per relation and prime (S4: r = 5, two
-    tables), and one with r >= 128 one at a time.  Each product takes one
-    block of rows of at most _BLOCK_BYTES of float64 operand (`_row_blocks`;
-    all rows up to r = 724) against the whole of the other side, which the
-    exact check gathers from E_-k[ids] into one float64 buffer, again a
-    block of rows at a time."""
+    of them at once, one product per prime (S4: r = 5, two tables), and
+    one with r >= 128 one at a time.  Each product takes one block of rows
+    of at most _BLOCK_BYTES of float64 operand (`_row_blocks`; all rows up
+    to r = 724) against the whole of the other side, which is gathered
+    from E_-k[ids] into one float64 buffer, again a block of rows at a
+    time."""
     r, phi = data.count, values.shape[1]
     sizes = np.array(data.sizes, dtype=np.int64)
-    inverse = np.array(data.inverse_class)
-    for rows in _row_blocks(r, 8 * r):
-        got = lin.matmul(theta[rows][:, inverse] * sizes % p, theta.T, p)
-        local = np.arange(len(got))
-        got[local, local + rows.start] -= n % p
-        if got.any():
-            raise TableConsistencyError("first orthogonality fails mod p")
-        got = lin.matmul(theta[:, rows].T, theta, p)
-        got[local, inverse[rows]] -= n // sizes[rows] % p
-        if got.any():
-            raise TableConsistencyError("column orthogonality fails mod p")
-
     l1 = int(np.abs(values).sum(axis=1).max())
     bound = n * (l1 * l1 * int(np.abs(reduction_matrix(e)).max()) + 1)
     if bound >= 2**53:
         raise TableConsistencyError("exact orthogonality sums reach 2^53")
-    relations = (  # sum_m w_m v[x, m] conj(v[y, m]) = d_x [x = y]
-        ("first", ids, sizes, np.full(r, n)),
-        ("column", ids.T, 1, n // sizes),
-    )
     product = 1
     for q, powers in _embeddings(e, phi):
         if product > bound:
@@ -471,18 +460,17 @@ def _verify_orthogonality(data, n, e, values, ids, theta, p):
         stack = min(half, max(1, _BLOCK_TERMS // (r * r)))  # tables T_k per product
         right = np.empty((stack, r, r))
         blocks = _row_blocks(r, 8 * r * stack)
-        for name, v, w, d in relations:
-            for t in range(0, half, stack):
-                T = min(stack, half - t)
-                for rows in blocks:
-                    right[:T, rows] = E[half + t : half + t + T, v[rows]]
-                for rows in blocks:
-                    left = E[t : t + T, v[rows]] * w % q
-                    got = lin.matmul(left, right[:T].transpose(0, 2, 1), q)
-                    local = np.arange(got.shape[1])
-                    got[:, local, local + rows.start] -= d[rows] % q
-                    if got.any():
-                        raise TableConsistencyError(f"{name} orthogonality fails exactly")
+        for t in range(0, half, stack):
+            T = min(stack, half - t)
+            for rows in blocks:
+                right[:T, rows] = E[half + t : half + t + T, ids[rows]]
+            for rows in blocks:
+                left = E[t : t + T, ids[rows]] * sizes % q
+                got = lin.matmul(left, right[:T].transpose(0, 2, 1), q)
+                local = np.arange(got.shape[1])
+                got[:, local, local + rows.start] -= n % q
+                if got.any():
+                    raise TableConsistencyError("orthogonality fails exactly")
 
 
 @lru_cache(maxsize=64)

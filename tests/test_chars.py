@@ -25,7 +25,7 @@ from vanishlab.character_lab import (
     vanish_on_abelian_normal,
 )
 from vanishlab.constructions import build_case_family, catalog_entries
-from vanishlab.cyclotomic import Cyclo
+from vanishlab.cyclotomic import Cyclo, reduction_matrix
 from vanishlab.group_engine import (
     abelian_model,
     cyclic_group,
@@ -263,14 +263,12 @@ def verification_args(monkeypatch, G):
 
 
 def test_exact_orthogonality_catches_one_corrupted_value(monkeypatch):
-    # theta (the table mod p) stays intact, so only the exact relations can
-    # see the change; every row and every column of the 45-class table
-    # carries the corrupted entry once.  A negated value keeps every
-    # diagonal sum |chi_i|^2 and |chi(g_k)|^2, so only off-diagonal pairs
-    # catch it.
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, d8_s3_s3())
+    # every row and every column of the 45-class table carries the
+    # corrupted entry once.  A negated value keeps every diagonal sum
+    # |chi_i|^2, so only off-diagonal pairs catch it.
+    data, n, e, values, ids = verification_args(monkeypatch, d8_s3_s3())
     assert (n, data.count) == (288, 45)
-    character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
+    character_lab._verify_orthogonality(data, n, e, values, ids)
     r, phi = ids.shape[0], values.shape[1]
     bump = np.eye(phi, dtype=np.int64)
     tried = 0
@@ -284,7 +282,7 @@ def test_exact_orthogonality_catches_one_corrupted_value(monkeypatch):
             bad_ids[i, k] = len(values)
             with pytest.raises(TableConsistencyError, match="fails exactly"):
                 character_lab._verify_orthogonality(
-                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                    data, n, e, np.vstack([values, bad]), bad_ids
                 )
             tried += 1
     assert tried > r
@@ -296,7 +294,7 @@ def test_exact_orthogonality_with_phi_above_r_catches_every_corrupted_value(
     # C7:C3 has 5 classes and phi(21) = 12 > 5, so each product takes one
     # row against all later rows; corrupt each entry in turn
     G = from_permutations(7, ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"], name="C7:C3")
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, G)
+    data, n, e, values, ids = verification_args(monkeypatch, G)
     r, phi = ids.shape[0], values.shape[1]
     assert (n, r, phi) == (21, 5, 12)
     bump = np.eye(phi, dtype=np.int64)
@@ -309,7 +307,7 @@ def test_exact_orthogonality_with_phi_above_r_catches_every_corrupted_value(
             bad_ids[i, k] = len(values)
             with pytest.raises(TableConsistencyError, match="fails exactly"):
                 character_lab._verify_orthogonality(
-                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                    data, n, e, np.vstack([values, bad]), bad_ids
                 )
 
 
@@ -318,8 +316,8 @@ def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
 ):
     # S4 has 5 classes and phi(12) = 4 units mod 12 in the pairs {1, 11} and
     # {5, 7}: its exact sums are checked mod one prime, both embeddings
-    # stacked in one product per relation, so all pairs share one product
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    # stacked in one product, so all pairs share one product
+    data, n, e, values, ids = verification_args(monkeypatch, s4())
     r, phi = ids.shape[0], values.shape[1]
     assert (n, r, phi) == (24, 5, 4)
     stacked = []
@@ -328,8 +326,8 @@ def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
         lin, "matmul",
         lambda A, B, q: (A.ndim == 3 and stacked.append((A.shape, B.shape))) or products(A, B, q),
     )
-    character_lab._verify_orthogonality(data, n, e, values, ids, theta, p)
-    assert stacked == [((2, r, r), (2, r, r))] * 2
+    character_lab._verify_orthogonality(data, n, e, values, ids)
+    assert stacked == [((2, r, r), (2, r, r))]
     monkeypatch.undo()
     bump = np.eye(phi, dtype=np.int64)
     for i, k in itertools.product(range(r), repeat=2):
@@ -342,7 +340,7 @@ def test_small_table_checks_in_one_product_and_catches_every_corrupted_value(
                 bad_ids[i, k] = len(values)
                 with pytest.raises(TableConsistencyError, match="fails exactly"):
                     character_lab._verify_orthogonality(
-                        data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                        data, n, e, np.vstack([values, bad]), bad_ids
                     )
 
 
@@ -350,29 +348,29 @@ def test_exact_orthogonality_needs_every_prime_its_bound_asks_for(monkeypatch):
     # a character value off by exactly the first verification prime q1 is
     # invisible mod q1; its size near q1 lifts the bound to about 2^45, so
     # the check would take three primes, and the second sees it
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    data, n, e, values, ids = verification_args(monkeypatch, s4())
     primes = [q for q, _ in character_lab._embeddings(e, values.shape[1])]
     bad_ids = ids.copy()
     bad_ids[4, 1] = len(values)
     bad = values[ids[4, 1]] + primes[0] * np.eye(1, 4, dtype=np.int64)
-    args = (data, n, e, np.vstack([values, bad]), bad_ids, theta, p)
+    args = (data, n, e, np.vstack([values, bad]), bad_ids)
     used = []
     products = lin.matmul
     monkeypatch.setattr(lin, "matmul", lambda A, B, q: used.append(q) or products(A, B, q))
     with pytest.raises(TableConsistencyError, match="fails exactly"):
         character_lab._verify_orthogonality(*args)
     assert n * int(np.abs(bad).sum()) ** 2 > primes[0] * primes[1]  # three primes
-    assert sorted(set(used) - {p}) == primes[:2]  # q2 sees it
+    assert sorted(set(used)) == primes[:2]  # q2 sees it
     embeddings = character_lab._embeddings
     monkeypatch.setattr(character_lab, "_embeddings", lambda *a: embeddings(*a)[:1])
     character_lab._verify_orthogonality(*args)  # mod q1 alone it goes unseen
 
 
 def test_exact_orthogonality_refuses_sums_beyond_float_precision(monkeypatch):
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, s4())
+    data, n, e, values, ids = verification_args(monkeypatch, s4())
     with pytest.raises(TableConsistencyError, match="2\\^53"):
         character_lab._verify_orthogonality(
-            data, n, e, values * 2**26, ids, theta, p
+            data, n, e, values * 2**26, ids
         )
 
 
@@ -569,8 +567,8 @@ def c7_c3():
 
 
 def test_one_row_product_blocks_give_the_same_table(monkeypatch):
-    # with a byte bound below one row, the split's K @ Q products and both
-    # verifications take one row per block, and the tables do not change
+    # with a byte bound below one row, the split's K @ Q products and the
+    # verification take one row per block, and the tables do not change
     groups = (d8_s3_s3, agl_1_31, lambda: build_case_family("M5").group)
     golden = [dixon_table(G()) for G in groups]
     stacked = []  # the (tables, rows) of each exact verification product
@@ -587,16 +585,16 @@ def test_one_row_product_blocks_give_the_same_table(monkeypatch):
         assert table.ids.dtype == want.ids.dtype
         assert table.ids.tolist() == want.ids.tolist()
         assert {rows for _, rows in stacked} == {1}
-        assert len(stacked) >= 2 * table.classes.count
+        assert len(stacked) >= table.classes.count
 
 
 @pytest.mark.parametrize("group", [s4, c7_c3, d8_s3_s3])
 def test_one_row_verification_blocks_catch_every_corrupted_value(monkeypatch, group):
     # the corruptions of the tests above, under blocks of one row: every
-    # corrupted entry of the exact table and of theta mod p is caught
-    data, n, e, values, ids, theta, p = verification_args(monkeypatch, group())
+    # corrupted entry of the exact table is caught
+    data, n, e, values, ids = verification_args(monkeypatch, group())
     monkeypatch.setattr(character_lab, "_BLOCK_BYTES", 1)
-    character_lab._verify_orthogonality(data, n, e, values, ids, theta[::-1], p)
+    character_lab._verify_orthogonality(data, n, e, values, ids)
     r, phi = ids.shape[0], values.shape[1]
     bump = np.eye(phi, dtype=np.int64)
     entries = itertools.product(range(r), repeat=2) if r <= 5 else (
@@ -611,12 +609,54 @@ def test_one_row_verification_blocks_catch_every_corrupted_value(monkeypatch, gr
             bad_ids[i, k] = len(values)
             with pytest.raises(TableConsistencyError, match="fails exactly"):
                 character_lab._verify_orthogonality(
-                    data, n, e, np.vstack([values, bad]), bad_ids, theta, p
+                    data, n, e, np.vstack([values, bad]), bad_ids
                 )
-        bad_theta = theta.copy()
-        bad_theta[i, k] = (bad_theta[i, k] + 1) % p
-        with pytest.raises(TableConsistencyError, match="fails mod p"):
-            character_lab._verify_orthogonality(data, n, e, values, ids, bad_theta, p)
+
+
+def s5():
+    return from_permutations(5, ["(1 2 3 4 5)", "(1 2)"], name="S5")
+
+
+@pytest.mark.parametrize("group", [s4, c7_c3, s5])
+def test_every_corrupted_eigenvector_entry_fails_a_table_check(monkeypatch, group):
+    # one entry of the joint eigenvectors mod p off by one, each in turn: a
+    # degree, lift or exact check refuses the table, and no bare ValueError
+    # escapes (a row with s = 0 mod p has no inverse of s)
+    split = character_lab._split_eigenspaces
+
+    def corrupted(*args):
+        theta = split(*args)
+        theta[entry] = (theta[entry] + 1) % args[-1]
+        return theta
+
+    monkeypatch.setattr(character_lab, "_split_eigenspaces", corrupted)
+    r = class_data(group()).count
+    for entry in itertools.product(range(r), repeat=2):
+        with pytest.raises(TableConsistencyError):
+            dixon_table(group())  # a fresh group: tables are cached on the group
+
+
+@pytest.mark.parametrize("group", [s4, c7_c3, d8_s3_s3])
+def test_tables_satisfy_the_column_relation_exactly(group):
+    # the row relation that dixon_table checks implies the column relation
+    # sum_i conj(chi_i(g_k)) chi_i(g_l) = (n / |C_k|) [k = l]; computed here
+    # on its own, in integer power-basis arithmetic: the product of
+    # conj(zeta^a) = zeta^(-a) and zeta^b is zeta^(b - a), folded through
+    # the reduction matrix
+    G = group()
+    table = dixon_table(G)
+    e = G.exponent
+    reduction = reduction_matrix(e)
+    phi = reduction.shape[1]
+    coeffs = np.array([v.coeffs if any(v.coeffs) else (0,) * phi for v in table.values])
+    chi = coeffs[table.ids]  # (i, k, power-basis coefficient)
+    terms = np.einsum("ika,ilb->klab", chi, chi)
+    exponents = (np.arange(phi)[None, :] - np.arange(phi)[:, None]) % e  # b - a at [a, b]
+    got = terms.reshape(*terms.shape[:2], -1) @ reduction[exponents.ravel()]
+    r = table.classes.count
+    want = np.zeros((r, r, phi), dtype=np.int64)
+    want[np.arange(r), np.arange(r), 0] = G.order // np.array(table.classes.sizes)
+    assert np.array_equal(got, want)
 
 
 def test_d8_to_the_fourth_table_peaks_within_its_memory_bound():

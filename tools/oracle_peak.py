@@ -9,6 +9,11 @@ child process with the `src/` tree of this checkout, and prints the class
 count r, the child's wall time, its peak RSS (`ru_maxrss`) and the sha256
 of its `chi=` rows.  One process per group, so each peak belongs to one
 table; run the groups one after another, not side by side.
+
+`ru_maxrss` depends on allocator layout: the same code read 496 or 574 MB
+at `2 7` depending on where the group file lived.  So a one-run difference
+smaller than r^2 doubles does not show that a temporary was added or
+removed.
 """
 
 from __future__ import annotations
