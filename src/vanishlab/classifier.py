@@ -443,9 +443,8 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
         Hg = H.as_group("Hall{2,3}")
         FH = Hg.fitting
         n = Hg.order // FH.order
-        FH_in_G = SubgroupHandle(
-            G.compiled, sorted(G.indices(FH.elements)), G.indices(FH.generators)
-        )
+        # Hg's element k is G's element H.idx[k]
+        FH_in_G = SubgroupHandle(G.compiled, H.idx[FH.idx], H.idx[FH.gens])
         if n in (2, 3):
             q = 6 // n
             if not _quasi_frobenius_with_cyclic_quotient(Hg, n):
@@ -460,11 +459,12 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
             if hq.is_abelian:
                 return AGroupCase("4.1", m, {"K": K, "H": H})
             P = Hg.sylow(3)
-            T = FH.join(P).as_group("T")
+            J = FH.join(P)
+            T = J.as_group("T")
             FT = T.fitting
             if (
                 T.order == 3 * FT.order
-                and FT.elements == FH.elements
+                and np.array_equal(J.idx[FT.idx], FH.idx)
                 and is_quasi_frobenius(T).holds
             ):
                 return AGroupCase("4.2", m, {"K": K, "H": H})

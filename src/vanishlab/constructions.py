@@ -55,10 +55,9 @@ def _c6_actions(G: FiniteGroup) -> tuple[AbHom, AbHom]:
     """x and y of a C_6 = <g> complement: conjugation by g^2 and by g^3.
     Conjugation by (0, h) acts on the abelian factor as action(h^-1)."""
     spec = G.semidirect_spec
-    law = spec.H.compiled
-    g = spec.H.generators[0]
-    g2 = law.law_mul(g, g)
-    return spec.action[law.law_inv(g2)], spec.action[law.law_inv(law.law_mul(g, g2))]
+    H, law = spec.H, spec.H.compiled
+    g = H.index[H.generators[0]]
+    return tuple(spec.action[H.elements[law.inv[law.power(g, k)]]] for k in (2, 3))
 
 
 def _block_semidirect(blocks, h_name: str, name: str) -> FiniteGroup:

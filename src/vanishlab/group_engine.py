@@ -1,14 +1,14 @@
 """Generic finite groups with exact structural queries.
 
-Groups live at desk scale (order <= 8192).  A group is an element list
-plus multiplication/inverse callables on its (hashable, opaque)
-elements.  Construction compiles the group into integer index arrays
-(`FiniteGroup.compiled`) around the right-multiplication rows of its
-generators, verifies on them that the law is a group law, completely and
-at every order, and never evaluates `mul` or `inv` again.  Permutation
-groups (`from_permutations`) and semidirect products (`build_semidirect`)
-hand in rows found without `mul`; every other group gets them from
-|G| * |generators| calls to `mul`.  Every structural query
+Groups live at desk scale (order <= 8192).  A group is a list of
+(hashable, opaque) elements and the right-multiplication rows of its
+generators as integer index arrays (`FiniteGroup.compiled`); construction
+verifies on them that the rows define a group law, completely and at
+every order.  Permutation groups, semidirect, direct and quotient groups
+and subgroups made groups hand in rows computed on index arrays; only the
+groups given by a law alone (`cyclic_group` and the small law builders of
+`constructions`) tabulate it, with |G| * |generators| calls to `mul`, and
+never evaluate it again.  Every structural query
 (conjugacy classes, element orders, center, centralizers, normalizers,
 derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
 is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
@@ -20,8 +20,6 @@ on first use and safe to read concurrently.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
@@ -54,14 +52,18 @@ def _split(labels: np.ndarray) -> list[np.ndarray]:
 class FiniteGroup:
     """A finite group on an explicit element list.
 
-    `mul` and `inv` are callables on the (hashable, opaque) elements;
     `generators` must generate the group (all elements when omitted).
-    `right`, when given, holds one row per generator: `right[t][i]` is the
-    index of `elements[i] * generators[t]`.  Construction builds `compiled`
-    (see CompiledGroup) from those rows, or from |G| calls to `mul` per
-    generator when there are none, and verifies the group axioms on it,
-    completely and at every order.  `mul` is evaluated only to compile and
-    `inv` once per generator; every query below runs on `compiled`.
+    `right` holds one row per generator: `right[t][i]` is the index of
+    `elements[i] * generators[t]`.  Derived groups (quotients, subgroups
+    made groups, direct and semidirect products) hand in these rows and
+    pass None for `mul` and `inv`; permutation groups hand them in and keep
+    `perm_mul`/`perm_inv` as their reference law.  A group given by a law
+    alone (`cyclic_group` and the law builders of `constructions`) passes
+    `right=None` and callables on the elements: construction tabulates
+    `mul`, |G| calls per generator.  A given `inv` is checked once per
+    generator.  Construction builds `compiled` (see CompiledGroup) and
+    verifies the group axioms on it, completely and at every order; every
+    query below runs on `compiled`.
     """
 
     def __init__(self, elements, mul, inv, identity, generators=None, name="",
@@ -260,7 +262,9 @@ class FiniteGroup:
 
     def quotient(self, N: "SubgroupHandle") -> "FiniteGroup":
         """G/N with cosets as frozensets, ordered by their first element;
-        also attaches .projection."""
+        also attaches .projection.  The cosets of G's compiled generators
+        generate it, and coset c times generator s is the coset of
+        firsts[c] s."""
         view = self.compiled
         if N.view is not view:
             raise GroupDomainError("subgroup of a different group")
@@ -268,20 +272,12 @@ class FiniteGroup:
             raise GroupDomainError("quotient by a non-normal subgroup")
         firsts, coset = np.unique(view.coset_labels(N.basis), return_inverse=True)
         cosets = [frozenset(self.elements[i] for i in b.tolist()) for b in _split(coset)]
-        number = {c: k for k, c in enumerate(cosets)}
-        firsts = firsts.tolist()
-
-        def qmul(c1, c2):
-            return cosets[coset[view.product(firsts[number[c1]], firsts[number[c2]])]]
-
-        def qinv(c):
-            return cosets[coset[view.inv[firsts[number[c]]]]]
-
         projection = dict(zip(self.elements, (cosets[k] for k in coset.tolist())))
         q = FiniteGroup(
-            cosets, qmul, qinv, projection[self.identity],
-            generators=[projection[g] for g in self.generators],
+            cosets, None, None, projection[self.identity],
+            generators=[cosets[k] for k in coset[view.gens].tolist()],
             name=f"{self.name}/N" if self.name else "quotient",
+            right=coset[view.R[:, firsts]],
         )
         q.projection = projection
         return q
@@ -317,7 +313,8 @@ class CompiledGroup:
 
     - `R[s]`: the right-regular permutation of generator s,
       `R[s][i]` = index of `elements[i] * elements[gens[s]]`, from the
-      rows handed in (`right`) or else from `mul`.
+      rows handed in (`right`), or tabulated from `mul` for a group given
+      by a law alone (`right` is None).
     - `parent`, `gen`: a breadth-first tree of the Cayley graph rooted at
       the identity, `elements[i] = elements[parent[i]] * elements[gens[gen[i]]]`;
       `levels` lists the non-root nodes level by level.
@@ -328,12 +325,14 @@ class CompiledGroup:
     of the ones before them, so R stays far smaller than a Cayley table.
 
     Construction verifies: (1) each R[s] is a permutation; (2) the tree
-    reaches every element; (3) e s = s and inv(s) s = e for each generator
-    s; (4) the left translations by the generators commute with every
-    R[s]; (5) they act transitively.  By (4) and (5) the group generated by
-    the R[s] acts semiregularly, by (2) transitively, so it is regular of
-    order |G|: the law computed here is a group law, and when R comes from
-    `mul` it agrees with `mul` on every (element, generator) pair.
+    reaches every element; (3) e s = s for each generator s; (4) the left
+    translations by the generators commute with every R[s]; (5) they act
+    transitively.  By (4) and (5) the group generated by the R[s] acts
+    semiregularly, by (2) transitively, so it is regular of order |G|: the
+    law computed here is a group law, and when R is tabulated from `mul` it
+    agrees with `mul` on every (element, generator) pair.  The inverse of
+    generator s is read off its row, the x with R[s][x] = e; a given `inv`
+    must agree with it.
 
     Other maps are filled along the tree: if y = x s, the image of y is
     maps[s] applied to the image of x, one gather per level.  Left
@@ -348,7 +347,8 @@ class CompiledGroup:
         self.identity = e = index[identity]
         if any(g not in index for g in generators):
             raise GroupDomainError("generator not among the elements")
-        if right is not None and np.shape(right) != (len(generators), n):
+        if right is not None and (len(right) != len(generators)
+                                  or any(np.shape(Rs) != (n,) for Rs in right)):
             raise GroupDomainError("one row of n indices is needed per generator")
         prune = len(generators) > n.bit_length()
         self.gens, rows = [], []
@@ -375,8 +375,9 @@ class CompiledGroup:
         steps = np.arange(len(self.gens))
         if not np.array_equal(self.R[steps, e], self.gens):
             raise GroupDomainError("identity inconsistent")
-        inv_gens = [index.get(inv(elements[j]), -1) for j in self.gens]
-        if min(inv_gens, default=0) < 0 or np.any(self.R[steps, inv_gens] != e):
+        inv_gens = np.argmax(self.R == e, axis=1)
+        if inv is not None and \
+                [index.get(inv(elements[j])) for j in self.gens] != inv_gens.tolist():
             raise GroupDomainError("inverse map inconsistent")
         lam = self.left_translations(self.gens)
         if any(not np.array_equal(L[Rs], Rs[L]) for L in lam for Rs in self.R) or \
@@ -520,13 +521,6 @@ class CompiledGroup:
         """i^(o / p^v), o the order of i and p^v the p-part of o."""
         o = int(self.orders[i])
         return self.power(i, o // p ** p_valuation(o, p))
-
-    def law_mul(self, a, b):
-        """The compiled law on elements, for groups built from this one."""
-        return self.elements[self.product(self.index[a], self.index[b])]
-
-    def law_inv(self, a):
-        return self.elements[self.inv[self.index[a]]]
 
     # -- classes, orders, cosets -------------------------------------------
 
@@ -690,11 +684,17 @@ class SubgroupHandle:
         return bool((self.view.conjugates(basis)[:, basis] == basis[:, None]).all())
 
     def as_group(self, name: str = "") -> FiniteGroup:
+        """The subgroup on its members in index order, generated by its
+        basis: the rows are the view's right translations by the basis,
+        restricted to the members and relabelled."""
         view = self.view
-        elems = [view.elements[i] for i in self.idx.tolist()]
+        local = np.empty(view.order, dtype=np.intp)
+        local[self.idx] = np.arange(self.order)
+        right = [local[view.right_translation(b)[self.idx]] for b in self.basis.tolist()]
         return FiniteGroup(
-            elems, view.law_mul, view.law_inv, view.elements[view.identity],
-            generators=list(self.generators) or elems, name=name,
+            [view.elements[i] for i in self.idx.tolist()], None, None,
+            view.elements[view.identity], name=name, right=right,
+            generators=[view.elements[b] for b in self.basis.tolist()],
         )
 
     def join(self, other: "SubgroupHandle") -> "SubgroupHandle":
@@ -1028,9 +1028,11 @@ class SemidirectSpec:
         if not self.action[H.identity].is_identity():
             raise GroupDomainError("action of the identity is not the identity")
         # with action(1) = id, pairs (h, generator) give all by word length
-        for h, s in itertools.product(H.elements, H.generators):
-            if self.action[H.compiled.law_mul(h, s)] != self.action[h].compose(self.action[s]):
-                raise GroupDomainError("action is not a homomorphism")
+        for s in H.generators:
+            row = H.compiled.right_translation(H.index[s]).tolist()
+            for h, k in zip(H.elements, row):
+                if self.action[H.elements[k]] != self.action[h].compose(self.action[s]):
+                    raise GroupDomainError("action is not a homomorphism")
 
 
 def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict) -> dict:
@@ -1046,11 +1048,12 @@ def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict
         gen_maps[h] = AbHom.from_matrix(A, m)
         if not gen_maps[h].is_automorphism():
             raise GroupDomainError("generator image is not an automorphism")
+    rows = [(H.compiled.right_translation(H.index[g]).tolist(), fg) for g, fg in gen_maps.items()]
     action = {H.identity: AbHom.identity(A)}
     reached = [H.identity]
     for h in reached:  # grows as it goes: breadth-first order
-        for g, fg in gen_maps.items():
-            hg = H.compiled.law_mul(h, g)
+        for row, fg in rows:
+            hg = H.elements[row[H.index[h]]]
             if hg not in action:
                 action[hg] = action[h].compose(fg)
                 reached.append(hg)
@@ -1083,7 +1086,6 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     in H.elements and index(a) its row in A.table.  The rows of the
     generators, A's then H's, come from the action matrices and H's law:
     (a, h)(e_i, 1) = (a + row i of action(h), h), (a, h)(0, s) = (a, hs).
-    `mul` and `inv` compute the same law on elements, as a reference.
 
     Conjugation of a in A by h comes out as a^h = action(h^-1)(a).
     The result carries `semidirect_spec` (see SemidirectGroup).
@@ -1092,34 +1094,19 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
     A, H, action = spec.A, spec.H, spec.action
     if A.order * H.order > MAX_GROUP_ORDER:
         raise GroupSizeError("semidirect product exceeds the size cap")
-    n, law = A.order, H.compiled
+    n = A.order
     coords = list(map(tuple, A.table.tolist()))
     elements = [(a, h) for h in H.elements for a in coords]
     offsets = n * np.arange(H.order)[:, None]
     matrices = np.array([action[h].matrix for h in H.elements])
     right = [(A.index_of(A.table + matrices[:, i, None]) + offsets).ravel()
              for i in range(A.rank)]
-    right += [(n * law.right_translation(H.index[s])[:, None] + np.arange(n)).ravel()
+    right += [(n * H.compiled.right_translation(H.index[s])[:, None] + np.arange(n)).ravel()
               for s in H.generators]
-
-    orders = A.factor_orders
-    # columns[h][j]: coordinate j of the images of A's generators under action(h)
-    columns = {h: f.matrix.T.tolist() for h, f in action.items()}
-
-    def mul(x, y):
-        (a1, h1), (a2, h2) = x, y
-        return tuple((c + sum(map(operator.mul, a2, col))) % d
-                     for c, col, d in zip(a1, columns[h1], orders)), law.law_mul(h1, h2)
-
-    def inv(x):
-        a, h = x
-        h = law.law_inv(h)
-        return tuple(-sum(map(operator.mul, a, col)) % d for col, d in zip(columns[h], orders)), h
-
     ident = (A.zero().coords, H.identity)
     gens = [(g.coords, H.identity) for g in A.generators()]
     gens += [(A.zero().coords, h) for h in H.generators]
-    G = SemidirectGroup(elements, mul, inv, ident, generators=gens, name=name, right=right)
+    G = SemidirectGroup(elements, None, None, ident, generators=gens, name=name, right=right)
     G.semidirect_spec = spec
     return G
 
@@ -1132,19 +1119,18 @@ def semidirect_from_matrices(A: AbelianGroup, H: FiniteGroup, matrices, name="")
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name="") -> FiniteGroup:
+    """G x H on the pairs (g, h), number |H| * index(g) + index(h),
+    generated by the compiled generators of G and then of H."""
     if G.order * H.order > MAX_GROUP_ORDER:
         raise GroupSizeError("direct product exceeds the size cap")
     elems = [(g, h) for g in G.elements for h in H.elements]
-
-    def mul(x, y):
-        return (G.compiled.law_mul(x[0], y[0]), H.compiled.law_mul(x[1], y[1]))
-
-    def inv(x):
-        return (G.compiled.law_inv(x[0]), H.compiled.law_inv(x[1]))
-
-    gens = [(g, H.identity) for g in G.generators]
-    gens += [(G.identity, h) for h in H.generators]
+    m, n = G.order, H.order
+    # (g, h)(s, 1) = (g s, h) and (g, h)(1, t) = (g, h t)
+    right = [(n * Rs[:, None] + np.arange(n)).ravel() for Rs in G.compiled.R]
+    right += [(n * np.arange(m)[:, None] + Rt).ravel() for Rt in H.compiled.R]
+    gens = [(G.elements[j], H.identity) for j in G.compiled.gens]
+    gens += [(G.identity, H.elements[j]) for j in H.compiled.gens]
     return FiniteGroup(
-        elems, mul, inv, (G.identity, H.identity), generators=gens,
-        name=name or f"{G.name}x{H.name}",
+        elems, None, None, (G.identity, H.identity), generators=gens,
+        name=name or f"{G.name}x{H.name}", right=right,
     )

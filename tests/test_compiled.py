@@ -1,10 +1,10 @@
-"""The compiled (integer-indexed) group view against plain `mul`.
+"""The compiled (integer-indexed) group view against a reference law.
 
 Conjugacy classes, class matrices, power maps, the exponent and every
 structure query come from index arrays; here each is rebuilt the slow way,
-element by element through `G.mul`, and must agree exactly.  Construction
-must reject any law that is not a group law, and the queries must never
-call `mul` again."""
+element by element through a reference law that never reads `compiled`,
+and must agree exactly.  Construction must reject any law or rows that do
+not define a group law, and the queries must never call `mul` again."""
 
 import gc
 import weakref
@@ -39,6 +39,8 @@ from vanishlab.group_engine import (
     direct_product,
     from_permutations,
     is_a_group,
+    perm_inv,
+    perm_mul,
     semidirect_from_matrices,
     symmetric_3,
 )
@@ -65,6 +67,62 @@ GROUPS = {
 }
 
 
+def reference_law(G):
+    """(mul, inv) on G's elements that never read `G.compiled`: a law or
+    permutation group's own, and for a semidirect product
+    (a1, h1)(a2, h2) = (a1 + action(h1)(a2), h1 h2) on H's reference law."""
+    if G.mul is not None:
+        return G.mul, G.inv
+    spec = G.semidirect_spec
+    A, action = spec.A, spec.action
+    hmul, hinv = reference_law(spec.H)
+
+    def mul(x, y):
+        (a1, h1), (a2, h2) = x, y
+        return (A.element(a1) + action[h1](A.element(a2))).coords, hmul(h1, h2)
+
+    def inv(x):
+        a, h = x
+        h = hinv(h)
+        return action[h](-A.element(a)).coords, h
+
+    return mul, inv
+
+
+def coset_law(mul, inv):
+    """The law of a quotient on its cosets (frozensets), from the parent's:
+    a N * c = (a c) N."""
+    return (lambda c1, c2: frozenset(mul(next(iter(c1)), b) for b in c2),
+            lambda c: frozenset(map(inv, c)))
+
+
+def product_law(first, second):
+    """The componentwise law of a direct product of two reference laws."""
+    (mul1, inv1), (mul2, inv2) = first, second
+    return (lambda x, y: (mul1(x[0], y[0]), mul2(x[1], y[1])),
+            lambda x: (inv1(x[0]), inv2(x[1])))
+
+
+# the groups of GROUPS without a law of their own
+LAWS = {
+    "S4/V4": coset_law(perm_mul, perm_inv),
+    "C2xC6": (lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 6),
+              lambda x: (-x[0] % 2, -x[1] % 6)),
+}
+
+
+class Reference:
+    """A group seen through its reference law: `mul` and `inv` from LAWS
+    or `reference_law`, every other attribute the group's."""
+
+    def __init__(self, G, name=None):
+        self.group = G
+        self.mul, self.inv = LAWS[name] if name in LAWS else reference_law(G)
+
+    def __getattr__(self, attr):
+        return getattr(self.group, attr)
+
+
 def reference_classes(G):
     """Orbit BFS under conjugation by the generators, in element order,
     then sorted by (class size, index of the first element)."""
@@ -78,7 +136,7 @@ def reference_classes(G):
         while frontier:
             a = frontier.pop()
             for h in G.generators:
-                b = G.conj(a, h)
+                b = reference_conj(G, a, h)
                 if b not in orbit:
                     orbit.add(b)
                     frontier.append(b)
@@ -116,7 +174,8 @@ def reference_power_classes(G, classes, class_of, e):
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_compiled_view_matches_mul(name):
     G = GROUPS[name]()
-    classes, class_of = reference_classes(G)
+    R = Reference(G, name)
+    classes, class_of = reference_classes(R)
     assert G.conjugacy_data == (classes, class_of)
     assert G.class_index.tolist() == [class_of[g] for g in G.elements]
 
@@ -126,7 +185,7 @@ def test_compiled_view_matches_mul(name):
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
     assert np.array_equal(
         _power_classes(G, L, G.exponent),
-        reference_power_classes(G, classes, class_of, G.exponent),
+        reference_power_classes(R, classes, class_of, G.exponent),
     )
 
 
@@ -139,7 +198,8 @@ def test_class_combination_matches_the_reference_matrices(name):
     # S5 x S4 (order 2880, 35 classes) counts its 100,800 hits in two row
     # blocks
     G = s5_x_s4() if name == "S5xS4" else GROUPS[name]()
-    classes, class_of = reference_classes(G)
+    R = Reference(G, name)
+    classes, class_of = reference_classes(R)
     data = class_data(G)
     r = data.count
     L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
@@ -149,7 +209,7 @@ def test_class_combination_matches_the_reference_matrices(name):
     c = np.random.default_rng(r).integers(0, p, size=r)
     expected = np.zeros((r, r), dtype=np.int64)
     for i, ci in enumerate(c.tolist()):
-        M = reference_class_matrix(G, classes, class_of, i)
+        M = reference_class_matrix(R, classes, class_of, i)
         assert np.array_equal(
             _class_combination(G, data, L, np.eye(r, dtype=np.int64)[i]), M
         )
@@ -159,19 +219,21 @@ def test_class_combination_matches_the_reference_matrices(name):
 
 def test_compiled_view_arrays():
     G = build_case_family("B4_1").group
+    mul, inv = reference_law(G)
     view = G.compiled
     index = G.index
     for i, g in enumerate(G.elements):
-        assert view.inv[i] == index[G.inv(g)]
+        assert view.inv[i] == index[inv(g)]
         if i != view.identity:
             parent = G.elements[view.parent[i]]
-            assert G.mul(parent, G.generators[view.gen[i]]) == g
+            assert mul(parent, G.generators[view.gen[i]]) == g
     assert view.R.shape == (len(G.generators), G.order)
 
 
 def test_redundant_generators_are_pruned():
-    G = s4()
-    H = G.fitting.as_group()  # handed every member as a generator
+    # the Klein four-group as a law group, handed every member as a generator
+    H = FiniteGroup([(a, b) for a in (0, 1) for b in (0, 1)],
+                    lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x, (0, 0))
     assert len(H.generators) >= 4
     assert len(H.compiled.R) == 2
     assert sorted(len(c) for _, c in H.conjugacy_classes) == [1, 1, 1, 1]
@@ -291,24 +353,25 @@ def reference_core(G, S):
 @pytest.mark.parametrize("name", list(GROUPS))
 def test_structure_queries_match_mul(name):
     G = GROUPS[name]()
+    R = Reference(G, name)
     assert G.center.elements == frozenset(
         z for z in G.elements
-        if all(G.mul(z, g) == G.mul(g, z) for g in G.generators)
+        if all(R.mul(z, g) == R.mul(g, z) for g in G.generators)
     )
     for rep, _ in G.conjugacy_classes:
         assert G.centralizer(rep).elements == frozenset(
-            h for h in G.elements if G.mul(rep, h) == G.mul(h, rep)
+            h for h in G.elements if R.mul(rep, h) == R.mul(h, rep)
         )
     cores = []
     for p in G.primes():
         S = G.sylow(p)
-        assert S.elements == reference_sylow(G, p)
-        assert G.normalizer(S).elements == reference_normalizer(G, S.elements, S.elements)
-        assert G.p_core(p).elements == reference_core(G, S.elements)
+        assert S.elements == reference_sylow(R, p)
+        assert G.normalizer(S).elements == reference_normalizer(R, S.elements, S.elements)
+        assert G.p_core(p).elements == reference_core(R, S.elements)
         cores.extend(G.p_core(p).elements)
-    assert G.fitting.elements == reference_closure(G, cores)
-    assert G.derived_subgroup.elements == reference_closure(G, {
-        G.mul(G.mul(G.inv(g), G.inv(s)), G.mul(g, s))
+    assert G.fitting.elements == reference_closure(R, cores)
+    assert G.derived_subgroup.elements == reference_closure(R, {
+        R.mul(R.mul(R.inv(g), R.inv(s)), R.mul(g, s))
         for g in G.elements for s in G.generators
     })
 
@@ -317,13 +380,14 @@ def test_structure_queries_match_mul(name):
     cosets = []
     for g in G.elements:
         if all(g not in c for c in cosets):
-            cosets.append(frozenset(G.mul(g, n) for n in N.elements))
+            cosets.append(frozenset(R.mul(g, n) for n in N.elements))
     assert Q.elements == cosets
     pi = Q.projection
+    view = Q.compiled
     for g in G.elements:
         for h in G.elements[:: max(1, G.order // 24)]:
-            assert Q.mul(pi[g], pi[h]) == pi[G.mul(g, h)]
-            assert Q.inv(pi[h]) == pi[G.inv(h)]
+            assert Q.elements[view.product(Q.index[pi[g]], Q.index[pi[h]])] == pi[R.mul(g, h)]
+            assert Q.elements[view.inv[Q.index[pi[h]]]] == pi[R.inv(h)]
 
 
 @pytest.mark.parametrize("make", [
@@ -442,6 +506,57 @@ def test_grown_spans_match_the_refilled_span(monkeypatch):
         monkeypatch.undo()
 
 
+# -- groups built from their parent's rows -----------------------------------
+
+
+def derived_groups(G, law):
+    """(group, reference law) for quotients, subgroups made groups and two
+    direct products built from G, whose reference law is `law`."""
+    S3 = symmetric_3()
+    normal = [G.trivial_subgroup(), G.center, G.derived_subgroup, G.fitting, G.full_subgroup()]
+    subgroups = [G.sylow(p) for p in (2, 3, 5)] + [G.trivial_subgroup(), G.fitting]
+    return ([(G.quotient(N), coset_law(*law)) for N in normal]
+            + [(H.as_group(), law) for H in subgroups]
+            + [(direct_product(G, S3), product_law(law, (perm_mul, perm_inv))),
+               (direct_product(cyclic_group(3), G),
+                product_law((lambda a, b: (a + b) % 3, lambda a: -a % 3), law))])
+
+
+def assert_rows_match(D, law):
+    mul, inv = law
+    assert D.mul is None and D.inv is None
+    view = D.compiled
+    for t, j in enumerate(view.gens):
+        s = D.elements[j]
+        assert [D.elements[k] for k in view.R[t].tolist()] == [mul(x, s) for x in D.elements]
+    assert [D.elements[k] for k in view.inv.tolist()] == [inv(x) for x in D.elements]
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_row_built_groups_match_the_reference_law(name):
+    G = GROUPS[name]()
+    R = Reference(G, name)
+    for D, law in derived_groups(G, (R.mul, R.inv)):
+        assert_rows_match(D, law)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: s4().trivial_subgroup().as_group(),
+    lambda: (G := s4()).quotient(G.full_subgroup()),
+    lambda: direct_product(cyclic_group(1), cyclic_group(1)),
+    lambda: semidirect_from_matrices(AbelianGroup.of(), s4().trivial_subgroup().as_group(), []),
+    # an empty basis: the Sylow 2-subgroup of a group of odd order
+    lambda: build_case_family("PGROUP", shape="heis3").group.sylow(2).as_group(),
+])
+def test_row_built_groups_of_order_1(make):
+    G = make()
+    assert G.order == 1 and G.mul is None
+    assert G.compiled.R.shape[1] == 1
+    assert G.is_abelian and G.center.order == G.fitting.order == 1
+    assert len(G.conjugacy_classes) == 1 and G.exponent == 1
+    assert G.quotient(G.full_subgroup()).order == 1
+
+
 # -- the group law check at construction -----------------------------------
 
 
@@ -452,17 +567,78 @@ def test_construction_rejects_a_loop_of_order_5():
         FiniteGroup(range(5), lambda a, b: T[a][b], lambda a: a, 0, generators=[1, 2])
 
 
+def s3_rows():
+    """S3's elements, identity, compiled generators (a 3-cycle, then a
+    transposition) and their rows."""
+    G = symmetric_3()
+    view = G.compiled
+    assert [G.element_order(G.elements[j]) for j in view.gens] == [3, 2]
+    return G.elements, G.identity, [G.elements[j] for j in view.gens], view.R.astype(np.intp)
+
+
+def corrupt_shape(elements, e, gens, R):
+    return elements, e, gens, R[:, 1:]
+
+
+def corrupt_range(elements, e, gens, R):
+    R[0, 1] = len(elements)
+    return elements, e, gens, R
+
+
+def corrupt_latin(elements, e, gens, R):
+    R[0, 1] = R[0, 2]
+    return elements, e, gens, R
+
+
+def corrupt_span(elements, e, gens, R):
+    # the 3-cycle alone
+    return elements, e, gens[:1], R[:1]
+
+
+def corrupt_identity(elements, e, gens, R):
+    return elements, e, gens[::-1], R
+
+
+def corrupt_law(elements, e, gens, R):
+    # the order-5 loop of the test above, as rows
+    T = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    return range(5), 0, [1, 2], np.array(T)[:, [1, 2]].T
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (corrupt_shape, "one row of n indices"),
+    (corrupt_range, "left the element set"),
+    (corrupt_latin, "not a Latin square"),
+    (corrupt_span, "do not generate"),
+    (corrupt_identity, "identity inconsistent"),
+    (corrupt_law, "associative"),
+])
+def test_construction_checks_handed_in_rows(corrupt, message):
+    elements, e, gens, R = s3_rows()
+    FiniteGroup(elements, None, None, e, generators=gens, right=R)
+    elements, e, gens, R = corrupt(elements, e, gens, R)
+    with pytest.raises(GroupDomainError, match=message):
+        FiniteGroup(elements, None, None, e, generators=gens, right=R)
+
+
+def test_construction_rejects_a_wrong_inverse_map():
+    FiniteGroup(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, generators=[1])
+    with pytest.raises(GroupDomainError, match="inverse map inconsistent"):
+        FiniteGroup(range(4), lambda a, b: (a + b) % 4, lambda a: a, 0, generators=[1])
+
+
 def test_construction_rejects_m5_with_two_products_swapped():
     M5 = build_case_family("M5").group
+    m5_mul, m5_inv = reference_law(M5)
     s = M5.generators[0]
     x1, x2 = M5.elements[1], M5.elements[2]
-    swapped = {x1: M5.mul(x2, s), x2: M5.mul(x1, s)}
+    swapped = {x1: m5_mul(x2, s), x2: m5_mul(x1, s)}
 
     def mul(x, y):
-        return swapped[x] if y == s and x in swapped else M5.mul(x, y)
+        return swapped[x] if y == s and x in swapped else m5_mul(x, y)
 
     with pytest.raises(GroupDomainError, match="associative"):
-        FiniteGroup(M5.elements, mul, M5.inv, M5.identity, generators=M5.generators)
+        FiniteGroup(M5.elements, mul, m5_inv, M5.identity, generators=M5.generators)
 
 
 @pytest.mark.parametrize("tag,params", [
@@ -472,15 +648,15 @@ def test_construction_rejects_m5_with_two_products_swapped():
 ])
 def test_semidirect_law_matches_the_module_action(tag, params):
     G = build_case_family(tag, **params).group
-    spec = G.semidirect_spec
+    spec, view = G.semidirect_spec, G.compiled
     A, H = spec.A, spec.H
-    for a1, h1 in G.elements:
-        for a2, h2 in G.elements:
+    for i, (a1, h1) in enumerate(G.elements):
+        for j, (a2, h2) in enumerate(G.elements):
             moved = spec.action[h1](A.element(a2))
             expected = ((A.element(a1) + moved).coords, H.mul(h1, h2))
-            assert G.mul((a1, h1), (a2, h2)) == expected
+            assert G.elements[view.product(i, j)] == expected
         inverse = spec.action[H.inv(h1)](-A.element(a1))
-        assert G.inv((a1, h1)) == (inverse.coords, H.inv(h1))
+        assert G.elements[view.inv[i]] == (inverse.coords, H.inv(h1))
 
 
 def test_semidirect_rows_agree_with_mul():
@@ -495,11 +671,12 @@ def test_semidirect_rows_agree_with_mul():
     ]
     for G in groups:
         view = G.compiled
+        mul = reference_law(G)[0]
         assert len(view.gens) == len(G.generators)
         for t, j in enumerate(view.gens):
             s = G.elements[j]
             assert [G.elements[k] for k in view.R[t].tolist()] == \
-                [G.mul(x, s) for x in G.elements], (G.name, t)
+                [mul(x, s) for x in G.elements], (G.name, t)
 
 
 def test_semidirect_products_compile_without_calling_mul(monkeypatch):

@@ -90,7 +90,7 @@ def test_quotient_is_a_homomorphic_image():
     pi = Q.projection
     for _ in range(50):
         g, h = rng.choice(G.elements), rng.choice(G.elements)
-        assert pi[G.mul(g, h)] == Q.mul(pi[g], pi[h])
+        assert pi[G.mul(g, h)] == Q.elements[Q.compiled.product(Q.index[pi[g]], Q.index[pi[h]])]
 
 
 def test_quotient_rejects_non_normal():
