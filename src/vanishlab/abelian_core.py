@@ -321,7 +321,7 @@ class DualCharacter:
 
     def kernel(self) -> "AbSubgroup":
         A = self.group
-        return AbSubgroup._generated(A, pairing(A, A.table, [self.coords])[:, 0] == 0)
+        return AbSubgroup(A, np.flatnonzero(pairing(A, A.table, [self.coords])[:, 0] == 0))
 
     def multiplicative_order(self) -> int:
         return AbElement(self.group, self.coords).order()
@@ -343,32 +343,26 @@ def all_characters(A: AbelianGroup):
 
 
 class AbSubgroup:
-    """Subgroup of an AbelianGroup: a boolean mask over its element table."""
+    """Subgroup of an AbelianGroup: a boolean mask over its element table.
 
-    def __init__(self, parent: AbelianGroup, generators: tuple[AbElement, ...]):
-        for g in generators:
-            if g.group != parent:
-                raise AbelianDomainError("generator not in the parent group")
+    Built from table indices, the subgroup they generate; `generators`
+    keeps the ones the closure used, a read-only int64 index array with
+    no member inside the span of those before it."""
+
+    def __init__(self, parent: AbelianGroup, members):
         self.parent = parent
-        self.generators = tuple(g for g in generators if not g.is_zero())
-        coords = [g.coords for g in self.generators]
-        rows = np.array(coords, dtype=np.int64).reshape(len(coords), parent.rank)
-        self.mask, _ = _close(parent, parent.index_of(rows))
-
-    @staticmethod
-    def _generated(parent: AbelianGroup, members: np.ndarray) -> "AbSubgroup":
-        """The subgroup generated by the table elements `members` marks,
-        on those of them the coset extension uses; the subgroup is closed
-        once."""
-        sub = object.__new__(AbSubgroup)
-        sub.parent = parent
-        sub.mask, used = _close(parent, np.flatnonzero(members))
-        sub.generators = tuple(AbElement(parent, tuple(r)) for r in parent.table[used].tolist())
-        return sub
+        self.mask, used = _close(parent, np.asarray(members, dtype=np.int64))
+        self.generators = np.array(used, dtype=np.int64)
+        self.generators.flags.writeable = False
 
     @staticmethod
     def from_elements(parent: AbelianGroup, elements) -> "AbSubgroup":
-        return AbSubgroup(parent, tuple(elements))
+        """The subgroup generated by the AbElements `elements`."""
+        elements = tuple(elements)
+        if any(g.group != parent for g in elements):
+            raise AbelianDomainError("generator not in the parent group")
+        rows = np.array([g.coords for g in elements], dtype=np.int64)
+        return AbSubgroup(parent, parent.index_of(rows.reshape(len(elements), parent.rank)))
 
     @staticmethod
     def trivial(parent: AbelianGroup) -> "AbSubgroup":
@@ -376,7 +370,7 @@ class AbSubgroup:
 
     @staticmethod
     def full(parent: AbelianGroup) -> "AbSubgroup":
-        return AbSubgroup(parent, tuple(parent.generators()))
+        return AbSubgroup(parent, parent.index_of(np.eye(parent.rank, dtype=np.int64)))
 
     @property
     def order(self) -> int:
@@ -408,7 +402,8 @@ class AbSubgroup:
 
     def squares(self) -> "AbSubgroup":
         """2H, the subgroup of squares written additively."""
-        return AbSubgroup(self.parent, tuple(2 * g for g in self.generators))
+        A = self.parent
+        return AbSubgroup(A, A.index_of(2 * A.table[self.generators]))
 
     def isomorphism_type(self) -> AbelianGroup:
         """Abstract type from the element-order census (unique for finite
@@ -416,16 +411,18 @@ class AbSubgroup:
         return AbelianGroup(abelian_type(self.parent.element_orders[self.mask]))
 
     def intersection(self, other: "AbSubgroup") -> "AbSubgroup":
-        return AbSubgroup._generated(self.parent, self.mask & other.mask)
+        return AbSubgroup(self.parent, np.flatnonzero(self.mask & other.mask))
 
     def join(self, other: "AbSubgroup") -> "AbSubgroup":
-        return AbSubgroup(self.parent, self.generators + other.generators)
+        return AbSubgroup(self.parent, np.concatenate((self.generators, other.generators)))
 
     def image_under(self, f: AbHom) -> "AbSubgroup":
-        return AbSubgroup(f.target, tuple(f(g) for g in self.generators))
+        if f.source != self.parent:
+            raise AbelianDomainError("map outside the subgroup's group")
+        return AbSubgroup(f.target, f.on_table[self.generators])
 
     def is_invariant_under(self, f: AbHom) -> bool:
-        return all(f(g) in self for g in self.generators)
+        return self.image_under(f) <= self
 
     def __repr__(self):
         return f"AbSubgroup(order={self.order} of {self.parent.literal()})"
@@ -460,9 +457,7 @@ def perp(B: AbSubgroup) -> AbSubgroup:
     """Annihilator of B <= A inside the dual group, which is (noncanonically)
     A itself with the same factors: the characters trivial on B."""
     A = B.parent
-    rows = np.array([g.coords for g in B.generators], dtype=np.int64)
-    rows = rows.reshape(len(B.generators), A.rank)
-    return AbSubgroup._generated(A, ~pairing(A, A.table, rows).any(axis=1))
+    return AbSubgroup(A, np.flatnonzero(~pairing(A, A.table, A.table[B.generators]).any(axis=1)))
 
 
 def perp_dual(V: AbSubgroup) -> AbSubgroup:
@@ -478,8 +473,8 @@ def commutator_map(A: AbelianGroup, y: AbHom) -> tuple[AbSubgroup, AbSubgroup]:
     if not (y.compose(y)).is_identity() and not y.is_identity():
         raise AbelianDomainError("y must be an involution")
     gamma = commutator_hom(A, y)
-    image = AbSubgroup(A, tuple(gamma(g) for g in A.generators()))
-    return image, AbSubgroup._generated(A, gamma.on_table == 0)
+    image = AbSubgroup(A, A.index_of(gamma.matrix))
+    return image, AbSubgroup(A, np.flatnonzero(gamma.on_table == 0))
 
 
 def commutator_hom(A: AbelianGroup, y: AbHom) -> AbHom:
@@ -494,7 +489,7 @@ def fixed_subgroup(A: AbelianGroup, maps) -> AbSubgroup:
     fixed = np.ones(len(A.table), dtype=bool)
     for f in maps:
         fixed &= f.on_table == np.arange(A.order)
-    return AbSubgroup._generated(A, fixed)
+    return AbSubgroup(A, np.flatnonzero(fixed))
 
 
 def omega(A: AbelianGroup, i: int) -> AbSubgroup:
@@ -506,25 +501,24 @@ def omega(A: AbelianGroup, i: int) -> AbSubgroup:
         raise AbelianDomainError("omega requires a p-group")
     if not primes or i == 0:
         return AbSubgroup.trivial(A)
-    return AbSubgroup._generated(A, A.element_orders <= primes[0] ** i)
+    return AbSubgroup(A, np.flatnonzero(A.element_orders <= primes[0] ** i))
 
 
-def generated_submodule(a: AbElement, acting) -> AbSubgroup:
-    """Smallest subgroup containing a that is invariant under the given
-    automorphisms: the span of the orbit of a."""
-    A = a.group
+def generated_submodule(A: AbelianGroup, a: int, acting) -> AbSubgroup:
+    """Smallest subgroup containing the table element a that is invariant
+    under the given automorphisms of A: the span of the orbit of a."""
     for f in acting:
         if f.source != A or not f.is_automorphism():
             raise AbelianDomainError("acting maps must be automorphisms of A")
     orbit = np.zeros(len(A.table), dtype=bool)
-    frontier = A.index_of([a.coords])
+    frontier = np.array([a], dtype=np.int64)
     while frontier.size:
         orbit[frontier] = True
         reached = np.zeros_like(orbit)
         for f in acting:
             reached[f.on_table[frontier]] = True
         frontier = np.flatnonzero(reached & ~orbit)
-    return AbSubgroup._generated(A, orbit)
+    return AbSubgroup(A, np.flatnonzero(orbit))
 
 
 def embeds_in_C4_x_C2k(Z: AbSubgroup) -> bool:

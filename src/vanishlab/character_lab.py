@@ -318,9 +318,6 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     data = class_data(G)
     r = data.count
     n = G.order
-    if n == 1:
-        G._dixon_table = (data, (Cyclo.one(),), np.broadcast_to(np.int8(0), (1, 1)), (1,), ())
-        return CharacterTable(G, *G._dixon_table)
     L = G.compiled.class_translations()  # before G.exponent, which reads orders
     e = G.exponent
     p = dixon_prime(n, e)

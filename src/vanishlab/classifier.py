@@ -76,7 +76,7 @@ class Verdict:
 
 
 def _direct_factors(W: AbelianGroup, B: AbSubgroup, C: AbSubgroup) -> bool:
-    return B.intersection(C).order == 1 and B.order * C.order == W.order
+    return np.count_nonzero(B.mask & C.mask) == 1 and B.order * C.order == W.order
 
 
 # -- sub-classifier: the S_3 shape ---------------------------------------
@@ -121,16 +121,16 @@ class C6Witness:
     x_used: AbHom | None = None
 
 
-def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
+def _b42_span(W, b: int, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
     """Whether b, of order 2^n >= 8 and whose module is M, has E = <b, x(b)>
     of type (2^n, 2^n), D = [E, y] of type (4, 4) and M = E D, for gamma the
     commutator map of y: the part of the (b4.2) shape that x and x^2 share.
     As x is fixed-point-free of order 3, 1 + x + x^2 = 0 on W, so
     x^2(b) = -b - x(b) and <b, x^2(b)> = E."""
-    n_order = b.order()
+    n_order = int(W.element_orders[b])
     if n_order < 8:
         return False
-    E = AbSubgroup(W, (b, x(b)))
+    E = AbSubgroup(W, [b, x.on_table[b]])
     if E.isomorphism_type().factor_orders != (n_order, n_order):
         return False
     D = E.image_under(gamma)
@@ -142,10 +142,11 @@ def _b42_span(W, b: AbElement, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
     of the (b4.1)/(b4.2) shapes, on W's table indices and subgroup masks; a
-    candidate is an AbElement only where its module or shape is built.
-    Both generators x, x^2 are tried.  As x has order 3, x^2 and y generate
-    what x and y do, so the four searches share one <x, y>-module per
-    candidate, and the two (b4.2) searches one `_b42_span` per candidate."""
+    candidate is an AbElement only in a shape's additive identity and in
+    the witness list.  Both generators x, x^2 are tried.  As x has order 3,
+    x^2 and y generate what x and y do, so the four searches share one
+    <x, y>-module per candidate, and the two (b4.2) searches one
+    `_b42_span` per candidate."""
     _check_module_setting(W, x, y, order6_cyclic=True)
     gamma = commutator_hom(W, y)
     # [W, y, y] = 1 exactly when gamma o gamma = 0 (table index 0 is zero)
@@ -160,20 +161,22 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
 
     def module(b: int) -> AbSubgroup:
         if b not in modules:
-            modules[b] = generated_submodule(W.element(W.table[b].tolist()), [x, y])
+            modules[b] = generated_submodule(W, b, [x, y])
         return modules[b]
 
     def shape_b41(b: int, M: AbSubgroup, x_used: AbHom) -> bool:
         """Whether b, whose module is M, has the (b4.1) shape."""
-        a = W.element(W.table[b].tolist())
-        if M != AbSubgroup(W, (a, x_used(a))) or M.isomorphism_type().factor_orders != (8, 8):
+        if M != AbSubgroup(W, [b, x_used.on_table[b]]):
             return False
+        if M.isomorphism_type().factor_orders != (8, 8):
+            return False
+        a = W.element(W.table[b].tolist())
         return a + y(a) == 4 * x_used(a)
 
     def shape_b42(b: int, M: AbSubgroup, x_used: AbHom) -> bool:
         a = W.element(W.table[b].tolist())
         if b not in spans:
-            spans[b] = _b42_span(W, a, M, x, gamma)
+            spans[b] = _b42_span(W, b, M, x, gamma)
         n = a.order().bit_length() - 1  # order = 2^n, n >= 3
         return spans[b] and (2 ** (n - 1)) * a == x_used(gamma(2 * a))
 

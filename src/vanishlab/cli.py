@@ -34,7 +34,7 @@ from .cyclotomic import (
     six_sum_verdicts,
     vanishing_sum_possible,
 )
-from .group_engine import GroupDomainError, GroupSizeError
+from .group_engine import MAX_GROUP_ORDER, GroupDomainError, GroupSizeError
 from .groupfile import GroupFileError, emit_group, parse_group_file
 
 EXIT_OK = 0
@@ -43,7 +43,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 
 ENV_MAX_ORDER = "VANISHLAB_MAX_ORDER"
-DEFAULT_MAX_ORDER = 8192
 
 # inputs per `six_sum_verdicts` call of the six-sum check, so that one
 # block's arrays stay in cache
@@ -65,7 +64,7 @@ def _cap(args) -> int:
             print(f"error: {ENV_MAX_ORDER} must be an integer, got {env!r}",
                   file=sys.stderr)
             raise SystemExit(EXIT_PARSE) from None
-    return DEFAULT_MAX_ORDER
+    return MAX_GROUP_ORDER
 
 
 def _load_group(path: str, cap: int):
@@ -198,13 +197,21 @@ def cmd_classify(args) -> int:
     if not args.cross_check:
         return EXIT_OK
     report = proportion(G)
-    observed_below = report.proportion < THRESHOLD
     print(f"oracle_P={_frac(report.proportion)}")
-    ok = verdict.below == observed_below and (
-        not verdict.below or verdict.predicted_p == report.proportion
-    )
+    ok = not _disagreements(verdict, report.proportion)
     print(f"cross_check={'agree' if ok else 'disagree'}")
     return EXIT_OK if ok else EXIT_MISMATCH
+
+
+def _disagreements(verdict, p: Fraction) -> list[str]:
+    """How a classifier verdict and the oracle's P(G) disagree: Below
+    exactly when P < THRESHOLD, and a Below verdict predicts P."""
+    problems = []
+    if verdict.below != (p < THRESHOLD):
+        problems.append("classifier-oracle-disagree")
+    if verdict.below and verdict.predicted_p != p:
+        problems.append("predicted-p-mismatch")
+    return problems
 
 
 # -- lemma checkers ---------------------------------------------------------
@@ -312,10 +319,10 @@ def _check_duality(seed: int, trials: int):
     draws = {}
     for _ in range(trials):
         A = rng.choice(groups)
-        gens = tuple(
-            A.element(tuple(rng.randrange(d) for d in A.factor_orders))
+        gens = [
+            A.index_of([rng.randrange(d) for d in A.factor_orders])
             for _ in range(rng.randrange(3))
-        )
+        ]
         B = AbSubgroup(A, gens)
         draws[B] = draws.get(B, 0) + 1
     failures = 0
@@ -360,11 +367,7 @@ def _corpus_row(provenance: str) -> tuple[str, bool]:
     verdict = classify_theorem_a(G)
     report = proportion(G)
     p = report.proportion
-    problems = []
-    if verdict.below != (p < THRESHOLD):
-        problems.append("classifier-oracle-disagree")
-    if verdict.below and verdict.predicted_p != p:
-        problems.append("predicted-p-mismatch")
+    problems = _disagreements(verdict, p)
     if p < THRESHOLD and p not in VALUE_SET:
         problems.append("value-set-violation")
     if entry.expected_p is not None and entry.expected_p != p:

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+import numpy as np
+
 from .abelian_core import (
     AbelianGroup,
     AbHom,
     AbSubgroup,
+    commutator_hom,
     generated_submodule,
 )
 from .group_engine import (
@@ -170,12 +173,13 @@ def _verify_module_shapes(G: FiniteGroup, n: int, k: int):
     """b4.2 shape check: each block has C ~ (C_{2^n})^2 and D = [C,y] ~ (C_4)^2."""
     A = G.semidirect_spec.A
     x, y = _c6_actions(G)
-    for block in range(k):
-        a0 = A.generator(4 * block)
-        C = AbSubgroup(A, (a0, x(a0)))
+    gamma = commutator_hom(A, y)
+    firsts = A.index_of(np.eye(A.rank, dtype=np.int64)[0:4 * k:4])  # a_0 of each block
+    for a0 in firsts.tolist():
+        C = AbSubgroup(A, [a0, x.on_table[a0]])
         if C.isomorphism_type().factor_orders != (2 ** n, 2 ** n):
             raise BuilderError("b4.2 block C is not homocyclic of exponent 2^n")
-        D = AbSubgroup(A, tuple(y(c) - c for c in (a0, x(a0))))
+        D = C.image_under(gamma)
         if D.isomorphism_type().factor_orders != (4, 4):
             raise BuilderError("b4.2 block D = [C,y] is not (C_4)^2")
 
@@ -381,20 +385,18 @@ def _build_b42(n: int, k: int, c_part: bool) -> FiniteGroup:
 
 
 def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
-    """Check the b4.x relation on every element of the 2-part of A."""
+    """Check the b4.x relation on every element of the B-part of A, the
+    first k blocks, as coordinate rows through the maps' matrices."""
     A = G.semidirect_spec.A
     x, y = _c6_actions(G)
     width = 2 if n is None else 4
-    for a in A.elements():
-        # the relation is asserted blockwise on the B-part only
-        if any(a.coords[width * k:]):
-            continue
-        if n is None:
-            if a + y(a) != x(4 * a):
-                raise BuilderError("b4.1 relation a a^y = a^{4x} failed")
-        else:
-            if (2 ** (n - 1)) * a != x(y(2 * a) - 2 * a):
-                raise BuilderError("b4.2 relation a^{2^(n-1)} = [a^2,y]^x failed")
+    a = A.table[~A.table[:, width * k:].any(axis=1)]
+    X, Y = x.matrix, y.matrix
+    if n is None:
+        if (A.index_of(a + a @ Y) != A.index_of(4 * a @ X)).any():
+            raise BuilderError("b4.1 relation a a^y = a^{4x} failed")
+    elif (A.index_of(2 ** (n - 1) * a) != A.index_of((2 * a @ Y - 2 * a) @ X)).any():
+        raise BuilderError("b4.2 relation a^{2^(n-1)} = [a^2,y]^x failed")
 
 
 def _build_inversion_negative() -> FiniteGroup:
@@ -414,16 +416,12 @@ def _build_m5() -> FiniteGroup:
     # hypotheses: U, V minimal normal and noncentral; |G/UV| = 5
     spec = G.semidirect_spec
     A, act = spec.A, spec.action[spec.H.generators[0]]
-    for start, width, p in ((0, 4, 2), (4, 4, 3)):
-        for a in A.elements():
-            c = a.coords
-            if not any(c[start:start + width]) or any(c[:start]) or any(c[start + width:]):
-                continue
-            sub = generated_submodule(a, [act])
-            if sub.order != p ** width:
+    # A = U x V with U = (C_2)^4 and V = (C_3)^4: the nonzero elements of
+    # U are those of order 2, and of V those of order 3
+    for p in (2, 3):
+        for a in np.flatnonzero(A.element_orders == p).tolist():
+            if generated_submodule(A, a, [act]).order != p ** 4:
                 raise BuilderError("M5 factor is not an irreducible module")
-            if act(a) == a:
-                raise BuilderError("M5 factor has a central element")
     if G.order != A.order * 5:
         raise BuilderError("M5 complement index is not 5")
     return G

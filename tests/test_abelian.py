@@ -108,7 +108,7 @@ def test_hom_powers_and_inverse():
 
 def test_subgroup_closure_and_type():
     A = AbelianGroup.of(8, 8)
-    B = AbSubgroup(A, (A.element((2, 0)), A.element((0, 4))))
+    B = AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 4))))
     assert B.order == 8
     assert B.isomorphism_type().factor_orders == (4, 2)
     assert B.exponent() == 4
@@ -126,14 +126,14 @@ def test_omega_layers():
 
 def test_embedding_criterion():
     A = AbelianGroup.of(8, 8)
-    assert embeds_in_C4_x_C2k(AbSubgroup(A, (A.element((2, 0)),)))  # C4
+    assert embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, (A.element((2, 0)),)))  # C4
     assert embeds_in_C4_x_C2k(
-        AbSubgroup(A, (A.element((4, 0)), A.element((0, 4))))
+        AbSubgroup.from_elements(A, (A.element((4, 0)), A.element((0, 4))))
     )  # C2 x C2
     assert not embeds_in_C4_x_C2k(
-        AbSubgroup(A, (A.element((2, 0)), A.element((0, 2))))
+        AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 2))))
     )  # C4 x C4 has four squares
-    assert not embeds_in_C4_x_C2k(AbSubgroup(A, (A.element((1, 0)),)))  # C8
+    assert not embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, (A.element((1, 0)),)))  # C8
 
 
 # -- duality suite --------------------------------------------------------
@@ -148,7 +148,7 @@ def test_annihilator_laws_random(trial):
             A.element(tuple(rng.randrange(d) for d in A.factor_orders))
             for _ in range(rng.randrange(3))
         )
-        B = AbSubgroup(A, gens)
+        B = AbSubgroup.from_elements(A, gens)
         Bp = perp(B)
         assert B.order * Bp.order == A.order
         assert perp_dual(Bp) == B
@@ -156,15 +156,15 @@ def test_annihilator_laws_random(trial):
 
 def test_annihilator_reverses_inclusion():
     A = AbelianGroup.of(4, 4)
-    B = AbSubgroup(A, (A.element((2, 0)),))
-    C = AbSubgroup(A, (A.element((2, 0)), A.element((0, 2))))
+    B = AbSubgroup.from_elements(A, (A.element((2, 0)),))
+    C = AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 2))))
     assert B <= C
     assert perp(C) <= perp(B)
 
 
 def test_perp_closes_its_subgroup_once(monkeypatch):
     A = AbelianGroup.of(4, 4, 2)
-    B = AbSubgroup(A, (A.element((1, 2, 0)), A.element((0, 2, 1))))
+    B = AbSubgroup.from_elements(A, (A.element((1, 2, 0)), A.element((0, 2, 1))))
     calls = []
     close = abelian_core._close
     monkeypatch.setattr(abelian_core, "_close",
@@ -173,7 +173,7 @@ def test_perp_closes_its_subgroup_once(monkeypatch):
     assert len(calls) == 1
     # the generators kept from the closure generate the same mask
     monkeypatch.undo()
-    assert Bp.generators and all(not g.is_zero() for g in Bp.generators)
+    assert Bp.generators.size and Bp.generators.all()  # table index 0 is zero
     assert AbSubgroup(A, Bp.generators) == Bp
     assert B.order * Bp.order == A.order
 
@@ -265,7 +265,7 @@ def test_fixed_subgroup():
 def test_generated_submodule_under_rotation():
     A = AbelianGroup.of(3, 3)
     x = AbHom.from_matrix(A, [(0, 1), (2, 2)])  # fixed-point-free of order 3
-    M = generated_submodule(A.element((1, 0)), [x])
+    M = generated_submodule(A, A.index_of((1, 0)), [x])
     assert M.order == 9
     assert M.is_invariant_under(x)
 
@@ -274,19 +274,19 @@ def test_generated_submodule_rejects_a_non_automorphism_after_a_memoised_one():
     A = AbelianGroup.of(2, 2)
     swap = AbHom.from_matrix(A, [(0, 1), (1, 0)])
     collapse = AbHom.from_matrix(A, [(1, 1), (1, 1)])
-    a = A.element((1, 0))
-    assert generated_submodule(a, [swap]).order == 4
+    a = A.index_of((1, 0))
+    assert generated_submodule(A, a, [swap]).order == 4
     for _ in range(2):  # the verdict on collapse is memoised after the first
         with pytest.raises(AbelianDomainError):
-            generated_submodule(a, [collapse])
+            generated_submodule(A, a, [collapse])
         with pytest.raises(AbelianDomainError):
-            generated_submodule(a, [swap, collapse])
+            generated_submodule(A, a, [swap, collapse])
     assert swap.is_automorphism() and not collapse.is_automorphism()
     # the memo takes no part in equality or hashing
     fresh = AbHom.from_matrix(A, [(1, 1), (1, 1)])
     assert fresh == collapse and hash(fresh) == hash(collapse)
     with pytest.raises(AbelianDomainError):
-        generated_submodule(a, [fresh])
+        generated_submodule(A, a, [fresh])
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,8 +298,8 @@ def test_subgroup_join_and_meet_are_lattice_ops(A, data):
     coords = st.tuples(*(st.integers(0, d - 1) for d in A.factor_orders))
     gens1 = data.draw(st.lists(coords, max_size=2))
     gens2 = data.draw(st.lists(coords, max_size=2))
-    B = AbSubgroup(A, tuple(A.element(c) for c in gens1))
-    C = AbSubgroup(A, tuple(A.element(c) for c in gens2))
+    B = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens1))
+    C = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens2))
     meet = B.intersection(C)
     join = B.join(C)
     assert meet <= B and meet <= C
@@ -398,8 +398,8 @@ def test_mask_subgroups_match_the_frozenset_reference(A, data):
     draw = data.draw
     gens1 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
     gens2 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
-    B = AbSubgroup(A, tuple(A.element(c) for c in gens1))
-    C = AbSubgroup(A, tuple(A.element(c) for c in gens2))
+    B = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens1))
+    C = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens2))
     ref_b, ref_c = reference_close(A, gens1), reference_close(A, gens2)
     everything = reference_elements(A)
 
@@ -447,7 +447,7 @@ def test_mask_subgroups_match_the_frozenset_reference(A, data):
     while frontier:
         frontier = {reference_apply(g, b) for b in frontier for g in acting} - orbit
         orbit |= frontier
-    assert coords_of(generated_submodule(A.element(start), acting)) == reference_close(
+    assert coords_of(generated_submodule(A, A.index_of(start), acting)) == reference_close(
         A, sorted(orbit)
     )
 

@@ -172,7 +172,7 @@ def test_criterion_10_duality_suite():
             A.element(tuple(rng.randrange(d) for d in A.factor_orders))
             for _ in range(rng.randrange(4))
         )
-        B = AbSubgroup(A, gens)
+        B = AbSubgroup.from_elements(A, gens)
         Bp = perp(B)
         assert B.order * Bp.order == A.order
         assert perp_dual(Bp) == B

@@ -123,9 +123,8 @@ def test_m5_hypotheses():
 
 def test_m5_build_checks_each_automorphism_once(monkeypatch):
     # one pass over A (|A| = 1296) per distinct acting map: the complement
-    # generator's matrix and its action; the rest are orbit steps and the
-    # central-element test.  Re-checking the map in every generated_submodule
-    # call made 125,218 calls.
+    # generator's matrix and its action.  Re-checking the map in every
+    # generated_submodule call made 125,218 calls.
     calls = 0
     call = AbHom.__call__
 
@@ -137,6 +136,37 @@ def test_m5_build_checks_each_automorphism_once(monkeypatch):
     monkeypatch.setattr(AbHom, "__call__", counted)
     build_case_family("M5")
     assert calls <= 3 * 1296
+
+
+def test_b41_builder_rejects_a_y_that_breaks_the_relation(monkeypatch):
+    X, _ = constructions._b41_block_matrices()
+    monkeypatch.setattr(constructions, "_b41_block_matrices",
+                        lambda: (X, [[-1, 0], [0, -1]]))
+    with pytest.raises(BuilderError, match="b4.1 relation"):
+        build_case_family("B4_1", k=1)
+
+
+def test_b42_builder_rejects_a_y_that_breaks_the_relation(monkeypatch):
+    block = constructions._b42_block_matrices
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(constructions, "_b42_block_matrices",
+                        lambda n: (block(n)[0], identity))
+    with pytest.raises(BuilderError, match="b4.2 relation"):
+        build_case_family("B4_2", n=3)
+
+
+def test_m5_builder_rejects_a_reducible_factor(monkeypatch):
+    # the 2-part acted on trivially: each nonzero a spans only <a>
+    block_semidirect = constructions._block_semidirect
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+
+    def trivial_2_part(blocks, h_name, name):
+        (orders, _), *rest = blocks
+        return block_semidirect([(orders, identity), *rest], h_name, name)
+
+    monkeypatch.setattr(constructions, "_block_semidirect", trivial_2_part)
+    with pytest.raises(BuilderError, match="not an irreducible module"):
+        build_case_family("M5")
 
 
 def test_inversion_variant_shape():

@@ -39,6 +39,15 @@ def s4():
     return from_permutations(4, ["(1 2 3 4)", "(1 2)"], name="S4")
 
 
+def test_order_1_table_comes_from_the_general_path():
+    table = dixon_table(cyclic_group(1))
+    assert table.values == (Cyclo.one(),)
+    assert table.ids.tolist() == [[0]] and table.ids.dtype == np.int8
+    assert not table.ids.flags.writeable
+    assert table.degrees == (1,)
+    assert table.zero_classes == ()
+
+
 def test_s3_table():
     table = dixon_table(symmetric_3())
     assert sorted(table.degrees) == [1, 1, 2]

@@ -95,7 +95,7 @@ def test_c6_search_builds_the_commutator_map_once(monkeypatch, tag, kwargs, outc
     monkeypatch.setattr(classifier, "commutator_hom", lambda *a: homs.append(a) or hom(*a))
     monkeypatch.setattr(classifier, "check_c6_case", lambda *a: checks.append(a) or check(*a))
     monkeypatch.setattr(
-        classifier, "_b42_span", lambda W, b, *a: spans.append(b.coords) or span(W, b, *a)
+        classifier, "_b42_span", lambda W, b, *a: spans.append(b) or span(W, b, *a)
     )
     verdict = classify_theorem_a(build_case_family(tag, **kwargs).group)
     assert verdict.outcome == outcome

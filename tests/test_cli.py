@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanishlab import character_lab, cli
+from vanishlab import abelian_core, character_lab, cli
 from vanishlab.abelian_core import AbelianGroup, AbSubgroup
+from vanishlab.classifier import classify_theorem_a
 from vanishlab.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_PARSE, main
 from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
 from vanishlab.cyclotomic import SIX_SUM_VERDICTS, SixSumVerdict
@@ -564,7 +565,7 @@ def _duality_draws(seed, trials):
             A.element(tuple(rng.randrange(d) for d in A.factor_orders))
             for _ in range(rng.randrange(3))
         )
-        yield AbSubgroup(A, gens)
+        yield AbSubgroup.from_elements(A, gens)
 
 
 def test_duality_checks_each_distinct_subgroup_once(capsys, monkeypatch):
@@ -591,11 +592,34 @@ def test_duality_checks_each_distinct_subgroup_once(capsys, monkeypatch):
                     "--seed", "1")
     assert code == EXIT_OK
     assert "observed=trials=1000;failures=0" in out
-    assert len(built) == 1000  # one closure per trial, none by perp
+    # one closure per trial, and one per annihilator
+    assert len(built) == 1000 + len(seen["perp"]) + len(seen["perp_dual"])
     for subs in seen.values():
         assert 0 < len(subs) < 1000
         assert len(set(subs)) == len(subs)
     assert len(seen["perp"]) == len(seen["perp_dual"])
+
+
+def test_every_closure_runs_inside_the_subgroup_constructor(capsys, monkeypatch):
+    # AbSubgroup.__init__ is the one path that closes an abelian subgroup
+    callers = []
+    close = abelian_core._close
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code)
+        return close(*args)
+
+    monkeypatch.setattr(abelian_core, "_close", traced)
+    counts = []
+    classify_theorem_a(build_case_family("B4_2", n=3).group)
+    counts.append(len(callers))
+    build_case_family("M5")
+    counts.append(len(callers))
+    code, _ = run(capsys, "verify-lemma", "duality", "--trials", "1000", "--seed", "1")
+    counts.append(len(callers))
+    assert code == EXIT_OK
+    assert 0 < counts[0] < counts[1] < counts[2]
+    assert set(callers) == {AbSubgroup.__init__.__code__}
 
 
 def test_duality_counts_a_failing_subgroup_once_per_draw(capsys, monkeypatch):
