@@ -415,8 +415,8 @@ def cmd_campaign(args) -> int:
                 print(f"check={name} status={status} observed={observed} "
                       f"expected={expected}")
         else:  # corpus; argparse admits no other section
-            entries = random_corpus(args.seed, args.count, max_order=cap)
-            provs = [e.provenance for e in entries]
+            draws = random_corpus(args.seed, args.count, max_order=cap)
+            provs = [d.provenance for d in draws]
             if args.jobs > 1:
                 import concurrent.futures
 

@@ -30,6 +30,7 @@ from .group_engine import (
     alternating_7,
     builtin_h,
     cycles_of,
+    enumerate_permutations,
     from_permutations,
     primary_part,
     semidirect_from_matrices,
@@ -49,6 +50,12 @@ class CorpusEntry:
     # one of "a", "b1", "b2", "b3", "b4.1", "b4.2", "AtOrAbove", or None
     expected_case: str | None = None
     expected_m: int | None = None
+
+
+@dataclass(frozen=True)
+class CorpusDraw:
+    """A drawn corpus member, not yet built: `replay(provenance)` builds it."""
+    provenance: str
 
 
 # -- assembly helpers -----------------------------------------------------
@@ -516,37 +523,41 @@ def build_case_family(tag: str, **params) -> CorpusEntry:
     return CorpusEntry(G, "family:INVERSION_NEGATIVE", expected_case="AtOrAbove")
 
 
-# Every deterministic family member as (tag, params, order), in catalog
-# order: the listed order lets `catalog_entries` skip a member over its cap
-# without building it (the tests check each against the built group).
+# Every deterministic family member as (provenance, order), in catalog
+# order: `replay` builds a member from its provenance, and the listed order
+# lets a draw or `catalog_entries` skip a member over its cap without
+# building it (the tests check each against the built group).
 _CATALOG = (
-    [("A", {"m": m, "variant": v}, order) for m, v, order in (
+    [(f"family:A m={m} variant={v}", order) for m, v, order in (
         (2, "c3", 6), (2, "c3xc3", 18), (2, "c5", 10), (2, "c9", 18),
         (3, "c13", 39), (3, "c7", 21), (3, "v4", 12),
         (4, "c13", 52), (4, "c3xc3", 36), (4, "c5", 20), (4, "s3xs3", 36),
         (5, "c11", 55), (5, "c2^4", 80), (5, "c3^4", 405),
         (6, "c13", 78), (6, "c7", 42), (6, "c7^2:s3", 294), (6, "s3xa4", 72),
     )]
-    + [("B1", {"shape": shape}, order) for shape, order in (
+    + [(f"family:B1 shape={shape}", order) for shape, order in (
         ("d8", 8), ("q8", 8), ("m16", 16), ("c4:c4", 16), ("d8xc3", 24))]
-    + [("B2", {"variant": v}, order) for v, order in (
+    + [(f"family:B2 variant={v}", order) for v, order in (
         ("s4", 24), ("c4", 96), ("negative", 1536))]
-    + [("B4_1", {"k": 1}, 384), ("B4_2", {"n": 3, "k": 1}, 1536)]
-    + [("PGROUP", {"shape": shape}, order) for shape, order in (
+    + [("family:B4_1 k=1 c_part=0", 384), ("family:B4_2 n=3 k=1 c_part=0", 1536)]
+    + [(f"family:PGROUP shape={shape}", order) for shape, order in (
         ("c4xc2", 8), ("d16", 16), ("d8", 8), ("heis3", 27), ("m16", 16),
         ("q16", 16), ("q8", 8), ("sd16", 16))]
-    + [("INVERSION_NEGATIVE", {}, 384)]
+    + [("family:INVERSION_NEGATIVE", 384)]
 )
 
 
 def catalog_entries(max_order: int = 2000) -> list[CorpusEntry]:
-    """All deterministic family members whose order fits the cap; only
-    those are built."""
-    return [build_case_family(tag, **params)
-            for tag, params, order in _CATALOG if order <= max_order]
+    """All deterministic family members whose order fits the cap, each
+    built by replaying its provenance; a member over the cap is never
+    built."""
+    return [replay(provenance) for provenance, order in _CATALOG if order <= max_order]
 
 
-def _random_perm_entry(rng: random.Random, index: int, max_order: int) -> CorpusEntry:
+def _random_perm_draw(rng: random.Random, max_order: int) -> CorpusDraw:
+    """Two random permutations of a random degree 3..7, neither the
+    identity, drawn again until the group they generate fits the cap.  The
+    cap is checked by enumeration alone: no group is built."""
     while True:
         degree = rng.randint(3, 7)
         gens = []
@@ -558,24 +569,23 @@ def _random_perm_entry(rng: random.Random, index: int, max_order: int) -> Corpus
         if any(c == "()" for c in cyc):
             continue
         try:
-            G = from_permutations(degree, cyc, name=f"perm{index}", max_order=max_order)
-        except GroupDomainError:  # over the cap: draw again
+            enumerate_permutations(degree, gens, max_order)
+        except GroupSizeError:  # over the cap: draw again
             continue
-        return CorpusEntry(G, f"perm degree={degree} gens={';'.join(cyc)}")
+        return CorpusDraw(f"perm degree={degree} gens={';'.join(cyc)}")
 
 
-def random_corpus(seed: int, count: int, max_order: int = 2000) -> list[CorpusEntry]:
+def random_corpus(seed: int, count: int, max_order: int = 2000) -> list[CorpusDraw]:
     """Deterministic mixed corpus: every named family member within the cap,
-    padded up to `count` with random small permutation groups."""
+    padded up to `count` with random small permutation groups.  Drawing
+    builds no group; `replay` builds each member from its provenance."""
     rng = random.Random(seed)
-    entries = catalog_entries(max_order)
-    if len(entries) < count and max_order < 2:
+    draws = [CorpusDraw(provenance) for provenance, order in _CATALOG if order <= max_order]
+    if len(draws) < count and max_order < 2:
         raise BuilderError("random groups need an order cap of at least 2")
-    index = 0
-    while len(entries) < count:
-        entries.append(_random_perm_entry(rng, index, max_order))
-        index += 1
-    return entries[:count]
+    while len(draws) < count:
+        draws.append(_random_perm_draw(rng, max_order))
+    return draws[:count]
 
 
 def replay(provenance: str) -> CorpusEntry:

@@ -922,23 +922,21 @@ def cycles_of(p: tuple) -> str:
     return "".join(parts) or "()"
 
 
-def from_permutations(degree: int, generators, name="",
-                      max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
-    """Group generated by permutations (tuples or cycle-notation strings);
-    GroupSizeError as soon as it has more than `max_order` elements.
+def enumerate_permutations(degree: int, gens, max_order: int = MAX_GROUP_ORDER
+                           ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Number the group generated by the permutation tuples `gens`:
+    (levels, rows), GroupSizeError as soon as it has more than `max_order`
+    elements.
 
     The elements are enumerated breadth-first, one level at a time, on
     integer arrays: the images of a level under every generator come from
     one gather, g[a] = perm_mul(a, g), and new images are numbered in
-    (parent, generator) order.  The number of every image is kept, so the
-    same pass yields the rows R[s] that FiniteGroup compiles and verifies,
-    and `perm_mul` is never called."""
+    (parent, generator) order.  levels[i] holds the elements of level i as
+    rows of points, in number order; rows[i][j, s] is the number of the
+    j-th element of level i times generator s.  `perm_mul` is never
+    called."""
     if degree < 1:
         raise GroupDomainError("degree must be positive")
-    gens = [
-        parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
-        for g in generators
-    ]
     ident = tuple(range(degree))
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -960,9 +958,24 @@ def from_permutations(degree: int, generators, name="",
         fresh = np.flatnonzero(found >= before)
         # the first image numbered with each new number, in number order
         frontier = images[fresh[np.unique(found[fresh], return_index=True)[1]]]
+    return levels, rows
+
+
+def from_permutations(degree: int, generators, name="",
+                      max_order: int = MAX_GROUP_ORDER) -> FiniteGroup:
+    """Group generated by permutations (tuples or cycle-notation strings);
+    GroupSizeError as soon as it has more than `max_order` elements.
+
+    `enumerate_permutations` numbers the elements and finds the rows R[s]
+    that FiniteGroup compiles and verifies."""
+    gens = [
+        parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
+        for g in generators
+    ]
+    levels, rows = enumerate_permutations(degree, gens, max_order)
     elements = list(map(tuple, np.concatenate(levels).tolist()))
     return FiniteGroup(
-        elements, perm_mul, perm_inv, ident,
+        elements, perm_mul, perm_inv, elements[0],
         generators=gens, name=name, right=np.concatenate(rows).T,
     )
 

@@ -1,7 +1,7 @@
 import pytest
 
 from vanishlab.character_lab import proportion
-from vanishlab.constructions import random_corpus
+from vanishlab.constructions import random_corpus, replay
 
 CORPUS_SEED = 42
 CORPUS_COUNT = 200
@@ -14,7 +14,8 @@ _criterion_lines = []
 def corpus_reports():
     """The seeded verification corpus with its exact vanishing census,
     computed once per session."""
-    entries = random_corpus(CORPUS_SEED, CORPUS_COUNT, max_order=CORPUS_MAX_ORDER)
+    draws = random_corpus(CORPUS_SEED, CORPUS_COUNT, max_order=CORPUS_MAX_ORDER)
+    entries = [replay(draw.provenance) for draw in draws]
     return [(entry, proportion(entry.group)) for entry in entries]
 
 

@@ -15,7 +15,7 @@ from vanishlab.constructions import (
     random_corpus,
     replay,
 )
-from vanishlab.group_engine import GroupSizeError, abelian_model, is_a_group
+from vanishlab.group_engine import FiniteGroup, GroupSizeError, abelian_model, is_a_group
 
 
 def test_metacyclic_two_groups():
@@ -184,15 +184,20 @@ def test_catalog_is_within_order_bound():
     assert len({e.provenance for e in entries}) == len(entries)
 
 
-def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
-    # every listed order is the built order, every family member is listed,
-    # and a member over the cap is never built
+def test_catalog_rows_replay_to_their_provenance_and_order():
+    # every listed order is the built order, and every family member is listed
     catalog = constructions._CATALOG
-    full = catalog_entries(max_order=8192)
-    assert [e.group.order for e in full] == [order for _, _, order in catalog]
-    listed = {(tag, p.get("variant") or p.get("shape")) for tag, p, _ in catalog}
-    assert {("A", v) for vs in constructions._A_FAMILY.values() for v in vs} <= listed
-    assert {("PGROUP", s) for s in constructions._PGROUP_SHAPES} <= listed
+    for provenance, order in catalog:
+        entry = replay(provenance)
+        assert (entry.provenance, entry.group.order) == (provenance, order)
+    listed = {provenance for provenance, _ in catalog}
+    assert {f"family:A m={m} variant={v}"
+            for m, vs in constructions._A_FAMILY.items() for v in vs} <= listed
+    assert {f"family:PGROUP shape={s}" for s in constructions._PGROUP_SHAPES} <= listed
+
+
+def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
+    # a member over the cap is never built
     built = []
     build = constructions.build_case_family
     monkeypatch.setattr(
@@ -203,7 +208,8 @@ def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
         built.clear()
         entries = catalog_entries(max_order=cap)
         assert [e.provenance for e in entries] == \
-            [e.provenance for e in full if e.group.order <= cap]
+            [p for p, order in constructions._CATALOG if order <= cap]
+        assert all(e.group.order <= cap for e in entries)
         assert len(built) == len(entries)
 
 
@@ -211,7 +217,13 @@ def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
     ((42, 200, 2000), "18d65d71dc5a50251637b4f2b443bd7a72c0d8e2bfc300fb7e663bc72fb657ac"),
     ((1, 400, 1000), "d0962affb63ffe7761fa7106d220da63817c865ac7edc165a66bd8810d4e9417"),
 ], ids=["42-200-2000", "1-400-1000"])
-def test_corpus_provenances_are_golden(args, digest):
+def test_corpus_provenances_are_golden(args, digest, monkeypatch):
+    # drawing builds no group: the draws alone give the pinned provenances
+    def refuse(*_, **__):
+        raise AssertionError("a corpus draw built a group")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(constructions, "build_case_family", refuse)
     text = "\n".join(e.provenance for e in random_corpus(*args))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -230,7 +242,7 @@ def test_random_corpus_is_deterministic():
     b = random_corpus(5, 40, max_order=2000)
     assert [e.provenance for e in a] == [e.provenance for e in b]
     assert len(a) == 40
-    assert all(e.group.order <= 2000 for e in a)
+    assert all(replay(e.provenance).group.order <= 2000 for e in a)
 
 
 @pytest.mark.parametrize("max_order", [1, -5])
@@ -240,16 +252,19 @@ def test_random_corpus_rejects_a_cap_no_random_group_fits(max_order):
 
 
 def test_every_catalog_and_corpus_provenance_replays():
-    entries = catalog_entries(max_order=8192) + random_corpus(42, 200, max_order=2000)
-    for entry in entries:
+    for entry in catalog_entries(max_order=8192):
         again = replay(entry.provenance)
         assert again.provenance == entry.provenance
         assert again.group.order == entry.group.order
+    for draw in random_corpus(42, 200, max_order=2000):
+        again = replay(draw.provenance)
+        assert again.provenance == draw.provenance
+        assert again.group.order <= 2000
 
 
 def test_random_corpus_replay():
-    for entry in random_corpus(11, 45, max_order=2000)[-8:]:
-        again = replay(entry.provenance)
+    for draw in random_corpus(11, 45, max_order=2000)[-8:]:
+        entry, again = replay(draw.provenance), replay(draw.provenance)
         assert again.group.order == entry.group.order
         sizes = sorted(len(c) for _, c in entry.group.conjugacy_classes)
         assert sizes == sorted(len(c) for _, c in again.group.conjugacy_classes)

@@ -25,7 +25,7 @@ from vanishlab.character_lab import (
 )
 from vanishlab.classifier import classify_theorem_a
 from vanishlab.abelian_core import AbelianGroup, AbHom
-from vanishlab.constructions import build_case_family, catalog_entries, random_corpus
+from vanishlab.constructions import build_case_family, catalog_entries, random_corpus, replay
 from vanishlab.cyclotomic import p_valuation
 from vanishlab.groupfile import emit_group, parse_group
 from vanishlab.group_engine import (
@@ -479,8 +479,8 @@ def reference_span(view, gens):
 
 
 def test_grown_spans_match_the_refilled_span(monkeypatch):
-    for entry in random_corpus(1, 400, 1000):
-        G = entry.group
+    for draw in random_corpus(1, 400, 1000):
+        G = replay(draw.provenance).group
         view = G.compiled
         gens = G.indices(G.generators)
         mask, basis = reference_span(view, gens)

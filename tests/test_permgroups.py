@@ -11,13 +11,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanishlab.constructions import random_corpus
+from vanishlab.constructions import random_corpus, replay
 from vanishlab.group_engine import (
     FiniteGroup,
     GroupDomainError,
     GroupSizeError,
     MAX_GROUP_ORDER,
+    enumerate_permutations,
     from_permutations,
     parse_cycles,
     perm_inv,
@@ -76,7 +79,8 @@ def test_index_array_enumeration_matches_the_tuple_bfs(name):
 
 @pytest.fixture(scope="module")
 def corpus_42():
-    """random_corpus(42, 200, 2000), with the order of every group built."""
+    """random_corpus(42, 200, 2000), with the order of every group built
+    while its members are replayed."""
     orders = []
     init = FiniteGroup.__init__
 
@@ -86,13 +90,15 @@ def corpus_42():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FiniteGroup, "__init__", recording)
-        entries = random_corpus(42, 200, 2000)
-    return entries, orders
+        draws = random_corpus(42, 200, 2000)
+        for draw in draws:
+            replay(draw.provenance)
+    return draws, orders
 
 
 @pytest.fixture(scope="module")
 def corpus_1():
-    return random_corpus(1, 400, 1000)
+    return [replay(draw.provenance) for draw in random_corpus(1, 400, 1000)]
 
 
 def provenance_digest(entries):
@@ -108,8 +114,8 @@ def test_corpus_provenance_is_golden(corpus_42, corpus_1):
 
 
 def test_corpus_builds_no_group_above_its_cap(corpus_42):
-    # a random draw over the cap stops enumerating there, before any
-    # FiniteGroup is built for it
+    # a random draw over the cap stops enumerating there and is drawn
+    # again, so no member replays to a group above the cap
     orders = corpus_42[1]
     assert len(orders) >= 200 and max(orders) <= 2000
 
@@ -135,6 +141,24 @@ def test_order_bound_is_inclusive():
     assert from_permutations(4, s4, max_order=24).order == 24
     with pytest.raises(GroupSizeError):
         from_permutations(4, s4, max_order=23)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_cap_check_matches_the_built_order(data):
+    # enumeration alone decides whether a group fits a cap, as a corpus
+    # draw does: it raises exactly when the built group would be too large
+    degree = data.draw(st.integers(3, 7), label="degree")
+    gens = [data.draw(st.permutations(range(degree)), label="generator")
+            for _ in range(2)]
+    cap = data.draw(st.sampled_from([1, 2, 6, 24, 120, 1000, 5040]), label="cap")
+    order = from_permutations(degree, gens).order
+    if order > cap:
+        with pytest.raises(GroupSizeError):
+            enumerate_permutations(degree, gens, cap)
+    else:
+        levels, rows = enumerate_permutations(degree, gens, cap)
+        assert sum(map(len, levels)) == sum(map(len, rows)) == order
 
 
 def test_s8_stops_at_the_default_cap():
