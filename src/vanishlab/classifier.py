@@ -65,8 +65,12 @@ class Verdict:
     below: bool
     case: CaseLabel | None = None
     m: int | None = None
-    predicted_p: Fraction | None = None
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def predicted_p(self) -> Fraction | None:
+        """The paper's P(G) = (m - 1)/m of a Below verdict, None otherwise."""
+        return Fraction(self.m - 1, self.m) if self.below else None
 
     @property
     def outcome(self) -> str:
@@ -319,13 +323,8 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
             return None
         if witness is None:
             return None
-        return Verdict(
-            True,
-            witness.case,
-            6,
-            Fraction(5, 6),
-            {"A": A, "W": W, "module": model, "c6": witness},
-        )
+        return Verdict(True, witness.case, 6,
+                       {"A": A, "W": W, "module": model, "c6": witness})
 
     # G/A = S_3
     if A != G.fitting:
@@ -337,10 +336,7 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     if not ok:
         return None
     C = fixed_subgroup(model.shape, [yh])
-    return Verdict(
-        True, CaseLabel.B2, 6, Fraction(5, 6),
-        {"A": A, "W": W, "module": model, "C": C},
-    )
+    return Verdict(True, CaseLabel.B2, 6, {"A": A, "W": W, "module": model, "C": C})
 
 
 def _b_verdicts(G: FiniteGroup):
@@ -352,7 +348,7 @@ def _b_verdicts(G: FiniteGroup):
     candidates = abelian_normal_candidates(G)
     b1 = check_b1(G, candidates)
     if b1 is not None:
-        yield Verdict(True, CaseLabel.B1, 4, Fraction(3, 4), b1)
+        yield Verdict(True, CaseLabel.B1, 4, b1)
     for A in candidates:
         if G.order == 6 * A.order:
             verdict = _check_b_m6(G, A, Q)
@@ -371,9 +367,7 @@ def classify_theorem_a(G: FiniteGroup) -> Verdict:
                 bad = {p for p in (2, 3) if ratio % p == 0}
                 if len(bad) > 1:
                     return Verdict(False)
-            return Verdict(
-                True, CaseLabel.A, m, Fraction(m - 1, m), {"F": F}
-            )
+            return Verdict(True, CaseLabel.A, m, {"F": F})
         return Verdict(False)
     return next(_b_verdicts(G), Verdict(False))
 

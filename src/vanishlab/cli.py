@@ -21,6 +21,7 @@ from .abelian_core import AbelianGroup, AbSubgroup, perp, perp_dual
 from .character_lab import dixon_table, proportion
 from .classifier import THRESHOLD, classify_theorem_a
 from .constructions import (
+    CORPUS_MAX_ORDER,
     BuilderError,
     build_case_family,
     random_corpus,
@@ -372,10 +373,8 @@ def _corpus_row(provenance: str) -> tuple[str, bool]:
         problems.append("value-set-violation")
     if entry.expected_p is not None and entry.expected_p != p:
         problems.append("builder-expectation-p")
-    if entry.expected_case not in (None, "AtOrAbove"):
-        if not verdict.below or verdict.case.value != entry.expected_case:
-            problems.append("builder-expectation-case")
-    elif entry.expected_case == "AtOrAbove" and verdict.below:
+    found = verdict.case.value if verdict.below else "AtOrAbove"
+    if entry.expected_case not in (None, found):
         problems.append("builder-expectation-case")
     # p-group law: N(G) = Z(G)
     if len(G.primes()) == 1:
@@ -392,7 +391,7 @@ def _corpus_row(provenance: str) -> tuple[str, bool]:
 
 
 def cmd_campaign(args) -> int:
-    cap = args.caps if args.caps is not None else 2000
+    cap = args.caps
     print(f"version={__version__}")
     print(f"seed={args.seed}")
     print(f"count={args.count}")
@@ -506,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, choices=(*LEMMA_CHECKS, "corpus"),
                    help="run a single section")
     # a random group has order at least 2
-    p.add_argument("--caps", type=_int_at_least(2), default=None,
-                   help="max corpus group order (default 2000)")
+    p.add_argument("--caps", type=_int_at_least(2), default=CORPUS_MAX_ORDER,
+                   help=f"max corpus group order (default {CORPUS_MAX_ORDER})")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="corpus workers (entries are independent)")
     p.set_defaults(func=cmd_campaign)

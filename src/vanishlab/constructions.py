@@ -38,6 +38,10 @@ from .group_engine import (
 )
 
 
+# the default order cap of the verification corpus
+CORPUS_MAX_ORDER = 2000
+
+
 class BuilderError(GroupDomainError):
     """A builder's defining structural identity failed to verify."""
 
@@ -192,7 +196,12 @@ def _verify_module_shapes(G: FiniteGroup, n: int, k: int):
 
 
 # -- family builders ------------------------------------------------------
+# Each takes the parameters of its `_FAMILIES` row in order and returns the
+# group, the parameter values its provenance shows and the expected verdict:
+# (case, m) for a Below case, whose P is (m - 1)/m, or else the exact P of an
+# AtOrAbove member (None where it is not stated).
 
+SWAP = [[0, 1], [1, 0]]
 
 _A_FAMILY = {
     # m -> variant -> (factor orders, complement, action matrices)
@@ -234,7 +243,10 @@ _A_PERM_VARIANTS = {
 }
 
 
-def _build_a(m: int, variant: str) -> FiniteGroup:
+def _build_a(m: int, variant: str | None):
+    """The variant defaults to the first of m's variants in sorted order."""
+    if variant is None:
+        variant = min(_A_FAMILY.get(m, ("",)))
     if m not in _A_FAMILY or variant not in _A_FAMILY[m]:
         raise BuilderError(f"unknown A-family member m={m} variant={variant!r}")
     if variant in _A_PERM_VARIANTS:
@@ -242,7 +254,7 @@ def _build_a(m: int, variant: str) -> FiniteGroup:
         G = from_permutations(degree, gens, name=name)
     elif variant == "c7^2:s3":
         A = AbelianGroup.of(7, 7)
-        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, [[0, 1], [1, 0]]], "C7^2:S3")
+        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, SWAP], "C7^2:S3")
     else:
         orders, h_name, mats = _A_FAMILY[m][variant]
         A = AbelianGroup.of(*orders)
@@ -253,18 +265,19 @@ def _build_a(m: int, variant: str) -> FiniteGroup:
             raise BuilderError("A-family output has a nonabelian Sylow subgroup")
     if G.order != G.fitting.order * m:
         raise BuilderError("A-family output has the wrong Fitting index")
-    return G
+    return G, (m, variant), ("a", m)
 
 
 _PGROUP_SHAPES = {
-    # shape -> (constructor, [G : Z(G)])
+    # shape -> (constructor, [G : Z(G)]); each constructor calls its builder
+    # by name, so a wrapper put on the module attribute sees the call
     "d8": (lambda: metacyclic_2generator(4, -1, 0, "D8"), 4),
     "q8": (lambda: metacyclic_2generator(4, -1, 2, "Q8"), 4),
     "d16": (lambda: metacyclic_2generator(8, -1, 0, "D16"), 8),
     "q16": (lambda: metacyclic_2generator(8, -1, 4, "Q16"), 8),
     "sd16": (lambda: metacyclic_2generator(8, 3, 0, "SD16"), 8),
     "m16": (lambda: metacyclic_2generator(8, 5, 0, "M16"), 4),
-    "heis3": (heisenberg_3, 9),
+    "heis3": (lambda: heisenberg_3(), 9),
     "c4xc2": (lambda: _abelian_as_group(4, 2), 1),
 }
 
@@ -275,7 +288,9 @@ def _abelian_as_group(*orders: int) -> FiniteGroup:
     return semidirect_from_matrices(A, builtin_h("C1"), [eye], "x".join(f"C{d}" for d in orders))
 
 
-def _build_pgroup(shape: str) -> tuple[FiniteGroup, int]:
+def _build_pgroup(shape: str):
+    """P(G) = 1 - 1/[G : Z(G)] for a p-group G: Below in case (a) when G is
+    abelian and in case (b1) when the index is 4, else AtOrAbove."""
     if shape not in _PGROUP_SHAPES:
         raise BuilderError(f"unknown p-group shape {shape!r}")
     make, index = _PGROUP_SHAPES[shape]
@@ -284,10 +299,10 @@ def _build_pgroup(shape: str) -> tuple[FiniteGroup, int]:
         raise BuilderError("p-group builder produced a mixed-order group")
     if G.order != G.center.order * index:
         raise BuilderError("p-group builder: unexpected center index")
-    return G, index
+    return G, (shape,), {1: ("a", 1), 4: ("b1", 4)}.get(index, Fraction(index - 1, index))
 
 
-def _build_b1(shape: str) -> FiniteGroup:
+def _build_b1(shape: str):
     if shape == "d8xc3":
         A = AbelianGroup.of(4, 3)
         # C2 inverts the C4 part and fixes the C3 part
@@ -295,7 +310,7 @@ def _build_b1(shape: str) -> FiniteGroup:
     elif shape == "c4:c4":
         G = _c4_semi_c4()
     elif shape in ("d8", "q8", "m16"):
-        G, _ = _build_pgroup(shape)
+        G = _PGROUP_SHAPES[shape][0]()
     else:
         raise BuilderError(f"unknown B1 shape {shape!r}")
     # defining predicate: Syl_2 nonabelian and Z(G) of index 4 with
@@ -308,7 +323,7 @@ def _build_b1(shape: str) -> FiniteGroup:
         raise BuilderError("B1 output center does not have index 4")
     if primary_part(Z, 2) != subgroup_center(Q):
         raise BuilderError("B1 output: O_2(Z(G)) differs from Z(Q)")
-    return G
+    return G, (shape,), ("b1", 4)
 
 
 def _c4_semi_c4() -> FiniteGroup:
@@ -328,53 +343,42 @@ def _c4_semi_c4() -> FiniteGroup:
     )
 
 
-def _build_b2(variant: str) -> tuple[FiniteGroup, str | None]:
-    swap = [[0, 1], [1, 0]]
-    if variant == "s4":
-        A = AbelianGroup.of(2, 2)
-        G = semidirect_from_matrices(A, builtin_h("S3"), [[[0, 1], [1, 1]], swap], "S4")
-        return G, "b2"
-    if variant == "c4":
-        A = AbelianGroup.of(4, 4)
-        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, swap], "C4^2:S3")
-        return G, "b2"
-    if variant == "negative":
-        # two (C_4)^2 blocks rotated oppositely, y swapping them:
-        # C_A(y) is the diagonal (C_4)^2, which has four squares
-        A = AbelianGroup.of(4, 4, 4, 4)
-        r = [
-            [0, 1, 0, 0],
-            [-1, -1, 0, 0],
-            [0, 0, -1, -1],
-            [0, 0, 1, 0],
-        ]
-        t = [
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-        ]
-        G = semidirect_from_matrices(A, builtin_h("S3"), [r, t], "C4^4:S3-diag")
-        return G, None
-    raise BuilderError(f"unknown B2 variant {variant!r}")
+_B2_VARIANTS = {
+    # variant -> (factor orders of A, matrices of S3's generators, name,
+    # expected verdict)
+    "s4": ((2, 2), [[[0, 1], [1, 1]], SWAP], "S4", ("b2", 6)),
+    "c4": ((4, 4), [ROT, SWAP], "C4^2:S3", ("b2", 6)),
+    # two (C_4)^2 blocks rotated oppositely, y swapping them:
+    # C_A(y) is the diagonal (C_4)^2, which has four squares
+    "negative": ((4, 4, 4, 4), [
+        [[0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, -1, -1], [0, 0, 1, 0]],
+        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+    ], "C4^4:S3-diag", None),
+}
 
 
-def _build_b41(k: int, c_part: bool) -> FiniteGroup:
+def _build_b2(variant: str):
+    if variant not in _B2_VARIANTS:
+        raise BuilderError(f"unknown B2 variant {variant!r}")
+    orders, mats, name, expected = _B2_VARIANTS[variant]
+    G = semidirect_from_matrices(AbelianGroup.of(*orders), builtin_h("S3"), mats, name)
+    return G, (variant,), expected
+
+
+def _build_b41(k: int, c_part: int):
     if k < 1:
         raise BuilderError("B4_1 needs k >= 1")
     X, Y = _b41_block_matrices()
     blocks = [((8, 8), _c6_action_matrix(X, Y))] * k
     if c_part:
         # C = (C_4)^2 rotated by x and inverted by y
-        xc = ROT
-        yc = [[-1, 0], [0, -1]]
-        blocks = blocks + [((4, 4), _c6_action_matrix(xc, yc))]
+        blocks.append(((4, 4), _c6_action_matrix(ROT, [[-1, 0], [0, -1]])))
     G = _block_semidirect(blocks, "C6", f"(C8^2)^{k}{'xC4^2' if c_part else ''}:C6")
     _verify_c6_identity_blocks(G, k, None)
-    return G
+    return G, (k, int(bool(c_part))), ("b4.1", 6)
 
 
-def _build_b42(n: int, k: int, c_part: bool) -> FiniteGroup:
+def _build_b42(n: int, k: int, c_part: int):
     if n < 3:
         raise BuilderError("B4_2 needs n >= 3 (the module has exponent 2^n >= 8)")
     if k < 1:
@@ -383,12 +387,11 @@ def _build_b42(n: int, k: int, c_part: bool) -> FiniteGroup:
     blocks = [((2 ** n, 2 ** n, 2, 2), _c6_action_matrix(X, Y))] * k
     if c_part:
         # C = (C_2)^2 rotated by x, centralized by y
-        blocks = blocks + [((2, 2), _c6_action_matrix([[0, 1], [1, 1]],
-                                                      [[1, 0], [0, 1]]))]
+        blocks.append(((2, 2), _c6_action_matrix([[0, 1], [1, 1]], [[1, 0], [0, 1]])))
     G = _block_semidirect(blocks, "C6", f"b42(n={n},k={k}{',C' if c_part else ''})")
     _verify_c6_identity_blocks(G, k, n)
     _verify_module_shapes(G, n, k)
-    return G
+    return G, (n, k, int(bool(c_part))), ("b4.2", 6)
 
 
 def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
@@ -406,17 +409,17 @@ def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
         raise BuilderError("b4.2 relation a^{2^(n-1)} = [a^2,y]^x failed")
 
 
-def _build_inversion_negative() -> FiniteGroup:
+def _build_inversion_negative():
     A = AbelianGroup.of(8, 8)
     neg_rot = [[0, -1], [1, 1]]
     G = semidirect_from_matrices(A, builtin_h("C6"), [neg_rot], "C8^2:C6-inv")
     _, y = _c6_actions(G)
     if y != AbHom.scalar(A, -1):
         raise BuilderError("inversion builder: y does not invert A")
-    return G
+    return G, (), None
 
 
-def _build_m5() -> FiniteGroup:
+def _build_m5():
     comp2 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
     comp3 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]
     G = _block_semidirect([((2, 2, 2, 2), comp2), ((3, 3, 3, 3), comp3)], "C5", "M5")
@@ -431,96 +434,47 @@ def _build_m5() -> FiniteGroup:
                 raise BuilderError("M5 factor is not an irreducible module")
     if G.order != A.order * 5:
         raise BuilderError("M5 complement index is not 5")
-    return G
+    return G, (), Fraction(133, 135)
+
+
+# tag -> (its parameters with their defaults, in provenance order; builder).
+# An int default makes the parameter's value an int.
+_FAMILIES = {
+    "A": ({"m": 2, "variant": None}, _build_a),
+    "B1": ({"shape": "d8"}, _build_b1),
+    "B2": ({"variant": "s4"}, _build_b2),
+    "B4_1": ({"k": 1, "c_part": 0}, _build_b41),
+    "B4_2": ({"n": 3, "k": 1, "c_part": 0}, _build_b42),
+    "PGROUP": ({"shape": "d8"}, _build_pgroup),
+    "M5": ({}, _build_m5),
+    "A7": ({}, lambda: (alternating_7(), (), Fraction(1067, 1260))),
+    "INVERSION_NEGATIVE": ({}, _build_inversion_negative),
+}
 
 
 # -- public entry points --------------------------------------------------
 
 
 def build_case_family(tag: str, **params) -> CorpusEntry:
-    """Build one named family member; see the module docstring for tags.
-    A parameter the tag does not take is a BuilderError."""
+    """Build one member of the `_FAMILIES` row `tag`, with provenance
+    `family:TAG k=v ...`.  A parameter the tag does not take is a
+    BuilderError."""
     tag = tag.upper()
-    takes = {"A": ("m", "variant"), "B1": ("shape",), "B2": ("variant",),
-             "B4_1": ("k", "c_part"), "B4_2": ("n", "k", "c_part"),
-             "PGROUP": ("shape",), "M5": (), "A7": (), "INVERSION_NEGATIVE": ()}
-    if tag not in takes:
+    if tag not in _FAMILIES:
         raise BuilderError(f"unknown family tag {tag!r}")
+    defaults, build = _FAMILIES[tag]
     for key in params:
-        if key not in takes[tag]:
+        if key not in defaults:
             raise BuilderError(f"family tag {tag} takes no parameter {key!r}")
-    if tag == "A":
-        m = int(params.get("m", 2))
-        variant = params.get("variant")
-        if variant is None:
-            variant = sorted(_A_FAMILY.get(m, {}))[0] if m in _A_FAMILY else ""
-        G = _build_a(m, variant)
-        return CorpusEntry(
-            G, f"family:A m={m} variant={variant}",
-            expected_p=Fraction(m - 1, m), expected_case="a", expected_m=m,
-        )
-    if tag == "B1":
-        shape = params.get("shape", "d8")
-        G = _build_b1(shape)
-        return CorpusEntry(
-            G, f"family:B1 shape={shape}",
-            expected_p=Fraction(3, 4), expected_case="b1", expected_m=4,
-        )
-    if tag == "B2":
-        variant = params.get("variant", "s4")
-        G, case = _build_b2(variant)
-        if case is None:
-            return CorpusEntry(G, f"family:B2 variant={variant}",
-                               expected_case="AtOrAbove")
-        return CorpusEntry(
-            G, f"family:B2 variant={variant}",
-            expected_p=Fraction(5, 6), expected_case="b2", expected_m=6,
-        )
-    if tag == "B4_1":
-        k = int(params.get("k", 1))
-        c_part = bool(int(params.get("c_part", 0)))
-        G = _build_b41(k, c_part)
-        return CorpusEntry(
-            G, f"family:B4_1 k={k} c_part={int(c_part)}",
-            expected_p=Fraction(5, 6), expected_case="b4.1", expected_m=6,
-        )
-    if tag == "B4_2":
-        n = int(params.get("n", 3))
-        k = int(params.get("k", 1))
-        c_part = bool(int(params.get("c_part", 0)))
-        G = _build_b42(n, k, c_part)
-        return CorpusEntry(
-            G, f"family:B4_2 n={n} k={k} c_part={int(c_part)}",
-            expected_p=Fraction(5, 6), expected_case="b4.2", expected_m=6,
-        )
-    if tag == "M5":
-        G = _build_m5()
-        return CorpusEntry(
-            G, "family:M5", expected_p=Fraction(133, 135),
-            expected_case="AtOrAbove",
-        )
-    if tag == "PGROUP":
-        shape = params.get("shape", "d8")
-        G, index = _build_pgroup(shape)
-        p = Fraction(index - 1, index)
-        case = None
-        if p == 0:
-            case, m = "a", 1
-        elif p < Fraction(1067, 1260):
-            case, m = "b1", 4
-        else:
-            case, m = "AtOrAbove", None
-        return CorpusEntry(
-            G, f"family:PGROUP shape={shape}", expected_p=p,
-            expected_case=case, expected_m=m,
-        )
-    if tag == "A7":
-        return CorpusEntry(
-            alternating_7(), "family:A7",
-            expected_p=Fraction(1067, 1260), expected_case="AtOrAbove",
-        )
-    G = _build_inversion_negative()  # INVERSION_NEGATIVE, the last tag
-    return CorpusEntry(G, "family:INVERSION_NEGATIVE", expected_case="AtOrAbove")
+    G, shown, expected = build(*(
+        int(params.get(key, default)) if isinstance(default, int) else params.get(key, default)
+        for key, default in defaults.items()
+    ))
+    provenance = " ".join([f"family:{tag}", *(f"{k}={v}" for k, v in zip(defaults, shown))])
+    if isinstance(expected, tuple):
+        case, m = expected
+        return CorpusEntry(G, provenance, Fraction(m - 1, m), case, m)
+    return CorpusEntry(G, provenance, expected, "AtOrAbove")
 
 
 # Every deterministic family member as (provenance, order), in catalog
@@ -547,7 +501,7 @@ _CATALOG = (
 )
 
 
-def catalog_entries(max_order: int = 2000) -> list[CorpusEntry]:
+def catalog_entries(max_order: int = CORPUS_MAX_ORDER) -> list[CorpusEntry]:
     """All deterministic family members whose order fits the cap, each
     built by replaying its provenance; a member over the cap is never
     built."""
@@ -575,7 +529,7 @@ def _random_perm_draw(rng: random.Random, max_order: int) -> CorpusDraw:
         return CorpusDraw(f"perm degree={degree} gens={';'.join(cyc)}")
 
 
-def random_corpus(seed: int, count: int, max_order: int = 2000) -> list[CorpusDraw]:
+def random_corpus(seed: int, count: int, max_order: int = CORPUS_MAX_ORDER) -> list[CorpusDraw]:
     """Deterministic mixed corpus: every named family member within the cap,
     padded up to `count` with random small permutation groups.  Drawing
     builds no group; `replay` builds each member from its provenance."""

@@ -24,19 +24,12 @@ import numpy as np
 
 
 def euler_phi(n: int) -> int:
+    """n times the product of 1 - 1/p over the primes p dividing n."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 

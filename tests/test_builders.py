@@ -194,6 +194,18 @@ def test_catalog_rows_replay_to_their_provenance_and_order():
     assert {f"family:A m={m} variant={v}"
             for m, vs in constructions._A_FAMILY.items() for v in vs} <= listed
     assert {f"family:PGROUP shape={s}" for s in constructions._PGROUP_SHAPES} <= listed
+    assert {f"family:B2 variant={v}" for v in constructions._B2_VARIANTS} <= listed
+
+
+@pytest.mark.parametrize("tag", constructions._FAMILIES)
+def test_every_family_default_replays_from_its_provenance(tag):
+    # M5 and A7 are members no catalog row lists
+    entry = build_case_family(tag)
+    again = replay(entry.provenance)
+    assert entry.provenance.split()[0] == f"family:{tag}"
+    assert (again.provenance, again.group.order) == (entry.provenance, entry.group.order)
+    expected = (entry.expected_p, entry.expected_case, entry.expected_m)
+    assert (again.expected_p, again.expected_case, again.expected_m) == expected
 
 
 def test_catalog_builds_only_the_members_under_the_cap(monkeypatch):
@@ -251,11 +263,7 @@ def test_random_corpus_rejects_a_cap_no_random_group_fits(max_order):
         random_corpus(1, 3, max_order=max_order)
 
 
-def test_every_catalog_and_corpus_provenance_replays():
-    for entry in catalog_entries(max_order=8192):
-        again = replay(entry.provenance)
-        assert again.provenance == entry.provenance
-        assert again.group.order == entry.group.order
+def test_every_corpus_provenance_replays():
     for draw in random_corpus(42, 200, max_order=2000):
         again = replay(draw.provenance)
         assert again.provenance == draw.provenance
