@@ -56,10 +56,10 @@ class AbelianGroup:
         return AbElement(self, (0,) * len(self.factor_orders))
 
     def element(self, coords) -> "AbElement":
-        coords = tuple(c % d for c, d in zip(coords, self.factor_orders))
-        if len(coords) != len(self.factor_orders):
+        coords = tuple(coords)
+        if len(coords) != self.rank:
             raise AbelianDomainError("coordinate length mismatch")
-        return AbElement(self, coords)
+        return AbElement(self, tuple(c % d for c, d in zip(coords, self.factor_orders)))
 
     def generator(self, i: int) -> "AbElement":
         coords = [0] * len(self.factor_orders)
@@ -158,18 +158,6 @@ class AbElement:
 
     def __repr__(self):
         return f"AbElement{self.coords}"
-
-
-def canonical_decomposition(A: AbelianGroup) -> AbelianGroup:
-    """Primary decomposition sorted by (prime, descending exponent); a
-    normal form under isomorphism."""
-    parts = [
-        (p, p ** p_valuation(d, p))
-        for d in A.factor_orders
-        for p in prime_factors(d)
-    ]
-    parts.sort(key=lambda pq: (pq[0], -pq[1]))
-    return AbelianGroup(tuple(q for _, q in parts))
 
 
 def abelian_type(orders: list[int]) -> tuple[int, ...]:
@@ -318,13 +306,6 @@ class DualCharacter:
         if np.any(t % step):
             raise AssertionError("dual action produced a non-character")
         return DualCharacter(A, tuple((t // step % d).tolist()))
-
-    def kernel(self) -> "AbSubgroup":
-        A = self.group
-        return AbSubgroup(A, np.flatnonzero(pairing(A, A.table, [self.coords])[:, 0] == 0))
-
-    def multiplicative_order(self) -> int:
-        return AbElement(self.group, self.coords).order()
 
 
 def pairing(A: AbelianGroup, left, right) -> np.ndarray:

@@ -80,7 +80,6 @@ class ClassData:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    group: FiniteGroup
     classes: ClassData
     values: tuple  # the distinct Cyclo values of the table, the zero (if any) first
     # read-only (r, r), of the smallest signed integer type that holds
@@ -88,9 +87,6 @@ class CharacterTable:
     ids: np.ndarray
     degrees: tuple[int, ...]
     zero_classes: tuple[int, ...]  # the classes on which some row is zero
-
-    def value(self, i: int, g) -> Cyclo:
-        return self.values[self.ids[i, self.group.class_index[self.group.index[g]]]]
 
     def vanishing_classes(self) -> list[int]:
         return list(self.zero_classes)
@@ -310,11 +306,9 @@ def _distinct(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dixon_table(G: FiniteGroup) -> CharacterTable:
-    # G keeps the table's fields, not the table: a table points back
-    # at its group, and that cycle would outlive the last outside reference.
     cached = getattr(G, "_dixon_table", None)
     if cached is not None:
-        return CharacterTable(G, *cached)
+        return cached
     data = class_data(G)
     r = data.count
     n = G.order
@@ -395,8 +389,8 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     values = tuple(Cyclo(e, tuple(c)) if any(c) else Cyclo.zero() for c in distinct.tolist())
     # class k vanishes when column k holds id 0, if that is the zero vector
     zero_classes = tuple(np.flatnonzero((ids == 0).any(0) & ~distinct[0].any()).tolist())
-    G._dixon_table = (data, values, ids, tuple(degrees.tolist()), zero_classes)
-    return CharacterTable(G, *G._dixon_table)
+    G._dixon_table = CharacterTable(data, values, ids, tuple(degrees.tolist()), zero_classes)
+    return G._dixon_table
 
 
 def _verify_orthogonality(data, n, e, values, ids):
@@ -503,11 +497,6 @@ def proportion(G: FiniteGroup) -> VanishReport:
 
 
 # -- the abelian-normal fast path ----------------------------------------
-
-
-def coset_transversal(G: FiniteGroup, A: SubgroupHandle) -> list:
-    """The first element of each left coset gA."""
-    return [G.elements[i] for i in _coset_firsts(A).tolist()]
 
 
 def _coset_firsts(A: SubgroupHandle) -> np.ndarray:

@@ -204,42 +204,38 @@ def _verify_module_shapes(G: FiniteGroup, n: int, k: int):
 SWAP = [[0, 1], [1, 0]]
 
 _A_FAMILY = {
-    # m -> variant -> (factor orders, complement, action matrices)
+    # m -> variant -> (group name, presentation): factor orders, complement
+    # and action matrices, or a degree and permutation generators
     2: {
-        "c3": ((3,), "C2", [[[-1]]]),
-        "c5": ((5,), "C2", [[[-1]]]),
-        "c9": ((9,), "C2", [[[-1]]]),
-        "c3xc3": ((3, 3), "C2", [[[-1, 0], [0, -1]]]),
+        "c3": ("c3:C2", (3,), "C2", [[[-1]]]),
+        "c5": ("c5:C2", (5,), "C2", [[[-1]]]),
+        "c9": ("c9:C2", (9,), "C2", [[[-1]]]),
+        "c3xc3": ("c3xc3:C2", (3, 3), "C2", [[[-1, 0], [0, -1]]]),
     },
     3: {
-        "c7": ((7,), "C3", [[[2]]]),
-        "c13": ((13,), "C3", [[[3]]]),
-        "v4": ((2, 2), "C3", [[[0, 1], [1, 1]]]),
+        "c7": ("c7:C3", (7,), "C3", [[[2]]]),
+        "c13": ("c13:C3", (13,), "C3", [[[3]]]),
+        "v4": ("v4:C3", (2, 2), "C3", [[[0, 1], [1, 1]]]),
     },
     4: {
-        "c5": ((5,), "C4", [[[2]]]),
-        "c13": ((13,), "C4", [[[5]]]),
-        "c3xc3": ((3, 3), "C4", [[[0, 1], [-1, 0]]]),
-        "s3xs3": None,  # built as a permutation group below
+        "c5": ("c5:C4", (5,), "C4", [[[2]]]),
+        "c13": ("c13:C4", (13,), "C4", [[[5]]]),
+        "c3xc3": ("c3xc3:C4", (3, 3), "C4", [[[0, 1], [-1, 0]]]),
+        "s3xs3": ("S3xS3", 6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"]),
     },
     5: {
-        "c11": ((11,), "C5", [[[3]]]),
-        "c2^4": ((2, 2, 2, 2), "C5",
+        "c11": ("c11:C5", (11,), "C5", [[[3]]]),
+        "c2^4": ("c2^4:C5", (2, 2, 2, 2), "C5",
                  [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]]),
-        "c3^4": ((3, 3, 3, 3), "C5",
+        "c3^4": ("c3^4:C5", (3, 3, 3, 3), "C5",
                  [[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]]]),
     },
     6: {
-        "c7": ((7,), "C6", [[[3]]]),
-        "c13": ((13,), "C6", [[[4]]]),
-        "s3xa4": None,
-        "c7^2:s3": None,
+        "c7": ("c7:C6", (7,), "C6", [[[3]]]),
+        "c13": ("c13:C6", (13,), "C6", [[[4]]]),
+        "s3xa4": ("S3xA4", 7, ["(1 2 3)", "(1 2)", "(4 5)(6 7)", "(5 6 7)"]),
+        "c7^2:s3": ("C7^2:S3", (7, 7), "S3", [ROT, SWAP]),
     },
-}
-
-_A_PERM_VARIANTS = {
-    "s3xs3": (6, ["(1 2 3)", "(1 2)", "(4 5 6)", "(4 5)"], "S3xS3"),
-    "s3xa4": (7, ["(1 2 3)", "(1 2)", "(4 5)(6 7)", "(5 6 7)"], "S3xA4"),
 }
 
 
@@ -249,16 +245,12 @@ def _build_a(m: int, variant: str | None):
         variant = min(_A_FAMILY.get(m, ("",)))
     if m not in _A_FAMILY or variant not in _A_FAMILY[m]:
         raise BuilderError(f"unknown A-family member m={m} variant={variant!r}")
-    if variant in _A_PERM_VARIANTS:
-        degree, gens, name = _A_PERM_VARIANTS[variant]
-        G = from_permutations(degree, gens, name=name)
-    elif variant == "c7^2:s3":
-        A = AbelianGroup.of(7, 7)
-        G = semidirect_from_matrices(A, builtin_h("S3"), [ROT, SWAP], "C7^2:S3")
+    name, *presentation = _A_FAMILY[m][variant]
+    if len(presentation) == 2:
+        G = from_permutations(*presentation, name=name)
     else:
-        orders, h_name, mats = _A_FAMILY[m][variant]
-        A = AbelianGroup.of(*orders)
-        G = semidirect_from_matrices(A, builtin_h(h_name), mats, f"{variant}:{h_name}")
+        orders, h_name, mats = presentation
+        G = semidirect_from_matrices(AbelianGroup.of(*orders), builtin_h(h_name), mats, name)
     # defining predicate: A-group with Fitting subgroup of index m
     for p in G.primes():
         if not G.sylow(p).is_abelian():

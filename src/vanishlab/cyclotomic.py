@@ -14,7 +14,6 @@ immutable, which lets `root_of_unity` memoise its results and hand the same
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -568,18 +567,11 @@ def six_sum_classifier(n: int, eps, eta) -> SixSumResult:
 
 def six_sum_inputs(n: int) -> np.ndarray:
     """The admissible exponent triples (a1, a2, a3) over U_(2^n), those with
-    a1 + a2 + a3 = 0 mod 2^n, as a (4^n, 3) int16 array in the order
-    `enumerate_six_sums` takes eps (and eta) in."""
+    a1 + a2 + a3 = 0 mod 2^n, as a (4^n, 3) int16 array: every eps triple
+    against every eta triple is the exhaustive input set of the six-sum
+    lemma."""
     big = 2**n
     if big - 1 > np.iinfo(np.int16).max:
         raise ValueError("six-sum exponents exceed int16")
     a1, a2 = np.divmod(np.arange(big * big), big)
     return np.stack([a1, a2, (-a1 - a2) % big], axis=1).astype(np.int16)
-
-
-def enumerate_six_sums(n: int):
-    """All admissible (eps_exponents, eta_exponents) pairs of plain-int
-    triples over U_(2^n), every eps triple against every eta triple of
-    `six_sum_inputs`: the exhaustive input set of the six-sum lemma."""
-    triples = [tuple(t) for t in six_sum_inputs(n).tolist()]
-    return itertools.product(triples, repeat=2)

@@ -99,10 +99,6 @@ class FiniteGroup:
     def indices(self, elems) -> list[int]:
         return [self.index[g] for g in elems]
 
-    def conj(self, g, h):
-        """g^h = h^-1 g h (conjugation as a right action)."""
-        return self.elements[self.compiled.conj(self.index[g], self.index[h])]
-
     def element_order(self, g) -> int:
         return int(self.compiled.orders[self.index[g]])
 
@@ -152,10 +148,6 @@ class FiniteGroup:
             elems = [self.elements[i] for i in block.tolist()]
             classes.append((elems[0], frozenset(elems)))
         return classes, dict(zip(self.elements, self.class_index.tolist()))
-
-    @property
-    def conjugacy_classes(self):
-        return self.conjugacy_data[0]
 
     @cached_property
     def center(self) -> "SubgroupHandle":
@@ -1077,7 +1069,7 @@ def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict
 
 class SemidirectGroup(FiniteGroup):
     """A x| H as built by build_semidirect, with its `semidirect_spec` and
-    the factor subgroups `A_handle` and `H_handle`."""
+    the factor subgroup `A_handle`."""
 
     semidirect_spec: SemidirectSpec
 
@@ -1085,11 +1077,6 @@ class SemidirectGroup(FiniteGroup):
     def A_handle(self) -> SubgroupHandle:
         A, h1 = self.semidirect_spec.A, self.semidirect_spec.H.identity
         return self.subgroup([(g.coords, h1) for g in A.generators()])
-
-    @cached_property
-    def H_handle(self) -> SubgroupHandle:
-        zero, H = self.semidirect_spec.A.zero().coords, self.semidirect_spec.H
-        return self.subgroup([(zero, h) for h in H.generators])
 
 
 def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:

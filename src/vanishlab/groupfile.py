@@ -74,17 +74,18 @@ def _keyword(line: _Line, expected: str) -> str:
 
 def _parse_matrix(line: _Line, rank: int) -> list[list[int]]:
     body = _keyword(line, "matrix")
+    pos = len(line.text) - len(body)  # the body ends the stripped line
     rows = []
     for part in body.split("/"):
-        tokens = part.split()
         row = []
-        for tok in tokens:
+        for tok in part.split():
+            pos = line.text.index(tok, pos)  # tokens appear in line order
             try:
                 row.append(int(tok))
             except ValueError:
-                col = line.text.index(tok) + 1
                 raise GroupFileError(f"matrix entry {tok!r} is not an integer",
-                                     line.number, col) from None
+                                     line.number, pos + 1) from None
+            pos += len(tok)
         rows.append(row)
     if len(rows) != rank or any(len(r) != rank for r in rows):
         raise GroupFileError(

@@ -17,8 +17,8 @@ from vanishlab.abelian_core import (
     AbHom,
     AbSubgroup,
     DualCharacter,
+    abelian_type,
     all_characters,
-    canonical_decomposition,
     commutator_hom,
     commutator_map,
     embeds_in_C4_x_C2k,
@@ -84,10 +84,22 @@ def test_orders_and_exponent():
     assert A.element((1, 1)).order() == 12
 
 
+def test_element_rejects_a_coordinate_vector_of_the_wrong_length():
+    A = AbelianGroup.of(4, 2)
+    assert A.element((5, 3)).coords == (1, 1)
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        A.element((1, 1, 3))  # too long
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        A.element((1,))  # too short
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        A.element(c for c in (1, 1, 3))  # any iterable, read once
+
+
 def test_canonical_decomposition_merges_and_splits():
-    assert canonical_decomposition(AbelianGroup.of(6)).factor_orders == (2, 3)
-    assert canonical_decomposition(AbelianGroup.of(12, 2)).factor_orders == (4, 2, 3)
-    assert canonical_decomposition(AbelianGroup.of(2, 4)).factor_orders == (4, 2)
+    # the abelian type is the primary decomposition, by prime and then descending
+    assert abelian_type(AbelianGroup.of(6).element_orders) == (2, 3)
+    assert abelian_type(AbelianGroup.of(12, 2).element_orders) == (4, 2, 3)
+    assert abelian_type(AbelianGroup.of(2, 4).element_orders) == (4, 2)
 
 
 def test_hom_rejects_non_homomorphism():
@@ -417,7 +429,8 @@ def test_mask_subgroups_match_the_frozenset_reference(A, data):
     assert coords_of(perp(B)) == annihilator
     assert coords_of(perp_dual(B)) == annihilator
     alpha = draw_element(draw, A)
-    assert coords_of(DualCharacter(A, alpha).kernel()) == frozenset(
+    # the kernel of a character is the annihilator of its cyclic span
+    assert coords_of(perp(AbSubgroup(A, [A.index_of(alpha)]))) == frozenset(
         a for a in everything if reference_pairs_to_zero(A, alpha, a)
     )
 
@@ -462,8 +475,6 @@ def test_groups_beyond_the_cap_refuse_at_once():
     with pytest.raises(AbelianDomainError):
         # no subgroup of A can be built, so a stand-in carries B's two fields
         perp(SimpleNamespace(parent=A, generators=()))
-    with pytest.raises(AbelianDomainError):
-        DualCharacter(A, (1,)).kernel()
     with pytest.raises(AbelianDomainError):
         AbSubgroup(A, ())
     # single values stay exact integers beyond int64

@@ -21,9 +21,9 @@ from vanishlab.classifier import THRESHOLD, CaseLabel, classify_theorem_a
 from vanishlab.constructions import build_case_family
 from vanishlab.cyclotomic import (
     Cyclo,
-    enumerate_six_sums,
     root_of_unity,
     six_sum_classifier,
+    six_sum_inputs,
     vanishing_sum_possible,
 )
 from vanishlab.group_engine import (
@@ -134,7 +134,8 @@ def test_criterion_08_six_sum_exhaustive():
     start = time.monotonic()
     for n in range(1, 5):
         big = 2 ** n
-        for ae, be in enumerate_six_sums(n):
+        triples = [tuple(t) for t in six_sum_inputs(n).tolist()]
+        for ae, be in itertools.product(triples, repeat=2):
             eps = [root_of_unity(big, a) for a in ae]
             eta = [root_of_unity(big, b) for b in be]
             result = six_sum_classifier(n, eps, eta)

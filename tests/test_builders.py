@@ -51,7 +51,7 @@ def test_b41_module_shape():
     A = G.A_handle
     model = abelian_model(A)
     assert model.shape.factor_orders == (8, 8)
-    assert G.H_handle.order == 6
+    assert G.semidirect_spec.H.order == 6
     assert G.order == 384
 
 
@@ -274,8 +274,8 @@ def test_random_corpus_replay():
     for draw in random_corpus(11, 45, max_order=2000)[-8:]:
         entry, again = replay(draw.provenance), replay(draw.provenance)
         assert again.group.order == entry.group.order
-        sizes = sorted(len(c) for _, c in entry.group.conjugacy_classes)
-        assert sizes == sorted(len(c) for _, c in again.group.conjugacy_classes)
+        sizes = sorted(len(c) for _, c in entry.group.conjugacy_data[0])
+        assert sizes == sorted(len(c) for _, c in again.group.conjugacy_data[0])
 
 
 def test_expected_case_values_are_legal():

@@ -50,8 +50,8 @@ def run(capsys, *argv):
 def roundtrip(G):
     H = parse_group(emit_group(G))
     assert H.order == G.order
-    assert sorted(len(c) for _, c in H.conjugacy_classes) == \
-        sorted(len(c) for _, c in G.conjugacy_classes)
+    assert sorted(len(c) for _, c in H.conjugacy_data[0]) == \
+        sorted(len(c) for _, c in G.conjugacy_data[0])
     return H
 
 
@@ -97,6 +97,17 @@ def test_parse_diagnostics_carry_positions(text, line):
         parse_group(text)
     assert info.value.line == line
     assert "line" in str(info.value) and "column" in str(info.value)
+
+
+@pytest.mark.parametrize("matrix,entry,column", [
+    ("matrix 0 1 / 1 a", "a", 16),  # an `a` is also in the word `matrix`
+    ("matrix ix", "ix", 8),  # and so is `ix`
+])
+def test_a_non_integer_matrix_entry_reports_its_own_column(matrix, entry, column):
+    with pytest.raises(GroupFileError) as info:
+        parse_group(f"semidirect\nabelian C2xC2\ncomplement C2\n{matrix}\n")
+    assert str(info.value) == \
+        f"line 4, column {column}: matrix entry {entry!r} is not an integer"
 
 
 @st.composite

@@ -66,3 +66,93 @@ def test_the_check_sees_private_imports_and_reads_but_not_submodules():
         "6: lin._residues",
         "7: cl._distinct",
     ]
+
+
+def unread_definitions(sources) -> set[str]:
+    """Each top-level function and class, and each non-dunder method as
+    "Class.name", of the given module sources whose name no source reads.
+
+    A read is a name, an attribute or a string constant equal to the name,
+    so `getattr(G, "A_handle")` reads `A_handle`.  The check goes by name
+    alone: a dead method that shares its name with a live function, method
+    or attribute anywhere in the sources is not seen."""
+    trees = [ast.parse(source) for source in sources]
+    reads = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    found = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (*defs, ast.ClassDef)) and node.name not in reads:
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found |= {
+                f"{node.name}.{item.name}" for item in node.body
+                if isinstance(item, defs) and item.name not in reads
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            }
+    return found
+
+
+_TRACED = "perfbench's tracer wraps it by name, and its test requires every wrapped name"
+
+# Every definition that no library code reads, and why it stays.
+UNREAD = {
+    "AbSubgroup.from_elements": _TRACED,
+    "AbSubgroup.is_invariant_under": _TRACED,
+    "Cyclo.is_one": _TRACED,
+    "Cyclo.to_complex": _TRACED,
+    "FiniteGroup.centralizer": _TRACED,
+    "FiniteGroup.closure": _TRACED,
+    "FiniteGroup.conjugacy_data": _TRACED,
+    "FiniteGroup.element_order": _TRACED,
+    "FiniteGroup.nilpotency_class": _TRACED,
+    "FiniteGroup.normal_subgroups": _TRACED,
+    "SubgroupHandle.abelian_invariants": _TRACED,
+    "catalog_entries": _TRACED,
+    "commutator_map": _TRACED,
+    "direct_product": _TRACED,
+    "euler_phi": _TRACED,
+    "minimal_polynomial": _TRACED,
+    "nullspace": _TRACED,
+    "omega": _TRACED,
+    "six_sum_classifier": _TRACED,
+    "solve": _TRACED,
+    "classify_a_group": _TRACED + "; a campaign section of built cases is to call it",
+    "verifying_b_cases": _TRACED + "; a campaign section of built cases is to call it",
+    "vanish_on_abelian_normal": "the table-free route to V(G) ∩ A; elementwise verdicts "
+                                "are to call it",
+    "DualCharacter.acted_by": "the tests' exact reference, with no production counterpart",
+    "all_characters": "the tests' exact reference, with no production counterpart",
+    "induced_linear_value": "the tests' exact reference, with no production counterpart",
+    "VanishReport.nonvanishing": "the README's example, and perfbench's table pass reads it",
+}
+
+
+def test_every_unread_definition_is_listed_with_its_reason():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_definitions(sources) == set(UNREAD)
+
+
+def test_the_scan_reads_names_attributes_and_strings_by_name_alone():
+    source = (
+        "def called(): pass\n"
+        "def dead(): pass\n"
+        "def _looked_up(): pass\n"
+        "class Live:\n"
+        "    def __len__(self): return 0\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "    def called(self): pass\n"
+        "class Dead: pass\n"
+        "called()\n"
+        "Live().used()\n"
+        "getattr(Live, '_looked_up')\n"
+    )
+    # Live.called shares its name with the live function, so it is not seen
+    assert unread_definitions([source]) == {"dead", "Live.unused", "Dead"}
