@@ -69,7 +69,7 @@ class OracleConfigurationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClassData:
-    reps: tuple
+    reps: tuple[int, ...]  # the element index of each class representative
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
 
@@ -116,7 +116,7 @@ def class_data(G: FiniteGroup) -> ClassData:
     cls = G.class_index
     firsts = np.unique(cls, return_index=True)[1]
     return ClassData(
-        tuple(G.elements[i] for i in firsts.tolist()),
+        tuple(firsts.tolist()),
         tuple(np.bincount(cls).tolist()),
         tuple(cls[G.compiled.inv[firsts]].tolist()),
     )
@@ -315,10 +315,9 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     L = G.compiled.class_translations()  # before G.exponent, which reads orders
     e = G.exponent
     p = dixon_prime(n, e)
-    reps = [G.index[rep] for rep in data.reps]
     # each eigenvector row becomes its character's row of theta in place
     thetas = _split_eigenspaces(G, data, L, p)
-    orders = G.compiled.orders[reps]
+    orders = G.compiled.orders[list(data.reps)]
     # rows K of element order o read power_class[K, :o] only
     power_class = _power_classes(G, L, int(orders.max()))
     del L  # _power_classes is its last reader
@@ -510,7 +509,8 @@ def induced_linear_value(
     model: AbelianModel,
     transversal=None,
 ) -> Cyclo:
-    """alpha^G(a) = sum over coset representatives t of alpha(a^t).
+    """alpha^G(a) = sum over coset representatives t of alpha(a^t), for a
+    transversal of element indices.
 
     The value does not depend on the transversal choice because a lies in
     the abelian normal subgroup the characters live on.
@@ -519,17 +519,18 @@ def induced_linear_value(
     if alpha.group != model.shape or a.group != model.shape:
         raise GroupDomainError("character and element must live on the model")
     if transversal is None:
-        transversal = [view.elements[i] for i in _coset_firsts(model.subgroup).tolist()]
-    g = view.index[model.group_element(a)]
+        transversal = _coset_firsts(model.subgroup).tolist()
+    g = model.group_element(a)
     total = Cyclo.zero()
     for t in transversal:
-        total = total + alpha(model.element(view.elements[view.conj(g, view.index[t])]))
+        total = total + alpha(model.element(view.conj(g, t)))
     return total
 
 
-def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
-    """{a in A : some linear character of A induces to zero at a}, which
-    is V(G) intersected with A."""
+def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> np.ndarray:
+    """The read-only mask over G's element indices of {a in A : some linear
+    character of A induces to zero at a}, which is V(G) intersected with
+    A."""
     if A.view is not G.compiled:
         raise GroupDomainError("subgroup of a different group")
     if not A.is_abelian():
@@ -538,19 +539,17 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> frozenset:
         raise GroupDomainError("fast path requires a normal subgroup")
     model = abelian_model(A)
     shape = model.shape
-    L = max(shape.exponent, 1)
-    if L == 1:
-        return frozenset()
+    L = shape.exponent
     coords_of = shape.table[model.rows]  # rows outside A are never read
     characters = np.arange(shape.order)  # table rows of the dual
     reduction = reduction_matrix(L)
 
-    out = set()
+    out = np.zeros(G.order, dtype=bool)
     conjugates = G.compiled.conjugates(A.idx)[:, _coset_firsts(A)]  # a^t
     for g, row in zip(A.idx.tolist(), conjugates):
         exps = pairing(shape, coords_of[row], shape.table)  # (transversal, #characters)
         counts = np.zeros((len(characters), L), dtype=np.int64)
         np.add.at(counts, (characters, exps), 1)
-        if np.any(np.all(counts @ reduction == 0, axis=1)):  # exact: tiny entries
-            out.add(G.elements[g])
-    return frozenset(out)
+        out[g] = np.any(np.all(counts @ reduction == 0, axis=1))  # exact: tiny entries
+    out.flags.writeable = False
+    return out

@@ -307,12 +307,11 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     ys = Q.idx[~A.mask[Q.idx]]
     if not len(xs) or not len(ys):
         return None
-    x_elem, y_elem = G.elements[xs[0]], G.elements[ys[0]]
     # the action of x on W factors through P/O_3(A) = C_3, so no powering
     # is needed to normalize its order
     try:
         model = abelian_model(W)
-        xh, yh = model.conjugation_hom(x_elem), model.conjugation_hom(y_elem)
+        xh, yh = model.conjugation_hom(int(xs[0])), model.conjugation_hom(int(ys[0]))
     except GroupDomainError:
         return None
 

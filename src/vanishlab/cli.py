@@ -148,7 +148,7 @@ def cmd_ptable(args) -> int:
         data = table.classes
         print(f"classes={data.count}")
         for k in range(data.count):
-            print(f"class={k} size={data.sizes[k]} rep={data.reps[k]!r}")
+            print(f"class={k} size={data.sizes[k]} rep={G.elements[data.reps[k]]!r}")
         print("degrees=" + ",".join(str(d) for d in table.degrees))
         print("vanishing_classes="
               + ",".join(str(k) for k in table.vanishing_classes()))

@@ -69,9 +69,8 @@ def _c6_actions(G: FiniteGroup) -> tuple[AbHom, AbHom]:
     """x and y of a C_6 = <g> complement: conjugation by g^2 and by g^3.
     Conjugation by (0, h) acts on the abelian factor as action(h^-1)."""
     spec = G.semidirect_spec
-    H, law = spec.H, spec.H.compiled
-    g = H.index[H.generators[0]]
-    return tuple(spec.action[H.elements[law.inv[law.power(g, k)]]] for k in (2, 3))
+    law = spec.H.compiled
+    return tuple(spec.action[law.inv[law.power(law.gens[0], k)]] for k in (2, 3))
 
 
 def _block_semidirect(blocks, h_name: str, name: str) -> FiniteGroup:
@@ -417,7 +416,7 @@ def _build_m5():
     G = _block_semidirect([((2, 2, 2, 2), comp2), ((3, 3, 3, 3), comp3)], "C5", "M5")
     # hypotheses: U, V minimal normal and noncentral; |G/UV| = 5
     spec = G.semidirect_spec
-    A, act = spec.A, spec.action[spec.H.generators[0]]
+    A, act = spec.A, spec.action[spec.H.compiled.gens[0]]
     # A = U x V with U = (C_2)^4 and V = (C_3)^4: the nonzero elements of
     # U are those of order 2, and of V those of order 3
     for p in (2, 3):

@@ -13,6 +13,8 @@ never evaluate it again.  Every structural query
 derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
 is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
 sorted index arrays that refer to the compiled view, never to the group.
+Every query takes and returns element indices, positions in `elements`:
+the labels are read only where a group is built, by I/O and by reprs.
 
 Groups are immutable after construction; memoized maps are precomputed
 on first use and safe to read concurrently.
@@ -52,39 +54,51 @@ def _split(labels: np.ndarray) -> list[np.ndarray]:
 class FiniteGroup:
     """A finite group on an explicit element list.
 
-    `generators` must generate the group (all elements when omitted).
-    `right` holds one row per generator: `right[t][i]` is the index of
-    `elements[i] * generators[t]`.  Derived groups (quotients, subgroups
-    made groups, direct and semidirect products) hand in these rows and
-    pass None for `mul` and `inv`; permutation groups hand them in and keep
-    `perm_mul`/`perm_inv` as their reference law.  A group given by a law
-    alone (`cyclic_group` and the law builders of `constructions`) passes
-    `right=None` and callables on the elements: construction tabulates
-    `mul`, |G| calls per generator.  A given `inv` is checked once per
-    generator.  Construction builds `compiled` (see CompiledGroup) and
-    verifies the group axioms on it, completely and at every order; every
-    query below runs on `compiled`.
+    The labels (`elements`, `identity`, `generators`) are given here, and
+    `index` maps each label to its position; every query below takes and
+    returns positions.  `generators` must generate the group (all elements
+    when omitted).  `right` holds one row per generator: `right[t][i]` is
+    the index of `elements[i] * generators[t]`.  Derived groups (quotients,
+    subgroups made groups, direct and semidirect products) hand in these
+    rows and pass None for `mul` and `inv`; permutation groups hand them in
+    and keep `perm_mul`/`perm_inv` as their reference law.  A group given
+    by a law alone (`cyclic_group` and the law builders of `constructions`)
+    passes `right=None` and callables on the elements: construction
+    tabulates `mul`, |G| calls per generator that `compiled` keeps.  A
+    given `inv` is checked once per kept generator.  Construction builds
+    `compiled` (see CompiledGroup) and verifies the group axioms on it,
+    completely and at every order; every query below runs on `compiled`.
     """
 
     def __init__(self, elements, mul, inv, identity, generators=None, name="",
                  right=None):
         self.elements = list(elements)
-        if len(self.elements) > MAX_GROUP_ORDER:
-            raise GroupSizeError(
-                f"order {len(self.elements)} exceeds cap {MAX_GROUP_ORDER}"
-            )
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        n = len(self.elements)
+        if n > MAX_GROUP_ORDER:
+            raise GroupSizeError(f"order {n} exceeds cap {MAX_GROUP_ORDER}")
+        self.index = index = {g: i for i, g in enumerate(self.elements)}
+        if len(index) != n:
             raise GroupDomainError("duplicate elements")
-        if identity not in self.index:
+        if identity not in index:
             raise GroupDomainError("identity not among the elements")
-        self.mul = mul
-        self.inv = inv
-        self.identity = identity
+        self.mul, self.inv, self.identity = mul, inv, identity
         self.generators = list(generators) if generators is not None else list(self.elements)
-        self.compiled = CompiledGroup(
-            self.elements, self.index, identity, self.generators, mul, inv, name, right
+        if any(g not in index for g in self.generators):
+            raise GroupDomainError("generator not among the elements")
+        if right is None:
+            def row(t):
+                s = self.generators[t]
+                return [index.get(mul(x, s), -1) for x in self.elements]
+        elif len(right) != len(self.generators) or any(np.shape(Rs) != (n,) for Rs in right):
+            raise GroupDomainError("one row of n indices is needed per generator")
+        else:
+            row = right.__getitem__
+        self.compiled = view = CompiledGroup(
+            self.elements, index[identity], [index[g] for g in self.generators], row, name
         )
+        if inv is not None and [index.get(inv(self.elements[j])) for j in view.gens] \
+                != view.inv[view.gens].tolist():
+            raise GroupDomainError("inverse map inconsistent")
 
     @property
     def name(self) -> str:
@@ -94,13 +108,10 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.compiled.order
 
-    def indices(self, elems) -> list[int]:
-        return [self.index[g] for g in elems]
-
-    def element_order(self, g) -> int:
-        return int(self.compiled.orders[self.index[g]])
+    def element_order(self, g: int) -> int:
+        return int(self.compiled.orders[g])
 
     @cached_property
     def exponent(self) -> int:
@@ -112,22 +123,21 @@ class FiniteGroup:
 
     # -- subgroup machinery ----------------------------------------------
 
-    def closure(self, gens) -> frozenset:
-        return self.subgroup(gens).elements
+    def closure(self, gens) -> np.ndarray:
+        return self.subgroup(gens).idx
 
     def subgroup(self, gens) -> "SubgroupHandle":
-        return self.compiled.subgroup(self.indices(gens))
+        return self.compiled.subgroup(gens)
 
     def trivial_subgroup(self) -> "SubgroupHandle":
         return self.compiled.subgroup([])
 
     def full_subgroup(self) -> "SubgroupHandle":
         view = self.compiled
-        gens = self.indices(self.generators)
-        return SubgroupHandle(view, np.arange(self.order), gens, view.gens)
+        return SubgroupHandle(view, np.arange(self.order), view.gens, view.gens)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
-        return self.compiled.normal_closure(self.indices(seeds))
+        return self.compiled.normal_closure(seeds)
 
     # -- structural queries ----------------------------------------------
 
@@ -139,27 +149,22 @@ class FiniteGroup:
         return self.compiled.class_index
 
     @cached_property
-    def conjugacy_data(self):
-        """(classes, class_of): classes as (representative, frozenset) in a
-        deterministic order; class_of maps element -> class index.  The
-        representative is the class's first element."""
-        classes = []
-        for block in _split(self.class_index):
-            elems = [self.elements[i] for i in block.tolist()]
-            classes.append((elems[0], frozenset(elems)))
-        return classes, dict(zip(self.elements, self.class_index.tolist()))
+    def conjugacy_data(self) -> tuple[np.ndarray, ...]:
+        """The classes in the order of `class_index`, each as the ascending
+        read-only array of its members; the first is the representative."""
+        return tuple(_read_only(block) for block in _split(self.class_index))
 
     @cached_property
     def center(self) -> "SubgroupHandle":
         view = self.compiled
         return view.handle(np.flatnonzero((view.C == np.arange(self.order)).all(axis=0)))
 
-    def centralizer(self, g) -> "SubgroupHandle":
+    def centralizer(self, g: int) -> "SubgroupHandle":
         return self.centralizer_of_set([g])
 
     def centralizer_of_set(self, elems) -> "SubgroupHandle":
         view = self.compiled
-        return view.handle(np.flatnonzero(view.centralizer_mask(self.indices(elems))))
+        return view.handle(np.flatnonzero(view.centralizer_mask(elems)))
 
     def normalizer(self, H: "SubgroupHandle") -> "SubgroupHandle":
         """The elements conjugating every generator of H into H."""
@@ -254,7 +259,8 @@ class FiniteGroup:
 
     def quotient(self, N: "SubgroupHandle") -> "FiniteGroup":
         """G/N with cosets as frozensets, ordered by their first element;
-        also attaches .projection.  The cosets of G's compiled generators
+        also attaches `projection`, the read-only array of the coset index
+        of each element of G.  The cosets of G's compiled generators
         generate it, and coset c times generator s is the coset of
         firsts[c] s."""
         view = self.compiled
@@ -264,14 +270,13 @@ class FiniteGroup:
             raise GroupDomainError("quotient by a non-normal subgroup")
         firsts, coset = np.unique(view.coset_labels(N.basis), return_inverse=True)
         cosets = [frozenset(self.elements[i] for i in b.tolist()) for b in _split(coset)]
-        projection = dict(zip(self.elements, (cosets[k] for k in coset.tolist())))
         q = FiniteGroup(
-            cosets, None, None, projection[self.identity],
+            cosets, None, None, cosets[coset[view.identity]],
             generators=[cosets[k] for k in coset[view.gens].tolist()],
             name=f"{self.name}/N" if self.name else "quotient",
             right=coset[view.R[:, firsts]],
         )
-        q.projection = projection
+        q.projection = _read_only(coset)
         return q
 
     def normal_subgroups(self) -> list["SubgroupHandle"]:
@@ -301,12 +306,12 @@ class FiniteGroup:
 
 class CompiledGroup:
     """The law of a FiniteGroup as integer index arrays; element i is
-    `elements[i]`.
+    `elements[i]`, which only `SubgroupHandle.as_group` and reprs read.
 
     - `R[s]`: the right-regular permutation of generator s,
-      `R[s][i]` = index of `elements[i] * elements[gens[s]]`, from the
-      rows handed in (`right`), or tabulated from `mul` for a group given
-      by a law alone (`right` is None).
+      `R[s][i]` = index of `elements[i] * elements[gens[s]]`: `row(t)` is
+      that row for the generator index `generators[t]`, and is called only
+      for the generators kept.
     - `parent`, `gen`: a breadth-first tree of the Cayley graph rooted at
       the identity, `elements[i] = elements[parent[i]] * elements[gens[gen[i]]]`;
       `levels` lists the non-root nodes level by level.
@@ -321,38 +326,27 @@ class CompiledGroup:
     translations by the generators commute with every R[s]; (5) they act
     transitively.  By (4) and (5) the group generated by the R[s] acts
     semiregularly, by (2) transitively, so it is regular of order |G|: the
-    law computed here is a group law, and when R is tabulated from `mul` it
-    agrees with `mul` on every (element, generator) pair.  The inverse of
-    generator s is read off its row, the x with R[s][x] = e; a given `inv`
-    must agree with it.
+    law computed here is a group law, and it agrees with the rows on every
+    (element, generator) pair.  The inverse of generator s is read off its
+    row, the x with R[s][x] = e.
 
     Other maps are filled along the tree: if y = x s, the image of y is
     maps[s] applied to the image of x, one gather per level.  Left
     translations fill with R, conjugations with C[s]: x -> s^-1 x s.
     """
 
-    def __init__(self, elements, index, identity, generators, mul, inv, name="",
-                 right=None):
+    def __init__(self, elements, identity: int, generators, row, name=""):
         n = len(elements)
-        self.elements, self.index, self.name, self.order = elements, index, name, n
+        self.elements, self.name, self.order = elements, name, n
         self.dtype = np.int16 if n < 2**15 else np.int32
-        self.identity = e = index[identity]
-        if any(g not in index for g in generators):
-            raise GroupDomainError("generator not among the elements")
-        if right is not None and (len(right) != len(generators)
-                                  or any(np.shape(Rs) != (n,) for Rs in right)):
-            raise GroupDomainError("one row of n indices is needed per generator")
+        self.identity = e = identity
         prune = len(generators) > n.bit_length()
         self.gens, rows = [], []
         spanned = np.arange(n) == e
-        for t, j in enumerate(index[g] for g in generators):
+        for t, j in enumerate(generators):
             if prune and spanned[j]:
                 continue
-            if right is None:
-                Rs = np.array([index.get(mul(x, elements[j]), -1) for x in elements],
-                              dtype=np.intp)
-            else:
-                Rs = np.asarray(right[t], dtype=np.intp)
+            Rs = np.asarray(row(t), dtype=np.intp)
             if Rs.min() < 0 or Rs.max() >= n:
                 raise GroupDomainError("multiplication left the element set")
             if np.bincount(Rs, minlength=n).max() > 1:
@@ -368,9 +362,6 @@ class CompiledGroup:
         if not np.array_equal(self.R[steps, e], self.gens):
             raise GroupDomainError("identity inconsistent")
         inv_gens = np.argmax(self.R == e, axis=1)
-        if inv is not None and \
-                [index.get(inv(elements[j])) for j in self.gens] != inv_gens.tolist():
-            raise GroupDomainError("inverse map inconsistent")
         lam = self.left_translations(self.gens)
         if any(not np.array_equal(L[Rs], Rs[L]) for L in lam for Rs in self.R) or \
                 not self._reach(lam, [e]).all():
@@ -632,14 +623,6 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.idx)
 
-    @cached_property
-    def elements(self) -> frozenset:
-        return frozenset(self.view.elements[i] for i in self.idx.tolist())
-
-    @property
-    def generators(self) -> tuple:
-        return tuple(self.view.elements[i] for i in self.gens.tolist())
-
     @property
     def spanning(self) -> np.ndarray:
         """The generators, or the members when there are none."""
@@ -648,10 +631,6 @@ class SubgroupHandle:
     @cached_property
     def basis(self) -> np.ndarray:
         return _read_only(self.view.span(self.spanning)[1])
-
-    def __contains__(self, g) -> bool:
-        i = self.view.index.get(g)
-        return i is not None and bool(self.mask[i])
 
     def __eq__(self, other):
         return (
@@ -725,20 +704,23 @@ class AbelianModel:
         """View indices of the basis: the members at the unit rows."""
         return self.members[self.shape.index_of(np.eye(self.shape.rank, dtype=np.int64))]
 
-    def element(self, g) -> AbElement:
-        row = self.rows[self.subgroup.view.index[g]]
+    def element(self, i: int) -> AbElement:
+        """The model element of view index i."""
+        row = self.rows[i]
         if row < 0:
             raise GroupDomainError("element outside the subgroup")
         return self.shape.element(self.shape.table[row].tolist())
 
-    def group_element(self, a: AbElement):
-        return self.subgroup.view.elements[self.members[self.shape.index_of(a.coords)]]
+    def group_element(self, a: AbElement) -> int:
+        """The view index of the model element a."""
+        return int(self.members[self.shape.index_of(a.coords)])
 
-    def conjugation_hom(self, x) -> AbHom:
-        """The automorphism a -> a^x of the model, for x normalizing it."""
+    def conjugation_hom(self, x: int) -> AbHom:
+        """The automorphism a -> a^x of the model, for x (a view index)
+        normalizing it."""
         view = self.subgroup.view
         images = self.basis
-        for s in view.word(view.index[x]):  # b^(u s) = (b^u)^s
+        for s in view.word(x):  # b^(u s) = (b^u)^s
             images = view.C[s][images]
         rows = self.rows[images]
         if (rows < 0).any():
@@ -833,9 +815,7 @@ def is_quasi_frobenius(G: FiniteGroup) -> QuasiFrobeniusReport:
     if Z.order == G.order:
         return QuasiFrobeniusReport(False, "central quotient is trivial")
     Q = G.quotient(Z)
-    Fbar = Q.compiled.handle(sorted(
-        {Q.index[Q.projection[G.elements[i]]] for i in G.fitting.join(Z).idx.tolist()}
-    ))
+    Fbar = Q.compiled.handle(np.unique(Q.projection[G.fitting.join(Z).idx]))
     if Fbar.order == Q.order:
         return QuasiFrobeniusReport(False, "Fitting quotient is everything")
     if Fbar.order == 1:
@@ -1015,56 +995,66 @@ def alternating_7() -> FiniteGroup:
 
 @dataclass
 class SemidirectSpec:
-    """Data for A x| H: `action` maps each H-element to an automorphism of
-    A, with action(h1 h2) = action(h1) o action(h2) and action(1) = id."""
+    """Data for A x| H: `action[h]` is the automorphism of A by which the
+    H-element of index h acts, with action(h1 h2) = action(h1) o action(h2)
+    and action(1) = id."""
 
     A: AbelianGroup
     H: FiniteGroup
-    action: dict
+    action: tuple
 
     def validate(self):
-        H = self.H
-        for h in H.elements:
-            if h not in self.action:
-                raise GroupDomainError("action missing an H-element")
-            f = self.action[h]
+        law, action = self.H.compiled, self.action
+        if len(action) != law.order:
+            raise GroupDomainError("action needs one map per H-element")
+        for f in action:
             if f.source != self.A or f.target != self.A:
                 raise GroupDomainError("action value is not an endomorphism of A")
-        if not self.action[H.identity].is_identity():
+        if not action[law.identity].is_identity():
             raise GroupDomainError("action of the identity is not the identity")
         # with action(1) = id, pairs (h, generator) give all by word length
-        for s in H.generators:
-            row = H.compiled.right_translation(H.index[s]).tolist()
-            for h, k in zip(H.elements, row):
-                if self.action[H.elements[k]] != self.action[h].compose(self.action[s]):
+        for s in law.gens:
+            for h, k in enumerate(law.right_translation(s).tolist()):
+                if action[k] != action[h].compose(action[s]):
                     raise GroupDomainError("action is not a homomorphism")
 
 
-def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, images: dict) -> dict:
-    """Extend automorphisms given on H-generators as integer matrices to
-    all of H by following the generation BFS.
+class GeneratorImageError(GroupDomainError):
+    """A generator's matrix is not an automorphism; `generator` is its
+    position among the matrices."""
+
+    def __init__(self, generator: int):
+        super().__init__("generator image is not an automorphism")
+        self.generator = generator
+
+
+def action_from_generator_matrices(A: AbelianGroup, H: FiniteGroup, matrices) -> tuple:
+    """The action of H on A, one automorphism per H-element index, from the
+    integer matrices of H's compiled generators `H.compiled.gens`, extended
+    by following the generation BFS.
 
     GroupSizeError when A x| H would exceed the size cap, before the
     automorphism check enumerates A."""
     if A.order * H.order > MAX_GROUP_ORDER:
         raise GroupSizeError("semidirect product exceeds the size cap")
-    gen_maps = {}
-    for h, m in images.items():
-        gen_maps[h] = AbHom.from_matrix(A, m)
-        if not gen_maps[h].is_automorphism():
-            raise GroupDomainError("generator image is not an automorphism")
-    rows = [(H.compiled.right_translation(H.index[g]).tolist(), fg) for g, fg in gen_maps.items()]
-    action = {H.identity: AbHom.identity(A)}
-    reached = [H.identity]
+    law = H.compiled
+    rows = []
+    for k, (s, m) in enumerate(zip(law.gens, matrices, strict=True)):
+        fs = AbHom.from_matrix(A, m)
+        if not fs.is_automorphism():
+            raise GeneratorImageError(k)
+        rows.append((law.right_translation(s).tolist(), fs))
+    action = [None] * law.order
+    action[law.identity] = AbHom.identity(A)
+    reached = [law.identity]
     for h in reached:  # grows as it goes: breadth-first order
-        for row, fg in rows:
-            hg = H.elements[row[H.index[h]]]
-            if hg not in action:
-                action[hg] = action[h].compose(fg)
-                reached.append(hg)
-    if len(action) != H.order:
+        for row, fs in rows:
+            if action[row[h]] is None:
+                action[row[h]] = action[h].compose(fs)
+                reached.append(row[h])
+    if len(reached) != law.order:
         raise GroupDomainError("generator images do not cover H")
-    return action
+    return tuple(action)
 
 
 class SemidirectGroup(FiniteGroup):
@@ -1075,8 +1065,9 @@ class SemidirectGroup(FiniteGroup):
 
     @cached_property
     def A_handle(self) -> SubgroupHandle:
-        A, h1 = self.semidirect_spec.A, self.semidirect_spec.H.identity
-        return self.subgroup([(g.coords, h1) for g in A.generators()])
+        A, H = self.semidirect_spec.A, self.semidirect_spec.H
+        eye = np.eye(A.rank, dtype=np.int64)
+        return self.subgroup(A.index_of(eye) + A.order * H.compiled.identity)
 
 
 def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
@@ -1084,37 +1075,38 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
 
     Element (a, h) is number |A| * index(h) + index(a), index(h) its place
     in H.elements and index(a) its row in A.table.  The rows of the
-    generators, A's then H's, come from the action matrices and H's law:
+    generators, A's then H's compiled ones, come from the action matrices
+    and H's law:
     (a, h)(e_i, 1) = (a + row i of action(h), h), (a, h)(0, s) = (a, hs).
 
     Conjugation of a in A by h comes out as a^h = action(h^-1)(a).
     The result carries `semidirect_spec` (see SemidirectGroup).
     """
     spec.validate()
-    A, H, action = spec.A, spec.H, spec.action
+    A, H, law = spec.A, spec.H, spec.H.compiled
     if A.order * H.order > MAX_GROUP_ORDER:
         raise GroupSizeError("semidirect product exceeds the size cap")
     n = A.order
     coords = list(map(tuple, A.table.tolist()))
     elements = [(a, h) for h in H.elements for a in coords]
     offsets = n * np.arange(H.order)[:, None]
-    matrices = np.array([action[h].matrix for h in H.elements])
+    matrices = np.array([f.matrix for f in spec.action])
     right = [(A.index_of(A.table + matrices[:, i, None]) + offsets).ravel()
              for i in range(A.rank)]
-    right += [(n * H.compiled.right_translation(H.index[s])[:, None] + np.arange(n)).ravel()
-              for s in H.generators]
+    right += [(n * law.right_translation(s)[:, None] + np.arange(n)).ravel()
+              for s in law.gens]
     ident = (A.zero().coords, H.identity)
     gens = [(g.coords, H.identity) for g in A.generators()]
-    gens += [(A.zero().coords, h) for h in H.generators]
+    gens += [(A.zero().coords, H.elements[s]) for s in law.gens]
     G = SemidirectGroup(elements, None, None, ident, generators=gens, name=name, right=right)
     G.semidirect_spec = spec
     return G
 
 
 def semidirect_from_matrices(A: AbelianGroup, H: FiniteGroup, matrices, name=""):
-    """A x| H, generator k of H acting on A through the integer matrix
-    matrices[k], whose row i is the image of A's generator i."""
-    action = action_from_generator_matrices(A, H, dict(zip(H.generators, matrices, strict=True)))
+    """A x| H, compiled generator k of H acting on A through the integer
+    matrix matrices[k], whose row i is the image of A's generator i."""
+    action = action_from_generator_matrices(A, H, matrices)
     return build_semidirect(SemidirectSpec(A, H, action), name=name)
 
 

@@ -27,11 +27,13 @@ from .abelian_core import AbelianDomainError, parse_abelian_literal
 from .group_engine import (
     BUILTIN_H,
     FiniteGroup,
+    GeneratorImageError,
     GroupDomainError,
     GroupSizeError,
     builtin_h,
     cycles_of,
     from_permutations,
+    parse_cycles,
     semidirect_from_matrices,
 )
 
@@ -50,7 +52,8 @@ class GroupFileError(ValueError):
 @dataclass
 class _Line:
     number: int
-    text: str
+    text: str  # the line without its comment and surrounding whitespace
+    offset: int  # the file column of text[0], less one
 
 
 def _meaningful_lines(text: str) -> list[_Line]:
@@ -58,22 +61,23 @@ def _meaningful_lines(text: str) -> list[_Line]:
     for i, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
         if body.strip():
-            out.append(_Line(i, body.strip()))
+            out.append(_Line(i, body.strip(), len(body) - len(body.lstrip())))
     return out
 
 
-def _keyword(line: _Line, expected: str) -> str:
+def _keyword(line: _Line, expected: str) -> tuple[str, int]:
+    """The argument of a line `expected argument`, and its file column."""
     head, _, rest = line.text.partition(" ")
     if head != expected:
         raise GroupFileError(f"expected {expected!r}, found {head!r}", line.number)
     if not rest.strip():
         raise GroupFileError(f"{expected!r} needs an argument", line.number,
-                             len(head) + 2)
-    return rest.strip()
+                             line.offset + len(head) + 2)
+    return rest.strip(), line.offset + len(line.text) - len(rest.strip()) + 1
 
 
 def _parse_matrix(line: _Line, rank: int) -> list[list[int]]:
-    body = _keyword(line, "matrix")
+    body, _ = _keyword(line, "matrix")
     pos = len(line.text) - len(body)  # the body ends the stripped line
     rows = []
     for part in body.split("/"):
@@ -84,7 +88,7 @@ def _parse_matrix(line: _Line, rank: int) -> list[list[int]]:
                 row.append(int(tok))
             except ValueError:
                 raise GroupFileError(f"matrix entry {tok!r} is not an integer",
-                                     line.number, pos + 1) from None
+                                     line.number, line.offset + pos + 1) from None
             pos += len(tok)
         rows.append(row)
     if len(rows) != rank or any(len(r) != rank for r in rows):
@@ -113,54 +117,53 @@ def _parse_semidirect(lines: list[_Line]) -> FiniteGroup:
     if len(lines) < 3:
         raise GroupFileError("semidirect needs 'abelian' and 'complement' lines",
                              lines[-1].number)
-    literal = _keyword(lines[1], "abelian")
+    literal, column = _keyword(lines[1], "abelian")
     try:
         A = parse_abelian_literal(literal)
     except AbelianDomainError as exc:
-        raise GroupFileError(str(exc), lines[1].number, 9) from None
-    h_name = _keyword(lines[2], "complement").upper()
+        raise GroupFileError(str(exc), lines[1].number, column) from None
+    h_name, column = _keyword(lines[2], "complement")
+    h_name = h_name.upper()
     if h_name not in BUILTIN_COMPLEMENTS:
         raise GroupFileError(
             f"complement must be one of {', '.join(BUILTIN_COMPLEMENTS)}",
-            lines[2].number, 12,
+            lines[2].number, column,
         )
     H = builtin_h(h_name)
     matrices = [_parse_matrix(line, A.rank) for line in lines[3:]]
-    if len(matrices) != len(H.generators):
-        raise GroupFileError(
-            f"{h_name} needs {len(H.generators)} matrix line(s), got {len(matrices)}",
-            lines[-1].number,
-        )
+    gens = len(H.compiled.gens)
+    if len(matrices) != gens:
+        raise GroupFileError(f"{h_name} needs {gens} matrix line(s), got {len(matrices)}",
+                             lines[-1].number)
     try:
         return semidirect_from_matrices(A, H, matrices, name=f"{literal}:{h_name}")
     except GroupSizeError:
         raise
-    except (GroupDomainError, AbelianDomainError) as exc:
-        raise GroupFileError(str(exc), lines[3].number if len(lines) > 3
-                             else lines[-1].number) from None
+    except GeneratorImageError as exc:
+        raise GroupFileError(str(exc), lines[3 + exc.generator].number) from None
+    except (GroupDomainError, AbelianDomainError) as exc:  # at the first matrix line
+        raise GroupFileError(str(exc), lines[3].number) from None
 
 
 def _parse_perm(lines: list[_Line]) -> FiniteGroup:
     if len(lines) < 3:
         raise GroupFileError("perm needs a 'degree' line and at least one 'gen'",
                              lines[-1].number)
-    degree_text = _keyword(lines[1], "degree")
+    degree_text, column = _keyword(lines[1], "degree")
     try:
         degree = int(degree_text)
     except ValueError:
         raise GroupFileError(f"degree {degree_text!r} is not an integer",
-                             lines[1].number, 8) from None
+                             lines[1].number, column) from None
     if not 1 <= degree <= 64:
-        raise GroupFileError("degree must be between 1 and 64", lines[1].number, 8)
+        raise GroupFileError("degree must be between 1 and 64", lines[1].number, column)
     gens = []
     for line in lines[2:]:
-        gens.append(_keyword(line, "gen"))
-    try:
-        return from_permutations(degree, gens, name=f"perm{degree}")
-    except GroupSizeError:
-        raise
-    except GroupDomainError as exc:
-        raise GroupFileError(str(exc), lines[2].number) from None
+        try:
+            gens.append(parse_cycles(_keyword(line, "gen")[0], degree))
+        except GroupDomainError as exc:
+            raise GroupFileError(str(exc), line.number) from None
+    return from_permutations(degree, gens, name=f"perm{degree}")
 
 
 def parse_group_file(path: str) -> FiniteGroup:
@@ -180,8 +183,8 @@ def emit_group(G: FiniteGroup) -> str:
         out = ["semidirect",
                "abelian " + ("x".join(f"C{d}" for d in spec.A.factor_orders) or "C1"),
                f"complement {spec.H.name}"]
-        for g in spec.H.generators:
-            hom = spec.action[g]
+        for s in spec.H.compiled.gens:
+            hom = spec.action[s]
             rows = [" ".join(str(c) for c in img.coords) for img in hom.images]
             out.append("matrix " + " / ".join(rows))
         return "\n".join(out) + "\n"
@@ -203,7 +206,7 @@ def emit_group(G: FiniteGroup) -> str:
         )
     # regular representation on the element list
     out = ["perm", f"degree {G.order}"]
-    for g in G.generators:
-        perm = G.compiled.right_translation(G.index[g])
+    for s in G.compiled.gens:
+        perm = G.compiled.right_translation(s)
         out.append("gen " + cycles_of(tuple(perm.tolist())))
     return "\n".join(out) + "\n"

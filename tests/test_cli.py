@@ -26,7 +26,6 @@ from vanishlab.cyclotomic import SIX_SUM_VERDICTS, SixSumVerdict
 from vanishlab.group_engine import (
     FiniteGroup,
     GroupSizeError,
-    SubgroupHandle,
     alternating_7,
     from_permutations,
 )
@@ -50,8 +49,8 @@ def run(capsys, *argv):
 def roundtrip(G):
     H = parse_group(emit_group(G))
     assert H.order == G.order
-    assert sorted(len(c) for _, c in H.conjugacy_data[0]) == \
-        sorted(len(c) for _, c in G.conjugacy_data[0])
+    assert sorted(len(c) for c in H.conjugacy_data) == \
+        sorted(len(c) for c in G.conjugacy_data)
     return H
 
 
@@ -91,6 +90,14 @@ def test_roundtrip_regular_representation_fallback():
     ("semidirect\nabelian C4\ncomplement C2\nmatrix x\n", 4),
     ("perm\ndegree nope\ngen (1 2)\n", 2),
     ("perm\ndegree 4\ngen (1 5)\n", 3),
+    # a bad generator is reported at its own line
+    ("perm\ndegree 3\ngen (1 2)\ngen (1 2)(2 3)\n", 4),
+    ("perm\ndegree 4\ngen (1 2)\n\ngen (1 2 3)\ngen (1 5)\n", 6),
+    ("semidirect\nabelian C4\ncomplement S3\nmatrix 1\nmatrix 2\n", 5),
+    ("semidirect\nabelian C4\ncomplement S3\nmatrix 2\nmatrix 1\n", 4),
+    # each generator is an automorphism, but the 3-cycle acts with order 2:
+    # the action as a whole is reported at the first matrix line
+    ("semidirect\nabelian C4\ncomplement S3\nmatrix -1\nmatrix 1\n", 4),
 ])
 def test_parse_diagnostics_carry_positions(text, line):
     with pytest.raises(GroupFileError) as info:
@@ -102,12 +109,31 @@ def test_parse_diagnostics_carry_positions(text, line):
 @pytest.mark.parametrize("matrix,entry,column", [
     ("matrix 0 1 / 1 a", "a", 16),  # an `a` is also in the word `matrix`
     ("matrix ix", "ix", 8),  # and so is `ix`
+    ("   matrix x", "x", 11),  # columns count the indentation
 ])
 def test_a_non_integer_matrix_entry_reports_its_own_column(matrix, entry, column):
     with pytest.raises(GroupFileError) as info:
         parse_group(f"semidirect\nabelian C2xC2\ncomplement C2\n{matrix}\n")
     assert str(info.value) == \
         f"line 4, column {column}: matrix entry {entry!r} is not an integer"
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("semidirect\nabelian   C0\ncomplement C2\nmatrix 1\n", 2, 11),
+    ("semidirect\nabelian C4\ncomplement    Q8\nmatrix 1\n", 3, 15),
+    ("perm\n  degree x\ngen (1 2)\n", 2, 10),
+    ("perm\n  degree\ngen (1 2)\n", 2, 10),
+    # unindented and single-spaced files keep their columns
+    ("semidirect\nabelian C0\ncomplement C2\nmatrix 1\n", 2, 9),
+    ("semidirect\nabelian C4\ncomplement Q8\nmatrix 1\n", 3, 12),
+    ("perm\ndegree x\ngen (1 2)\n", 2, 8),
+    ("perm\ndegree 65\ngen (1 2)\n", 2, 8),
+    ("perm\ndegree\ngen (1 2)\n", 2, 8),
+])
+def test_diagnostic_columns_are_file_columns(text, line, column):
+    with pytest.raises(GroupFileError) as info:
+        parse_group(text)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 @st.composite
@@ -835,14 +861,12 @@ M5_REPORTS = (
 
 
 def test_oracle_path_reads_no_element_sets(tmp_path, capsys, monkeypatch):
-    # the census is a mask over element indices: neither the class
-    # frozensets nor a subgroup's element set is read on its way to a
-    # campaign row or an oracle report
+    # the census is a mask over element indices: the class blocks are not
+    # read on its way to a campaign row or an oracle report
     def refuse(self):
         raise AssertionError("element sets read on the oracle path")
 
     monkeypatch.setattr(FiniteGroup, "conjugacy_data", property(refuse))
-    monkeypatch.setattr(SubgroupHandle, "elements", property(refuse))
     for entry in random_corpus(42, 200, max_order=2000):
         row, ok = cli._corpus_row(entry.provenance)
         assert ok, row

@@ -74,17 +74,17 @@ def reference_law(G):
     if G.mul is not None:
         return G.mul, G.inv
     spec = G.semidirect_spec
-    A, action = spec.A, spec.action
+    A, action, index = spec.A, spec.action, spec.H.index
     hmul, hinv = reference_law(spec.H)
 
     def mul(x, y):
         (a1, h1), (a2, h2) = x, y
-        return (A.element(a1) + action[h1](A.element(a2))).coords, hmul(h1, h2)
+        return (A.element(a1) + action[index[h1]](A.element(a2))).coords, hmul(h1, h2)
 
     def inv(x):
         a, h = x
         h = hinv(h)
-        return action[h](-A.element(a)).coords, h
+        return action[index[h]](-A.element(a)).coords, h
 
     return mul, inv
 
@@ -176,13 +176,13 @@ def test_compiled_view_matches_mul(name):
     G = GROUPS[name]()
     R = Reference(G, name)
     classes, class_of = reference_classes(R)
-    assert G.conjugacy_data == (classes, class_of)
+    assert [(G.elements[c[0]], labels(G, c)) for c in G.conjugacy_data] == classes
     assert G.class_index.tolist() == [class_of[g] for g in G.elements]
 
-    assert G.exponent == reduce(lcm, (G.element_order(g) for g in G.elements), 1)
+    assert G.exponent == reduce(lcm, (G.element_order(i) for i in range(G.order)), 1)
 
     data = class_data(G)
-    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    L = G.compiled.left_translations(data.reps)
     assert np.array_equal(
         _power_classes(G, L, G.exponent),
         reference_power_classes(R, classes, class_of, G.exponent),
@@ -202,7 +202,7 @@ def test_class_combination_matches_the_reference_matrices(name):
     classes, class_of = reference_classes(R)
     data = class_data(G)
     r = data.count
-    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    L = G.compiled.left_translations(data.reps)
     if name == "S5xS4":
         assert r * G.order > character_lab._BINCOUNT_HITS
     p = dixon_prime(G.order, G.exponent)
@@ -236,7 +236,7 @@ def test_redundant_generators_are_pruned():
                     lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x, (0, 0))
     assert len(H.generators) >= 4
     assert len(H.compiled.R) == 2
-    assert sorted(len(c) for _, c in H.conjugacy_data[0]) == [1, 1, 1, 1]
+    assert sorted(len(c) for c in H.conjugacy_data) == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("make", [alternating_7, lambda: build_case_family("B4_1").group])
@@ -276,6 +276,11 @@ def test_finished_group_is_freed_without_the_cycle_collector():
 
 
 # -- structure queries against plain `mul` --------------------------------
+
+
+def labels(G, indices):
+    """The elements of G at the given indices, as a set."""
+    return frozenset(G.elements[i] for i in np.asarray(indices).tolist())
 
 
 def reference_closure(G, gens):
@@ -353,23 +358,24 @@ def reference_core(G, S):
 def test_structure_queries_match_mul(name):
     G = GROUPS[name]()
     R = Reference(G, name)
-    assert G.center.elements == frozenset(
+    assert labels(G, G.center.idx) == frozenset(
         z for z in G.elements
         if all(R.mul(z, g) == R.mul(g, z) for g in G.generators)
     )
-    for rep, _ in G.conjugacy_data[0]:
-        assert G.centralizer(rep).elements == frozenset(
+    for c in G.conjugacy_data:
+        rep = G.elements[c[0]]
+        assert labels(G, G.centralizer(c[0]).idx) == frozenset(
             h for h in G.elements if R.mul(rep, h) == R.mul(h, rep)
         )
     cores = []
     for p in G.primes():
-        S = G.sylow(p)
-        assert S.elements == reference_sylow(R, p)
-        assert G.normalizer(S).elements == reference_normalizer(R, S.elements, S.elements)
-        assert G.p_core(p).elements == reference_core(R, S.elements)
-        cores.extend(G.p_core(p).elements)
-    assert G.fitting.elements == reference_closure(R, cores)
-    assert G.derived_subgroup.elements == reference_closure(R, {
+        S = labels(G, G.sylow(p).idx)
+        assert S == reference_sylow(R, p)
+        assert labels(G, G.normalizer(G.sylow(p)).idx) == reference_normalizer(R, S, S)
+        assert labels(G, G.p_core(p).idx) == reference_core(R, S)
+        cores.extend(labels(G, G.p_core(p).idx))
+    assert labels(G, G.fitting.idx) == reference_closure(R, cores)
+    assert labels(G, G.derived_subgroup.idx) == reference_closure(R, {
         R.mul(R.mul(R.inv(g), R.inv(s)), R.mul(g, s))
         for g in G.elements for s in G.generators
     })
@@ -379,14 +385,14 @@ def test_structure_queries_match_mul(name):
     cosets = []
     for g in G.elements:
         if all(g not in c for c in cosets):
-            cosets.append(frozenset(R.mul(g, n) for n in N.elements))
+            cosets.append(frozenset(R.mul(g, n) for n in labels(G, N.idx)))
     assert Q.elements == cosets
     pi = Q.projection
     view = Q.compiled
-    for g in G.elements:
-        for h in G.elements[:: max(1, G.order // 24)]:
-            assert Q.elements[view.product(Q.index[pi[g]], Q.index[pi[h]])] == pi[R.mul(g, h)]
-            assert Q.elements[view.inv[Q.index[pi[h]]]] == pi[R.inv(h)]
+    for i, g in enumerate(G.elements):
+        for j, h in list(enumerate(G.elements))[:: max(1, G.order // 24)]:
+            assert view.product(pi[i], pi[j]) == pi[G.index[R.mul(g, h)]]
+            assert view.inv[pi[j]] == pi[G.index[R.inv(h)]]
 
 
 @pytest.mark.parametrize("make", [
@@ -481,7 +487,7 @@ def test_grown_spans_match_the_refilled_span(monkeypatch):
     for draw in random_corpus(1, 400, 1000):
         G = replay(draw.provenance).group
         view = G.compiled
-        gens = G.indices(G.generators)
+        gens = [G.index[g] for g in G.generators]
         mask, basis = reference_span(view, gens)
         got = view.span(gens)
         assert np.array_equal(got[0], mask) and got[1] == basis
@@ -571,7 +577,7 @@ def s3_rows():
     transposition) and their rows."""
     G = symmetric_3()
     view = G.compiled
-    assert [G.element_order(G.elements[j]) for j in view.gens] == [3, 2]
+    assert [G.element_order(j) for j in view.gens] == [3, 2]
     return G.elements, G.identity, [G.elements[j] for j in view.gens], view.R.astype(np.intp)
 
 
@@ -651,10 +657,10 @@ def test_semidirect_law_matches_the_module_action(tag, params):
     A, H = spec.A, spec.H
     for i, (a1, h1) in enumerate(G.elements):
         for j, (a2, h2) in enumerate(G.elements):
-            moved = spec.action[h1](A.element(a2))
+            moved = spec.action[H.index[h1]](A.element(a2))
             expected = ((A.element(a1) + moved).coords, H.mul(h1, h2))
             assert G.elements[view.product(i, j)] == expected
-        inverse = spec.action[H.inv(h1)](-A.element(a1))
+        inverse = spec.action[H.index[H.inv(h1)]](-A.element(a1))
         assert G.elements[view.inv[i]] == (inverse.coords, H.inv(h1))
 
 
@@ -697,12 +703,29 @@ def test_semidirect_products_compile_without_calling_mul(monkeypatch):
 
 def c5_by_c4_spec(wrong_at=None):
     """C5 x| C4, the generator 1 of C4 acting by a -> 2a, and the action of
-    C4's element `wrong_at` replaced by the identity map."""
+    C4's element `wrong_at` replaced by the identity map (C4's element k
+    has index k)."""
     A, H = AbelianGroup.of(5), cyclic_group(4)
-    action = {k: AbHom.from_matrix(A, [[pow(2, k, 5)]]) for k in H.elements}
+    action = [AbHom.from_matrix(A, [[pow(2, k, 5)]]) for k in range(H.order)]
     if wrong_at is not None:
         action[wrong_at] = AbHom.identity(A)
-    return SemidirectSpec(A, H, action)
+    return SemidirectSpec(A, H, tuple(action))
+
+
+def test_semidirect_spec_rejects_an_action_of_the_wrong_length():
+    spec = c5_by_c4_spec()
+    for action in (spec.action[:-1], spec.action + spec.action[:1]):
+        with pytest.raises(GroupDomainError, match="one map per H-element"):
+            SemidirectSpec(spec.A, spec.H, action).validate()
+
+
+def test_a_handle_is_the_subgroup_of_the_a_generators():
+    for entry in catalog_entries(2000):
+        G = entry.group
+        spec = getattr(G, "semidirect_spec", None)
+        if spec is not None:
+            gens = [G.index[a.coords, spec.H.identity] for a in spec.A.generators()]
+            assert G.A_handle == G.subgroup(gens), entry.provenance
 
 
 @pytest.mark.parametrize("wrong_at", [2, 3])

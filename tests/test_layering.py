@@ -156,3 +156,101 @@ def test_the_scan_reads_names_attributes_and_strings_by_name_alone():
     )
     # Live.called shares its name with the live function, so it is not seen
     assert unread_definitions([source]) == {"dead", "Live.unused", "Dead"}
+
+
+def _reads_labels(node) -> bool:
+    """Whether an ast node reads `.elements`, or subscripts or calls `.get`
+    on `.index`."""
+    if isinstance(node, ast.Attribute) and node.attr == "elements":
+        return isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Subscript):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "get":
+        target = node.func.value
+    else:
+        return False
+    return isinstance(target, ast.Attribute) and target.attr == "index"
+
+
+def label_readers(sources) -> set[str]:
+    """Each top-level function, as "name", and each method, as
+    "Class.name", of the given module sources that reads element labels:
+    an attribute `.elements`, or a subscript or `.get` of an attribute
+    `.index`, anywhere in its body (nested functions included); a read in
+    a class body outside its methods counts as the class's, and one outside
+    every class and function as "<module>".
+
+    Like `unread_definitions`, the check goes by name alone: every
+    `.elements` and `.index` counts, whatever object it is read on (the
+    CLI's `args.elements` flag too), and a label read under another name
+    is not seen."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    found = set()
+    for tree in (ast.parse(source) for source in sources):
+        for top in tree.body:
+            if isinstance(top, defs):
+                scopes = [(top.name, top)]
+            elif isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{item.name}", item) for item in top.body
+                          if isinstance(item, defs)]
+                scopes += [(top.name, item) for item in top.body if not isinstance(item, defs)]
+            else:
+                scopes = [("<module>", top)]
+            found |= {name for name, scope in scopes
+                      if any(map(_reads_labels, ast.walk(scope)))}
+    return found
+
+
+_BUILD = "construction: the labels of a group are made here"
+_IO = "I/O: labels are read and written only at the edges"
+
+# Every function that reads element labels, and why: every other API takes
+# and returns element indices.
+LABEL_READERS = {
+    "FiniteGroup.__init__": _BUILD,
+    "FiniteGroup.quotient": _BUILD + " (cosets as frozensets)",
+    "SubgroupHandle.as_group": _BUILD,
+    "build_semidirect": _BUILD,
+    "direct_product": _BUILD,
+    "AbelianModel.__repr__": "repr: the basis as labels",
+    "VanishReport.vanishing": _IO + " (the report's element sets)",
+    "VanishReport.nonvanishing": _IO + " (the report's element sets)",
+    "cmd_ptable": _IO + " (the CLI prints class representatives)",
+    "cmd_oracle": _IO + " (the CLI prints nonvanishing elements)",
+    "emit_group": _IO + " (group files)",
+}
+
+
+def test_only_construction_io_and_reprs_read_element_labels():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert label_readers(sources) == set(LABEL_READERS)
+
+
+def test_the_label_scan_sees_elements_and_index_lookups_by_name_alone():
+    source = (
+        "def reads():\n"
+        "    return G.elements[0]\n"
+        "def looks_up(g):\n"
+        "    return G.index[g]\n"
+        "def gets(g):\n"
+        "    return view.index.get(g)\n"
+        "def nested():\n"
+        "    def inner():\n"
+        "        return H.elements\n"
+        "    return inner\n"
+        "class K:\n"
+        "    first = G.index[e]\n"
+        "    def __init__(self, elements):\n"
+        "        self.elements = list(elements)\n"
+        "    def __repr__(self):\n"
+        "        return repr(self.elements)\n"
+        "def calls_list_index(line, tok):\n"
+        "    return line.text.index(tok)\n"
+        "def reads_indices(G):\n"
+        "    return G.compiled.gens\n"
+        "labels = G.elements\n"
+    )
+    # a store and a list's `.index(...)` method are not reads
+    assert label_readers([source]) == {
+        "reads", "looks_up", "gets", "nested", "K", "K.__repr__", "<module>"}

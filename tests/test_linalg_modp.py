@@ -193,7 +193,7 @@ def m5_first_combination():
     r = data.count
     p = M5_LARGE_PRIME
     assert prime_factors(p) == [p] and p % G.exponent == 1
-    L = G.compiled.left_translations([G.index[rep] for rep in data.reps])
+    L = G.compiled.left_translations(data.reps)
     c = np.zeros(r, dtype=np.int64)
     c[1:] = np.random.default_rng(0x5EED).integers(0, p, size=r - 1)
     return _class_combination(G, data, L, c) % p, r, p
