@@ -328,11 +328,16 @@ class AbSubgroup:
 
     Built from table indices, the subgroup they generate; `generators`
     keeps the ones the closure used, a read-only int64 index array with
-    no member inside the span of those before it."""
+    no member inside the span of those before it.  Each index must be an
+    integer in range(|parent|)."""
 
     def __init__(self, parent: AbelianGroup, members):
+        members = np.asarray(members)
+        if members.size and (members.dtype.kind not in "iu" or members.min() < 0
+                             or members.max() >= parent.order):
+            raise AbelianDomainError("members must be table indices in range(order)")
         self.parent = parent
-        self.mask, used = _close(parent, np.asarray(members, dtype=np.int64))
+        self.mask, used = _close(parent, members.astype(np.int64, copy=False))
         self.generators = np.array(used, dtype=np.int64)
         self.generators.flags.writeable = False
 
@@ -415,20 +420,19 @@ def _close(A: AbelianGroup, candidates: np.ndarray) -> tuple[np.ndarray, list[in
     outside the closure H so far adds the cosets H + g, ..., H + (k-1) g,
     k the least with k g in H; a candidate already inside adds nothing."""
     table = A.table
+    d, places = A._radix
     mask = np.zeros(len(table), dtype=bool)
     mask[0] = True
-    members = np.zeros(1, dtype=np.int64)  # H, zero first
+    members = table[:1]  # coordinate rows of H, zero first
     used = []
-    while True:
-        outside = candidates[~mask[candidates]]
-        if not outside.size:
-            return mask, used
-        g = int(outside[0])
+    while (candidates := candidates[~mask[candidates]]).size:
+        g = int(candidates[0])
         used.append(g)
-        steps = A.index_of(np.arange(A.element_orders[g] + 1)[:, None] * table[g])
-        k = int(mask[steps[1:]].argmax()) + 1  # k g in H, k <= order of g
-        members = A.index_of(table[steps[:k], None] + table[members]).ravel()
-        mask[members] = True
+        steps = np.arange(A.element_orders[g] + 1)[:, None] * table[g] % d
+        k = int(mask[steps[1:] @ places].argmax()) + 1  # k g in H, k <= order of g
+        members = ((steps[:k, None] + members) % d).reshape(-1, len(d))
+        mask[members @ places] = True
+    return mask, used
 
 
 # -- operations ----------------------------------------------------------

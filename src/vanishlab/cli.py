@@ -313,21 +313,26 @@ DUALITY_SHAPES = ((2,), (4,), (8,), (2, 2), (4, 2), (4, 4), (8, 2), (8, 8), (4, 
 def _check_duality(seed: int, trials: int):
     """Annihilator laws |B| |B^perp| = |A| and (B^perp)^perp = B on random
     subgroups B of abelian 2-groups.  Each trial draws a shape and up to two
-    generators and closes B; equal subgroups are checked once, in the order
-    first drawn, and a failing one counts once per trial that drew it."""
+    generators.  Draws with the same shape and the same nonzero generators
+    are closed once; equal subgroups are checked once, in the order first
+    drawn, and a failing one counts once per trial that drew it."""
     rng = random.Random(seed)
     groups = [AbelianGroup.of(*shape) for shape in DUALITY_SHAPES]  # one table each
     draws = {}
     for _ in range(trials):
         A = rng.choice(groups)
-        gens = [
-            A.index_of([rng.randrange(d) for d in A.factor_orders])
+        rows = [
+            tuple(rng.randrange(d) for d in A.factor_orders)
             for _ in range(rng.randrange(3))
         ]
-        B = AbSubgroup(A, gens)
-        draws[B] = draws.get(B, 0) + 1
+        key = (A, frozenset(row for row in rows if any(row)))
+        draws[key] = draws.get(key, 0) + 1
+    subgroups = {}
+    for (A, rows), count in draws.items():
+        B = AbSubgroup(A, A.index_of(np.reshape(sorted(rows), (-1, A.rank))))
+        subgroups[B] = subgroups.get(B, 0) + count
     failures = 0
-    for B, count in draws.items():
+    for B, count in subgroups.items():
         Bp = perp(B)
         if B.order * Bp.order != B.parent.order or perp_dual(Bp) != B:
             failures += count

@@ -68,6 +68,8 @@ class FiniteGroup:
     given `inv` is checked once per kept generator.  Construction builds
     `compiled` (see CompiledGroup) and verifies the group axioms on it,
     completely and at every order; every query below runs on `compiled`.
+    A query given a position that is not an integer in range(|G|) raises
+    GroupDomainError.
     """
 
     def __init__(self, elements, mul, inv, identity, generators=None, name="",
@@ -111,7 +113,7 @@ class FiniteGroup:
         return self.compiled.order
 
     def element_order(self, g: int) -> int:
-        return int(self.compiled.orders[g])
+        return int(self.compiled.orders[self._indices([g])[0]])
 
     @cached_property
     def exponent(self) -> int:
@@ -123,11 +125,21 @@ class FiniteGroup:
 
     # -- subgroup machinery ----------------------------------------------
 
+    def _indices(self, elems) -> np.ndarray:
+        """The element indices `elems` as an array, checked."""
+        idx = np.array(list(elems))
+        if not idx.size:
+            return idx.astype(np.intp)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 \
+                or idx.max() >= self.order:
+            raise GroupDomainError("element indices must be integers in range(order)")
+        return idx
+
     def closure(self, gens) -> np.ndarray:
         return self.subgroup(gens).idx
 
     def subgroup(self, gens) -> "SubgroupHandle":
-        return self.compiled.subgroup(gens)
+        return self.compiled.subgroup(self._indices(gens))
 
     def trivial_subgroup(self) -> "SubgroupHandle":
         return self.compiled.subgroup([])
@@ -137,7 +149,7 @@ class FiniteGroup:
         return SubgroupHandle(view, np.arange(self.order), view.gens, view.gens)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
-        return self.compiled.normal_closure(seeds)
+        return self.compiled.normal_closure(self._indices(seeds))
 
     # -- structural queries ----------------------------------------------
 
@@ -164,7 +176,7 @@ class FiniteGroup:
 
     def centralizer_of_set(self, elems) -> "SubgroupHandle":
         view = self.compiled
-        return view.handle(np.flatnonzero(view.centralizer_mask(elems)))
+        return view.handle(np.flatnonzero(view.centralizer_mask(self._indices(elems))))
 
     def normalizer(self, H: "SubgroupHandle") -> "SubgroupHandle":
         """The elements conjugating every generator of H into H."""
@@ -402,6 +414,8 @@ class CompiledGroup:
 
     def _fill(self, targets, maps) -> np.ndarray:
         out = np.empty((len(targets), self.order), dtype=self.dtype)
+        if not len(targets):
+            return out
         out[:, self.identity] = targets
         for nodes in self.levels:
             out[:, nodes] = maps[self.gen[nodes], out[:, self.parent[nodes]]]
@@ -652,6 +666,8 @@ class SubgroupHandle:
     @cached_property
     def _abelian(self) -> bool:
         basis = self.basis
+        if len(basis) <= 1:  # cyclic
+            return True
         return bool((self.view.conjugates(basis)[:, basis] == basis[:, None]).all())
 
     def as_group(self, name: str = "") -> FiniteGroup:
@@ -1067,7 +1083,7 @@ class SemidirectGroup(FiniteGroup):
     def A_handle(self) -> SubgroupHandle:
         A, H = self.semidirect_spec.A, self.semidirect_spec.H
         eye = np.eye(A.rank, dtype=np.int64)
-        return self.subgroup(A.index_of(eye) + A.order * H.compiled.identity)
+        return self.compiled.subgroup(A.index_of(eye) + A.order * H.compiled.identity)
 
 
 def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:

@@ -6,6 +6,7 @@ from functools import reduce
 from math import gcd, lcm, prod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,6 +189,21 @@ def test_perp_closes_its_subgroup_once(monkeypatch):
     assert Bp.generators.size and Bp.generators.all()  # table index 0 is zero
     assert AbSubgroup(A, Bp.generators) == Bp
     assert B.order * Bp.order == A.order
+
+
+@pytest.mark.parametrize("members", [[-1], [1.5], [8], [0, 9], [True]],
+                         ids=["negative", "float", "past-end", "one-past-end", "bool"])
+def test_subgroup_rejects_bad_table_indices(members):
+    with pytest.raises(AbelianDomainError):
+        AbSubgroup(AbelianGroup.of(4, 2), members)
+
+
+def test_subgroup_of_no_members_is_trivial():
+    A = AbelianGroup.of(4, 2)
+    for members in ((), [], np.zeros(0, dtype=np.int16)):
+        B = AbSubgroup(A, members)
+        assert B == AbSubgroup.trivial(A) and B.order == 1
+        assert B.generators.dtype == np.int64 and not B.generators.size
 
 
 def test_characters_separate_points():

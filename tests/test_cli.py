@@ -593,7 +593,8 @@ def test_campaign_lemma_sections_are_golden(capsys, section, digest):
 
 
 def _duality_draws(seed, trials):
-    """Each trial's subgroup, drawn as the duality check draws it."""
+    """Each trial's generator set and subgroup, drawn as the duality check
+    draws them; the set is the shape and the nonzero generators."""
     rng = random.Random(seed)
     groups = [AbelianGroup.of(*shape) for shape in cli.DUALITY_SHAPES]
     for _ in range(trials):
@@ -602,10 +603,35 @@ def _duality_draws(seed, trials):
             A.element(tuple(rng.randrange(d) for d in A.factor_orders))
             for _ in range(rng.randrange(3))
         )
-        yield AbSubgroup.from_elements(A, gens)
+        key = (A, frozenset(g.coords for g in gens if not g.is_zero()))
+        yield key, AbSubgroup.from_elements(A, gens)
+
+
+# sha256 of `verify-lemma duality --trials <t> --seed <s>`, recorded before
+# the check closed each distinct generator set once
+DUALITY_REPORT_DIGESTS = {
+    (2, 50): "ef6523b802ef0f2f923036ee9b2eccf8317f75852173b206ae1078ca015d6f35",
+    (2, 200): "683250586fa97e03ae321c9219cf257c5340211815c8c2a492a419336e4e0c9f",
+    (3, 50): "fd99a32003a470968a0fb8096d84c4b49b3b85ebb7c743a676c2f5e4a0cd5ff8",
+    (3, 200): "bec55f165ee6550e7bf2fb9bf94d203c19bb8fcb87ac7bfa1abe09665fd7c7b8",
+    (4, 50): "5bd80d4ccfe6cf3cc2103d62dd0271b3af6e890a2d8be4be2ceb663427d7b80d",
+    (4, 200): "a6636fc026c8099ea009f6b7f000dd1feba522d93ff40861db8eefb48e445e31",
+    (5, 50): "34a05e345873ceac29221647e5bca2722205f553f1adabbc9a0d6f71d0683190",
+    (5, 200): "1e4ad7f4d5a475c938dca374c96059d13363b7b064aea17d356bfe400820407b",
+}
+
+
+@pytest.mark.parametrize("seed,trials", DUALITY_REPORT_DIGESTS)
+def test_duality_reports_are_golden(capsys, seed, trials):
+    code, out = run(capsys, "verify-lemma", "duality", "--trials", str(trials),
+                    "--seed", str(seed))
+    assert code == EXIT_OK
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DUALITY_REPORT_DIGESTS[seed, trials]
 
 
 def test_duality_checks_each_distinct_subgroup_once(capsys, monkeypatch):
+    distinct = len({key for key, _ in _duality_draws(1, 1000)})
     seen = {"perp": [], "perp_dual": []}
     built = []
     init = cli.AbSubgroup.__init__
@@ -629,8 +655,8 @@ def test_duality_checks_each_distinct_subgroup_once(capsys, monkeypatch):
                     "--seed", "1")
     assert code == EXIT_OK
     assert "observed=trials=1000;failures=0" in out
-    # one closure per trial, and one per annihilator
-    assert len(built) == 1000 + len(seen["perp"]) + len(seen["perp_dual"])
+    # one closure per distinct generator set, and one per annihilator
+    assert len(built) == distinct + len(seen["perp"]) + len(seen["perp_dual"])
     for subs in seen.values():
         assert 0 < len(subs) < 1000
         assert len(set(subs)) == len(subs)
@@ -669,7 +695,7 @@ def test_duality_counts_a_failing_subgroup_once_per_draw(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "perp", wrong)
     expected = draws = 0
-    for B in _duality_draws(5, 600):  # per trial, as the check once ran
+    for _, B in _duality_draws(5, 600):  # per trial, as the check once ran
         Bp = wrong(B)
         expected += B.order * Bp.order != B.parent.order or cli.perp_dual(Bp) != B
         draws += B == chosen
@@ -678,6 +704,31 @@ def test_duality_counts_a_failing_subgroup_once_per_draw(capsys, monkeypatch):
                     "--seed", "5")
     assert code == EXIT_MISMATCH
     assert f"observed=trials=600;failures={expected} " in out
+
+
+def test_duality_checks_equal_subgroups_of_different_generator_sets_once(
+        capsys, monkeypatch):
+    sets_of = {}  # subgroup -> {generator set: trials}
+    for key, B in _duality_draws(5, 600):
+        counts = sets_of.setdefault(B, {})
+        counts[key] = counts.get(key, 0) + 1
+    chosen, trials = next((B, c) for B, c in sets_of.items() if len(c) > 1)
+    assert chosen.order > 1
+    checked = []
+    real = cli.perp
+
+    def wrong(sub):  # the trivial annihilator of the chosen subgroup
+        if sub == chosen:
+            checked.append(sub)
+            return AbSubgroup.trivial(sub.parent)
+        return real(sub)
+
+    monkeypatch.setattr(cli, "perp", wrong)
+    code, out = run(capsys, "verify-lemma", "duality", "--trials", "600",
+                    "--seed", "5")
+    assert code == EXIT_MISMATCH
+    assert len(checked) == 1
+    assert f"observed=trials=600;failures={sum(trials.values())} " in out
 
 
 def test_sixsum_mismatch_reports_the_first_input(capsys, monkeypatch):

@@ -449,7 +449,7 @@ def test_subgroup_handle_decides_abelian_once(monkeypatch):
                         lambda view, targets: calls.append(1) or conjugates(view, targets))
     assert [D8.is_abelian(), C3.is_abelian(), D8.is_abelian(), C3.is_abelian()] == \
         [False, True, False, True]
-    assert len(calls) == 2
+    assert len(calls) == 1  # C3 has a one-element basis: cyclic, no table
 
 
 @pytest.mark.parametrize("make", [

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,6 +223,35 @@ def test_element_order_and_exponent():
     assert orders == [1, 2, 3, 4]
     assert G.exponent == 12
     assert cyclic_group(20).exponent == 20
+
+
+BAD_INDEX = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=24),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=BAD_INDEX, good=st.lists(st.integers(0, 23), max_size=3), at=st.integers(0, 3))
+def test_index_queries_reject_indices_outside_the_group(bad, good, at):
+    G = s4()
+    elems = [*good[:at], bad, *good[at:]]
+    for query in (G.subgroup, G.closure, G.normal_closure, G.centralizer_of_set):
+        with pytest.raises(GroupDomainError):
+            query(elems)
+    for query in (G.element_order, G.centralizer):
+        with pytest.raises(GroupDomainError):
+            query(bad)
+
+
+def test_index_queries_take_any_integer_index_type():
+    G = s4()
+    last = G.order - 1
+    assert G.centralizer(np.int16(last)).order == G.centralizer(last).order == 8
+    assert G.element_order(np.uint8(last)) == G.element_order(last)
+    assert G.subgroup(np.array([last], dtype=np.uint8)) == G.subgroup([last])
+    assert G.subgroup(()).order == G.normal_closure([]).order == 1
 
 
 def test_build_semidirect_rejects_non_automorphism():
