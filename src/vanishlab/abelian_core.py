@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -61,17 +61,8 @@ class AbelianGroup:
             raise AbelianDomainError("coordinate length mismatch")
         return AbElement(self, tuple(c % d for c, d in zip(coords, self.factor_orders)))
 
-    def generator(self, i: int) -> "AbElement":
-        coords = [0] * len(self.factor_orders)
-        coords[i] = 1
-        return AbElement(self, tuple(coords))
-
     def generators(self) -> list["AbElement"]:
-        return [self.generator(i) for i in range(len(self.factor_orders))]
-
-    def elements(self):
-        for row in self.table.tolist():
-            yield AbElement(self, tuple(row))
+        return [AbElement(self, tuple(row)) for row in np.eye(self.rank, dtype=np.int64).tolist()]
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -148,9 +139,6 @@ class AbElement:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def order(self) -> int:
-        return lcm(*(d // gcd(d, c) for c, d in zip(self.coords, self.group.factor_orders)))
 
     def _check(self, other: "AbElement"):
         if other.group != self.group:
@@ -361,13 +349,6 @@ class AbSubgroup:
     @property
     def order(self) -> int:
         return int(np.count_nonzero(self.mask))
-
-    def __contains__(self, a: AbElement) -> bool:
-        return a.group == self.parent and bool(self.mask[self.parent.index_of(a.coords)])
-
-    def elements(self):
-        for row in self.parent.table[self.mask].tolist():
-            yield AbElement(self.parent, tuple(row))
 
     def __eq__(self, other):
         return (

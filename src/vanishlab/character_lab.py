@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _linalg_modp as lin
 from .abelian_core import AbElement, DualCharacter, pairing
-from .cyclotomic import Cyclo, prime_factors, reduction_matrix
+from .cyclotomic import Cyclo, prime_factors, reduction_matrix, root_of_unity
 from .group_engine import (
     FiniteGroup,
     GroupDomainError,
@@ -520,10 +520,12 @@ def induced_linear_value(
         raise GroupDomainError("character and element must live on the model")
     if transversal is None:
         transversal = _coset_firsts(model.subgroup).tolist()
-    g = model.group_element(a)
+    shape = model.shape
+    g = int(model.members[shape.index_of(a.coords)])
+    rows = model.rows[[view.conj(g, t) for t in transversal]]
     total = Cyclo.zero()
-    for t in transversal:
-        total = total + alpha(model.element(view.conj(g, t)))
+    for k in pairing(shape, [alpha.coords], shape.table[rows])[0].tolist():
+        total = total + root_of_unity(shape.exponent, k)
     return total
 
 

@@ -145,9 +145,9 @@ def _b42_span(W, b: int, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
 
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
-    of the (b4.1)/(b4.2) shapes, on W's table indices and subgroup masks; a
-    candidate is an AbElement only in a shape's additive identity and in
-    the witness list.  Both generators x, x^2 are tried.  As x has order 3,
+    of the (b4.1)/(b4.2) shapes, on W's table indices, subgroup masks and
+    the maps' `on_table` arrays; a candidate is an AbElement only in the
+    witness list.  Both generators x, x^2 are tried.  As x has order 3,
     x^2 and y generate what x and y do, so the four searches share one
     <x, y>-module per candidate, and the two (b4.2) searches one
     `_b42_span` per candidate."""
@@ -174,15 +174,16 @@ def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
             return False
         if M.isomorphism_type().factor_orders != (8, 8):
             return False
-        a = W.element(W.table[b].tolist())
-        return a + y(a) == 4 * x_used(a)
+        a, ya, xa = W.table[[b, y.on_table[b], x_used.on_table[b]]]
+        return W.index_of(a + ya) == W.index_of(4 * xa)  # a + y(a) = 4 x(a)
 
     def shape_b42(b: int, M: AbSubgroup, x_used: AbHom) -> bool:
-        a = W.element(W.table[b].tolist())
         if b not in spans:
             spans[b] = _b42_span(W, b, M, x, gamma)
-        n = a.order().bit_length() - 1  # order = 2^n, n >= 3
-        return spans[b] and (2 ** (n - 1)) * a == x_used(gamma(2 * a))
+        n = int(W.element_orders[b]).bit_length() - 1  # order = 2^n, n >= 3
+        a, twice = W.table[b], W.index_of(2 * W.table[b])
+        # 2^(n-1) a = x(gamma(2a))
+        return spans[b] and W.index_of(2 ** (n - 1) * a) == x_used.on_table[gamma.on_table[twice]]
 
     for x_used in (x, x ** 2):
         for shape, label in ((shape_b41, CaseLabel.B4_1), (shape_b42, CaseLabel.B4_2)):

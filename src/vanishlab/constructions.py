@@ -91,41 +91,27 @@ def _block_semidirect(blocks, h_name: str, name: str) -> FiniteGroup:
 
 
 def metacyclic_2generator(n: int, t: int, s: int, name: str) -> FiniteGroup:
-    """<a, b | a^n = 1, b^2 = a^s, a^b = a^t> on elements (i, d) = a^i b^d."""
+    """<a, b | a^n = 1, b^2 = a^s, a^b = a^t> on elements (i, d) = a^i b^d,
+    number d n + i."""
     elems = [(i, d) for d in (0, 1) for i in range(n)]
-
-    def mul(x, y):
-        (i, d), (j, e) = x, y
-        return ((i + pow(t, d, n) * j + s * ((d + e) // 2)) % n, (d + e) % 2)
-
-    def inv(x):
-        i, d = x
-        if d == 0:
-            return ((-i) % n, 0)
-        return ((-t * i - s) % n, 1)
-
+    i = np.arange(n)
+    right = [np.concatenate([(i + 1) % n, n + (i + t) % n]),
+             np.concatenate([n + i, (i + s) % n])]
     return FiniteGroup(
-        elems, mul, inv, (0, 0), generators=[(1, 0), (0, 1)], name=name
+        elems, None, None, (0, 0), generators=[(1, 0), (0, 1)], name=name, right=right
     )
 
 
 def heisenberg_3() -> FiniteGroup:
-    """The order-27 extraspecial group of exponent 3."""
+    """The order-27 extraspecial group of exponent 3, on elements (a, b, c),
+    number 9a + 3b + c, with (a, b, c)(a', b', c') = (a + a', b + b',
+    c + c' + a b')."""
     elems = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-
-    def mul(x, y):
-        return (
-            (x[0] + y[0]) % 3,
-            (x[1] + y[1]) % 3,
-            (x[2] + y[2] + x[0] * y[1]) % 3,
-        )
-
-    def inv(x):
-        return ((-x[0]) % 3, (-x[1]) % 3, (-x[2] + x[0] * x[1]) % 3)
-
+    a, b, c = np.indices((3, 3, 3)).reshape(3, 27)
+    right = [9 * ((a + 1) % 3) + 3 * b + c, 9 * a + 3 * ((b + 1) % 3) + (c + a) % 3]
     return FiniteGroup(
-        elems, mul, inv, (0, 0, 0),
-        generators=[(1, 0, 0), (0, 1, 0)], name="3^(1+2)",
+        elems, None, None, (0, 0, 0),
+        generators=[(1, 0, 0), (0, 1, 0)], name="3^(1+2)", right=right,
     )
 
 
@@ -318,19 +304,13 @@ def _build_b1(shape: str):
 
 
 def _c4_semi_c4() -> FiniteGroup:
-    """C4 x| C4 with the generator acting by inversion."""
+    """C4 x| C4 with the generator acting by inversion, on elements (i, j),
+    number 4i + j: (i, j)(1, 0) = (i + (-1)^j, j), (i, j)(0, 1) = (i, j + 1)."""
     elems = [(i, j) for i in range(4) for j in range(4)]
-
-    def mul(x, y):
-        sign = 1 if x[1] % 2 == 0 else -1
-        return ((x[0] + sign * y[0]) % 4, (x[1] + y[1]) % 4)
-
-    def inv(x):
-        sign = 1 if x[1] % 2 == 0 else -1
-        return ((-sign * x[0]) % 4, (-x[1]) % 4)
-
+    i, j = np.indices((4, 4)).reshape(2, 16)
+    right = [4 * ((i + 1 - 2 * (j % 2)) % 4) + j, 4 * i + (j + 1) % 4]
     return FiniteGroup(
-        elems, mul, inv, (0, 0), generators=[(1, 0), (0, 1)], name="C4:C4"
+        elems, None, None, (0, 0), generators=[(1, 0), (0, 1)], name="C4:C4", right=right
     )
 
 
@@ -359,6 +339,9 @@ def _build_b2(variant: str):
 def _build_b41(k: int, c_part: int):
     if k < 1:
         raise BuilderError("B4_1 needs k >= 1")
+    # every block has order at least 2: checked before the block list is formed
+    if k > MAX_GROUP_ORDER.bit_length():
+        raise GroupSizeError("semidirect product exceeds the size cap")
     X, Y = _b41_block_matrices()
     blocks = [((8, 8), _c6_action_matrix(X, Y))] * k
     if c_part:
@@ -374,6 +357,9 @@ def _build_b42(n: int, k: int, c_part: int):
         raise BuilderError("B4_2 needs n >= 3 (the module has exponent 2^n >= 8)")
     if k < 1:
         raise BuilderError("B4_2 needs k >= 1")
+    # k blocks, each of order over 2^n: checked before 2^n is formed
+    if max(n, k) > MAX_GROUP_ORDER.bit_length():
+        raise GroupSizeError("semidirect product exceeds the size cap")
     X, Y = _b42_block_matrices(n)
     blocks = [((2 ** n, 2 ** n, 2, 2), _c6_action_matrix(X, Y))] * k
     if c_part:

@@ -5,10 +5,10 @@ Groups live at desk scale (order <= 8192).  A group is a list of
 generators as integer index arrays (`FiniteGroup.compiled`); construction
 verifies on them that the rows define a group law, completely and at
 every order.  Permutation groups, semidirect, direct and quotient groups
-and subgroups made groups hand in rows computed on index arrays; only the
-groups given by a law alone (`cyclic_group` and the small law builders of
-`constructions`) tabulate it, with |G| * |generators| calls to `mul`, and
-never evaluate it again.  Every structural query
+and subgroups made groups and the small builders of `constructions` hand
+in rows computed on index arrays; only `cyclic_group` is given by a law,
+tabulated with |G| * |generators| calls to `mul` that no group keeps.
+Every structural query
 (conjugacy classes, element orders, center, centralizers, normalizers,
 derived, Sylow and Fitting subgroups, quotients) runs on the arrays and
 is exact, memoized and deterministic.  Subgroups are SubgroupHandles,
@@ -29,7 +29,7 @@ from math import lcm
 
 import numpy as np
 
-from .abelian_core import AbelianGroup, AbElement, AbHom, abelian_type
+from .abelian_core import AbelianGroup, AbHom, abelian_type
 from .cyclotomic import p_valuation, prime_factors
 
 MAX_GROUP_ORDER = 8192
@@ -58,16 +58,15 @@ class FiniteGroup:
     `index` maps each label to its position; every query below takes and
     returns positions.  `generators` must generate the group (all elements
     when omitted).  `right` holds one row per generator: `right[t][i]` is
-    the index of `elements[i] * generators[t]`.  Derived groups (quotients,
-    subgroups made groups, direct and semidirect products) hand in these
-    rows and pass None for `mul` and `inv`; permutation groups hand them in
-    and keep `perm_mul`/`perm_inv` as their reference law.  A group given
-    by a law alone (`cyclic_group` and the law builders of `constructions`)
-    passes `right=None` and callables on the elements: construction
-    tabulates `mul`, |G| calls per generator that `compiled` keeps.  A
-    given `inv` is checked once per kept generator.  Construction builds
-    `compiled` (see CompiledGroup) and verifies the group axioms on it,
-    completely and at every order; every query below runs on `compiled`.
+    the index of `elements[i] * generators[t]`.  Every group but
+    `cyclic_group` hands in these rows and passes None for `mul`; a
+    permutation group still passes `perm_inv`.  `cyclic_group` passes
+    `right=None` and callables on the elements: construction tabulates
+    `mul`, |G| calls per generator that `compiled` keeps.  No group keeps
+    `mul` or `inv`; a given `inv` is checked once per kept generator.
+    Construction builds `compiled` (see CompiledGroup) and verifies the
+    group axioms on it, completely and at every order; every query below
+    runs on `compiled`.
     A query given a position that is not an integer in range(|G|) raises
     GroupDomainError.
     """
@@ -83,7 +82,7 @@ class FiniteGroup:
             raise GroupDomainError("duplicate elements")
         if identity not in index:
             raise GroupDomainError("identity not among the elements")
-        self.mul, self.inv, self.identity = mul, inv, identity
+        self.identity = identity
         self.generators = list(generators) if generators is not None else list(self.elements)
         if any(g not in index for g in self.generators):
             raise GroupDomainError("generator not among the elements")
@@ -720,17 +719,6 @@ class AbelianModel:
         """View indices of the basis: the members at the unit rows."""
         return self.members[self.shape.index_of(np.eye(self.shape.rank, dtype=np.int64))]
 
-    def element(self, i: int) -> AbElement:
-        """The model element of view index i."""
-        row = self.rows[i]
-        if row < 0:
-            raise GroupDomainError("element outside the subgroup")
-        return self.shape.element(self.shape.table[row].tolist())
-
-    def group_element(self, a: AbElement) -> int:
-        """The view index of the model element a."""
-        return int(self.members[self.shape.index_of(a.coords)])
-
     def conjugation_hom(self, x: int) -> AbHom:
         """The automorphism a -> a^x of the model, for x (a view index)
         normalizing it."""
@@ -955,7 +943,8 @@ def from_permutations(degree: int, generators, name="",
     GroupSizeError as soon as it has more than `max_order` elements.
 
     `enumerate_permutations` numbers the elements and finds the rows R[s]
-    that FiniteGroup compiles and verifies."""
+    that FiniteGroup compiles and verifies; `perm_inv` cross-checks the
+    inverses of the generators."""
     gens = [
         parse_cycles(g, degree) if isinstance(g, str) else tuple(g)
         for g in generators
@@ -963,7 +952,7 @@ def from_permutations(degree: int, generators, name="",
     levels, rows = enumerate_permutations(degree, gens, max_order)
     elements = list(map(tuple, np.concatenate(levels).tolist()))
     return FiniteGroup(
-        elements, perm_mul, perm_inv, elements[0],
+        elements, None, perm_inv, elements[0],
         generators=gens, name=name, right=np.concatenate(rows).T,
     )
 
@@ -1111,10 +1100,11 @@ def build_semidirect(spec: SemidirectSpec, name="") -> SemidirectGroup:
              for i in range(A.rank)]
     right += [(n * law.right_translation(s)[:, None] + np.arange(n)).ravel()
               for s in law.gens]
-    ident = (A.zero().coords, H.identity)
-    gens = [(g.coords, H.identity) for g in A.generators()]
-    gens += [(A.zero().coords, H.elements[s]) for s in law.gens]
-    G = SemidirectGroup(elements, None, None, ident, generators=gens, name=name, right=right)
+    zero = coords[0]  # table row 0
+    gens = [(tuple(e), H.identity) for e in np.eye(A.rank, dtype=np.int64).tolist()]
+    gens += [(zero, H.elements[s]) for s in law.gens]
+    G = SemidirectGroup(elements, None, None, (zero, H.identity), generators=gens, name=name,
+                        right=right)
     G.semidirect_spec = spec
     return G
 

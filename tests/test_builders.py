@@ -117,7 +117,7 @@ def test_m5_hypotheses():
     A = abelian_model(F)
     h = next(g for g in range(G.order) if G.element_order(g) == 5)
     f = A.conjugation_hom(h)
-    fixed = [a for a in A.shape.elements() if f(a) == a]
+    fixed = [a for a in map(A.shape.element, A.shape.table.tolist()) if f(a) == a]
     assert len(fixed) == 1
 
 

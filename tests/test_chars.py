@@ -30,6 +30,7 @@ from vanishlab.group_engine import (
     cyclic_group,
     direct_product,
     from_permutations,
+    perm_mul,
     symmetric_3,
 )
 
@@ -129,7 +130,7 @@ def test_coset_transversal_partitions_group():
     assert len(reps) == G.order // A.order
     seen = set()
     for t in reps:
-        coset = {G.mul(t, G.elements[a]) for a in A.idx.tolist()}
+        coset = {perm_mul(t, G.elements[a]) for a in A.idx.tolist()}
         assert not (coset & seen)
         seen |= coset
     assert len(seen) == G.order
@@ -155,13 +156,15 @@ def test_induced_value_matches_full_average():
     G = s4()
     A = G.fitting
     model = abelian_model(A)
-    for alpha in all_characters(model.shape):
-        for a in model.shape.elements():
-            fast = induced_linear_value(alpha, a, model)
-            g = model.group_element(a)
+    shape = model.shape
+    for alpha in all_characters(shape):
+        # the model element at table row k is the group element members[k]
+        for row, g in zip(shape.table.tolist(), model.members.tolist()):
+            fast = induced_linear_value(alpha, shape.element(row), model)
             total = Cyclo.zero()
             for t in range(G.order):
-                total = total + alpha(model.element(G.compiled.conj(g, t)))
+                conj_row = shape.table[model.rows[G.compiled.conj(g, t)]]
+                total = total + alpha(shape.element(conj_row))
             assert total == fast * A.order
 
 

@@ -303,6 +303,21 @@ def test_construct_rejects_oversized_and_unknown_parameters(capsys, argv, expect
         assert repr(argv[-1].partition("=")[0]) in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("B4_1", "k=100000000000000000000"),
+    ("B4_2", "k=100000000"),
+    ("B4_2", "n=1000000000000"),
+])
+def test_construct_caps_b4_from_the_parameters_alone(capsys, argv):
+    # 10^20 or 10^8 blocks, or factors of order 2^(10^12): the cap is
+    # checked before a block list or a power of 2 is formed
+    start = time.perf_counter()
+    code = main(["construct", *argv])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_CAP
+    assert capsys.readouterr().out == ""
+
+
 def test_construct_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
     for path in (tmp_path / "missing" / "d8.grp", tmp_path):
         code = main(["construct", "PGROUP", "shape=d8", "-o", str(path)])

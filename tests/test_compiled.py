@@ -4,9 +4,11 @@ Conjugacy classes, class matrices, power maps, the exponent and every
 structure query come from index arrays; here each is rebuilt the slow way,
 element by element through a reference law that never reads `compiled`,
 and must agree exactly.  Construction must reject any law or rows that do
-not define a group law, and the queries must never call `mul` again."""
+not define a group law, and no group keeps a law after construction."""
 
 import gc
+import hashlib
+import re
 import weakref
 from functools import reduce
 from math import lcm
@@ -25,7 +27,15 @@ from vanishlab.character_lab import (
 )
 from vanishlab.classifier import classify_theorem_a
 from vanishlab.abelian_core import AbelianGroup, AbHom
-from vanishlab.constructions import build_case_family, catalog_entries, random_corpus, replay
+from vanishlab.constructions import (
+    _CATALOG,
+    _PGROUP_SHAPES,
+    _c4_semi_c4,
+    build_case_family,
+    catalog_entries,
+    random_corpus,
+    replay,
+)
 from vanishlab.cyclotomic import p_valuation
 from vanishlab.groupfile import emit_group, parse_group
 from vanishlab.group_engine import (
@@ -67,13 +77,66 @@ GROUPS = {
 }
 
 
-def reference_law(G):
-    """(mul, inv) on G's elements that never read `G.compiled`: a law or
-    permutation group's own, and for a semidirect product
-    (a1, h1)(a2, h2) = (a1 + action(h1)(a2), h1 h2) on H's reference law."""
-    if G.mul is not None:
-        return G.mul, G.inv
-    spec = G.semidirect_spec
+def metacyclic_law(n, t, s):
+    """<a, b | a^n = 1, b^2 = a^s, a^b = a^t> on elements (i, d) = a^i b^d."""
+
+    def mul(x, y):
+        (i, d), (j, e) = x, y
+        return ((i + pow(t, d, n) * j + s * ((d + e) // 2)) % n, (d + e) % 2)
+
+    def inv(x):
+        i, d = x
+        if d == 0:
+            return ((-i) % n, 0)
+        return ((-t * i - s) % n, 1)
+
+    return mul, inv
+
+
+def heisenberg_law():
+    """The order-27 extraspecial group of exponent 3."""
+
+    def mul(x, y):
+        return (
+            (x[0] + y[0]) % 3,
+            (x[1] + y[1]) % 3,
+            (x[2] + y[2] + x[0] * y[1]) % 3,
+        )
+
+    def inv(x):
+        return ((-x[0]) % 3, (-x[1]) % 3, (-x[2] + x[0] * x[1]) % 3)
+
+    return mul, inv
+
+
+def c4_semi_c4_law():
+    """C4 x| C4 with the generator acting by inversion."""
+
+    def mul(x, y):
+        sign = 1 if x[1] % 2 == 0 else -1
+        return ((x[0] + sign * y[0]) % 4, (x[1] + y[1]) % 4)
+
+    def inv(x):
+        sign = 1 if x[1] % 2 == 0 else -1
+        return ((-sign * x[0]) % 4, (-x[1]) % 4)
+
+    return mul, inv
+
+
+def reference_law(G, name=None):
+    """(mul, inv) on G's elements that never read `G.compiled`: LAWS[name],
+    name G's own by default; the modular law of a cyclic group; for a
+    semidirect product (a1, h1)(a2, h2) = (a1 + action(h1)(a2), h1 h2) on
+    H's reference law; and perm_mul/perm_inv for a permutation group."""
+    name = G.name if name is None else name
+    if name in LAWS:
+        return LAWS[name]
+    if re.fullmatch(r"C\d+", name):  # cyclic_group(n)
+        n = G.order
+        return (lambda a, b: (a + b) % n), (lambda a: -a % n)
+    spec = getattr(G, "semidirect_spec", None)
+    if spec is None:
+        return perm_mul, perm_inv
     A, action, index = spec.A, spec.action, spec.H.index
     hmul, hinv = reference_law(spec.H)
 
@@ -103,8 +166,17 @@ def product_law(first, second):
             lambda x: (inv1(x[0]), inv2(x[1])))
 
 
-# the groups of GROUPS without a law of their own
+# the laws of the groups the builders hand in as rows, by group name, and
+# of the groups of GROUPS built from other groups, by their key there
 LAWS = {
+    "D8": metacyclic_law(4, -1, 0),
+    "Q8": metacyclic_law(4, -1, 2),
+    "D16": metacyclic_law(8, -1, 0),
+    "Q16": metacyclic_law(8, -1, 4),
+    "SD16": metacyclic_law(8, 3, 0),
+    "M16": metacyclic_law(8, 5, 0),
+    "3^(1+2)": heisenberg_law(),
+    "C4:C4": c4_semi_c4_law(),
     "S4/V4": coset_law(perm_mul, perm_inv),
     "C2xC6": (lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 6),
               lambda x: (-x[0] % 2, -x[1] % 6)),
@@ -117,7 +189,7 @@ class Reference:
 
     def __init__(self, G, name=None):
         self.group = G
-        self.mul, self.inv = LAWS[name] if name in LAWS else reference_law(G)
+        self.mul, self.inv = reference_law(G, name)
 
     def __getattr__(self, attr):
         return getattr(self.group, attr)
@@ -242,19 +314,10 @@ def test_redundant_generators_are_pruned():
 @pytest.mark.parametrize("make", [alternating_7, lambda: build_case_family("B4_1").group])
 def test_table_mul_calls_stay_linear_in_the_order(make):
     G = make()
-    inner = G.mul
-    calls = 0
-
-    def counting(x, y):
-        nonlocal calls
-        calls += 1
-        return inner(x, y)
-
-    G.mul = counting
+    assert not hasattr(G, "mul") and not hasattr(G, "inv")
     dixon_table(G)
     # construction computed or was handed the |G| * |generators| products the table reads
     assert G.compiled.R.shape == (len(G.generators), G.order)
-    assert calls == 0
 
 
 def test_finished_group_is_freed_without_the_cycle_collector():
@@ -404,17 +467,7 @@ def test_structure_queries_match_mul(name):
 ])
 def test_queries_run_on_the_compiled_law_only(make):
     G = make()
-    calls = 0
-    mul, inv = G.mul, G.inv
-
-    def counted(f):
-        def call(*args):
-            nonlocal calls
-            calls += 1
-            return f(*args)
-        return call
-
-    G.mul, G.inv = counted(mul), counted(inv)
+    assert not hasattr(G, "mul") and not hasattr(G, "inv")
     classify_theorem_a(G)
     proportion(G)
     dixon_table(G)
@@ -423,7 +476,6 @@ def test_queries_run_on_the_compiled_law_only(make):
     G.quotient(G.fitting)
     if G.order <= 500:
         G.normal_subgroups()
-    assert calls == 0
 
 
 # -- shared Sylow subgroups and grown spans ---------------------------------
@@ -529,7 +581,7 @@ def derived_groups(G, law):
 
 def assert_rows_match(D, law):
     mul, inv = law
-    assert D.mul is None and D.inv is None
+    assert not hasattr(D, "mul") and not hasattr(D, "inv")
     view = D.compiled
     for t, j in enumerate(view.gens):
         s = D.elements[j]
@@ -555,11 +607,33 @@ def test_row_built_groups_match_the_reference_law(name):
 ])
 def test_row_built_groups_of_order_1(make):
     G = make()
-    assert G.order == 1 and G.mul is None
+    assert G.order == 1 and not hasattr(G, "mul")
     assert G.compiled.R.shape[1] == 1
     assert G.is_abelian and G.center.order == G.fitting.order == 1
     assert len(G.conjugacy_data[0]) == 1 and G.exponent == 1
     assert G.quotient(G.full_subgroup()).order == 1
+
+
+@pytest.mark.parametrize("make", [make for make, _ in _PGROUP_SHAPES.values()] + [_c4_semi_c4])
+def test_builder_rows_match_the_reference_law(make):
+    G = make()
+    assert_rows_match(G, reference_law(G))
+
+
+# sha256 of (elements, compiled.gens, compiled.R) of every p-group shape,
+# C4:C4, every catalog member, M5 and A7, as built when the p-groups and
+# C4:C4 were still tabulated from a law
+COMPILED_ROWS_SHA256 = "37c8481fba43a8a2e60f1a6d69129aa9b713cf4f3fea00e10ce18033c0fb9fea"
+
+
+def test_builders_keep_their_elements_and_compiled_rows():
+    groups = [make() for make, _ in _PGROUP_SHAPES.values()] + [_c4_semi_c4()]
+    groups += [replay(provenance).group for provenance, _ in _CATALOG]
+    groups += [build_case_family("M5").group, alternating_7()]
+    digest = hashlib.sha256()
+    for G in groups:
+        digest.update(repr((G.elements, G.compiled.gens, G.compiled.R.tolist())).encode())
+    assert digest.hexdigest() == COMPILED_ROWS_SHA256
 
 
 # -- the group law check at construction -----------------------------------
@@ -655,13 +729,14 @@ def test_semidirect_law_matches_the_module_action(tag, params):
     G = build_case_family(tag, **params).group
     spec, view = G.semidirect_spec, G.compiled
     A, H = spec.A, spec.H
+    hmul, hinv = reference_law(H)
     for i, (a1, h1) in enumerate(G.elements):
         for j, (a2, h2) in enumerate(G.elements):
             moved = spec.action[H.index[h1]](A.element(a2))
-            expected = ((A.element(a1) + moved).coords, H.mul(h1, h2))
+            expected = ((A.element(a1) + moved).coords, hmul(h1, h2))
             assert G.elements[view.product(i, j)] == expected
-        inverse = spec.action[H.index[H.inv(h1)]](-A.element(a1))
-        assert G.elements[view.inv[i]] == (inverse.coords, H.inv(h1))
+        inverse = spec.action[H.index[hinv(h1)]](-A.element(a1))
+        assert G.elements[view.inv[i]] == (inverse.coords, hinv(h1))
 
 
 def test_semidirect_rows_agree_with_mul():

@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import vanishlab
+from vanishlab import group_engine
 
 PACKAGE = Path(vanishlab.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -130,6 +131,7 @@ UNREAD = {
     "DualCharacter.acted_by": "the tests' exact reference, with no production counterpart",
     "all_characters": "the tests' exact reference, with no production counterpart",
     "induced_linear_value": "the tests' exact reference, with no production counterpart",
+    "perm_mul": "the tests' reference law for permutation groups",
     "VanishReport.nonvanishing": "the README's example, and perfbench's table pass reads it",
 }
 
@@ -254,3 +256,55 @@ def test_the_label_scan_sees_elements_and_index_lookups_by_name_alone():
     # a store and a list's `.index(...)` method are not reads
     assert label_readers([source]) == {
         "reads", "looks_up", "gets", "nested", "K", "K.__repr__", "<module>"}
+
+
+def law_passers(sources, group_classes) -> set[str]:
+    """Each function, as "name", of the given module sources that calls
+    one of `group_classes` with a law: a `mul` argument, the second
+    positional one or the keyword, that is not the constant None.  A call
+    in a nested function counts for every function around it."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef
+    found = set()
+    for tree in (ast.parse(source) for source in sources):
+        for fn in (node for node in ast.walk(tree) if isinstance(node, defs)):
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id in group_classes):
+                    continue
+                law = [kw.value for kw in call.keywords if kw.arg == "mul"] + call.args[1:2]
+                if any(not (isinstance(v, ast.Constant) and v.value is None) for v in law):
+                    found.add(fn.name)
+    return found
+
+
+# Every function that hands a group a law to tabulate, and why: every other
+# group is built from index rows and passes None.
+LAW_PASSERS = {
+    "cyclic_group": "perfbench's table_m5 mul_calls pin counts the calls of its law, "
+                    "until ROADMAP item 1 re-aims perfbench",
+}
+
+
+def _group_classes() -> set[str]:
+    return {name for name, obj in vars(group_engine).items()
+            if isinstance(obj, type) and issubclass(obj, group_engine.FiniteGroup)}
+
+
+def test_only_the_listed_builders_hand_a_group_a_law():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert _group_classes() >= {"FiniteGroup", "SemidirectGroup"}
+    assert law_passers(sources, _group_classes()) == set(LAW_PASSERS)
+
+
+def test_the_law_scan_sees_positional_and_keyword_laws():
+    source = (
+        "def rows():\n"
+        "    return FiniteGroup(e, None, None, 0, right=r)\n"
+        "def positional():\n"
+        "    return FiniteGroup(e, mul, inv, 0)\n"
+        "def keyword():\n"
+        "    return SemidirectGroup(e, mul=lambda a, b: a, inv=None, identity=0)\n"
+        "def other():\n"
+        "    return Other(e, mul, inv, 0)\n"
+    )
+    assert law_passers([source], {"FiniteGroup", "SemidirectGroup"}) == {"positional", "keyword"}

@@ -152,7 +152,8 @@ def test_semidirect_conjugation_matches_module_action(data):
     h = data.draw(st.sampled_from(H.elements))
     conj = G.elements[G.compiled.conj(G.index[(a.coords, H.identity)],
                                       G.index[(A.zero().coords, h)])]
-    assert conj == (spec.action[H.index[H.inv(h)]](a).coords, H.identity)
+    h_inv = -h % H.order  # H = C6 on the residues mod 6
+    assert conj == (spec.action[H.index[h_inv]](a).coords, H.identity)
 
 
 def test_vanishing_is_conjugation_invariant():
