@@ -7,9 +7,12 @@ smallest p = 1 (mod exp G) above 2*sqrt|G|.  Each splitting round draws one
 random combination of all of them, one weighted count over the left
 translations of the class representatives (no single class matrix is
 formed), and splits every piece on its Krylov basis; rounds repeat until
-the r classes give r eigenvectors.  Then comes exact recovery of
-cyclotomic character values through multiplicity extraction, one transform
-per element order.
+the r classes give r eigenvectors.  Each eigenvector row u, scaled to 1
+at the identity, gives its character's degree, the least d <= sqrt|G|
+with d^2 s = |G| (mod p) for s = sum_k u_k u_k* / |C_k| (k* the class of
+the inverses), one block of rows at a time.  Then comes exact
+recovery of cyclotomic character values through multiplicity extraction,
+one transform per element order.
 Each value is a power-basis coefficient vector in Z[zeta_e], e = exp G.
 The table keeps the distinct ones (the zero first) and a read-only r x r
 array of ids into them, on which the row orthogonality relation is
@@ -19,9 +22,11 @@ root mod q, until the primes' product exceeds a bound on the relation's
 coefficients.  The fast path evaluates induced linear
 characters on an abelian normal subgroup.  Zero tests are exact
 everywhere; float64 serves only as an exact integer accumulator, under a
-checked bound of 2^53: in the weighted class counts (at most |G| (p - 1))
-and in every GF(p) product of `_linalg_modp`, blocks of k terms with
-k (p - 1)^2 < 2^53.
+checked bound of 2^53: in the weighted class counts (at most |G| (p - 1)),
+in every GF(p) product of `_linalg_modp`, blocks of k terms with
+k (p - 1)^2 < 2^53, in the multiplicity lift, o multiplicities below p / 2
+times a row of the reduction matrix (at most o (p // 2) max|reduction|),
+and in the orthogonality sums.
 
 All outputs are immutable and calls are reentrant: per-group work shares
 no mutable state, so corpus sweeps may run one group per worker.
@@ -322,27 +327,26 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     power_class = _power_classes(G, L, int(orders.max()))
     del L  # _power_classes is its last reader
 
-    sizes = np.array(data.sizes, dtype=np.int64)
-    size_inv = np.array([pow(int(s), -1, p) for s in sizes], dtype=np.int64)
-    n_mod = n % p
-
-    degrees = []
-    for i in range(r):
-        u = thetas[i].astype(np.int64)
-        if u[0] == 0:
+    size_inv = np.array([pow(s, -1, p) for s in data.sizes], dtype=np.int64)
+    inverse = list(data.inverse_class)
+    squares = np.arange(1, isqrt(n) + 1, dtype=np.int64) ** 2 % p  # d^2, d = 1, 2, ...
+    # each row u, scaled to u[0] = 1, has s = sum_k u_k u_k* / |C_k| and
+    # degree the least d with d^2 s = n (mod p), then theta = d u / |C_k|
+    degrees = np.empty(r, dtype=np.int64)
+    for rows in _row_blocks(r, 8 * r):
+        u = thetas[rows].astype(np.int64)
+        if not u[:, 0].all():
             raise TableConsistencyError("eigenvector vanishes at the identity class")
-        u = (u * pow(int(u[0]), -1, p)) % p
-        s = int(np.sum(u * u[list(data.inverse_class)] % p * size_inv % p) % p)
+        u = u * np.array([pow(x, -1, p) for x in u[:, 0].tolist()])[:, None] % p
+        s = (u * u[:, inverse] % p * size_inv % p).sum(axis=1) % p
         # n is a unit mod p (p = 1 mod exp G), so s = 0 admits no degree
-        degree = next(
-            (d for d in range(1, isqrt(n) + 1) if d * d * s % p == n_mod), None
-        )
-        if degree is None:
+        admissible = squares * s[:, None] % p == n % p
+        if not admissible.any(axis=1).all():
             raise TableConsistencyError("no admissible character degree")
-        thetas[i] = degree * u % p * size_inv % p
-        degrees.append(degree)
+        degrees[rows] = admissible.argmax(axis=1) + 1
+        thetas[rows] = degrees[rows, None] * u % p * size_inv % p
 
-    if sum(d * d for d in degrees) != n:
+    if int((degrees * degrees).sum()) != n:
         raise TableConsistencyError("degrees do not satisfy sum of squares = |G|")
 
     # theta(rep_k^l) has period o = o(rep_k) in l, so the classes of one
@@ -355,7 +359,11 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
     for o in sorted(set(orders.tolist())):
         K = np.flatnonzero(orders == o)
         W = _zeta_power_table(o, p, pow(z, e // o, p))
-        by_order.append((K, power_class[K, :o], W, reduction[:: e // o]))
+        lift = reduction[:: e // o]
+        # o multiplicities below p // 2 each: a float64 lift sums exactly
+        if o * (p // 2) * int(np.abs(lift).max()) >= 2**53:
+            raise TableConsistencyError("multiplicity lift sums reach 2^53")
+        by_order.append((K, power_class[K, :o], W, lift.astype(np.float64)))
 
     # A block of rows takes one product per element order, of about
     # _BLOCK_TERMS values, and keeps its distinct vectors; ids point into the
@@ -369,7 +377,8 @@ def dixon_table(G: FiniteGroup) -> CharacterTable:
             mult = lin.matmul(thetas[start:start + step, powers], W, p)  # (rows, |K|, o)
             if np.any(mult >= p // 2):
                 raise TableConsistencyError("multiplicity lift out of range")
-            coeffs[:, K] = mult @ lift
+            lifted = mult.reshape(-1, len(lift)).astype(np.float64) @ lift
+            coeffs[:, K] = lifted.astype(np.int64).reshape(len(mult), len(K), phi)
         block, index = _distinct(coeffs.reshape(-1, phi))
         ids[start:start + step] = index.reshape(-1, r) + found
         blocks.append(block)

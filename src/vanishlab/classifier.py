@@ -277,20 +277,22 @@ def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
 
 def check_b1(G: FiniteGroup, candidates: list[SubgroupHandle]) -> dict | None:
     """m = 4 with O_2(A) = Z(Q) for some A of index 4 among the abelian
-    normal `candidates`."""
+    normal `candidates`; the Sylow 2-subgroup Q is built only when one
+    has index 4."""
+    index_4 = [A for A in candidates if G.order == 4 * A.order]
+    if not index_4:
+        return None
     Q = G.sylow(2)
     if Q.is_abelian():
         return None
     ZQ = subgroup_center(Q)
-    for A in candidates:
-        if G.order != 4 * A.order:
-            continue
+    for A in index_4:
         if primary_part(A, 2) == ZQ:
             return {"A": A, "Z(Q)": ZQ}
     return None
 
 
-def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict | None:
+def _check_b_m6(G: FiniteGroup, A: SubgroupHandle) -> Verdict | None:
     """The m = 6 cases for an abelian normal A of index 6."""
     view = G.compiled
     P = G.sylow(3)
@@ -303,8 +305,9 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
     if W.order == 1:
         return None
     # the first element of P outside O_3(A) of order divisible by 3, and
-    # the first element of Q outside A
+    # the first element of the Sylow 2-subgroup Q outside A
     xs = P.idx[~O3A.mask[P.idx] & (view.orders[P.idx] % 3 == 0)]
+    Q = G.sylow(2)
     ys = Q.idx[~A.mask[Q.idx]]
     if not len(xs) or not len(ys):
         return None
@@ -341,9 +344,10 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle, Q: SubgroupHandle) -> Verdict
 
 def _b_verdicts(G: FiniteGroup):
     """Every verifying (b) verdict of G, b1 first, then the m = 6 cases in
-    candidate order."""
-    Q = G.sylow(2)
-    if Q.is_abelian():
+    candidate order.  Every case needs a non-abelian Sylow 2-subgroup Q;
+    Q is built first only when the class sizes leave that open, and
+    otherwise only for a candidate of index 4 or 6."""
+    if not G.sylow_shown_nonabelian(2) and G.sylow(2).is_abelian():
         return
     candidates = abelian_normal_candidates(G)
     b1 = check_b1(G, candidates)
@@ -351,7 +355,7 @@ def _b_verdicts(G: FiniteGroup):
         yield Verdict(True, CaseLabel.B1, 4, b1)
     for A in candidates:
         if G.order == 6 * A.order:
-            verdict = _check_b_m6(G, A, Q)
+            verdict = _check_b_m6(G, A)
             if verdict is not None:
                 yield verdict
 

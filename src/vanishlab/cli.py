@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -456,6 +457,7 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+@cache  # parsing never changes the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanishlab",

@@ -257,6 +257,81 @@ def test_splitting_rejects_a_jordan_block(monkeypatch):
         dixon_table(cyclic_group(2))
 
 
+def corrupt_split(monkeypatch, change):
+    """Make dixon_table read the split's eigenvector rows as change(rows)
+    leaves them."""
+    split = character_lab._split_eigenspaces
+
+    def corrupted(*args):
+        rows = split(*args)
+        change(rows)
+        return rows
+    monkeypatch.setattr(character_lab, "_split_eigenspaces", corrupted)
+
+
+def test_degree_stage_rejects_an_eigenvector_zero_at_the_identity(monkeypatch):
+    corrupt_split(monkeypatch, lambda rows: rows[-1].__setitem__(0, 0))
+    with pytest.raises(TableConsistencyError, match="vanishes at the identity class"):
+        dixon_table(s4())
+
+
+def test_degree_stage_rejects_a_row_with_no_admissible_degree(monkeypatch):
+    # a row replaced by e_1, the identity class alone, has s = 1 / |C_1| = 1,
+    # and no d <= 4 has d^2 = 24 mod 13
+    G = s4()
+    p = dixon_prime(G.order, G.exponent)
+    assert p == 13 and all(d * d % p != G.order % p for d in range(1, isqrt(G.order) + 1))
+    corrupt_split(monkeypatch, lambda rows: rows.__setitem__(2, np.eye(1, len(rows))[0]))
+    with pytest.raises(TableConsistencyError, match="no admissible character degree"):
+        dixon_table(G)
+
+
+def test_degree_stage_rejects_degrees_that_miss_the_order(monkeypatch):
+    # five copies of one row: 5 d^2 is 5, 20 or 45, never 24
+    corrupt_split(monkeypatch, lambda rows: rows.__setitem__(slice(None), rows[0]))
+    with pytest.raises(TableConsistencyError, match="sum of squares"):
+        dixon_table(s4())
+
+
+def test_value_recovery_rejects_multiplicities_out_of_range(monkeypatch):
+    # negated transforms give p - m for every multiplicity m > 0
+    table = character_lab._zeta_power_table
+    monkeypatch.setattr(character_lab, "_zeta_power_table",
+                        lambda o, p, z: (p - table(o, p, z)) % p)
+    with pytest.raises(TableConsistencyError, match="multiplicity lift out of range"):
+        dixon_table(s4())
+
+
+def test_value_recovery_refuses_lift_sums_beyond_float_precision(monkeypatch):
+    # S4: o = 4 multiplicities below p // 2 = 6, times 2^50, reach 2^53
+    monkeypatch.setattr(character_lab, "reduction_matrix",
+                        lambda e: reduction_matrix(e) * 2**50)
+    with pytest.raises(TableConsistencyError, match="lift sums reach 2\\^53"):
+        dixon_table(s4())
+
+
+def test_degree_stage_in_row_blocks_matches_the_per_row_rule(monkeypatch):
+    # blocks of 8 rows of the 45-class table; each row's degree is the
+    # least d <= isqrt(n) with d^2 s = n (mod p), as the per-row loop took it
+    reference = dixon_table(d8_s3_s3())
+    G = d8_s3_s3()
+    n, p = G.order, dixon_prime(G.order, G.exponent)
+    data = class_data(G)
+    expected = []
+
+    def per_row(rows):
+        size_inv = [pow(size, -1, p) for size in data.sizes]
+        for u in rows.astype(np.int64).tolist():
+            u = [x * pow(u[0], -1, p) % p for x in u]
+            s = sum(x * u[j] * w for x, j, w in zip(u, data.inverse_class, size_inv)) % p
+            expected.append(next(d for d in range(1, isqrt(n) + 1) if d * d * s % p == n % p))
+    corrupt_split(monkeypatch, per_row)
+    monkeypatch.setattr(character_lab, "_BLOCK_BYTES", 8 * data.count * 8)
+    table = dixon_table(G)
+    assert table.degrees == tuple(sorted(expected))
+    assert (table.values, table.ids.tolist()) == (reference.values, reference.ids.tolist())
+
+
 def d8_s3_s3():
     return from_permutations(
         10,

@@ -16,7 +16,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from vanishlab import character_lab
+from vanishlab import character_lab, group_engine
 from vanishlab.character_lab import (
     _class_combination,
     _power_classes,
@@ -289,6 +289,37 @@ def test_class_combination_matches_the_reference_matrices(name):
     assert np.array_equal(_class_combination(G, data, L, c) % p, expected)
 
 
+def permutation_products(P, k):
+    """For the elements P of a permutation group, as rows of points, and
+    the rows k of some of them: perm_mul(k, y) and the conjugate y^-1 k y,
+    for every k and every y in P, as rows of points."""
+    # perm_mul(p, q) maps x to q[p[x]]; y^-1 k y maps x to y[k[y^-1[x]]]
+    left = P[:, k].swapaxes(0, 1)
+    conj = np.take_along_axis(P[None], k[:, np.argsort(P, axis=1)], axis=2)
+    return left, conj
+
+
+def test_fills_across_work_blocks_match_the_reference_law():
+    G = s5_x_s4()
+    view = G.compiled
+    assert group_engine.FILL_ENTRIES // G.order < G.order  # 91 targets a block
+    targets = np.arange(G.order)
+    L, K = view.left_translations(targets), view.conjugates(targets)
+    assert L.dtype == K.dtype == view.dtype
+    P = np.array(G.elements, dtype=np.int8)  # distinct rows: points decide equality
+    for lo in range(0, G.order, 48):
+        left, conj = permutation_products(P, P[lo:lo + 48])
+        assert np.array_equal(P[L[lo:lo + 48]], left)
+        assert np.array_equal(P[K[lo:lo + 48]], conj)
+    # the array reference is the law of perm_mul and perm_inv
+    mul, inv = reference_law(G)
+    for k, y in np.random.default_rng(0).integers(0, G.order, size=(200, 2)).tolist():
+        x, h = G.elements[k], G.elements[y]
+        assert G.elements[L[k, y]] == mul(x, h)
+        assert G.elements[K[k, y]] == mul(mul(inv(h), x), h)
+    assert view.conjugates([]).shape == (0, G.order)
+
+
 def test_compiled_view_arrays():
     G = build_case_family("B4_1").group
     mul, inv = reference_law(G)
@@ -521,6 +552,49 @@ def test_structure_queries_percolate_once_per_prime(monkeypatch, make):
     for p in G.primes():
         assert G.sylow(p).mask[G.p_core(p).idx].all()
     assert sorted(runs) == G.primes()
+
+
+@pytest.mark.parametrize("name", list(GROUPS) + ["S5xS4"])
+def test_class_sizes_show_a_nonabelian_sylow_only_where_one_is(name):
+    G = s5_x_s4() if name == "S5xS4" else GROUPS[name]()
+    R = Reference(G, name)
+    classes, _ = reference_classes(R)
+    for p in G.primes():
+        shown = any(
+            len(members) % p == 0 and p ** p_valuation(G.order, p) % reference_order(R, x) == 0
+            for _, members in classes for x in members
+        )
+        assert G.sylow_shown_nonabelian(p) == shown
+        if shown:
+            assert not G.sylow(p).is_abelian()
+
+
+@pytest.mark.parametrize("make,percolated,outcome", [
+    # every Sylow 2-subgroup is shown non-abelian, and no candidate has
+    # index 4 or 6: no Sylow subgroup is built
+    (lambda: from_permutations(5, ["(1 2 3 4 5)", "(1 2)"]), [], "AtOrAbove"),
+    (s5_x_s4, [], "AtOrAbove"),
+    # the candidate V4 has index 6; the m = 6 check reads P, then Q
+    (s4, [3, 2], "Below case=b2 m=6 p=5/6"),
+    # the candidate of index 4 needs Z(Q)
+    (GROUPS["D8"], [2], "Below case=b1 m=4 p=3/4"),
+    # A4 is an A-group: its class sizes show nothing, so both are built
+    (lambda: from_permutations(4, ["(1 2 3)", "(1 2)(3 4)"]), [2, 3],
+     "Below case=a m=3 p=2/3"),
+    # p = 3 is shown; the (b) path must still decide the 2-part
+    (GROUPS["3^(1+2)"], [2], "AtOrAbove"),
+])
+def test_classification_percolates_only_the_sylow_subgroups_it_reads(
+        monkeypatch, make, percolated, outcome):
+    runs = []
+    percolate = FiniteGroup._percolate
+    monkeypatch.setattr(
+        FiniteGroup, "_percolate", lambda G, p: runs.append(p) or percolate(G, p)
+    )
+    G = make()
+    assert classify_theorem_a(G).outcome == outcome
+    assert runs == percolated
+    assert is_a_group(G) == all(G.sylow(p).is_abelian() for p in G.primes())
 
 
 def reference_span(view, gens):
