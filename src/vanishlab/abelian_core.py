@@ -4,8 +4,9 @@ structure under a finite group of automorphisms.
 Elements are exponent vectors against a declared factor list, written
 additively; the trivial subgroup is the zero element.  A group is
 enumerated once, as a table of coordinate rows (desk scale |A| <= 2^16):
-subgroups are boolean masks over it, and maps and characters act on the
-whole table at once.
+subgroups are boolean masks over it, and maps act on the whole table at
+once.  A character of A is a coordinate row as well, and `pairing` is the
+one way to evaluate it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import lcm, prod
 
 import numpy as np
 
-from .cyclotomic import Cyclo, p_valuation, prime_factors, root_of_unity
+from .cyclotomic import p_valuation, prime_factors
 
 MAX_ENUMERATION = 2**16
 
@@ -197,10 +198,6 @@ class AbHom:
         """Endomorphism of A from an integer matrix, one row per generator."""
         return AbHom(A, A, tuple(A.element(row) for row in rows))
 
-    @staticmethod
-    def scalar(A: AbelianGroup, k: int) -> "AbHom":
-        return AbHom(A, A, tuple(k * g for g in A.generators()))
-
     def __call__(self, a: AbElement) -> AbElement:
         if a.group != self.source:
             raise AbelianDomainError("argument outside the source group")
@@ -263,52 +260,33 @@ class AbHom:
         return out
 
 
-@dataclass(frozen=True)
-class DualCharacter:
-    """A linear character of A, identified with an exponent vector of the
-    (isomorphic) dual group."""
-
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.group.factor_orders):
-            raise AbelianDomainError("coordinate length mismatch")
-
-    def value_exponent(self, a: AbElement) -> tuple[int, int]:
-        """(L, k) with lambda(a) = zeta_L^k, L = exponent of the group."""
-        if a.group != self.group:
-            raise AbelianDomainError("argument outside the group")
-        return self.group.exponent, int(pairing(self.group, [self.coords], [a.coords])[0, 0])
-
-    def __call__(self, a: AbElement) -> Cyclo:
-        L, k = self.value_exponent(a)
-        return root_of_unity(max(L, 1), k)
-
-    def acted_by(self, x: AbHom) -> "DualCharacter":
-        """The dual action: (alpha^x)(a) = alpha(a^(x^-1))."""
-        A = self.group
-        d = np.array(A.factor_orders, dtype=np.int64)
-        step = A.exponent // d
-        t = pairing(A, [self.coords], x.inverse().matrix)[0]  # alpha(a_j^(x^-1))
-        if np.any(t % step):
-            raise AssertionError("dual action produced a non-character")
-        return DualCharacter(A, tuple((t // step % d).tolist()))
-
-
 def pairing(A: AbelianGroup, left, right) -> np.ndarray:
     """k with alpha(a) = zeta_L^k, L = exp A, for each left row against each
     right row.  Characters and elements are both coordinate rows, and the
-    pairing is symmetric in them."""
-    dtype = np.int64 if A.order <= MAX_ENUMERATION else object  # exact ints
-    d = np.array(A.factor_orders, dtype=dtype)
+    pairing is symmetric in them.  Like the table, it is defined only up to
+    the enumeration cap, where every product fits int64."""
+    if A.order > MAX_ENUMERATION:
+        raise AbelianDomainError("group beyond enumeration cap")
+    d = np.array(A.factor_orders, dtype=np.int64)
     L = A.exponent
-    return np.asarray(left, dtype=dtype) * (L // d) @ np.asarray(right, dtype=dtype).T % L
+    return np.asarray(left, dtype=np.int64) * (L // d) @ np.asarray(right, dtype=np.int64).T % L
+
+
+def acted_by(A: AbelianGroup, alpha: tuple[int, ...], x: AbHom) -> tuple[int, ...]:
+    """The dual action on the character row alpha of A:
+    (alpha^x)(a) = alpha(a^(x^-1))."""
+    d = np.array(A.factor_orders, dtype=np.int64)
+    step = A.exponent // d
+    t = pairing(A, [alpha], x.inverse().matrix)[0]  # alpha(a_j^(x^-1))
+    if np.any(t % step):
+        raise AssertionError("dual action produced a non-character")
+    return tuple((t // step % d).tolist())
 
 
 def all_characters(A: AbelianGroup):
+    """Irr(A) as coordinate rows, one per table row."""
     for row in A.table.tolist():
-        yield DualCharacter(A, tuple(row))
+        yield tuple(row)
 
 
 class AbSubgroup:

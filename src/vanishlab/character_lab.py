@@ -43,7 +43,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _linalg_modp as lin
-from .abelian_core import AbElement, DualCharacter, pairing
+from .abelian_core import AbElement, pairing
 from .cyclotomic import Cyclo, prime_factors, reduction_matrix, root_of_unity
 from .group_engine import (
     FiniteGroup,
@@ -513,27 +513,28 @@ def _coset_firsts(A: SubgroupHandle) -> np.ndarray:
 
 
 def induced_linear_value(
-    alpha: DualCharacter,
+    alpha: tuple[int, ...],
     a: AbElement,
     model: AbelianModel,
     transversal=None,
 ) -> Cyclo:
-    """alpha^G(a) = sum over coset representatives t of alpha(a^t), for a
-    transversal of element indices.
+    """alpha^G(a) = sum over coset representatives t of alpha(a^t), for the
+    character row alpha of the model's shape and a transversal of element
+    indices.
 
     The value does not depend on the transversal choice because a lies in
     the abelian normal subgroup the characters live on.
     """
     view = model.subgroup.view
-    if alpha.group != model.shape or a.group != model.shape:
+    shape = model.shape
+    if len(alpha) != shape.rank or a.group != shape:
         raise GroupDomainError("character and element must live on the model")
     if transversal is None:
         transversal = _coset_firsts(model.subgroup).tolist()
-    shape = model.shape
     g = int(model.members[shape.index_of(a.coords)])
     rows = model.rows[[view.conj(g, t) for t in transversal]]
     total = Cyclo.zero()
-    for k in pairing(shape, [alpha.coords], shape.table[rows])[0].tolist():
+    for k in pairing(shape, [alpha], shape.table[rows])[0].tolist():
         total = total + root_of_unity(shape.exponent, k)
     return total
 

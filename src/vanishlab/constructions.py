@@ -391,7 +391,7 @@ def _build_inversion_negative():
     neg_rot = [[0, -1], [1, 1]]
     G = semidirect_from_matrices(A, builtin_h("C6"), [neg_rot], "C8^2:C6-inv")
     _, y = _c6_actions(G)
-    if y != AbHom.scalar(A, -1):
+    if (y.on_table != A.index_of(-A.table)).any():
         raise BuilderError("inversion builder: y does not invert A")
     return G, (), None
 

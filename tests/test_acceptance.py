@@ -11,6 +11,7 @@ import numpy as np
 from vanishlab.abelian_core import (
     AbelianGroup,
     AbSubgroup,
+    acted_by,
     all_characters,
     commutator_map,
     perp,
@@ -188,14 +189,14 @@ def test_criterion_10_duality_suite():
         image, kernel = commutator_map(A, y)
         fixed = AbSubgroup.from_elements(
             A,
-            [A.element(alpha.coords) for alpha in all_characters(A)
-             if alpha.acted_by(y).coords == alpha.coords],
+            [A.element(alpha) for alpha in all_characters(A)
+             if acted_by(A, alpha, y) == alpha],
         )
         assert perp(image) == fixed
         moved = AbSubgroup.from_elements(
             A,
             [A.element(tuple((b - a) % d for a, b, d
-                             in zip(alpha.coords, alpha.acted_by(y).coords,
+                             in zip(alpha, acted_by(A, alpha, y),
                                     A.factor_orders)))
              for alpha in all_characters(A)],
         )
@@ -206,7 +207,7 @@ def _random_involution(A, rng):
     from vanishlab.abelian_core import AbHom
 
     n = len(A.factor_orders)
-    choices = [AbHom.identity(A), AbHom.scalar(A, -1)]
+    choices = [AbHom.identity(A), AbHom.from_matrix(A, -np.eye(n, dtype=np.int64))]
     rows = [[0] * n for _ in range(n)]
     perm = list(range(n))
     rng.shuffle(perm)

@@ -607,6 +607,17 @@ def test_campaign_lemma_sections_are_golden(capsys, section, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the default campaign (seed 42, 200 corpus rows at cap 2000):
+# 217 lines, ending `result=pass checks=212 failures=0`
+CAMPAIGN_DIGEST = "df5ee94e5b4378836e454491785e00fefdd6ecd3038a4c90797e52fc698534ae"
+
+
+def test_default_campaign_is_golden(capsys):
+    code, out = run(capsys, "campaign")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_DIGEST
+
+
 def _duality_draws(seed, trials):
     """Each trial's generator set and subgroup, drawn as the duality check
     draws them; the set is the shape and the nonzero generators."""

@@ -4,6 +4,7 @@ whole; its own `_`-prefixed names, like every other module's, stay inside
 it."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import vanishlab
@@ -128,7 +129,7 @@ UNREAD = {
     "verifying_b_cases": _TRACED + "; a campaign section of built cases is to call it",
     "vanish_on_abelian_normal": "the table-free route to V(G) ∩ A; elementwise verdicts "
                                 "are to call it",
-    "DualCharacter.acted_by": "the tests' exact reference, with no production counterpart",
+    "acted_by": "the tests' exact reference, with no production counterpart",
     "all_characters": "the tests' exact reference, with no production counterpart",
     "induced_linear_value": "the tests' exact reference, with no production counterpart",
     "perm_mul": "the tests' reference law for permutation groups",
@@ -139,6 +140,22 @@ UNREAD = {
 def test_every_unread_definition_is_listed_with_its_reason():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_definitions(sources) == set(UNREAD)
+
+
+def _tracer_paths() -> set[str]:
+    """The attribute paths perfbench's tracer wraps (its SPANS and LEAVES),
+    read from `perfbench/tracer.py` by path; importing it only defines
+    names."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {entry[1] for entry in tracer.SPANS + tracer.LEAVES}
+
+
+def test_every_traced_unread_definition_is_wrapped_by_the_tracer():
+    traced = {name for name, why in UNREAD.items() if why.startswith(_TRACED)}
+    assert traced - _tracer_paths() == set()
 
 
 def test_the_scan_reads_names_attributes_and_strings_by_name_alone():
