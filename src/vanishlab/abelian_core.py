@@ -89,9 +89,6 @@ class AbelianGroup:
         d, _ = self._radix
         return np.lcm.reduce(d // np.gcd(self.table, d), axis=1, initial=1)
 
-    def primes(self) -> list[int]:
-        return prime_factors(self.order) if self.factor_orders else []
-
     def literal(self) -> str:
         if not self.factor_orders:
             return "C1"
@@ -440,7 +437,7 @@ def omega(A: AbelianGroup, i: int) -> AbSubgroup:
     """Omega_i(A) = elements of order dividing p^i of an abelian p-group."""
     if i < 0:
         raise AbelianDomainError("i must be nonnegative")
-    primes = A.primes()
+    primes = prime_factors(A.order)
     if len(primes) > 1:
         raise AbelianDomainError("omega requires a p-group")
     if not primes or i == 0:

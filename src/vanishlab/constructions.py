@@ -97,9 +97,7 @@ def metacyclic_2generator(n: int, t: int, s: int, name: str) -> FiniteGroup:
     i = np.arange(n)
     right = [np.concatenate([(i + 1) % n, n + (i + t) % n]),
              np.concatenate([n + i, (i + s) % n])]
-    return FiniteGroup(
-        elems, None, None, (0, 0), generators=[(1, 0), (0, 1)], name=name, right=right
-    )
+    return FiniteGroup(elems, None, 0, [1, n], name=name, right=right)
 
 
 def heisenberg_3() -> FiniteGroup:
@@ -109,10 +107,7 @@ def heisenberg_3() -> FiniteGroup:
     elems = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     a, b, c = np.indices((3, 3, 3)).reshape(3, 27)
     right = [9 * ((a + 1) % 3) + 3 * b + c, 9 * a + 3 * ((b + 1) % 3) + (c + a) % 3]
-    return FiniteGroup(
-        elems, None, None, (0, 0, 0),
-        generators=[(1, 0, 0), (0, 1, 0)], name="3^(1+2)", right=right,
-    )
+    return FiniteGroup(elems, None, 0, [9, 3], name="3^(1+2)", right=right)
 
 
 # -- the C6-module action matrices ---------------------------------------
@@ -309,9 +304,7 @@ def _c4_semi_c4() -> FiniteGroup:
     elems = [(i, j) for i in range(4) for j in range(4)]
     i, j = np.indices((4, 4)).reshape(2, 16)
     right = [4 * ((i + 1 - 2 * (j % 2)) % 4) + j, 4 * i + (j + 1) % 4]
-    return FiniteGroup(
-        elems, None, None, (0, 0), generators=[(1, 0), (0, 1)], name="C4:C4", right=right
-    )
+    return FiniteGroup(elems, None, 0, [4, 1], name="C4:C4", right=right)
 
 
 _B2_VARIANTS = {

@@ -196,8 +196,8 @@ def emit_group(G: FiniteGroup) -> str:
     ):
         degree = len(sample)
         out = ["perm", f"degree {degree}"]
-        for g in G.generators:
-            out.append("gen " + cycles_of(g))
+        for j in G.generators:
+            out.append("gen " + cycles_of(G.elements[j]))
         return "\n".join(out) + "\n"
     if G.order > 64:
         raise GroupDomainError(

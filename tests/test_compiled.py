@@ -137,7 +137,8 @@ def reference_law(G, name=None):
     spec = getattr(G, "semidirect_spec", None)
     if spec is None:
         return perm_mul, perm_inv
-    A, action, index = spec.A, spec.action, spec.H.index
+    A, action = spec.A, spec.action
+    index = {h: k for k, h in enumerate(spec.H.elements)}
     hmul, hinv = reference_law(spec.H)
 
     def mul(x, y):
@@ -185,11 +186,15 @@ LAWS = {
 
 class Reference:
     """A group seen through its reference law: `mul` and `inv` from LAWS
-    or `reference_law`, every other attribute the group's."""
+    or `reference_law`, its identity and generators as labels, `index` the
+    position of each label, every other attribute the group's."""
 
     def __init__(self, G, name=None):
         self.group = G
         self.mul, self.inv = reference_law(G, name)
+        self.identity = G.elements[G.identity]
+        self.generators = [G.elements[j] for j in G.generators]
+        self.index = {g: i for i, g in enumerate(G.elements)}
 
     def __getattr__(self, attr):
         return getattr(self.group, attr)
@@ -324,20 +329,21 @@ def test_compiled_view_arrays():
     G = build_case_family("B4_1").group
     mul, inv = reference_law(G)
     view = G.compiled
-    index = G.index
+    index = {g: i for i, g in enumerate(G.elements)}
     for i, g in enumerate(G.elements):
         assert view.inv[i] == index[inv(g)]
         if i != view.identity:
             parent = G.elements[view.parent[i]]
-            assert mul(parent, G.generators[view.gen[i]]) == g
+            assert mul(parent, G.elements[view.gens[view.gen[i]]]) == g
     assert view.R.shape == (len(G.generators), G.order)
 
 
 def test_redundant_generators_are_pruned():
-    # the Klein four-group as a law group, handed every member as a generator
-    H = FiniteGroup([(a, b) for a in (0, 1) for b in (0, 1)],
-                    lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x, (0, 0))
-    assert len(H.generators) >= 4
+    # the Klein four-group as a law group on (a, b), number 2a + b, handed
+    # every member as a generator
+    H = FiniteGroup([(a, b) for a in (0, 1) for b in (0, 1)], lambda x, y: x ^ y, 0,
+                    [0, 1, 2, 3])
+    assert H.generators == [0, 1, 2, 3]
     assert len(H.compiled.R) == 2
     assert sorted(len(c) for c in H.conjugacy_data) == [1, 1, 1, 1]
 
@@ -454,7 +460,7 @@ def test_structure_queries_match_mul(name):
     R = Reference(G, name)
     assert labels(G, G.center.idx) == frozenset(
         z for z in G.elements
-        if all(R.mul(z, g) == R.mul(g, z) for g in G.generators)
+        if all(R.mul(z, g) == R.mul(g, z) for g in R.generators)
     )
     for c in G.conjugacy_data:
         rep = G.elements[c[0]]
@@ -471,7 +477,7 @@ def test_structure_queries_match_mul(name):
     assert labels(G, G.fitting.idx) == reference_closure(R, cores)
     assert labels(G, G.derived_subgroup.idx) == reference_closure(R, {
         R.mul(R.mul(R.inv(g), R.inv(s)), R.mul(g, s))
-        for g in G.elements for s in G.generators
+        for g in G.elements for s in R.generators
     })
 
     N = G.fitting
@@ -485,8 +491,8 @@ def test_structure_queries_match_mul(name):
     view = Q.compiled
     for i, g in enumerate(G.elements):
         for j, h in list(enumerate(G.elements))[:: max(1, G.order // 24)]:
-            assert view.product(pi[i], pi[j]) == pi[G.index[R.mul(g, h)]]
-            assert view.inv[pi[j]] == pi[G.index[R.inv(h)]]
+            assert view.product(pi[i], pi[j]) == pi[R.index[R.mul(g, h)]]
+            assert view.inv[pi[j]] == pi[R.index[R.inv(h)]]
 
 
 @pytest.mark.parametrize("make", [
@@ -613,7 +619,7 @@ def test_grown_spans_match_the_refilled_span(monkeypatch):
     for draw in random_corpus(1, 400, 1000):
         G = replay(draw.provenance).group
         view = G.compiled
-        gens = [G.index[g] for g in G.generators]
+        gens = G.generators
         mask, basis = reference_span(view, gens)
         got = view.span(gens)
         assert np.array_equal(got[0], mask) and got[1] == basis
@@ -717,7 +723,7 @@ def test_construction_rejects_a_loop_of_order_5():
     # a Latin square with identity 0 and x x = 0: a loop, not a group
     T = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(GroupDomainError):
-        FiniteGroup(range(5), lambda a, b: T[a][b], lambda a: a, 0, generators=[1, 2])
+        FiniteGroup(range(5), lambda a, b: T[a][b], 0, [1, 2])
 
 
 def s3_rows():
@@ -726,7 +732,7 @@ def s3_rows():
     G = symmetric_3()
     view = G.compiled
     assert [G.element_order(j) for j in view.gens] == [3, 2]
-    return G.elements, G.identity, [G.elements[j] for j in view.gens], view.R.astype(np.intp)
+    return G.elements, G.identity, list(view.gens), view.R.astype(np.intp)
 
 
 def corrupt_shape(elements, e, gens, R):
@@ -768,30 +774,43 @@ def corrupt_law(elements, e, gens, R):
 ])
 def test_construction_checks_handed_in_rows(corrupt, message):
     elements, e, gens, R = s3_rows()
-    FiniteGroup(elements, None, None, e, generators=gens, right=R)
+    FiniteGroup(elements, None, e, gens, right=R)
     elements, e, gens, R = corrupt(elements, e, gens, R)
     with pytest.raises(GroupDomainError, match=message):
-        FiniteGroup(elements, None, None, e, generators=gens, right=R)
+        FiniteGroup(elements, None, e, gens, right=R)
 
 
-def test_construction_rejects_a_wrong_inverse_map():
-    FiniteGroup(range(4), lambda a, b: (a + b) % 4, lambda a: -a % 4, 0, generators=[1])
-    with pytest.raises(GroupDomainError, match="inverse map inconsistent"):
-        FiniteGroup(range(4), lambda a, b: (a + b) % 4, lambda a: a, 0, generators=[1])
+@pytest.mark.parametrize("identity,generators", [
+    (-1, [1]), (4, [1]), (0, [1, -1]), (0, [1, 4]), (0.0, [1]), (0, [1.0]), ((0,), [1]),
+])
+def test_construction_rejects_positions_outside_the_elements(identity, generators):
+    FiniteGroup(range(4), lambda a, b: (a + b) % 4, 0, [1])
+    with pytest.raises(GroupDomainError, match="positions in range"):
+        FiniteGroup(range(4), lambda a, b: (a + b) % 4, identity, generators)
+
+
+@pytest.mark.parametrize("mul", [
+    lambda a, b: a + b, lambda a, b: (a + b) % 4 - 1, lambda a, b: (a + b) % 4 + 0.5,
+    lambda a, b: None,
+])
+def test_construction_rejects_a_law_that_leaves_the_elements(mul):
+    with pytest.raises(GroupDomainError, match="multiplication left the element set"):
+        FiniteGroup(range(4), mul, 0, [1])
 
 
 def test_construction_rejects_m5_with_two_products_swapped():
     M5 = build_case_family("M5").group
-    m5_mul, m5_inv = reference_law(M5)
+    elements, m5_mul = M5.elements, reference_law(M5)[0]
+    index = {g: i for i, g in enumerate(elements)}
     s = M5.generators[0]
-    x1, x2 = M5.elements[1], M5.elements[2]
-    swapped = {x1: m5_mul(x2, s), x2: m5_mul(x1, s)}
 
     def mul(x, y):
-        return swapped[x] if y == s and x in swapped else m5_mul(x, y)
+        if y == s and x in (1, 2):
+            x = 3 - x
+        return index[m5_mul(elements[x], elements[y])]
 
     with pytest.raises(GroupDomainError, match="associative"):
-        FiniteGroup(M5.elements, mul, m5_inv, M5.identity, generators=M5.generators)
+        FiniteGroup(elements, mul, M5.identity, M5.generators)
 
 
 @pytest.mark.parametrize("tag,params", [
@@ -804,12 +823,13 @@ def test_semidirect_law_matches_the_module_action(tag, params):
     spec, view = G.semidirect_spec, G.compiled
     A, H = spec.A, spec.H
     hmul, hinv = reference_law(H)
+    index = {h: k for k, h in enumerate(H.elements)}
     for i, (a1, h1) in enumerate(G.elements):
         for j, (a2, h2) in enumerate(G.elements):
-            moved = spec.action[H.index[h1]](A.element(a2))
+            moved = spec.action[index[h1]](A.element(a2))
             expected = ((A.element(a1) + moved).coords, hmul(h1, h2))
             assert G.elements[view.product(i, j)] == expected
-        inverse = spec.action[H.index[hinv(h1)]](-A.element(a1))
+        inverse = spec.action[index[hinv(h1)]](-A.element(a1))
         assert G.elements[view.inv[i]] == (inverse.coords, hinv(h1))
 
 
@@ -873,7 +893,9 @@ def test_a_handle_is_the_subgroup_of_the_a_generators():
         G = entry.group
         spec = getattr(G, "semidirect_spec", None)
         if spec is not None:
-            gens = [G.index[a.coords, spec.H.identity] for a in spec.A.generators()]
+            index = {g: i for i, g in enumerate(G.elements)}
+            e = spec.H.elements[spec.H.identity]
+            gens = [index[a.coords, e] for a in spec.A.generators()]
             assert G.A_handle == G.subgroup(gens), entry.provenance
 
 

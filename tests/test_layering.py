@@ -132,6 +132,7 @@ UNREAD = {
     "acted_by": "the tests' exact reference, with no production counterpart",
     "all_characters": "the tests' exact reference, with no production counterpart",
     "induced_linear_value": "the tests' exact reference, with no production counterpart",
+    "perm_inv": "the tests' reference law for permutation groups",
     "perm_mul": "the tests' reference law for permutation groups",
     "VanishReport.nonvanishing": "the README's example, and perfbench's table pass reads it",
 }
@@ -227,7 +228,6 @@ _IO = "I/O: labels are read and written only at the edges"
 # Every function that reads element labels, and why: every other API takes
 # and returns element indices.
 LABEL_READERS = {
-    "FiniteGroup.__init__": _BUILD,
     "FiniteGroup.quotient": _BUILD + " (cosets as frozensets)",
     "SubgroupHandle.as_group": _BUILD,
     "build_semidirect": _BUILD,
@@ -316,12 +316,12 @@ def test_only_the_listed_builders_hand_a_group_a_law():
 def test_the_law_scan_sees_positional_and_keyword_laws():
     source = (
         "def rows():\n"
-        "    return FiniteGroup(e, None, None, 0, right=r)\n"
+        "    return FiniteGroup(e, None, 0, [1], right=r)\n"
         "def positional():\n"
-        "    return FiniteGroup(e, mul, inv, 0)\n"
+        "    return FiniteGroup(e, mul, 0, [1])\n"
         "def keyword():\n"
-        "    return SemidirectGroup(e, mul=lambda a, b: a, inv=None, identity=0)\n"
+        "    return SemidirectGroup(e, mul=lambda a, b: a, identity=0, generators=[])\n"
         "def other():\n"
-        "    return Other(e, mul, inv, 0)\n"
+        "    return Other(e, mul, 0, [1])\n"
     )
     assert law_passers([source], {"FiniteGroup", "SemidirectGroup"}) == {"positional", "keyword"}
