@@ -5,8 +5,9 @@ Elements are exponent vectors against a declared factor list, written
 additively; the trivial subgroup is the zero element.  A group is
 enumerated once, as a table of coordinate rows (desk scale |A| <= 2^16):
 subgroups are boolean masks over it, and maps act on the whole table at
-once.  A character of A is a coordinate row as well, and `pairing` is the
-one way to evaluate it.
+once.  A homomorphism is its integer matrix, applied to coordinate rows.
+A character of A is a coordinate row as well, and `pairing` is the one
+way to evaluate it.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ class AbelianGroup:
     @property
     def exponent(self) -> int:
         return lcm(*self.factor_orders)
-
-    def zero(self) -> "AbElement":
-        return AbElement(self, (0,) * len(self.factor_orders))
-
-    def element(self, coords) -> "AbElement":
-        coords = tuple(coords)
-        if len(coords) != self.rank:
-            raise AbelianDomainError("coordinate length mismatch")
-        return AbElement(self, tuple(c % d for c, d in zip(coords, self.factor_orders)))
-
-    def generators(self) -> list["AbElement"]:
-        return [AbElement(self, tuple(row)) for row in np.eye(self.rank, dtype=np.int64).tolist()]
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -116,36 +105,6 @@ def parse_abelian_literal(text: str) -> AbelianGroup:
     return AbelianGroup(tuple(orders))
 
 
-@dataclass(frozen=True)
-class AbElement:
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "AbElement") -> "AbElement":
-        self._check(other)
-        return self.group.element(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "AbElement") -> "AbElement":
-        self._check(other)
-        return self.group.element(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "AbElement":
-        return self.group.element(-a for a in self.coords)
-
-    def __rmul__(self, k: int) -> "AbElement":
-        return self.group.element(k * a for a in self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def _check(self, other: "AbElement"):
-        if other.group != self.group:
-            raise AbelianDomainError("elements of different groups")
-
-    def __repr__(self):
-        return f"AbElement{self.coords}"
-
-
 def abelian_type(orders: list[int]) -> tuple[int, ...]:
     """Cyclic factor orders, by prime and then descending, of the finite
     abelian group whose element orders are `orders` (one per element).
@@ -169,60 +128,75 @@ def abelian_type(orders: list[int]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbHom:
-    """Homomorphism given by the images of the source generators."""
+    """Homomorphism given by its integer matrix: row i holds the target
+    coordinates of the image of source generator i, reduced mod the
+    target's factor orders, as a read-only int64 array."""
 
     source: AbelianGroup
     target: AbelianGroup
-    images: tuple[AbElement, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if len(self.images) != len(self.source.factor_orders):
+        rows, source, target = self.matrix, self.source, self.target
+        if len(rows) != source.rank:
             raise AbelianDomainError("need one image per source generator")
-        for d, img in zip(self.source.factor_orders, self.images):
-            if img.group != self.target:
-                raise AbelianDomainError("image in the wrong group")
-            if not (d * img).is_zero():
-                raise AbelianDomainError("images do not define a homomorphism")
+        if any(len(row) != target.rank for row in rows):
+            raise AbelianDomainError("coordinate length mismatch")
+        # reduced and checked as Python ints: an entry may lie beyond int64
+        orders, rows = target.factor_orders, np.asarray(rows, dtype=object).tolist()
+        m = [[c % q for c, q in zip(row, orders)] for row in rows]
+        if any(d * c % q for d, row in zip(source.factor_orders, m) for c, q in zip(row, orders)):
+            raise AbelianDomainError("images do not define a homomorphism")
+        m = np.array(m, dtype=np.int64).reshape(source.rank, target.rank)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @staticmethod
     def identity(A: AbelianGroup) -> "AbHom":
-        return AbHom(A, A, tuple(A.generators()))
+        return AbHom(A, A, np.eye(A.rank, dtype=np.int64))
 
     @staticmethod
     def from_matrix(A: AbelianGroup, rows) -> "AbHom":
         """Endomorphism of A from an integer matrix, one row per generator."""
-        return AbHom(A, A, tuple(A.element(row) for row in rows))
+        return AbHom(A, A, rows)
 
-    def __call__(self, a: AbElement) -> AbElement:
-        if a.group != self.source:
-            raise AbelianDomainError("argument outside the source group")
-        out = self.target.zero()
-        for c, img in zip(a.coords, self.images):
-            if c:
-                out = out + c * img
-        return out
+    def __call__(self, rows) -> np.ndarray:
+        """The image of each coordinate row (last axis) of the source."""
+        d = np.array(self.target.factor_orders, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int64) @ self.matrix % d
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Target coordinates of the source generators' images, a row each."""
-        rows = [img.coords for img in self.images]
-        return np.array(rows, dtype=np.int64).reshape(self.source.rank, self.target.rank)
+    def __eq__(self, other):
+        return (
+            isinstance(other, AbHom)
+            and (self.source, self.target) == (other.source, other.target)
+            and self.matrix.tobytes() == other.matrix.tobytes()  # same groups: same shape
+        )
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix.tobytes()))
+
+    def __repr__(self):
+        # the deleted AbElement's spelling, pinned by GOLDEN_REPORTS in tests/test_cli.py
+        images = [f"AbElement{tuple(row)}" for row in self.matrix.tolist()]
+        return (f"AbHom(source={self.source!r}, target={self.target!r}, "
+                f"images=({', '.join(images)}{',' * (len(images) == 1)}))")
 
     @cached_property
     def on_table(self) -> np.ndarray:
         """Target table index of the image of each source table element."""
-        return self.target.index_of(self.source.table @ self.matrix)
+        return self.target.index_of(self(self.source.table))
 
     def compose(self, inner: "AbHom") -> "AbHom":
         """self o inner (apply inner first)."""
         if inner.target != self.source:
             raise AbelianDomainError("composition mismatch")
-        return AbHom(inner.source, self.target, tuple(self(img) for img in inner.images))
+        return AbHom(inner.source, self.target, self(inner.matrix))
 
     def is_identity(self) -> bool:
-        return self == AbHom.identity(self.source)
+        return self.source == self.target and np.array_equal(
+            self.matrix, np.eye(self.source.rank, dtype=np.int64))
 
     def is_automorphism(self) -> bool:
         # an endomorphism of a finite group is onto when its kernel is trivial
@@ -231,10 +205,8 @@ class AbHom:
     def multiplicative_order(self) -> int:
         if not self.is_automorphism():
             raise AbelianDomainError("order is defined for automorphisms only")
-        power = self
-        k = 1
-        ident = AbHom.identity(self.source)
-        while power != ident:
+        power, k = self, 1
+        while not power.is_identity():
             power = self.compose(power)
             k += 1
             if k > self.source.order:
@@ -305,13 +277,10 @@ class AbSubgroup:
         self.generators.flags.writeable = False
 
     @staticmethod
-    def from_elements(parent: AbelianGroup, elements) -> "AbSubgroup":
-        """The subgroup generated by the AbElements `elements`."""
-        elements = tuple(elements)
-        if any(g.group != parent for g in elements):
-            raise AbelianDomainError("generator not in the parent group")
-        rows = np.array([g.coords for g in elements], dtype=np.int64)
-        return AbSubgroup(parent, parent.index_of(rows.reshape(len(elements), parent.rank)))
+    def from_elements(parent: AbelianGroup, rows) -> "AbSubgroup":
+        """The subgroup generated by the coordinate rows `rows`."""
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), parent.rank)
+        return AbSubgroup(parent, parent.index_of(rows))
 
     @staticmethod
     def trivial(parent: AbelianGroup) -> "AbSubgroup":
@@ -420,7 +389,8 @@ def commutator_map(A: AbelianGroup, y: AbHom) -> tuple[AbSubgroup, AbSubgroup]:
 
 def commutator_hom(A: AbelianGroup, y: AbHom) -> AbHom:
     """a -> [a, y] = -a + a^y as an endomorphism of A."""
-    return AbHom(A, A, tuple(y(g) - g for g in A.generators()))
+    eye = np.eye(A.rank, dtype=np.int64)
+    return AbHom(A, A, y(eye) - eye)
 
 
 def fixed_subgroup(A: AbelianGroup, maps) -> AbSubgroup:

@@ -43,7 +43,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import _linalg_modp as lin
-from .abelian_core import AbElement, pairing
+from .abelian_core import pairing
 from .cyclotomic import Cyclo, prime_factors, reduction_matrix, root_of_unity
 from .group_engine import (
     FiniteGroup,
@@ -514,24 +514,24 @@ def _coset_firsts(A: SubgroupHandle) -> np.ndarray:
 
 def induced_linear_value(
     alpha: tuple[int, ...],
-    a: AbElement,
+    a: tuple[int, ...],
     model: AbelianModel,
     transversal=None,
 ) -> Cyclo:
     """alpha^G(a) = sum over coset representatives t of alpha(a^t), for the
-    character row alpha of the model's shape and a transversal of element
-    indices.
+    character row alpha and the coordinate row a of the model's shape and a
+    transversal of element indices.
 
     The value does not depend on the transversal choice because a lies in
     the abelian normal subgroup the characters live on.
     """
     view = model.subgroup.view
     shape = model.shape
-    if len(alpha) != shape.rank or a.group != shape:
+    if len(alpha) != shape.rank or len(a) != shape.rank:
         raise GroupDomainError("character and element must live on the model")
     if transversal is None:
         transversal = _coset_firsts(model.subgroup).tolist()
-    g = int(model.members[shape.index_of(a.coords)])
+    g = int(model.members[shape.index_of(a)])
     rows = model.rows[[view.conj(g, t) for t in transversal]]
     total = Cyclo.zero()
     for k in pairing(shape, [alpha], shape.table[rows])[0].tolist():

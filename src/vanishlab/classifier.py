@@ -19,7 +19,6 @@ import numpy as np
 
 from .abelian_core import (
     AbelianGroup,
-    AbElement,
     AbHom,
     AbSubgroup,
     commutator_hom,
@@ -119,10 +118,16 @@ def check_s3_case(W: AbelianGroup, x: AbHom, y: AbHom) -> bool:
 @dataclass
 class C6Witness:
     case: CaseLabel
-    b0_list: list[AbElement]
+    b0_list: list[tuple[int, ...]]  # coordinate rows
     B: AbSubgroup | None
     C: AbSubgroup | None
     x_used: AbHom | None = None
+
+    def __repr__(self):
+        # the deleted AbElement's spelling, pinned by GOLDEN_REPORTS in tests/test_cli.py
+        b0 = ", ".join(f"AbElement{row}" for row in self.b0_list)
+        return (f"C6Witness(case={self.case!r}, b0_list=[{b0}], B={self.B!r}, "
+                f"C={self.C!r}, x_used={self.x_used!r})")
 
 
 def _b42_span(W, b: int, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
@@ -146,8 +151,8 @@ def _b42_span(W, b: int, M: AbSubgroup, x: AbHom, gamma: AbHom) -> bool:
 def check_c6_case(W: AbelianGroup, x: AbHom, y: AbHom) -> C6Witness | None:
     """B3 when [W, y, y] = 1; otherwise search for the B x C decomposition
     of the (b4.1)/(b4.2) shapes, on W's table indices, subgroup masks and
-    the maps' `on_table` arrays; a candidate is an AbElement only in the
-    witness list.  Both generators x, x^2 are tried.  As x has order 3,
+    the maps' `on_table` arrays; the witness lists its candidates as
+    coordinate rows.  Both generators x, x^2 are tried.  As x has order 3,
     x^2 and y generate what x and y do, so the four searches share one
     <x, y>-module per candidate, and the two (b4.2) searches one
     `_b42_span` per candidate."""
@@ -225,7 +230,7 @@ def _search_b4(W, x, y, gamma, candidates, module, shape, label) -> C6Witness | 
             continue
         if not _complement_conditions(W, B, C, y, gamma, module, label, rank_b0, b0):
             continue
-        return C6Witness(label, [W.element(W.table[b].tolist()) for b in b0_list], B, C)
+        return C6Witness(label, [tuple(W.table[b].tolist()) for b in b0_list], B, C)
     return None
 
 

@@ -366,16 +366,15 @@ def _build_b42(n: int, k: int, c_part: int):
 
 def _verify_c6_identity_blocks(G: FiniteGroup, k: int, n: int | None):
     """Check the b4.x relation on every element of the B-part of A, the
-    first k blocks, as coordinate rows through the maps' matrices."""
+    first k blocks, as coordinate rows."""
     A = G.semidirect_spec.A
     x, y = _c6_actions(G)
     width = 2 if n is None else 4
     a = A.table[~A.table[:, width * k:].any(axis=1)]
-    X, Y = x.matrix, y.matrix
     if n is None:
-        if (A.index_of(a + a @ Y) != A.index_of(4 * a @ X)).any():
+        if (A.index_of(a + y(a)) != A.index_of(4 * x(a))).any():
             raise BuilderError("b4.1 relation a a^y = a^{4x} failed")
-    elif (A.index_of(2 ** (n - 1) * a) != A.index_of((2 * a @ Y - 2 * a) @ X)).any():
+    elif (A.index_of(2 ** (n - 1) * a) != A.index_of(x(2 * y(a) - 2 * a))).any():
         raise BuilderError("b4.2 relation a^{2^(n-1)} = [a^2,y]^x failed")
 
 

@@ -88,7 +88,7 @@ class FiniteGroup:
             def row(t):
                 s = self.generators[t]
                 return [mul(x, s) for x in range(n)]
-        elif len(right) != len(self.generators) or any(np.shape(Rs) != (n,) for Rs in right):
+        elif len(right) != len(self.generators):
             raise GroupDomainError("one row of n indices is needed per generator")
         else:
             row = right.__getitem__
@@ -359,6 +359,8 @@ class CompiledGroup:
             if prune and spanned[j]:
                 continue
             Rs = np.asarray(row(t))
+            if Rs.shape != (n,):
+                raise GroupDomainError("one row of n indices is needed per generator")
             if Rs.dtype.kind not in "iu" or Rs.min() < 0 or Rs.max() >= n:
                 raise GroupDomainError("multiplication left the element set")
             if np.bincount(Rs, minlength=n).max() > 1:
@@ -744,7 +746,7 @@ class AbelianModel:
         rows = self.rows[images]
         if (rows < 0).any():
             raise GroupDomainError("element does not normalize the subgroup")
-        return AbHom.from_matrix(self.shape, self.shape.table[rows].tolist())
+        return AbHom.from_matrix(self.shape, self.shape.table[rows])
 
     def __repr__(self):
         basis = tuple(self.subgroup.view.elements[i] for i in self.basis.tolist())

@@ -185,7 +185,7 @@ def emit_group(G: FiniteGroup) -> str:
                f"complement {spec.H.name}"]
         for s in spec.H.compiled.gens:
             hom = spec.action[s]
-            rows = [" ".join(str(c) for c in img.coords) for img in hom.images]
+            rows = [" ".join(map(str, row)) for row in hom.matrix.tolist()]
             out.append("matrix " + " / ".join(rows))
         return "\n".join(out) + "\n"
     sample = G.elements[0]

@@ -31,6 +31,7 @@ from vanishlab.abelian_core import (
     perp,
     perp_dual,
 )
+from vanishlab.groupfile import GroupFileError, parse_group
 
 SMALL_GROUPS = [
     AbelianGroup.of(2),
@@ -86,17 +87,6 @@ def test_orders_and_exponent():
     assert A.element_orders[A.index_of((1, 1))] == 12
 
 
-def test_element_rejects_a_coordinate_vector_of_the_wrong_length():
-    A = AbelianGroup.of(4, 2)
-    assert A.element((5, 3)).coords == (1, 1)
-    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
-        A.element((1, 1, 3))  # too long
-    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
-        A.element((1,))  # too short
-    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
-        A.element(c for c in (1, 1, 3))  # any iterable, read once
-
-
 def test_canonical_decomposition_merges_and_splits():
     # the abelian type is the primary decomposition, by prime and then descending
     assert abelian_type(AbelianGroup.of(6).element_orders) == (2, 3)
@@ -107,8 +97,24 @@ def test_canonical_decomposition_merges_and_splits():
 def test_hom_rejects_non_homomorphism():
     A = AbelianGroup.of(4)
     B = AbelianGroup.of(8)
-    with pytest.raises(AbelianDomainError):
-        AbHom(A, B, (B.element((1,)),))  # image of order 8 from a C4 generator
+    with pytest.raises(AbelianDomainError, match="images do not define a homomorphism"):
+        AbHom(A, B, [[1]])  # image of order 8 from a C4 generator
+    assert AbHom(A, B, [[2]])(np.array([[1], [3]])).tolist() == [[2], [6]]  # order 4: a map
+    with pytest.raises(AbelianDomainError, match="need one image per source generator"):
+        AbHom(A, B, [[2], [2]])  # two rows for one generator
+    with pytest.raises(AbelianDomainError, match="need one image per source generator"):
+        AbHom(A, B, [])
+    C = AbelianGroup.of(4, 2)
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        AbHom.from_matrix(C, [(1, 0, 3), (0, 1)])  # a row too long
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        AbHom.from_matrix(C, [(1, 0), (1,)])  # a row too short
+    with pytest.raises(AbelianDomainError, match="images do not define a homomorphism"):
+        AbHom.from_matrix(C, [(1, 0), (1, 0)])  # the C2 generator onto an order-4 element
+    # the group-file diagnostic is unchanged, at the first matrix line
+    with pytest.raises(GroupFileError) as info:
+        parse_group("semidirect\nabelian C2xC4\ncomplement C2\nmatrix 0 1 / 1 0\n")
+    assert str(info.value) == "line 4, column 1: images do not define a homomorphism"
 
 
 def test_hom_powers_and_inverse():
@@ -118,11 +124,24 @@ def test_hom_powers_and_inverse():
     assert (x**3).is_identity()
     assert x.inverse().compose(x).is_identity()
     assert x**-1 == x.inverse()
+    # a map is its reduced matrix: equal maps compare and hash equal
+    assert x.matrix.dtype == np.int64 and not x.matrix.flags.writeable
+    same = AbHom.from_matrix(A, [(5, 10**30 + 1), (-1, 2**70 + 5)])  # beyond int64
+    assert same.matrix.tolist() == [[0, 1], [4, 4]]
+    assert same == x and hash(same) == hash(x)
+    ident = AbHom.identity(A)
+    for f in (x**3, x.compose(x.compose(x)), AbHom.from_matrix(A, [(6, 5), (10, -4)])):
+        assert f == ident and hash(f) == hash(ident)
+    assert x.compose(x) == x**-1 and hash(x.compose(x)) == hash(x**-1)
+    assert x != ident and x != AbHom(A, AbelianGroup.of(5, 5, 5), [(0, 1, 0), (4, 4, 0)])
+    # it maps coordinate rows on the last axis
+    assert x((1, 0)).tolist() == [0, 1]
+    assert np.array_equal(x(A.table), A.table[x.on_table])
 
 
 def test_subgroup_closure_and_type():
     A = AbelianGroup.of(8, 8)
-    B = AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 4))))
+    B = AbSubgroup.from_elements(A, [(2, 0), (0, 4)])
     assert B.order == 8
     assert B.isomorphism_type().factor_orders == (4, 2)
     assert B.exponent() == 4
@@ -140,14 +159,11 @@ def test_omega_layers():
 
 def test_embedding_criterion():
     A = AbelianGroup.of(8, 8)
-    assert embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, (A.element((2, 0)),)))  # C4
-    assert embeds_in_C4_x_C2k(
-        AbSubgroup.from_elements(A, (A.element((4, 0)), A.element((0, 4))))
-    )  # C2 x C2
-    assert not embeds_in_C4_x_C2k(
-        AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 2))))
-    )  # C4 x C4 has four squares
-    assert not embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, (A.element((1, 0)),)))  # C8
+    assert embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, [(2, 0)]))  # C4
+    assert embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, [(4, 0), (0, 4)]))  # C2 x C2
+    # C4 x C4 has four squares
+    assert not embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, [(2, 0), (0, 2)]))
+    assert not embeds_in_C4_x_C2k(AbSubgroup.from_elements(A, [(1, 0)]))  # C8
 
 
 # -- duality suite --------------------------------------------------------
@@ -158,10 +174,10 @@ def test_annihilator_laws_random(trial):
     rng = random.Random(1000 + trial)
     for _ in range(250):
         A = rng.choice([g for g in SMALL_GROUPS if g.order <= 256])
-        gens = tuple(
-            A.element(tuple(rng.randrange(d) for d in A.factor_orders))
+        gens = [
+            tuple(rng.randrange(d) for d in A.factor_orders)
             for _ in range(rng.randrange(3))
-        )
+        ]
         B = AbSubgroup.from_elements(A, gens)
         Bp = perp(B)
         assert B.order * Bp.order == A.order
@@ -170,15 +186,15 @@ def test_annihilator_laws_random(trial):
 
 def test_annihilator_reverses_inclusion():
     A = AbelianGroup.of(4, 4)
-    B = AbSubgroup.from_elements(A, (A.element((2, 0)),))
-    C = AbSubgroup.from_elements(A, (A.element((2, 0)), A.element((0, 2))))
+    B = AbSubgroup.from_elements(A, [(2, 0)])
+    C = AbSubgroup.from_elements(A, [(2, 0), (0, 2)])
     assert B <= C
     assert perp(C) <= perp(B)
 
 
 def test_perp_closes_its_subgroup_once(monkeypatch):
     A = AbelianGroup.of(4, 4, 2)
-    B = AbSubgroup.from_elements(A, (A.element((1, 2, 0)), A.element((0, 2, 1))))
+    B = AbSubgroup.from_elements(A, [(1, 2, 0), (0, 2, 1)])
     calls = []
     close = abelian_core._close
     monkeypatch.setattr(abelian_core, "_close",
@@ -209,10 +225,8 @@ def test_subgroup_of_no_members_is_trivial():
 
 def test_characters_separate_points():
     A = AbelianGroup.of(4, 2)
-    for a in map(A.element, A.table.tolist()):
-        if a.is_zero():
-            continue
-        assert any(pairing(A, [alpha], [a.coords])[0, 0] != 0 for alpha in all_characters(A))
+    for a in A.table[1:].tolist():  # table row 0 is zero
+        assert any(pairing(A, [alpha], [a])[0, 0] != 0 for alpha in all_characters(A))
 
 
 def test_dual_action_is_contravariant():
@@ -221,8 +235,8 @@ def test_dual_action_is_contravariant():
     alpha = (1, 2)
     beta = acted_by(A, alpha, x)
     xinv = x.inverse()
-    for a in map(A.element, A.table.tolist()):
-        assert pairing(A, [beta], [a.coords])[0, 0] == pairing(A, [alpha], [xinv(a).coords])[0, 0]
+    for a in A.table:
+        assert pairing(A, [beta], [a])[0, 0] == pairing(A, [alpha], [xinv(a)])[0, 0]
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -235,31 +249,15 @@ def test_commutator_duality_random(trial):
         image, kernel = commutator_map(A, y)
         assert image.order * kernel.order == A.order
 
-        fixed_chars = [
-            AbSubgroup.from_elements(
-                A,
-                [
-                    A.element(alpha)
-                    for alpha in all_characters(A)
-                    if acted_by(A, alpha, y) == alpha
-                ],
-            )
-        ][0]
+        fixed_chars = AbSubgroup.from_elements(
+            A, [alpha for alpha in all_characters(A) if acted_by(A, alpha, y) == alpha]
+        )
         assert perp(image) == fixed_chars
 
         moved = AbSubgroup.from_elements(
             A,
             [
-                A.element(
-                    tuple(
-                        (b - a) % d
-                        for a, b, d in zip(
-                            alpha,
-                            acted_by(A, alpha, y),
-                            A.factor_orders,
-                        )
-                    )
-                )
+                tuple(b - a for a, b in zip(alpha, acted_by(A, alpha, y)))
                 for alpha in all_characters(A)
             ],
         )
@@ -278,9 +276,9 @@ def test_commutator_hom_is_additive():
     gamma = commutator_hom(A, y)
     for _ in range(100):
         rng = random.Random(_)
-        a = A.element((rng.randrange(8), rng.randrange(8)))
-        b = A.element((rng.randrange(8), rng.randrange(8)))
-        assert gamma(a + b) == gamma(a) + gamma(b)
+        a = np.array((rng.randrange(8), rng.randrange(8)))
+        b = np.array((rng.randrange(8), rng.randrange(8)))
+        assert np.array_equal(gamma(a + b), (gamma(a) + gamma(b)) % 8)
 
 
 def test_fixed_subgroup():
@@ -288,7 +286,7 @@ def test_fixed_subgroup():
     y = AbHom.from_matrix(A, [(0, 1), (1, 0)])
     F = fixed_subgroup(A, [y])
     assert F.order == 4
-    assert all(y(a) == a for a in map(A.element, A.table[np.flatnonzero(F.mask)].tolist()))
+    assert np.array_equal(y(A.table[F.mask]), A.table[F.mask])
 
 
 def test_generated_submodule_under_rotation():
@@ -327,8 +325,8 @@ def test_subgroup_join_and_meet_are_lattice_ops(A, data):
     coords = st.tuples(*(st.integers(0, d - 1) for d in A.factor_orders))
     gens1 = data.draw(st.lists(coords, max_size=2))
     gens2 = data.draw(st.lists(coords, max_size=2))
-    B = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens1))
-    C = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens2))
+    B = AbSubgroup.from_elements(A, gens1)
+    C = AbSubgroup.from_elements(A, gens2)
     meet = B.intersection(C)
     join = B.join(C)
     assert meet <= B and meet <= C
@@ -365,8 +363,8 @@ def reference_elements(A: AbelianGroup) -> list:
 
 def reference_apply(f: AbHom, c) -> tuple:
     out = [0] * f.target.rank
-    for k, img in zip(c, f.images):
-        out = [o + k * v for o, v in zip(out, img.coords)]
+    for k, img in zip(c, f.matrix.tolist()):
+        out = [o + k * v for o, v in zip(out, img)]
     return tuple(o % d for o, d in zip(out, f.target.factor_orders))
 
 
@@ -427,8 +425,8 @@ def test_mask_subgroups_match_the_frozenset_reference(A, data):
     draw = data.draw
     gens1 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
     gens2 = [draw_element(draw, A) for _ in range(draw(st.integers(0, 3)))]
-    B = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens1))
-    C = AbSubgroup.from_elements(A, tuple(A.element(c) for c in gens2))
+    B = AbSubgroup.from_elements(A, gens1)
+    C = AbSubgroup.from_elements(A, gens2)
     ref_b, ref_c = reference_close(A, gens1), reference_close(A, gens2)
     everything = reference_elements(A)
 
@@ -465,7 +463,7 @@ def test_mask_subgroups_match_the_frozenset_reference(A, data):
     gamma = commutator_hom(A, y)
     image, kernel = commutator_map(A, y)
     assert coords_of(image) == reference_close(
-        A, [reference_apply(gamma, g.coords) for g in A.generators()]
+        A, [reference_apply(gamma, g) for g in np.eye(A.rank, dtype=int).tolist()]
     )
     assert coords_of(kernel) == frozenset(
         a for a in everything if not any(reference_apply(gamma, a))

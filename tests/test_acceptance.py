@@ -170,10 +170,10 @@ def test_criterion_10_duality_suite():
                         (16, 8), (2, 2, 2, 2)]
     for _ in range(1000):
         A = AbelianGroup.of(*rng.choice(two_group_shapes))
-        gens = tuple(
-            A.element(tuple(rng.randrange(d) for d in A.factor_orders))
+        gens = [
+            tuple(rng.randrange(d) for d in A.factor_orders)
             for _ in range(rng.randrange(4))
-        )
+        ]
         B = AbSubgroup.from_elements(A, gens)
         Bp = perp(B)
         assert B.order * Bp.order == A.order
@@ -189,15 +189,13 @@ def test_criterion_10_duality_suite():
         image, kernel = commutator_map(A, y)
         fixed = AbSubgroup.from_elements(
             A,
-            [A.element(alpha) for alpha in all_characters(A)
-             if acted_by(A, alpha, y) == alpha],
+            [alpha for alpha in all_characters(A) if acted_by(A, alpha, y) == alpha],
         )
         assert perp(image) == fixed
         moved = AbSubgroup.from_elements(
             A,
-            [A.element(tuple((b - a) % d for a, b, d
-                             in zip(alpha, acted_by(A, alpha, y),
-                                    A.factor_orders)))
+            [tuple((b - a) % d for a, b, d
+                   in zip(alpha, acted_by(A, alpha, y), A.factor_orders))
              for alpha in all_characters(A)],
         )
         assert moved.isomorphism_type() == image.isomorphism_type()

@@ -145,7 +145,7 @@ def test_induced_value_concrete_zero():
         if H.order == 4 and H.is_normal()
     )
     model = abelian_model(A)
-    a = model.shape.element((1,))
+    a = (1,)
     assert induced_linear_value((1,), a, model).is_zero()
     assert induced_linear_value((0,), a, model) == Cyclo.one() * 2
 
@@ -158,7 +158,7 @@ def test_induced_value_matches_full_average():
     for alpha in all_characters(shape):
         # the model element at table row k is the group element members[k]
         for row, g in zip(shape.table.tolist(), model.members.tolist()):
-            fast = induced_linear_value(alpha, shape.element(row), model)
+            fast = induced_linear_value(alpha, tuple(row), model)
             total = Cyclo.zero()
             for t in range(G.order):
                 conj_row = shape.table[model.rows[G.compiled.conj(g, t)]]

@@ -143,7 +143,7 @@ def test_b_path_enumerates_no_abelian_group():
         seen = (verdict.outcome, None, None, None)
         if c6 is not None:
             seen = (
-                verdict.outcome, [b.coords for b in c6.b0_list],
+                verdict.outcome, c6.b0_list,
                 c6.B and c6.B.order, c6.C and c6.C.order,
             )
         assert seen == expected[name], name

@@ -177,6 +177,20 @@ def test_parse_group_builds_or_reports(text):
         pass
 
 
+@pytest.mark.parametrize("entry", ["-1", "1000000000000000000000000000003"])
+def test_matrix_entries_are_read_mod_the_factor_order(tmp_path, capsys, entry):
+    # C2 inverting C4: an entry of -1, or one beyond int64, is read mod 4 as 3
+    reports = []
+    for text in (f"semidirect\nabelian C4\ncomplement C2\nmatrix {m}\n" for m in ("3", entry)):
+        path = tmp_path / "g.grp"
+        path.write_text(text)
+        code, out = run(capsys, "oracle", str(path))
+        assert code == EXIT_OK
+        reports.append(out)
+    assert reports[1] == reports[0]
+    assert emit_group(parse_group(text)).endswith("\nmatrix 3\n")
+
+
 BOUNDARY_FILES = [
     # matrices are indexed by the written factors: C6 takes 1x1 matrices
     ("semidirect\nabelian C6\ncomplement C2\nmatrix -1\n", EXIT_OK),
@@ -625,11 +639,11 @@ def _duality_draws(seed, trials):
     groups = [AbelianGroup.of(*shape) for shape in cli.DUALITY_SHAPES]
     for _ in range(trials):
         A = rng.choice(groups)
-        gens = tuple(
-            A.element(tuple(rng.randrange(d) for d in A.factor_orders))
+        gens = [
+            tuple(rng.randrange(d) for d in A.factor_orders)
             for _ in range(rng.randrange(3))
-        )
-        key = (A, frozenset(g.coords for g in gens if not g.is_zero()))
+        ]
+        key = (A, frozenset(g for g in gens if any(g)))
         yield key, AbSubgroup.from_elements(A, gens)
 
 

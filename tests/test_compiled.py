@@ -137,18 +137,18 @@ def reference_law(G, name=None):
     spec = getattr(G, "semidirect_spec", None)
     if spec is None:
         return perm_mul, perm_inv
-    A, action = spec.A, spec.action
+    d, action = np.array(spec.A.factor_orders, dtype=np.int64), spec.action
     index = {h: k for k, h in enumerate(spec.H.elements)}
     hmul, hinv = reference_law(spec.H)
 
     def mul(x, y):
         (a1, h1), (a2, h2) = x, y
-        return (A.element(a1) + action[index[h1]](A.element(a2))).coords, hmul(h1, h2)
+        return tuple(((a1 + action[index[h1]](a2)) % d).tolist()), hmul(h1, h2)
 
     def inv(x):
         a, h = x
         h = hinv(h)
-        return action[index[h]](-A.element(a)).coords, h
+        return tuple(action[index[h]](-np.array(a, dtype=np.int64)).tolist()), h
 
     return mul, inv
 
@@ -798,6 +798,12 @@ def test_construction_rejects_a_law_that_leaves_the_elements(mul):
         FiniteGroup(range(4), mul, 0, [1])
 
 
+def test_construction_rejects_a_law_that_tabulates_a_row_of_the_wrong_shape():
+    # a law returning pairs tabulates a 2-D row; handed-in rows take the same check
+    with pytest.raises(GroupDomainError, match="one row of n indices"):
+        FiniteGroup(range(4), lambda a, b: (0, 1), 0, [1])
+
+
 def test_construction_rejects_m5_with_two_products_swapped():
     M5 = build_case_family("M5").group
     elements, m5_mul = M5.elements, reference_law(M5)[0]
@@ -821,16 +827,16 @@ def test_construction_rejects_m5_with_two_products_swapped():
 def test_semidirect_law_matches_the_module_action(tag, params):
     G = build_case_family(tag, **params).group
     spec, view = G.semidirect_spec, G.compiled
-    A, H = spec.A, spec.H
+    d, H = np.array(spec.A.factor_orders, dtype=np.int64), spec.H
     hmul, hinv = reference_law(H)
     index = {h: k for k, h in enumerate(H.elements)}
     for i, (a1, h1) in enumerate(G.elements):
         for j, (a2, h2) in enumerate(G.elements):
-            moved = spec.action[index[h1]](A.element(a2))
-            expected = ((A.element(a1) + moved).coords, hmul(h1, h2))
+            moved = spec.action[index[h1]](a2)
+            expected = (tuple(((a1 + moved) % d).tolist()), hmul(h1, h2))
             assert G.elements[view.product(i, j)] == expected
-        inverse = spec.action[index[hinv(h1)]](-A.element(a1))
-        assert G.elements[view.inv[i]] == (inverse.coords, hinv(h1))
+        inverse = spec.action[index[hinv(h1)]](-np.array(a1, dtype=np.int64))
+        assert G.elements[view.inv[i]] == (tuple(inverse.tolist()), hinv(h1))
 
 
 def test_semidirect_rows_agree_with_mul():
@@ -895,7 +901,7 @@ def test_a_handle_is_the_subgroup_of_the_a_generators():
         if spec is not None:
             index = {g: i for i, g in enumerate(G.elements)}
             e = spec.H.elements[spec.H.identity]
-            gens = [index[a.coords, e] for a in spec.A.generators()]
+            gens = [index[a, e] for a in map(tuple, np.eye(spec.A.rank, dtype=int).tolist())]
             assert G.A_handle == G.subgroup(gens), entry.provenance
 
 

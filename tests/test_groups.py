@@ -82,7 +82,7 @@ def test_semidirect_invariants():
         G = build_case_family(tag, **params).group
         spec = G.semidirect_spec
         A = G.A_handle
-        H = G.subgroup([G.elements.index((spec.A.zero().coords, spec.H.elements[h]))
+        H = G.subgroup([G.elements.index(((0,) * spec.A.rank, spec.H.elements[h]))
                         for h in spec.H.generators])
         assert A.order * H.order == G.order
         assert A.is_normal()
