@@ -140,6 +140,8 @@ class AbHom:
 
     def __post_init__(self):
         rows, source, target = self.matrix, self.source, self.target
+        if max(source.factor_orders + target.factor_orders, default=0) >= 2**63:
+            raise AbelianDomainError("factor orders beyond int64")
         if len(rows) != source.rank:
             raise AbelianDomainError("need one image per source generator")
         if any(len(row) != target.rank for row in rows):
@@ -279,7 +281,10 @@ class AbSubgroup:
     @staticmethod
     def from_elements(parent: AbelianGroup, rows) -> "AbSubgroup":
         """The subgroup generated by the coordinate rows `rows`."""
-        rows = np.array(rows, dtype=np.int64).reshape(len(rows), parent.rank)
+        try:  # fails exactly when some row is not of length rank
+            rows = np.array(rows, dtype=np.int64).reshape(len(rows), parent.rank)
+        except ValueError:
+            raise AbelianDomainError("coordinate length mismatch") from None
         return AbSubgroup(parent, parent.index_of(rows))
 
     @staticmethod

@@ -545,7 +545,7 @@ def vanish_on_abelian_normal(G: FiniteGroup, A: SubgroupHandle) -> np.ndarray:
     A."""
     if A.view is not G.compiled:
         raise GroupDomainError("subgroup of a different group")
-    if not A.is_abelian():
+    if not A.is_abelian:
         raise GroupDomainError("fast path requires an abelian subgroup")
     if not A.is_normal():
         raise GroupDomainError("fast path requires a normal subgroup")

@@ -273,7 +273,7 @@ def abelian_normal_candidates(G: FiniteGroup) -> list[SubgroupHandle]:
                 out.append(handle)
     return [
         h for h in out
-        if h.is_abelian() and h.is_normal() and h.order < G.order
+        if h.is_abelian and h.is_normal() and h.order < G.order
     ]
 
 
@@ -288,7 +288,7 @@ def check_b1(G: FiniteGroup, candidates: list[SubgroupHandle]) -> dict | None:
     if not index_4:
         return None
     Q = G.sylow(2)
-    if Q.is_abelian():
+    if Q.is_abelian:
         return None
     ZQ = subgroup_center(Q)
     for A in index_4:
@@ -304,7 +304,7 @@ def _check_b_m6(G: FiniteGroup, A: SubgroupHandle) -> Verdict | None:
     O2A = primary_part(A, 2)
     O3A = primary_part(A, 3)
     # C_{O_2(A)}(P) <= Z(G)
-    if (O2A.mask & view.centralizer_mask(P.spanning) & ~G.center.mask).any():
+    if (O2A.mask & view.centralizer_mask(P.basis) & ~G.center.mask).any():
         return None
     W = commutator_subgroup(G, O2A, P)
     if W.order == 1:
@@ -352,7 +352,7 @@ def _b_verdicts(G: FiniteGroup):
     candidate order.  Every case needs a non-abelian Sylow 2-subgroup Q;
     Q is built first only when the class sizes leave that open, and
     otherwise only for a candidate of index 4 or 6."""
-    if not G.sylow_shown_nonabelian(2) and G.sylow(2).is_abelian():
+    if not G.sylow_shown_nonabelian(2) and G.sylow(2).is_abelian:
         return
     candidates = abelian_normal_candidates(G)
     b1 = check_b1(G, candidates)
@@ -408,9 +408,9 @@ def hall_23(G: FiniteGroup) -> SubgroupHandle | None:
     S2 = G.sylow(2)
     S3 = G.sylow(3)
     view = G.compiled
-    conjugates = view.conjugates(S3.gens)  # S3's generators conjugated by each g
+    conjugates = view.conjugates(S3.basis)  # S3's basis conjugated by each g
     for g in [view.identity, *range(G.order)]:
-        H = view.subgroup([*S2.gens.tolist(), *conjugates[:, g].tolist()])
+        H = view.subgroup([*S2.basis.tolist(), *conjugates[:, g].tolist()])
         if H.order == target:
             return H
     return None
@@ -437,7 +437,7 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
     if _is_cyclic(quotient) and is_quasi_frobenius(G).holds:
         return AGroupCase("1", m, {"F": F})
 
-    if m == 4 and quotient.is_abelian and G.sylow(2).is_abelian():
+    if m == 4 and quotient.is_abelian and G.sylow(2).is_abelian:
         return AGroupCase("2", m, {"F": F})
 
     if m == 6:
@@ -450,7 +450,7 @@ def classify_a_group(G: FiniteGroup) -> AGroupCase:
         FH = Hg.fitting
         n = Hg.order // FH.order
         # Hg's element k is G's element H.idx[k]
-        FH_in_G = SubgroupHandle(G.compiled, H.idx[FH.idx], H.idx[FH.gens])
+        FH_in_G = SubgroupHandle(G.compiled, H.idx[FH.idx], H.idx[FH.basis])
         if n in (2, 3):
             q = 6 // n
             if not _quasi_frobenius_with_cyclic_quotient(Hg, n):

@@ -233,7 +233,7 @@ def _build_a(m: int, variant: str | None):
         G = semidirect_from_matrices(AbelianGroup.of(*orders), builtin_h(h_name), mats, name)
     # defining predicate: A-group with Fitting subgroup of index m
     for p in G.primes():
-        if not G.sylow(p).is_abelian():
+        if not G.sylow(p).is_abelian:
             raise BuilderError("A-family output has a nonabelian Sylow subgroup")
     if G.order != G.fitting.order * m:
         raise BuilderError("A-family output has the wrong Fitting index")
@@ -288,7 +288,7 @@ def _build_b1(shape: str):
     # defining predicate: Syl_2 nonabelian and Z(G) of index 4 with
     # O_2(Z(G)) = Z(Syl_2) -- all shapes here have A = Z(G)
     Q = G.sylow(2)
-    if Q.is_abelian():
+    if Q.is_abelian:
         raise BuilderError("B1 output has an abelian Sylow 2-subgroup")
     Z = G.center
     if G.order != 4 * Z.order:

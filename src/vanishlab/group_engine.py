@@ -12,8 +12,11 @@ arrays; only `cyclic_group` is given by a law on positions, tabulated with
 query (conjugacy classes, element orders, center, centralizers,
 normalizers, derived, Sylow and Fitting subgroups, quotients) runs on the
 arrays and is exact, memoized and deterministic.  Subgroups are
-SubgroupHandles, sorted index arrays that refer to the compiled view, never
-to the group.  Construction and every query take and return element
+SubgroupHandles, their sorted members and one basis as index arrays, which
+refer to the compiled view, never to the group.  A subgroup becomes a group
+one way, `SubgroupHandle.as_group`, from the parent's rows of its basis;
+`abelian_model` reads an abelian subgroup's products from that group, not
+from translations of the parent.  Construction and every query take and return element
 indices, positions in `elements`: the labels are made where a group is
 built and read only by I/O and by reprs.
 
@@ -138,7 +141,7 @@ class FiniteGroup:
 
     def full_subgroup(self) -> "SubgroupHandle":
         view = self.compiled
-        return SubgroupHandle(view, np.arange(self.order), view.gens, view.gens)
+        return SubgroupHandle(view, np.arange(self.order), view.gens)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
         return self.compiled.normal_closure(self._indices(seeds))
@@ -226,11 +229,10 @@ class FiniteGroup:
         view = self.compiled
         p_orders = view.orders % p == 0
         pe = view.p_part(int(np.argmax(p_orders)), p)
-        gens, spanned = [], None
+        spanned = None
         while True:
-            gens.append(pe)
             spanned = view.span([pe], spanned)  # fills the row of pe only
-            current = SubgroupHandle(view, np.flatnonzero(spanned[0]), gens, spanned[1])
+            current = SubgroupHandle(view, np.flatnonzero(spanned[0]), spanned[1])
             if current.order >= target:
                 return current
             norm = self.normalizer(current).idx
@@ -250,8 +252,8 @@ class FiniteGroup:
 
     @cached_property
     def fitting(self) -> "SubgroupHandle":
-        gens = [g for p in self.primes() for g in self.p_core(p).gens.tolist()]
-        return self.compiled.subgroup(gens)
+        return self.compiled.subgroup(
+            [g for p in self.primes() for g in self.p_core(p).idx.tolist()])
 
     @cached_property
     def is_nilpotent(self) -> bool:
@@ -581,8 +583,8 @@ class CompiledGroup:
     # -- subgroups ---------------------------------------------------------
 
     def handle(self, members) -> "SubgroupHandle":
-        """The subgroup given by its sorted members, generated by all of them."""
-        return SubgroupHandle(self, members, members)
+        """The subgroup given by its sorted members."""
+        return SubgroupHandle(self, members)
 
     def span(self, gens, start=None):
         """(mask of <gens>, basis, rows): the basis holds the gens outside
@@ -603,7 +605,7 @@ class CompiledGroup:
 
     def subgroup(self, gens) -> "SubgroupHandle":
         mask, basis, _ = self.span(gens)
-        return SubgroupHandle(self, np.flatnonzero(mask), gens, basis)
+        return SubgroupHandle(self, np.flatnonzero(mask), basis)
 
     def normal_closure(self, seeds) -> "SubgroupHandle":
         """<seeds^G>, generated by the conjugates of the seeds (by index)."""
@@ -626,22 +628,20 @@ def _read_only(indices) -> np.ndarray:
 
 class SubgroupHandle:
     """A subgroup of a compiled group: `idx`, the sorted indices of its
-    members, and `mask`, their indicator.
+    members, `mask`, their indicator, and `basis`, members that generate
+    it.  The basis is the caller's when it has one (`span`, Sylow
+    percolation, `full_subgroup`); otherwise it is spanned from the members
+    on first use, each member outside the span of those before it.  A
+    handle refers to the compiled view, never to the group object.
 
-    `gens` index the elements it was generated from (all members when it
-    was given by its members, none for the trivial subgroup); `basis` is
-    an irredundant part of them.  A handle refers to the compiled view,
-    never to the group object.
-
-    A handle is never changed after construction: `idx`, `mask`, `gens`
-    and `basis` are read-only arrays.  Memoized handles (`sylow`, `center`,
+    A handle is never changed after construction: `idx`, `mask` and
+    `basis` are read-only arrays.  Memoized handles (`sylow`, `center`,
     `fitting`) are shared between callers and rely on this.
     """
 
-    def __init__(self, view: CompiledGroup, members, generators=(), basis=None):
+    def __init__(self, view: CompiledGroup, members, basis=None):
         self.view = view
         self.idx = _read_only(members)
-        self.gens = _read_only(generators)
         self.mask = np.zeros(view.order, dtype=bool)
         self.mask[self.idx] = True
         self.mask.flags.writeable = False
@@ -654,14 +654,9 @@ class SubgroupHandle:
     def order(self) -> int:
         return len(self.idx)
 
-    @property
-    def spanning(self) -> np.ndarray:
-        """The generators, or the members when there are none."""
-        return self.gens if len(self.gens) else self.idx
-
     @cached_property
     def basis(self) -> np.ndarray:
-        return _read_only(self.view.span(self.spanning)[1])
+        return _read_only(self.view.span(self.idx)[1])
 
     def __eq__(self, other):
         return (
@@ -675,13 +670,10 @@ class SubgroupHandle:
 
     def is_normal(self) -> bool:
         """Closed under conjugation by the group's generators."""
-        return bool(self.mask[self.view.C[:, self.spanning]].all())
-
-    def is_abelian(self) -> bool:
-        return self._abelian
+        return bool(self.mask[self.view.C[:, self.basis]].all())
 
     @cached_property
-    def _abelian(self) -> bool:
+    def is_abelian(self) -> bool:
         basis = self.basis
         if len(basis) <= 1:  # cyclic
             return True
@@ -701,7 +693,7 @@ class SubgroupHandle:
         )
 
     def join(self, other: "SubgroupHandle") -> "SubgroupHandle":
-        return self.view.subgroup([*self.spanning.tolist(), *other.spanning.tolist()])
+        return self.view.subgroup([*self.basis.tolist(), *other.basis.tolist()])
 
     def intersection(self, other: "SubgroupHandle") -> "SubgroupHandle":
         return self.view.handle(self.idx[other.mask[self.idx]])
@@ -709,7 +701,7 @@ class SubgroupHandle:
     def abelian_invariants(self) -> tuple[int, ...]:
         """Cyclic factor orders (primary decomposition, deterministic order)
         of an abelian subgroup, from the element-order census."""
-        if not self.is_abelian():
+        if not self.is_abelian:
             raise GroupDomainError("abelian invariants of a nonabelian subgroup")
         return abelian_type(self.view.orders[self.idx].tolist())
 
@@ -757,18 +749,17 @@ def abelian_model(H: SubgroupHandle) -> AbelianModel:
     """Basis for an abelian subgroup: greedily take elements of maximal
     order in the quotient by the span so far, the first by index.  The span
     grows in table order, the first basis coordinate most significant."""
-    if not H.is_abelian():
+    if not H.is_abelian:
         raise GroupDomainError("abelian model of a nonabelian subgroup")
-    view = H.view
-    local = np.full(view.order, -1, dtype=view.dtype)
-    local[H.idx] = np.arange(H.order)
-    # T[a, b]: local index of h_a h_b; powers[a, k]: local index of h_a^k
-    T = np.concatenate([local[view.left_translations(b)[:, H.idx]] for b in view.blocks(H.idx)])
-    one = local[view.identity]
-    powers = np.empty((H.order, int(view.orders[H.idx].max()) + 1), dtype=np.intp)
-    powers[:, 0] = one
-    for k in range(1, powers.shape[1]):
-        powers[:, k] = T[np.arange(H.order), powers[:, k - 1]]
+    # K's element a is H.idx[a]; T[a, b]: index of k_a k_b in K
+    K = H.as_group().compiled
+    T = K.left_translations(np.arange(K.order))
+    one = K.identity
+    # powers[a, k]: index of k_a^k, for k up to the exponent of K
+    powers = [np.full(K.order, one), np.arange(K.order)]
+    while (powers[-1] != one).any():
+        powers.append(T[np.arange(K.order), powers[-1]])
+    powers = np.stack(powers, axis=1)
     orders = []
     cells = np.array([one], dtype=np.intp)  # the span so far, in table order
     span = np.arange(H.order) == one
@@ -781,7 +772,7 @@ def abelian_model(H: SubgroupHandle) -> AbelianModel:
         span[cells] = True
     if len(cells) != H.order:
         raise AssertionError("basis extraction produced a non-basis")
-    rows = np.full(view.order, -1, dtype=np.intp)
+    rows = np.full(H.view.order, -1, dtype=np.intp)
     rows[H.idx[cells]] = np.arange(H.order)
     return AbelianModel(H, AbelianGroup(tuple(orders)), _read_only(H.idx[cells]), _read_only(rows))
 
@@ -796,13 +787,13 @@ def primary_part(A: SubgroupHandle, p: int) -> SubgroupHandle:
 
 def commutator_subgroup(G: FiniteGroup, X: SubgroupHandle, Y: SubgroupHandle) -> SubgroupHandle:
     view = G.compiled
-    gens = {c for y in Y.spanning.tolist() for c in view.commutators(y)[X.idx].tolist()}
+    gens = {c for y in Y.basis.tolist() for c in view.commutators(y)[X.idx].tolist()}
     gens.discard(view.identity)
     return view.subgroup(sorted(gens))
 
 
 def subgroup_center(Q: SubgroupHandle) -> SubgroupHandle:
-    return Q.view.handle(Q.idx[Q.view.centralizer_mask(Q.spanning)[Q.idx]])
+    return Q.view.handle(Q.idx[Q.view.centralizer_mask(Q.basis)[Q.idx]])
 
 
 # -- Frobenius structure -------------------------------------------------
@@ -852,7 +843,7 @@ def is_a_group(G: FiniteGroup) -> bool:
     primes = G.primes()
     if any(G.sylow_shown_nonabelian(p) for p in primes):
         return False
-    return all(G.sylow(p).is_abelian() for p in primes)
+    return all(G.sylow(p).is_abelian for p in primes)
 
 
 # -- permutation groups --------------------------------------------------

@@ -115,6 +115,9 @@ def test_hom_rejects_non_homomorphism():
     with pytest.raises(GroupFileError) as info:
         parse_group("semidirect\nabelian C2xC4\ncomplement C2\nmatrix 0 1 / 1 0\n")
     assert str(info.value) == "line 4, column 1: images do not define a homomorphism"
+    # a factor order beyond int64 is refused before any int64 conversion
+    with pytest.raises(AbelianDomainError, match="factor orders beyond int64"):
+        AbHom.identity(AbelianGroup.of(2**70))
 
 
 def test_hom_powers_and_inverse():
@@ -145,6 +148,8 @@ def test_subgroup_closure_and_type():
     assert B.order == 8
     assert B.isomorphism_type().factor_orders == (4, 2)
     assert B.exponent() == 4
+    with pytest.raises(AbelianDomainError, match="coordinate length mismatch"):
+        AbSubgroup.from_elements(AbelianGroup.of(4, 2), [(1, 0, 0)])
 
 
 def test_omega_layers():

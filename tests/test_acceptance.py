@@ -238,12 +238,12 @@ def test_criterion_11_lemma_pack(corpus_reports):
             N = np.flatnonzero(~mask)
             assert np.array_equal(G.closure(N), N), entry.provenance
             A = G.subgroup(N)
-            assert A.is_abelian() and A.is_normal(), entry.provenance
+            assert A.is_abelian and A.is_normal(), entry.provenance
             assert G.order // A.order <= 6, entry.provenance
             # odd Sylow subgroups are abelian
             for p in G.primes():
                 if p > 2:
-                    assert G.sylow(p).is_abelian(), entry.provenance
+                    assert G.sylow(p).is_abelian, entry.provenance
         if G.order <= 360:
             normals = G.normal_subgroups()
             for N in normals:

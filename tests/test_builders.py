@@ -110,7 +110,7 @@ def test_m5_hypotheses():
     assert G.order == 6480
     F = G.fitting
     assert F.order == 16 * 81
-    assert F.is_abelian()
+    assert F.is_abelian
     Q = G.quotient(F)
     assert Q.order == 5 and Q.is_abelian
     # the C5 action is fixed-point-free on each primary component

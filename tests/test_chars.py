@@ -206,7 +206,7 @@ def test_fast_path_agrees_with_oracle():
 
 def _abelian_normal(G):
     for N in G.normal_subgroups():
-        if N.order > 1 and N.is_abelian():
+        if N.order > 1 and N.is_abelian:
             yield N
 
 

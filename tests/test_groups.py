@@ -26,6 +26,7 @@ from vanishlab.group_engine import (
     perm_mul,
     symmetric_3,
 )
+from vanishlab.classifier import classify_theorem_a
 from vanishlab.constructions import build_case_family
 
 
@@ -116,7 +117,7 @@ def test_center_and_fitting():
     G = s4()
     assert G.center.order == 1
     assert G.fitting.order == 4
-    assert G.fitting.is_normal() and G.fitting.is_abelian()
+    assert G.fitting.is_normal() and G.fitting.is_abelian
     q8 = build_case_family("PGROUP", shape="q8").group
     assert q8.center.order == 2
     assert q8.fitting.order == 8  # nilpotent: F(G) = G
@@ -176,7 +177,7 @@ def test_abelian_model_reads_back_its_members_and_conjugates(build):
     if G.order > 500:
         subgroups = [G.fitting]
     else:
-        subgroups = [H for H in G.normal_subgroups() if H.is_abelian()]
+        subgroups = [H for H in G.normal_subgroups() if H.is_abelian]
     for H in subgroups:
         model = abelian_model(H)
         members = H.idx.tolist()
@@ -186,6 +187,23 @@ def test_abelian_model_reads_back_its_members_and_conjugates(build):
             f = model.conjugation_hom(x)
             conjugates = [G.compiled.conj(b, x) for b in members]
             assert f.on_table[rows].tolist() == model.rows[conjugates].tolist()
+
+
+def test_abelian_model_fills_no_map_of_the_parent(monkeypatch):
+    # W of B4_1 k=1 (order 384, |W| = 64): the model reads W's products from
+    # W.as_group(), not from |W| x |G| translations of the parent
+    G = build_case_family("B4_1", k="1").group
+    verdict = classify_theorem_a(G)
+    W, model = verdict.witnesses["W"], verdict.witnesses["module"]
+
+    def refuse(*args):
+        raise AssertionError("abelian_model filled a map of the parent")
+
+    monkeypatch.setattr(G.compiled, "_fill", refuse)  # every map of G fills here
+    again = abelian_model(W)
+    assert again.shape == model.shape
+    assert np.array_equal(again.members, model.members)
+    assert np.array_equal(again.rows, model.rows)
 
 
 def test_conjugation_hom_rejects_an_element_that_does_not_normalize():

@@ -100,7 +100,7 @@ def test_below_threshold_forces_abelian_normal_complement():
         N = np.flatnonzero(~report.vanishing_mask)
         assert np.array_equal(G.closure(N), N)  # N(G) is a subgroup
         A = G.subgroup(N)
-        assert A.is_abelian()
+        assert A.is_abelian
         assert A.is_normal()
         m = G.order // A.order
         assert m <= 6
@@ -114,7 +114,7 @@ def test_below_threshold_forces_odd_sylows_abelian():
             continue
         for p in G.primes():
             if p > 2:
-                assert G.sylow(p).is_abelian()
+                assert G.sylow(p).is_abelian
 
 
 def test_proportion_below_half_implies_abelian():
